@@ -251,6 +251,29 @@ def _positive(values: dict, key: str, problems: list[str]) -> None:
         problems.append(f"{key}: must be positive, got {values[key]}")
 
 
+def _validate_threads_seed(values: dict, problems: list[str]) -> None:
+    _positive(values, "run.threads", problems)
+    if values.get("run.seed", 0) < 0:
+        problems.append("run.seed: must be nonnegative")
+
+
+def validate_overrides(threads: int | None, seed: int | None) -> None:
+    """Check run.threads / run.seed overrides with the config file's rules.
+
+    Raises ValidationError with the same field-addressed messages a config
+    file carrying those values would get.
+    """
+    values = {
+        key: value
+        for key, value in (("run.threads", threads), ("run.seed", seed))
+        if value is not None
+    }
+    problems: list[str] = []
+    _validate_threads_seed(values, problems)
+    if problems:
+        raise ValidationError(problems)
+
+
 def _validate(values: dict[str, Any], problems: list[str]) -> None:
     if not _require(values, "run.mode", problems):
         return
@@ -259,10 +282,9 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
         problems.append(f"run.mode: must be one of {'|'.join(MODES)}, got {mode!r}")
         return
 
-    for key in ("run.n_realizations", "run.n_batches", "run.threads"):
+    for key in ("run.n_realizations", "run.n_batches"):
         _positive(values, key, problems)
-    if values.get("run.seed", 0) < 0:
-        problems.append("run.seed: must be nonnegative")
+    _validate_threads_seed(values, problems)
 
     if mode == "budget":
         if _require(values, "budget.n_tot", problems) and values["budget.n_tot"] < 2:

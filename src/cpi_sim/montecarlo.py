@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlator import MAX_PHASE_STEP, QuadratureSpec, gamma_quadrature
+from .correlator import MAX_PHASE_STEP, QuadratureSpec, _phase_matrix, gamma_quadrature
 from .errors import DegenerateStatistics, UnderResolved
 from .metrics import normalized_l1, normalized_linf, peak_normalize
 from .optics import (
@@ -186,7 +186,12 @@ def arm_kernels(
 
     Arm a is the free Fresnel kernel h * exp(i w (rho_a - rho_s)^2 / (2 z_a)).
     Arm b carries the source chirp exp(i w rho_s^2 / (2 z_b)) times the
-    object-plane integral of A against the lens-imaging phase.
+    object-plane integral of A against the lens-imaging phase
+    exp(-i c1 rho_o (rho_s + rho_b / M)), c1 = w / z_b. That phase is
+    bilinear, so the integral factors into one matmul, K_b ~ W_b @ U, with
+    W_b[b, o] = A(rho_o) w_o exp(-i (c1/M) rho_b rho_o) and
+    U[o, s] = exp(-i c1 rho_o rho_s): two phase matrices instead of one
+    (n_o, n_s) exponential per detector pixel.
     """
     w = geom.omega0_over_c
     rho_s = axis_s.coordinates
@@ -232,11 +237,9 @@ def arm_kernels(
     )
     chirp = np.exp(0.5j * (w / geom.z_b) * rho_s**2)
     amp_o = mask.transmission(rho_o) * w_o
-    k_b = np.empty((axis_b.n, axis_s.n), dtype=complex)
     c1 = w / geom.z_b
-    for j, rb in enumerate(rho_b):
-        phase = np.exp(-1j * c1 * np.outer(rho_o, rho_s + rb / geom.M))
-        k_b[j, :] = amp_o @ phase
+    w_b = amp_o[None, :] * _phase_matrix(c1 / geom.M, rho_b, rho_o)
+    k_b = w_b @ _phase_matrix(c1, rho_o, rho_s)
     k_b *= c_b * chirp[None, :] * axis_s.step
     return k_a, k_b
 

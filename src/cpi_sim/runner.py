@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .budget import SensorBudget, plenoptic_hyperbola, resolution_limits, tradeoff_curve
-from .config import ExperimentConfig
+from .config import ExperimentConfig, validate_overrides
 from .correlator import gamma_geometric, gamma_quadrature, psf_widths
 from .metrics import slit_contrast, two_sided_peaks
 from .montecarlo import SpeckleRun, default_sampling, estimate_gamma
@@ -201,8 +201,11 @@ def run_experiment(
 ) -> RunManifest:
     """Execute one configured experiment and emit its files and manifest.
 
-    ``out_dir``, ``threads`` and ``seed`` override the config when given.
+    ``out_dir``, ``threads`` and ``seed`` override the config when given;
+    invalid ``threads``/``seed`` overrides raise ValidationError before any
+    file is written.
     """
+    validate_overrides(threads=threads, seed=seed)
     out = Path(out_dir if out_dir is not None else config.get("run.out_dir"))
     out.mkdir(parents=True, exist_ok=True)
     threads = threads if threads is not None else config.get("run.threads")
@@ -264,8 +267,9 @@ def run_experiment(
             t = clock()
             ghost = ghost_image(grid)
             spec = RefocusSpec()
-            refocused_grid_ = refocus_grid(grid, spec)
             refocused = refocused_image(grid, spec)
+            if config.mode == "refocus":
+                refocused_grid_ = refocus_grid(grid, spec)
             manifest.stage_seconds["refocus"] = clock() - t
 
             if config.mode == "analytic":

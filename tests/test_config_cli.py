@@ -232,3 +232,19 @@ class TestCli:
         d1 = {f["name"]: f["sha256"] for f in m1["files"]}
         d4 = {f["name"]: f["sha256"] for f in m4["files"]}
         assert d1 == d4
+
+    def test_negative_threads_flag_rejected(self, tmp_path, capsys):
+        path = tmp_path / "budget.cfg"
+        path.write_text(DEMOS["budget"])
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--threads", "-3"]) == 2
+        assert "run.threads: must be positive, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        path = tmp_path / "budget.cfg"
+        path.write_text(DEMOS["budget"])
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out), "--seed", "-1"]) == 2
+        assert "run.seed: must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
