@@ -163,7 +163,7 @@ def intensity_prefactor_b(geom: SetupGeometry) -> float:
     return float(np.abs(2.0 * np.pi * h) ** 2)
 
 
-def intensity_a(geom: SetupGeometry, source: SourceProfile, axis_a: Axis) -> SampledImage:
+def intensity_a(geom: SetupGeometry, axis_a: Axis) -> SampledImage:
     """Detector-a intensity: flat, carrying no object information."""
     level = intensity_prefactor_a(geom)
     return SampledImage(

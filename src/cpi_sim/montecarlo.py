@@ -113,11 +113,27 @@ def sample_source_field(
     Deterministic in (seed, realization_index, cell index); phases are
     i.i.d. uniform on [0, 2 pi).
     """
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed, realization_index], dtype=np.uint64))
-    )
-    theta = rng.random(axis_s.n) * (2.0 * np.pi)
-    return source.amplitude(axis_s.coordinates) * np.exp(1j * theta)
+    return _source_fields(
+        source, axis_s, seed, realization_index, realization_index + 1
+    )[0]
+
+
+def _source_fields(
+    source: SourceProfile, axis_s: Axis, seed: int, lo: int, hi: int
+) -> np.ndarray:
+    """Realizations [lo, hi) as the rows of a (hi - lo, n_s) array.
+
+    Row r - lo draws its phases from the Philox stream keyed by (seed, r),
+    so a row does not depend on the block it was generated in.
+    """
+    amp = source.amplitude(axis_s.coordinates)
+    fields = np.empty((hi - lo, axis_s.n), dtype=complex)
+    for r in range(lo, hi):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
+        )
+        fields[r - lo] = amp * np.exp(1j * (rng.random(axis_s.n) * (2.0 * np.pi)))
+    return fields
 
 
 def _check_cell_size(geom: SetupGeometry, axis_s: Axis, axis_a: Axis, axis_b: Axis) -> None:
@@ -272,43 +288,35 @@ def _batch_covariance(
     start: int,
     stop: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-pass intensity covariance over realizations [start, stop).
+    """Single-pass intensity covariance over realizations [start, stop).
 
-    First pass accumulates the mean intensities, the second the centered
-    cross products; centering first avoids the catastrophic cancellation of
-    the <I_a I_b> - <I_a><I_b> form.
+    Each chunk of realizations is generated and propagated once and reduced
+    to its count, mean intensities and centered co-moment
+    (I_a - mean_a)^T (I_b - mean_b); centering avoids the catastrophic
+    cancellation of the <I_a I_b> - <I_a><I_b> form. Chunks are folded into
+    the running state with the pairwise update of Chan, Golub & LeVeque
+    (1979). The first chunk merges into an empty state exactly, so a batch
+    that fits in one chunk gets the plain two-pass result bitwise.
     """
-    amp = source.amplitude(axis_s.coordinates)
-    m = stop - start
-    two_pi = 2.0 * np.pi
-
-    def intensity_block(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        fields = np.empty((hi - lo, axis_s.n), dtype=complex)
-        for r in range(lo, hi):
-            rng = np.random.Generator(
-                np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
-            )
-            fields[r - lo] = amp * np.exp(1j * two_pi * rng.random(axis_s.n))
+    n = 0
+    mean_a = np.zeros(k_a.shape[0])
+    mean_b = np.zeros(k_b.shape[0])
+    co = np.zeros((k_a.shape[0], k_b.shape[0]))
+    for lo in range(start, stop, _REALIZATION_CHUNK):
+        hi = min(lo + _REALIZATION_CHUNK, stop)
+        k = hi - lo
+        fields = _source_fields(source, axis_s, seed, lo, hi)
         i_a = np.abs(fields @ k_a.T) ** 2
         i_b = np.abs(fields @ k_b.T) ** 2
-        return i_a, i_b
-
-    sum_a = np.zeros(k_a.shape[0])
-    sum_b = np.zeros(k_b.shape[0])
-    for lo in range(start, stop, _REALIZATION_CHUNK):
-        hi = min(lo + _REALIZATION_CHUNK, stop)
-        i_a, i_b = intensity_block(lo, hi)
-        sum_a += i_a.sum(axis=0)
-        sum_b += i_b.sum(axis=0)
-    mean_a = sum_a / m
-    mean_b = sum_b / m
-
-    cross = np.zeros((k_a.shape[0], k_b.shape[0]))
-    for lo in range(start, stop, _REALIZATION_CHUNK):
-        hi = min(lo + _REALIZATION_CHUNK, stop)
-        i_a, i_b = intensity_block(lo, hi)
-        cross += (i_a - mean_a).T @ (i_b - mean_b)
-    return cross / (m - 1), mean_a, mean_b
+        blk_a = i_a.sum(axis=0) / k
+        blk_b = i_b.sum(axis=0) / k
+        d_a = blk_a - mean_a
+        d_b = blk_b - mean_b
+        co += (i_a - blk_a).T @ (i_b - blk_b) + np.outer(d_a, d_b) * (n * k / (n + k))
+        mean_a += d_a * (k / (n + k))
+        mean_b += d_b * (k / (n + k))
+        n += k
+    return co / (n - 1), mean_a, mean_b
 
 
 def estimate_gamma(

@@ -35,7 +35,6 @@ class RefocusSpec:
     z_a: float | None = None
     z_b: float | None = None
     output_axis: Axis | None = None
-    interpolation: Literal["linear"] = "linear"
 
     def resolve(self, grid: CorrelationGrid) -> tuple[float, float, Axis]:
         z_a = grid.z_a if self.z_a is None else self.z_a
@@ -64,9 +63,15 @@ def _integrate_over_b(grid: CorrelationGrid) -> np.ndarray:
     return out
 
 
-def ghost_image(grid: CorrelationGrid) -> SampledImage:
-    """Angular-integrated correlation: the (possibly defocused) ghost image."""
-    return SampledImage(axis=grid.axis_a, values=_integrate_over_b(grid), label="ghost")
+def ghost_image(
+    grid: CorrelationGrid, label: Literal["ghost", "refocused"] = "ghost"
+) -> SampledImage:
+    """Angular-integrated correlation: the (possibly defocused) ghost image.
+
+    Integrating a refocused grid gives the refocused image; ``label`` names
+    the result accordingly.
+    """
+    return SampledImage(axis=grid.axis_a, values=_integrate_over_b(grid), label=label)
 
 
 def refocus_grid(grid: CorrelationGrid, spec: RefocusSpec) -> CorrelationGrid:
@@ -127,10 +132,7 @@ def refocused_image(grid: CorrelationGrid, spec: RefocusSpec) -> SampledImage:
     Up to an intensity rescaling, this reconstructs the ghost image the
     setup would have produced in focus.
     """
-    refocused = refocus_grid(grid, spec)
-    return SampledImage(
-        axis=refocused.axis_a, values=_integrate_over_b(refocused), label="refocused"
-    )
+    return ghost_image(refocus_grid(grid, spec), label="refocused")
 
 
 def viewpoint_slice(grid: CorrelationGrid, rho_b: float) -> SampledImage:

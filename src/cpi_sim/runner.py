@@ -31,7 +31,7 @@ from .correlator import gamma_geometric, gamma_quadrature, psf_widths
 from .metrics import slit_contrast, two_sided_peaks
 from .montecarlo import SpeckleRun, default_sampling, estimate_gamma
 from .optics import Axis, CorrelationGrid, SampledImage
-from .refocus import RefocusSpec, ghost_image, refocus_grid, refocused_image
+from .refocus import RefocusSpec, ghost_image, refocus_grid
 
 _PGM_STRIP_ROWS = 32  # 1D images are rendered as a repeated strip
 
@@ -266,10 +266,8 @@ def run_experiment(
 
             t = clock()
             ghost = ghost_image(grid)
-            spec = RefocusSpec()
-            refocused = refocused_image(grid, spec)
-            if config.mode == "refocus":
-                refocused_grid_ = refocus_grid(grid, spec)
+            refocused_grid_ = refocus_grid(grid, RefocusSpec())
+            refocused = ghost_image(refocused_grid_, label="refocused")
             manifest.stage_seconds["refocus"] = clock() - t
 
             if config.mode == "analytic":

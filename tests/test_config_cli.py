@@ -4,8 +4,20 @@ import json
 import numpy as np
 import pytest
 
-from cpi_sim import DEMOS, ParseError, ValidationError, parse_config, run_experiment
+import cpi_sim.refocus
+import cpi_sim.runner
+from cpi_sim import (
+    DEMOS,
+    ParseError,
+    RefocusSpec,
+    ValidationError,
+    gamma_quadrature,
+    parse_config,
+    refocused_image,
+    run_experiment,
+)
 from cpi_sim.cli import main as cli_main
+from cpi_sim.runner import write_image_csv
 
 MINIMAL = """
 geometry.z_a = 0.1
@@ -182,6 +194,34 @@ class TestRunExperiment:
         # masked samples serialize as empty value fields
         rows = (tmp_path / "refocused_grid.csv").read_text().splitlines()
         assert any(r.endswith(",") for r in rows)
+
+    def test_refocus_mode_resamples_once(self, tmp_path, monkeypatch):
+        cfg = parse_config(
+            DEMOS["refocus"].replace("run.mode = analytic", "run.mode = refocus")
+        )
+        calls = []
+        original = cpi_sim.refocus.refocus_grid
+
+        def counted(grid, spec):
+            calls.append(spec)
+            return original(grid, spec)
+
+        monkeypatch.setattr(cpi_sim.refocus, "refocus_grid", counted)
+        monkeypatch.setattr(cpi_sim.runner, "refocus_grid", counted)
+        run_experiment(cfg, out_dir=tmp_path / "run")
+        assert len(calls) == 1
+        monkeypatch.undo()
+
+        # the runner's image equals the public refocused_image of its grid
+        axis_a, axis_b = cfg.build_axes()
+        grid = gamma_quadrature(
+            cfg.build_geometry(), cfg.build_source(), cfg.build_mask(),
+            axis_a, axis_b, cfg.build_quadrature(),
+        )
+        write_image_csv(tmp_path / "expected.csv", refocused_image(grid, RefocusSpec()))
+        assert (tmp_path / "run" / "refocused.csv").read_bytes() == (
+            tmp_path / "expected.csv"
+        ).read_bytes()
 
 
 class TestCli:

@@ -23,18 +23,18 @@ from conftest import SEPARATION, smooth_two_lobe_mask
 
 
 class TestIntensityA:
-    def test_flat(self, geom_focused, source, axis_a):
-        img = intensity_a(geom_focused, source, axis_a)
+    def test_flat(self, geom_focused, axis_a):
+        img = intensity_a(geom_focused, axis_a)
         assert np.ptp(img.values) <= 1e-12 * img.values.max()
 
-    def test_positive(self, geom_focused, source, axis_a):
-        assert intensity_a(geom_focused, source, axis_a).values.min() > 0.0
+    def test_positive(self, geom_focused, axis_a):
+        assert intensity_a(geom_focused, axis_a).values.min() > 0.0
 
-    def test_inverse_square_in_distance(self, source, axis_a):
+    def test_inverse_square_in_distance(self, axis_a):
         g1 = make_geometry(z_a=0.1, z_b=0.05, S_o=0.2, F=0.05)
         g2 = make_geometry(z_a=0.2, z_b=0.05, S_o=0.2, F=0.05)
-        v1 = intensity_a(g1, source, axis_a).values[0]
-        v2 = intensity_a(g2, source, axis_a).values[0]
+        v1 = intensity_a(g1, axis_a).values[0]
+        v2 = intensity_a(g2, axis_a).values[0]
         assert v1 / v2 == pytest.approx(4.0, rel=1e-12)
 
 

@@ -15,6 +15,7 @@ from cpi_sim import (
     sample_source_field,
 )
 from cpi_sim.metrics import two_sided_peaks
+from cpi_sim.montecarlo import _REALIZATION_CHUNK, _batch_covariance
 from cpi_sim.optics import fresnel_prefactor, object_quadrature
 from cpi_sim.refocus import ghost_image
 from conftest import SEPARATION
@@ -129,6 +130,32 @@ class TestArmKernels:
         # dark-fringe entries sit near zero, so they are held to the peak modulus
         peak = np.abs(direct).max()
         np.testing.assert_allclose(k_b, direct, rtol=1e-12, atol=1e-12 * peak)
+
+
+class TestBatchCovariance:
+    def test_chunk_merge_matches_two_pass(self, geom_focused, source, slits, small_setup):
+        # 700 realizations: three chunks (256 + 256 + 188), the last one partial
+        axis_a, axis_b, axis_s, n_object = small_setup
+        start, stop = 0, 700
+        assert 2 * _REALIZATION_CHUNK < stop - start < 3 * _REALIZATION_CHUNK
+        k_a, k_b = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
+        cov, mean_a, mean_b = _batch_covariance(
+            source, axis_s, k_a, k_b, seed=13, start=start, stop=stop
+        )
+
+        fields = np.stack(
+            [sample_source_field(source, axis_s, 13, r) for r in range(start, stop)]
+        )
+        i_a = np.abs(fields @ k_a.T) ** 2
+        i_b = np.abs(fields @ k_b.T) ** 2
+        ref_a = i_a.mean(axis=0)
+        ref_b = i_b.mean(axis=0)
+        ref_cov = (i_a - ref_a).T @ (i_b - ref_b) / (stop - start - 1)
+        np.testing.assert_allclose(mean_a, ref_a, rtol=1e-12)
+        np.testing.assert_allclose(mean_b, ref_b, rtol=1e-12)
+        # the covariance crosses zero, so entries near zero are held to its peak
+        peak = np.abs(ref_cov).max()
+        np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * peak)
 
 
 class TestEstimateGamma:
