@@ -7,23 +7,23 @@ default. Syntax problems raise ParseError with a line number; semantic
 problems are collected across the whole file and raised together as one
 ValidationError with field-addressed messages.
 
-Documented defaults (applied only when a key is absent):
-  grids.n_a = 64, grids.n_b = 64, grids.center_a = 0, grids.center_b = 0
-  grids.span_a / span_b     auto from the object support / source image
-  grids.n_source, n_object  auto from the anti-aliasing guard
-  grids.guard_factor = 4
-  run.seed = 0, run.threads = 1, run.n_realizations = 1000,
-  run.n_batches = 20, run.out_dir = "out"
-  budget.delta = 10e-6
+Defaults for absent keys are the ``_DEFAULTS`` table below. Keys with no
+default are resolved from the physics when absent: ``grids.span_a`` and
+``grids.span_b`` from the object support and the source image, and
+``grids.n_source``, ``grids.n_object`` and ``grids.source_span`` by
+``QuadratureSpec.auto`` from the phase-rate table of ``cpi_sim.phase``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
+
+import numpy as np
 
 from .correlator import QuadratureSpec
 from .errors import ParseError, ValidationError
+from .montecarlo import MIN_BATCHES, MIN_REALIZATIONS
 from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile, make_geometry
 
 MODES = ("analytic", "montecarlo", "geometric", "refocus", "budget")
@@ -54,7 +54,6 @@ _SCHEMA: dict[str, type] = {
     "grids.n_source": int,
     "grids.n_object": int,
     "grids.source_span": float,
-    "grids.object_span": float,
     "grids.guard_factor": float,
     "run.mode": str,
     "run.seed": int,
@@ -131,8 +130,6 @@ class ExperimentConfig:
         elif kind == "single_slit":
             mask = ObjectMask.single_slit(self.get("object.slit_width"))
         else:
-            import numpy as np
-
             data = np.loadtxt(self.get("object.file"), delimiter=",", comments="#")
             values = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
             mask = ObjectMask.from_samples(
@@ -140,14 +137,7 @@ class ExperimentConfig:
             )
         fs = self.get("object.feature_size")
         if fs is not None and fs != mask.feature_size:
-            mask = ObjectMask(
-                kind=mask.kind,
-                slit_width=mask.slit_width,
-                separation=mask.separation,
-                sample_coords=mask.sample_coords,
-                sample_values=mask.sample_values,
-                feature_size=fs,
-            )
+            mask = replace(mask, feature_size=fs)
         return mask
 
     def build_axes(self) -> tuple[Axis, Axis]:
@@ -181,7 +171,6 @@ class ExperimentConfig:
             n_source=self.get("grids.n_source") or auto.n_source,
             n_object=self.get("grids.n_object") or auto.n_object,
             source_span=self.get("grids.source_span") or auto.source_span,
-            object_span=self.get("grids.object_span") or auto.object_span,
         )
 
 
@@ -285,6 +274,15 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
     for key in ("run.n_realizations", "run.n_batches"):
         _positive(values, key, problems)
     _validate_threads_seed(values, problems)
+    if mode == "montecarlo":  # the thresholds SpeckleRun and estimate_gamma enforce
+        n_real, n_batches = values["run.n_realizations"], values["run.n_batches"]
+        if n_real < MIN_REALIZATIONS:
+            problems.append(f"run.n_realizations: need at least {MIN_REALIZATIONS}, got {n_real}")
+        if not MIN_BATCHES <= n_batches <= n_real:
+            problems.append(
+                f"run.n_batches: need {MIN_BATCHES} <= n_batches <= run.n_realizations, "
+                f"got {n_batches}"
+            )
 
     if mode == "budget":
         if _require(values, "budget.n_tot", problems) and values["budget.n_tot"] < 2:
@@ -337,7 +335,7 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
         if values.get(key, 2) < 2:
             problems.append(f"{key}: need at least 2 samples")
     for key in ("grids.span_a", "grids.span_b", "grids.source_span",
-                "grids.object_span", "grids.guard_factor", "budget.delta"):
+                "grids.guard_factor", "budget.delta"):
         _positive(values, key, problems)
     for key in ("grids.n_source", "grids.n_object"):
         if key in values and values[key] != 0 and values[key] < 16:

@@ -4,8 +4,9 @@ The central object is the crossed correlation term Gamma(rho_a, rho_b): the
 squared modulus of a double integral over the source and object planes,
 whose integrand carries a quadratic source chirp plus linear coupling
 phases. It is evaluated by composite trapezoidal product quadrature with an
-explicit anti-aliasing guard: if the integrand phase can advance by more
-than pi/2 between adjacent nodes, the evaluation refuses to run instead of
+explicit anti-aliasing guard (the rate table of ``cpi_sim.phase``, on the
+nodes actually integrated): if the integrand phase can advance by more than
+pi/2 between adjacent nodes, the evaluation refuses to run instead of
 silently returning an aliased surface.
 
 Also provided: the detector intensities (flat in arm a, object-Fourier
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnderResolved
+from . import phase
 from .optics import (
     Axis,
     CorrelationGrid,
@@ -29,34 +30,31 @@ from .optics import (
     SetupGeometry,
     SourceProfile,
     fresnel_prefactor,
+    gaussian_phase,
     object_quadrature,
     source_quadrature,
 )
 
-# Hard anti-aliasing limit on the per-step phase increment of any
-# oscillatory integrand sampled here.
-MAX_PHASE_STEP = np.pi / 2.0
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and integration spans for the (rho_o, rho_s) product rule.
+    """Node counts and source span for the (rho_o, rho_s) product rule.
 
-    Spans are half-widths in metres. For Gaussian sources the span must
+    ``source_span`` is a half-width in metres. For Gaussian sources it must
     reach at least 5 sigma (truncated tail mass < 1e-5); top hats are always
-    integrated over exactly their support.
+    integrated over exactly their support, and object nodes always cover
+    exactly ``mask.support_intervals()``.
     """
 
     n_source: int
     n_object: int
     source_span: float
-    object_span: float
 
     def __post_init__(self):
         if self.n_source < 16 or self.n_object < 16:
             raise ValueError("quadrature needs at least 16 nodes per axis")
-        if not (self.source_span > 0.0 and self.object_span > 0.0):
-            raise ValueError("quadrature spans must be positive")
+        if not (self.source_span > 0.0):
+            raise ValueError("quadrature source_span must be positive")
 
     def validate_for(self, source: SourceProfile) -> None:
         if source.kind == "gaussian" and self.source_span < 5.0 * source.sigma:
@@ -82,70 +80,19 @@ class QuadratureSpec:
         anti-aliasing limit; 4 gives ~16x smaller trapezoid error than the
         bare limit.
         """
-        source_span = (
-            5.0 * source.sigma if source.kind == "gaussian" else source.width / 2.0
-        )
-        object_span = mask.support_half_width
-        rate_s, rate_o = _phase_rates(geom, source_span, object_span, axis_a, axis_b)
-        target = MAX_PHASE_STEP / guard_factor
-        step_s = target / rate_s
-        step_o = target / rate_o
+        source_span = source.quadrature_interval()[1]
+        r = phase.declared_rates(geom, source, mask, axis_a, axis_b)
+        step_s = phase.step_limit(r.gamma_s, guard_factor)
+        step_o = phase.step_limit(r.object, guard_factor)
         n_source = max(16, int(np.ceil(2.0 * source_span / step_s)) + 1)
-        support = sum(hi - lo for lo, hi in mask.support_intervals())
-        n_object = max(
-            16, int(np.ceil(support / step_o)) + len(mask.support_intervals()) + 1
-        )
-        return cls(
-            n_source=n_source,
-            n_object=n_object,
-            source_span=source_span,
-            object_span=object_span,
-        )
-
-
-def _phase_rates(
-    geom: SetupGeometry,
-    source_span: float,
-    object_span: float,
-    axis_a: Axis,
-    axis_b: Axis,
-) -> tuple[float, float]:
-    """Worst-case |d(phase)/d(rho_s)| and |d(phase)/d(rho_o)| of the
-    correlation integrand over the whole integration domain."""
-    w = geom.omega0_over_c
-    a_max = max(abs(axis_a.lo), abs(axis_a.hi))
-    b_max = max(abs(axis_b.lo), abs(axis_b.hi))
-    chirp = w * abs(1.0 / geom.z_b - 1.0 / geom.z_a) * source_span
-    rate_s = chirp + (w / geom.z_b) * (object_span + (geom.z_b / geom.z_a) * a_max)
-    rate_o = (w / geom.z_b) * (source_span + b_max / geom.M)
-    return rate_s, rate_o
-
-
-def _check_phase_steps(step_s: float, step_o: float, rate_s: float, rate_o: float) -> None:
-    if rate_s * step_s > MAX_PHASE_STEP:
-        raise UnderResolved(
-            f"source step {step_s:.3e} m advances the integrand phase by "
-            f"{rate_s * step_s:.2f} rad > pi/2; need step <= {MAX_PHASE_STEP / rate_s:.3e} m"
-        )
-    if rate_o * step_o > MAX_PHASE_STEP:
-        raise UnderResolved(
-            f"object step {step_o:.3e} m advances the integrand phase by "
-            f"{rate_o * step_o:.2f} rad > pi/2; need step <= {MAX_PHASE_STEP / rate_o:.3e} m"
-        )
+        intervals = mask.support_intervals()
+        support = sum(hi - lo for lo, hi in intervals)
+        n_object = max(16, int(np.ceil(support / step_o)) + len(intervals) + 1)
+        return cls(n_source=n_source, n_object=n_object, source_span=source_span)
 
 
 def _max_step(nodes: np.ndarray) -> float:
     return float(np.max(np.diff(nodes)))
-
-
-def _phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear phase matrix exp(-i c x_j y_k), shape (x.size, y.size).
-
-    Every coupling phase of the two-arm integrals is bilinear in a pair of
-    transverse coordinates, so each kernel factors into products of these
-    matrices and dense matmuls instead of one exp per output pixel.
-    """
-    return np.exp((-1j * c) * np.outer(x, y))
 
 
 def intensity_prefactor_a(geom: SetupGeometry) -> float:
@@ -183,29 +130,21 @@ def intensity_b(
     I_b(rho_b) = K_b * int drho_s F(rho_s) |A~[(w/z_b)(rho_s + rho_b/M)]|^2.
     """
     quad.validate_for(source)
-    w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
     rho_o, w_o, step_o = object_quadrature(mask, quad.n_object)
+    rho_b = axis_b.coordinates
 
-    # Guards: object-plane phase sampling, and source steps fine enough that
-    # the kappa argument of A~ moves by less than pi/2 across the support.
-    c1 = w / geom.z_b
-    b_max = max(abs(axis_b.lo), abs(axis_b.hi))
-    kappa_max = c1 * (quad.source_span + b_max / geom.M)
-    support_hw = mask.support_half_width
-    _check_phase_steps(
-        step_s=_max_step(rho_s),
-        step_o=step_o,
-        rate_s=c1 * support_hw,
-        rate_o=kappa_max,
-    )
+    r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # no arm a: no rate used here reads it
+    phase.check_step("source", _max_step(rho_s), r.intensity_b_s)
+    phase.check_step("object", step_o, r.object)
 
     # ft[s, b] = A~[c1 (rho_s + rho_b/M)]; the phase splits into a rho_s and
     # a rho_b factor, so one matmul replaces a transform per detector pixel
+    c1 = geom.omega0_over_c / geom.z_b
     amp = mask.transmission(rho_o) * w_o
     f_s = source.intensity(rho_s) * w_s
-    W_b = amp[:, None] * _phase_matrix(c1 / geom.M, rho_o, axis_b.coordinates)
-    ft = _phase_matrix(c1, rho_s, rho_o) @ W_b
+    W_b = amp[:, None] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b)
+    ft = phase.phase_matrix(c1, rho_s, rho_o) @ W_b
     out = f_s @ np.abs(ft) ** 2
     return SampledImage(
         axis=axis_b, values=intensity_prefactor_b(geom) * out, label="intensity_b"
@@ -234,31 +173,30 @@ def gamma_quadrature(
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
     rho_o, w_o, step_o = object_quadrature(mask, quad.n_object)
-
-    rate_s, rate_o = _phase_rates(
-        geom, quad.source_span, quad.object_span, axis_a, axis_b
-    )
-    _check_phase_steps(_max_step(rho_s), step_o, rate_s, rate_o)
-
-    c1 = w / geom.z_b
-    chirp_beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
     rho_a = axis_a.coordinates
     rho_b = axis_b.coordinates
 
+    r = phase.rates(geom, rho_s, rho_o, rho_a, rho_b)
+    phase.check_step("source", _max_step(rho_s), r.gamma_s)
+    phase.check_step("object", step_o, r.object)
+
+    c1 = w / geom.z_b
+    chirp_beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
+
     # inner[o, a] = sum_s F w_s chirp(s) exp(-i c1 rho_o rho_s) exp(+i c1 (z_b/z_a) rho_a rho_s)
     # accumulated over source chunks to bound the n_o x n_s working set
-    src_line = source.intensity(rho_s) * w_s * np.exp(0.5j * chirp_beta * rho_s**2)
+    src_line = source.intensity(rho_s) * w_s * gaussian_phase(rho_s, chirp_beta)
     inner = np.zeros((rho_o.size, rho_a.size), dtype=complex)
     chunk = max(1, int(8e6 // max(rho_o.size, 1)))
     for lo in range(0, rho_s.size, chunk):
         sl = slice(lo, min(lo + chunk, rho_s.size))
-        U = _phase_matrix(c1, rho_o, rho_s[sl]) * src_line[None, sl]
-        V = _phase_matrix(-c1 * (geom.z_b / geom.z_a), rho_s[sl], rho_a)
+        U = phase.phase_matrix(c1, rho_o, rho_s[sl]) * src_line[None, sl]
+        V = phase.phase_matrix(-c1 * (geom.z_b / geom.z_a), rho_s[sl], rho_a)
         inner += U @ V
 
     # B[a, b] = sum_o A w_o inner[o, a] exp(-i c1 rho_o rho_b / M)
     amp = mask.transmission(rho_o) * w_o
-    W = amp[:, None] * _phase_matrix(c1 / geom.M, rho_o, rho_b)
+    W = amp[:, None] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b)
     B = inner.T @ W
 
     scale = intensity_prefactor_a(geom) * intensity_prefactor_b(geom)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlator import MAX_PHASE_STEP, QuadratureSpec, _phase_matrix, gamma_quadrature
-from .errors import DegenerateStatistics, UnderResolved
+from . import phase
+from .correlator import QuadratureSpec, gamma_quadrature
+from .errors import DegenerateStatistics
 from .metrics import normalized_l1, normalized_linf, peak_normalize
 from .optics import (
     Axis,
@@ -36,10 +37,15 @@ from .optics import (
     SetupGeometry,
     SourceProfile,
     fresnel_prefactor,
+    gaussian_phase,
     object_quadrature,
 )
 
 _REALIZATION_CHUNK = 256  # realizations per matmul block
+MIN_BATCHES = 2  # the spread of batch means is the error bar
+MIN_REALIZATIONS = 100  # fewer give no meaningful error bars
+# default_sampling takes this fraction of the tightest source-cell limit
+_CELL_MARGIN = 0.8
 
 
 @dataclass(frozen=True)
@@ -61,10 +67,8 @@ class SpeckleRun:
     n_batches: int = 20
 
     def __post_init__(self):
-        if self.n_realizations < 2:
-            raise ValueError("need at least 2 realizations")
-        if self.n_batches < 2:
-            raise ValueError("need at least 2 batches for error bars")
+        if self.n_batches < MIN_BATCHES:
+            raise ValueError(f"need at least {MIN_BATCHES} batches for error bars")
         if self.n_realizations < self.n_batches:
             raise ValueError("more batches than realizations")
 
@@ -136,53 +140,29 @@ def _source_fields(
     return fields
 
 
-def _check_cell_size(geom: SetupGeometry, axis_s: Axis, axis_a: Axis, axis_b: Axis) -> None:
-    """Each cell must stay unresolved by both detectors (act as a point
-    emitter): step <= lambda0 * min(z_a, z_b) / (4 * detector extent)."""
-    extent = max(
-        max(abs(axis_a.lo), abs(axis_a.hi)),
-        max(abs(axis_b.lo), abs(axis_b.hi)) / geom.M,
-    )
-    limit = geom.lambda0 * min(geom.z_a, geom.z_b) / (4.0 * extent)
-    if axis_s.step > limit:
-        raise UnderResolved(
-            f"source cell {axis_s.step:.3e} m is resolved by the detectors; "
-            f"need step <= {limit:.3e} m"
-        )
-
-
 def default_sampling(
     geom: SetupGeometry,
     source: SourceProfile,
     mask: ObjectMask,
     axis_a: Axis,
     axis_b: Axis,
-    margin: float = 0.8,
 ) -> tuple[Axis, int]:
     """Pick a compliant source-cell axis and object node count.
 
-    The cell step takes ``margin`` times the tightest of the unresolved-cell
-    rule and the kernel anti-aliasing limits; the object count targets half
-    the allowed phase step.
+    The cell step takes ``_CELL_MARGIN`` times the tightest of the
+    unresolved-cell rule and the two kernel anti-aliasing limits; the object
+    count targets half the allowed phase step.
     """
-    lo, hi = source.quadrature_interval()
-    s_max = max(abs(lo), abs(hi))
-    a_max = max(abs(axis_a.lo), abs(axis_a.hi))
-    b_max = max(abs(axis_b.lo), abs(axis_b.hi))
-    o_max = mask.support_half_width
-    w = geom.omega0_over_c
-
-    extent = max(a_max, b_max / geom.M)
-    cell_limit = geom.lambda0 * min(geom.z_a, geom.z_b) / (4.0 * extent)
-    alias_a = MAX_PHASE_STEP / ((w / geom.z_a) * (a_max + s_max))
-    alias_b = MAX_PHASE_STEP / ((w / geom.z_b) * (s_max + o_max))
-    step = margin * min(cell_limit, alias_a, alias_b)
+    s_max = source.quadrature_interval()[1]
+    r = phase.declared_rates(geom, source, mask, axis_a, axis_b)
+    step = _CELL_MARGIN * min(
+        phase.step_limit(r.cell), phase.step_limit(r.arm_a), phase.step_limit(r.arm_b)
+    )
     n_cells = max(16, int(np.ceil(2.0 * s_max / step)) + 1)
     axis_s = Axis.from_half_width(n_cells, s_max)
 
-    rate_o = (w / geom.z_b) * (s_max + b_max / geom.M)
-    step_o = 0.5 * MAX_PHASE_STEP / rate_o
-    support = sum(b - a for a, b in mask.support_intervals())
+    step_o = phase.step_limit(r.object, guard_factor=2.0)
+    support = sum(hi - lo for lo, hi in mask.support_intervals())
     n_object = max(16, int(np.ceil(support / step_o)) + 1)
     return axis_s, n_object
 
@@ -213,49 +193,29 @@ def arm_kernels(
     rho_s = axis_s.coordinates
     rho_a = axis_a.coordinates
     rho_b = axis_b.coordinates
-    s_max = max(abs(axis_s.lo), abs(axis_s.hi))
-    a_max = max(abs(axis_a.lo), abs(axis_a.hi))
-    b_max = max(abs(axis_b.lo), abs(axis_b.hi))
-
-    _check_cell_size(geom, axis_s, axis_a, axis_b)
-
-    # Anti-aliasing guards on every oscillatory kernel factor.
-    rate_a = (w / geom.z_a) * (a_max + s_max)
-    if rate_a * axis_s.step > MAX_PHASE_STEP:
-        raise UnderResolved(
-            f"arm-a kernel phase advances {rate_a * axis_s.step:.2f} rad per source "
-            f"cell; need step <= {MAX_PHASE_STEP / rate_a:.3e} m"
-        )
     rho_o, w_o, step_o = object_quadrature(mask, n_object)
-    o_max = float(np.max(np.abs(rho_o)))
-    rate_sb = (w / geom.z_b) * (s_max + o_max)
-    if rate_sb * axis_s.step > MAX_PHASE_STEP:
-        raise UnderResolved(
-            f"arm-b kernel phase advances {rate_sb * axis_s.step:.2f} rad per source "
-            f"cell; need step <= {MAX_PHASE_STEP / rate_sb:.3e} m"
-        )
-    rate_o = (w / geom.z_b) * (s_max + b_max / geom.M)
-    if rate_o * step_o > MAX_PHASE_STEP:
-        raise UnderResolved(
-            f"arm-b object quadrature phase advances {rate_o * step_o:.2f} rad per "
-            f"node; raise n_object above {n_object}"
-        )
+
+    # Each cell must act as a point emitter for both detectors, and every
+    # oscillatory kernel factor must be sampled below the phase limit.
+    r = phase.rates(geom, rho_s, rho_o, rho_a, rho_b)
+    phase.check_step("source cell (unresolved-cell rule)", axis_s.step, r.cell)
+    phase.check_step("arm-a kernel source cell", axis_s.step, r.arm_a)
+    phase.check_step("arm-b kernel source cell", axis_s.step, r.arm_b)
+    phase.check_step(f"arm-b object quadrature (n_object = {n_object})", step_o, r.object)
 
     h_a = fresnel_prefactor(w, geom.z_a)
-    k_a = h_a * np.exp(
-        0.5j * (w / geom.z_a) * np.square(rho_a[:, None] - rho_s[None, :])
-    ) * axis_s.step
+    k_a = h_a * gaussian_phase(rho_a[:, None] - rho_s[None, :], w / geom.z_a) * axis_s.step
 
     c_b = (
         fresnel_prefactor(w, geom.z_b)
         * fresnel_prefactor(w, geom.S_i)
         * (geom.S_o / geom.z_b)
     )
-    chirp = np.exp(0.5j * (w / geom.z_b) * rho_s**2)
+    chirp = gaussian_phase(rho_s, w / geom.z_b)
     amp_o = mask.transmission(rho_o) * w_o
     c1 = w / geom.z_b
-    w_b = amp_o[None, :] * _phase_matrix(c1 / geom.M, rho_b, rho_o)
-    k_b = w_b @ _phase_matrix(c1, rho_o, rho_s)
+    w_b = amp_o[None, :] * phase.phase_matrix(c1 / geom.M, rho_b, rho_o)
+    k_b = w_b @ phase.phase_matrix(c1, rho_o, rho_s)
     k_b *= c_b * chirp[None, :] * axis_s.step
     return k_a, k_b
 
@@ -338,8 +298,10 @@ def estimate_gamma(
     The report measures the distance to ``reference`` (computed by
     quadrature on the same grid when not supplied).
     """
-    if run.n_realizations < 100:
-        raise ValueError("need n_realizations >= 100 for meaningful error bars")
+    if run.n_realizations < MIN_REALIZATIONS:
+        raise ValueError(
+            f"need n_realizations >= {MIN_REALIZATIONS} for meaningful error bars"
+        )
     k_a, k_b = arm_kernels(
         geom, mask, run.axis_s, run.axis_a, run.axis_b, run.n_object
     )

@@ -318,15 +318,6 @@ class ObjectMask:
         outside = (rho_o < c[0]) | (rho_o > c[-1])
         return np.where(outside, 0.0 + 0.0j, out)
 
-    def fourier(self, kappa, n_nodes: int = 2048) -> np.ndarray:
-        """Continuous Fourier transform A~(kappa) = int A(rho) exp(-i kappa rho) drho,
-        evaluated by composite trapezoidal quadrature over the support."""
-        kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-        nodes, weights, _ = object_quadrature(self, n_nodes)
-        amp = self.transmission(nodes) * weights
-        out = np.exp(-1j * np.outer(kappa, nodes)) @ amp
-        return out
-
 
 def eval_object(mask: ObjectMask, rho_o):
     """Transmission A at rho_o (scalar in, scalar out)."""

@@ -1,0 +1,103 @@
+"""Anti-aliasing policy: one table of worst-case phase rates, one step check.
+
+Every sampled oscillatory factor has a phase quadratic or bilinear in
+transverse coordinates, so its rate along one coordinate is bounded by the
+largest |coordinate| of the others. The sizers (``QuadratureSpec.auto``,
+``montecarlo.default_sampling``) evaluate the table on the declared extents;
+the guards (``gamma_quadrature``, ``intensity_b``, ``arm_kernels``) evaluate
+it on the nodes they actually integrate over and refuse any step advancing
+a phase by more than ``MAX_PHASE_STEP``. An auto-sized grid therefore passes
+its own guard, and no declared span that places no nodes can loosen one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import UnderResolved
+from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile
+
+# Hard anti-aliasing limit on the per-step phase increment of any
+# oscillatory factor sampled by the simulator.
+MAX_PHASE_STEP = np.pi / 2.0
+
+
+@dataclass(frozen=True)
+class PhaseRates:
+    """Worst-case phase rate in rad/m of each sampled factor along its step.
+
+    ``cell`` is the unresolved-cell rule as a rate (the linear phase
+    w rho_x rho_s / z across one cell at the farthest detector pixel); its
+    pi/2 limit is step <= lambda0 min(z_a, z_b) / (4 max(|rho_a|, |rho_b|/M)).
+    """
+
+    gamma_s: float  # Gamma integrand along rho_s
+    object: float  # every rho_o integral: Gamma, intensity_b, arm-b kernel
+    intensity_b_s: float  # intensity_b along rho_s (the argument of A~)
+    arm_a: float  # arm-a Fresnel kernel per source cell
+    arm_b: float  # arm-b kernel per source cell
+    cell: float  # unresolved source cell
+
+
+def rates(geom: SetupGeometry, s, o, a, b) -> PhaseRates:
+    """The rate table for the coordinates rho_s, rho_o, rho_a and rho_b.
+
+    Each argument is a node array or a bare extent; only its largest
+    |value| enters.
+    """
+    s, o, a, b = (float(np.max(np.abs(x))) for x in (s, o, a, b))
+    w = geom.omega0_over_c
+    c1 = w / geom.z_b
+    chirp = w * abs(1.0 / geom.z_b - 1.0 / geom.z_a) * s
+    return PhaseRates(
+        gamma_s=chirp + c1 * (o + (geom.z_b / geom.z_a) * a),
+        object=c1 * (s + b / geom.M),
+        intensity_b_s=c1 * o,
+        arm_a=(w / geom.z_a) * (a + s),
+        arm_b=c1 * (s + o),
+        cell=(w / min(geom.z_a, geom.z_b)) * max(a, b / geom.M),
+    )
+
+
+def declared_rates(
+    geom: SetupGeometry,
+    source: SourceProfile,
+    mask: ObjectMask,
+    axis_a: Axis,
+    axis_b: Axis,
+) -> PhaseRates:
+    """The table on the declared extents (source interval, mask support,
+    detector axes), as the sizers use it."""
+    return rates(
+        geom,
+        source.quadrature_interval()[1],
+        mask.support_half_width,
+        axis_a.coordinates,
+        axis_b.coordinates,
+    )
+
+
+def step_limit(rate: float, guard_factor: float = 1.0) -> float:
+    """Largest step keeping the phase advance at MAX_PHASE_STEP / guard_factor."""
+    return (MAX_PHASE_STEP / guard_factor) / rate
+
+
+def check_step(what: str, step: float, rate: float) -> None:
+    """Raise UnderResolved if one step advances a phase of worst-case
+    ``rate`` by more than MAX_PHASE_STEP."""
+    if rate * step > MAX_PHASE_STEP:
+        raise UnderResolved(
+            f"{what} step {step:.3e} m advances the phase by {rate * step:.2f} rad "
+            f"> pi/2; need step <= {step_limit(rate):.3e} m"
+        )
+
+
+def phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear phase matrix exp(-i c x_j y_k), shape (x.size, y.size).
+
+    Every coupling phase of the two-arm integrals is bilinear, so each
+    kernel factors into these matrices and dense matmuls.
+    """
+    return np.exp((-1j * c) * np.outer(x, y))

@@ -178,16 +178,18 @@ class _Emitter:
 
 
 def _image_metrics(config: ExperimentConfig, image: SampledImage) -> dict:
-    """Peak positions of an image, plus slit visibility for double slits."""
+    """Two-sided peak positions of an image (not for a single slit, whose
+    one lobe has no peak on either side), plus slit visibility for double
+    slits."""
     out: dict = {}
     x = image.axis.coordinates
-    try:
-        left, right = two_sided_peaks(x, image.values)
-        out["peak_neg_m"] = left
-        out["peak_pos_m"] = right
-    except ValueError:
-        pass
-    if config.get("object.kind") == "double_slit":
+    kind = config.get("object.kind")
+    if kind != "single_slit":
+        try:
+            out["peak_neg_m"], out["peak_pos_m"] = two_sided_peaks(x, image.values)
+        except ValueError:
+            pass
+    if kind == "double_slit":
         sep = config.get("object.separation")
         out["contrast"] = slit_contrast(x, image.values, min_offset=sep / 4.0)
     return out

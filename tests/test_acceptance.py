@@ -224,7 +224,6 @@ class TestAcceptance:
             n_source=2 * base.n_source,
             n_object=2 * base.n_object,
             source_span=base.source_span,
-            object_span=base.object_span,
         )
         fine = gamma_quadrature(geom_focused, source, slits, axis_a, axis_b, doubled)
         drift = normalized_linf(grid_focused.values, fine.values)

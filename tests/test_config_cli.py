@@ -195,6 +195,17 @@ class TestRunExperiment:
         rows = (tmp_path / "refocused_grid.csv").read_text().splitlines()
         assert any(r.endswith(",") for r in rows)
 
+    def test_single_slit_reports_no_two_sided_peaks(self, tmp_path):
+        cfg = parse_config(
+            DEMOS["refocus"]
+            .replace("object.kind = double_slit", "object.kind = single_slit")
+            .replace("object.separation = 600e-6\n", "")
+        )
+        manifest = run_experiment(cfg, out_dir=tmp_path)
+        assert not any("peak" in key for key in manifest.results)
+        double = run_experiment(parse_config(DEMOS["refocus"]), out_dir=tmp_path / "double")
+        assert {"ghost_peak_neg_m", "refocused_peak_pos_m"} <= set(double.results)
+
     def test_refocus_mode_resamples_once(self, tmp_path, monkeypatch):
         cfg = parse_config(
             DEMOS["refocus"].replace("run.mode = analytic", "run.mode = refocus")
@@ -247,6 +258,37 @@ class TestCli:
         path = tmp_path / "coarse.cfg"
         path.write_text(MINIMAL + "grids.n_source = 16\ngrids.n_object = 16\n")
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_guard_reads_integrated_nodes_exit_code(self, tmp_path, capsys):
+        # a top hat places its nodes over its whole width, so a tiny declared
+        # source_span must not pass the object-step guard (2.13 rad per step)
+        path = tmp_path / "aliased.cfg"
+        path.write_text(
+            DEMOS["refocus"]
+            + "grids.n_source = 2000\ngrids.n_object = 170\ngrids.source_span = 1e-7\n"
+        )
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "2.13 rad" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, field",
+        [
+            ("run.n_batches = 1\n", "run.n_batches"),
+            ("run.n_realizations = 50\n", "run.n_realizations"),
+            ("run.n_realizations = 120\nrun.n_batches = 121\n", "run.n_batches"),
+        ],
+        ids=["one_batch", "few_realizations", "more_batches_than_realizations"],
+    )
+    def test_montecarlo_run_settings_fail_fast(self, tmp_path, capsys, settings, field):
+        path = tmp_path / "mc.cfg"
+        path.write_text(
+            DEMOS["montecarlo"].replace("run.n_realizations = 2000\n", "") + settings
+        )
+        out = tmp_path / "out"
+        assert cli_main(["validate", str(path)]) == 2
+        assert f"{field}:" in capsys.readouterr().err
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.cfg")]) == 4

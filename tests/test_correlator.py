@@ -1,6 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cpi_sim
 from cpi_sim import (
     Axis,
     ObjectMask,
@@ -13,7 +17,10 @@ from cpi_sim import (
     incoherent_psf,
     intensity_a,
     intensity_b,
+    arm_kernels,
+    default_sampling,
     make_geometry,
+    phase,
     psf_widths,
 )
 from cpi_sim.correlator import intensity_prefactor_b
@@ -48,7 +55,7 @@ class TestIntensityB:
         g = geom_focused
         zero = g.M * g.lambda0 * g.z_b / a
         axis_b = Axis.from_half_width(81, 1.5 * zero)
-        quad = QuadratureSpec(n_source=64, n_object=256, source_span=1e-5, object_span=25e-6)
+        quad = QuadratureSpec(n_source=64, n_object=256, source_span=1e-5)
         img = intensity_b(g, src, mask, axis_b, quad)
         x = axis_b.coordinates
         right = x > 0.6 * zero
@@ -60,7 +67,7 @@ class TestIntensityB:
         src = SourceProfile.gaussian(5e-3)
         mask = ObjectMask.single_slit(50e-6)
         axis_b = Axis.from_half_width(17, 400e-6)
-        quad = QuadratureSpec(n_source=511, n_object=192, source_span=25e-3, object_span=25e-6)
+        quad = QuadratureSpec(n_source=511, n_object=192, source_span=25e-3)
         img = intensity_b(geom_focused, src, mask, axis_b, quad)
         assert img.values.max() / img.values.min() - 1.0 < 0.05
 
@@ -70,7 +77,7 @@ class TestIntensityB:
         c = np.linspace(-0.5e-3, 0.5e-3, 41)
         mask = ObjectMask.from_samples(c, np.ones_like(c))
         axis_b = Axis.from_half_width(17, 100e-6)
-        quad = QuadratureSpec(n_source=2801, n_object=2801, source_span=25e-3, object_span=0.5e-3)
+        quad = QuadratureSpec(n_source=2801, n_object=2801, source_span=25e-3)
         img = intensity_b(geom_focused, src, mask, axis_b, quad)
         assert img.values.max() / img.values.min() - 1.0 < 0.01
 
@@ -95,7 +102,7 @@ class TestIntensityB:
         np.testing.assert_allclose(img.values, expected, rtol=1e-12)
 
     def test_underresolved_guard(self, geom_focused, source, slits, axis_b):
-        quad = QuadratureSpec(n_source=16, n_object=16, source_span=2.5e-3, object_span=100e-6)
+        quad = QuadratureSpec(n_source=16, n_object=16, source_span=2.5e-3)
         with pytest.raises(UnderResolved):
             intensity_b(geom_focused, source, slits, axis_b, quad)
 
@@ -181,18 +188,17 @@ class TestGammaQuadrature:
             n_source=2 * base.n_source,
             n_object=2 * base.n_object,
             source_span=base.source_span,
-            object_span=base.object_span,
         )
         g2 = gamma_quadrature(geom_focused, source, slits, axis_a, axis_b, fine)
         assert normalized_linf(g1.values, g2.values) < 1e-3
 
     def test_aliasing_guard_trips(self, geom_defocused, source, slits, axis_a, axis_b):
-        quad = QuadratureSpec(n_source=24, n_object=20, source_span=2.5e-3, object_span=100e-6)
+        quad = QuadratureSpec(n_source=24, n_object=20, source_span=2.5e-3)
         with pytest.raises(UnderResolved):
             gamma_quadrature(geom_defocused, source, slits, axis_a, axis_b, quad)
 
     def test_gaussian_span_validation(self, geom_focused, source, slits, axis_a, axis_b):
-        quad = QuadratureSpec(n_source=512, n_object=128, source_span=1e-3, object_span=100e-6)
+        quad = QuadratureSpec(n_source=512, n_object=128, source_span=1e-3)
         with pytest.raises(ValueError, match="5 sigma"):
             gamma_quadrature(geom_focused, source, slits, axis_a, axis_b, quad)
 
@@ -256,3 +262,64 @@ class TestPsfForms:
             psf_widths(geom_defocused, 0.5e-3).width_incoherent
             >= psf_widths(geom_focused, 0.5e-3).width_incoherent
         )
+
+
+class _GuardsPassed(Exception):
+    """Raised in place of the first phase-matrix build, after every guard ran."""
+
+
+def _random_setup(rng):
+    S_o = rng.uniform(0.15, 0.4)
+    geom = make_geometry(
+        z_a=rng.uniform(0.05, 0.3), z_b=rng.uniform(0.03, 0.9 * S_o), S_o=S_o,
+        F=rng.uniform(0.03, 0.12), lambda0=rng.uniform(400e-9, 800e-9),
+    )
+    if rng.random() < 0.5:
+        source = SourceProfile.gaussian(rng.uniform(0.1e-3, 1e-3))
+    else:
+        source = SourceProfile.tophat(rng.uniform(0.5e-3, 5e-3))
+    width = rng.uniform(20e-6, 200e-6)
+    if rng.random() < 0.5:
+        mask = ObjectMask.single_slit(width)
+    else:
+        mask = ObjectMask.double_slit(separation=width * rng.uniform(1.2, 5.0), slit_width=width)
+    axes = []
+    for _ in range(2):
+        hw = rng.uniform(50e-6, 2e-3)
+        axes.append(Axis.from_half_width(int(rng.integers(8, 33)), hw, center=rng.uniform(-1, 1) * hw))
+    return geom, source, mask, axes[0], axes[1]
+
+
+class TestPhasePolicy:
+    def test_auto_sizing_passes_its_own_guards(self, monkeypatch):
+        # Random geometries, sources, masks and off-centre axes; each sized
+        # grid is handed to the real guarded function, which must get past
+        # every check_step to its first phase-matrix build.
+        def stop(*args):
+            raise _GuardsPassed
+
+        monkeypatch.setattr(phase, "phase_matrix", stop)
+        rng = np.random.default_rng(20261018)
+        for _ in range(200):
+            geom, source, mask, axis_a, axis_b = _random_setup(rng)
+            for guard_factor in (1.0, 2.0, 4.0):
+                quad = QuadratureSpec.auto(geom, source, mask, axis_a, axis_b, guard_factor)
+                with pytest.raises(_GuardsPassed):
+                    gamma_quadrature(geom, source, mask, axis_a, axis_b, quad)
+                with pytest.raises(_GuardsPassed):
+                    intensity_b(geom, source, mask, axis_b, quad)
+            axis_s, n_object = default_sampling(geom, source, mask, axis_a, axis_b)
+            with pytest.raises(_GuardsPassed):
+                arm_kernels(geom, mask, axis_s, axis_a, axis_b, n_object)
+
+    def test_only_phase_module_owns_the_policy(self):
+        # The step limit and every bilinear phase matrix live in phase.py
+        package = Path(cpi_sim.__file__).parent
+        outer_exp = re.compile(r"np\.exp\([^\n]*np\.outer\(")
+        owners = {
+            path.name
+            for path in package.glob("*.py")
+            if "MAX_PHASE_STEP" in (text := path.read_text(encoding="utf-8"))
+            or outer_exp.search(text)
+        }
+        assert owners == {"phase.py"}

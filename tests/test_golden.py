@@ -15,6 +15,7 @@ from cpi_sim import DEMOS, parse_config, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
 MONTECARLO = json.loads((GOLDEN / "montecarlo.json").read_text(encoding="utf-8"))
+REFOCUS = json.loads((GOLDEN / "refocus.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("n_batches", sorted(MONTECARLO["runs"], key=int))
@@ -25,3 +26,10 @@ def test_montecarlo_demo_scalars(tmp_path, n_batches):
     manifest = run_experiment(parse_config(text), out_dir=tmp_path, threads=1, seed=7)
     for key, expected in MONTECARLO["runs"][n_batches].items():
         assert manifest.results[key] == pytest.approx(expected, rel=MONTECARLO["rtol"], abs=0.0), key
+
+
+def test_refocus_demo_scalars(tmp_path):
+    manifest = run_experiment(parse_config(DEMOS["refocus"]), out_dir=tmp_path, threads=1)
+    assert set(manifest.results) == set(REFOCUS["results"])
+    for key, expected in REFOCUS["results"].items():
+        assert manifest.results[key] == pytest.approx(expected, rel=REFOCUS["rtol"], abs=0.0), key

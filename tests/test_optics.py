@@ -166,13 +166,6 @@ class TestObjectMask:
         (l0, h0), (l1, h1) = mask.support_intervals()
         np.testing.assert_allclose([l0, h0, l1, h1], [-100e-6, -50e-6, 50e-6, 100e-6], rtol=1e-12)
 
-    def test_fourier_single_slit_sinc(self):
-        a = 50e-6
-        mask = ObjectMask.single_slit(a)
-        kappa = np.linspace(1.0, 3e5, 64)
-        expected = a * np.sinc(kappa * a / 2 / np.pi)
-        np.testing.assert_allclose(mask.fourier(kappa).real, expected, atol=a * 1e-6)
-
 
 class TestAxesAndGrids:
     def test_axis_coordinates_symmetric_increasing(self):
