@@ -163,14 +163,16 @@ class ExperimentConfig:
         source = self.build_source()
         mask = self.build_mask()
         axis_a, axis_b = self.build_axes()
+        source_span = self.get("grids.source_span")
         auto = QuadratureSpec.auto(
             geom, source, mask, axis_a, axis_b,
             guard_factor=self.get("grids.guard_factor"),
+            source_span=source_span,
         )
         return QuadratureSpec(
             n_source=self.get("grids.n_source") or auto.n_source,
             n_object=self.get("grids.n_object") or auto.n_object,
-            source_span=self.get("grids.source_span") or auto.source_span,
+            source_span=source_span or auto.source_span,
         )
 
 

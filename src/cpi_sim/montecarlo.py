@@ -214,7 +214,7 @@ def arm_kernels(
     chirp = gaussian_phase(rho_s, w / geom.z_b)
     amp_o = mask.transmission(rho_o) * w_o
     c1 = w / geom.z_b
-    w_b = amp_o[None, :] * phase.phase_matrix(c1 / geom.M, rho_b, rho_o)
+    w_b = amp_o[None, :] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b).T
     k_b = w_b @ phase.phase_matrix(c1, rho_o, rho_s)
     k_b *= c_b * chirp[None, :] * axis_s.step
     return k_a, k_b

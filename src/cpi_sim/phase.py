@@ -8,6 +8,13 @@ the guards (``gamma_quadrature``, ``intensity_b``, ``arm_kernels``) evaluate
 it on the nodes they actually integrate over and refuse any step advancing
 a phase by more than ``MAX_PHASE_STEP``. An auto-sized grid therefore passes
 its own guard, and no declared span that places no nodes can loosen one.
+
+The bilinear phase matrices exp(-i c x_j y_k) that every two-arm integral
+factors into are built here too, by block anchoring along the evenly
+spaced coordinate y: node k = qB + p is the anchor y_qB plus the block-0
+offset y_p - y_0, so each entry is the product of two exponentials from
+tables of about sqrt(n_y) columns. Each entry takes one rounded complex
+product and no recurrence, so nothing drifts along y.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile
 # Hard anti-aliasing limit on the per-step phase increment of any
 # oscillatory factor sampled by the simulator.
 MAX_PHASE_STEP = np.pi / 2.0
+
+# phase_matrix tolerance, in ulps of max|y|, on a node's distance from its
+# block anchor plus block-0 offset; linspace and Axis nodes stay within 2.5.
+_EVEN_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -67,12 +78,14 @@ def declared_rates(
     mask: ObjectMask,
     axis_a: Axis,
     axis_b: Axis,
+    source_span: float | None = None,
 ) -> PhaseRates:
     """The table on the declared extents (source interval, mask support,
-    detector axes), as the sizers use it."""
+    detector axes), as the sizers use it. ``source_span`` is the Gaussian
+    half-width the quadrature will integrate (default 5 sigma)."""
     return rates(
         geom,
-        source.quadrature_interval()[1],
+        source.quadrature_interval(source_span)[1],
         mask.support_half_width,
         axis_a.coordinates,
         axis_b.coordinates,
@@ -99,5 +112,39 @@ def phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Every coupling phase of the two-arm integrals is bilinear, so each
     kernel factors into these matrices and dense matmuls.
+
+    ``y`` must be evenly spaced; ``x`` may be any node set (a piecewise
+    uniform two-slit rho_o goes here). With blocks of B = ceil(sqrt(n_y))
+    nodes, y_(qB+p) = y_qB + (y_p - y_0), so
+
+        exp(-i c x y_(qB+p)) = exp(-i c x y_qB) * exp(-i c x (y_p - y_0))
+
+    and the n_x n_y complex exps of the direct build shrink to about
+    2 n_x sqrt(n_y) plus one complex product per entry. Against the direct
+    ``np.exp(-1j * c * np.outer(x, y))`` the largest absolute error is
+    8.8e-14 on the refocus demo's 916 x 4379 object-source matrix (phases
+    up to 151 rad). A ``y`` whose nodes do not match their anchor plus
+    offset to within _EVEN_ULPS ulps of max|y| raises ValueError.
+
+    The result is the transpose of a C-ordered (y.size, x.size) buffer,
+    so the products run over contiguous rows of length x.size.
     """
-    return np.exp((-1j * c) * np.outer(x, y))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    block = int(np.ceil(np.sqrt(n)))
+    anchors, offsets = y[::block], y[:block] - y[0]
+    k = np.arange(n)
+    drift = np.abs(anchors[k // block] + offsets[k % block] - y)
+    if not np.all(drift <= _EVEN_ULPS * np.spacing(np.max(np.abs(y)))):
+        raise ValueError(
+            f"phase_matrix needs evenly spaced y; node {int(np.argmax(drift))} "
+            f"is {float(np.max(drift)):.3e} off its block anchor plus offset"
+        )
+    a = np.exp((-1j * c) * np.outer(anchors, x))
+    e = np.exp((-1j * c) * np.outer(offsets, x))
+    out = np.empty((n, x.size), dtype=complex)
+    for q, lo in enumerate(range(0, n, block)):
+        hi = min(lo + block, n)
+        np.multiply(a[q], e[: hi - lo], out=out[lo:hi])
+    return out.T

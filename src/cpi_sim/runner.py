@@ -134,11 +134,19 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 class _Emitter:
-    """Tracks emitted files and their digests for the manifest."""
+    """Tracks emitted files and their digests for the manifest.
+
+    The output directory is created by the first write, so a run that fails
+    before emitting anything leaves no directory behind.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.records: list[dict] = []
+
+    def path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / name
 
     def _record(self, path: Path, extra: dict | None = None) -> None:
         entry = {
@@ -151,27 +159,27 @@ class _Emitter:
         self.records.append(entry)
 
     def image_csv(self, name: str, image: SampledImage) -> None:
-        path = self.out_dir / name
+        path = self.path(name)
         write_image_csv(path, image)
         self._record(path)
 
     def grid_csv(self, name: str, grid: CorrelationGrid) -> None:
-        path = self.out_dir / name
+        path = self.path(name)
         write_grid_csv(path, grid)
         self._record(path)
 
     def pgm(self, name: str, values: np.ndarray) -> None:
-        path = self.out_dir / name
+        path = self.path(name)
         lo, hi = write_pgm(path, values)
         self._record(path, {"pgm_min": lo, "pgm_max": hi})
 
     def json(self, name: str, payload: dict) -> None:
-        path = self.out_dir / name
+        path = self.path(name)
         write_json(path, payload)
         self._record(path)
 
     def csv_rows(self, name: str, comments: list[str], header: str, rows: list[str]) -> None:
-        path = self.out_dir / name
+        path = self.path(name)
         text = "\n".join([*comments, header, *rows]) + "\n"
         path.write_text(text, encoding="utf-8", newline="\n")
         self._record(path)
@@ -205,18 +213,17 @@ def run_experiment(
 
     ``out_dir``, ``threads`` and ``seed`` override the config when given;
     invalid ``threads``/``seed`` overrides raise ValidationError before any
-    file is written.
+    file is written. The output directory is created with the first file,
+    so a run stopped by a numerical error leaves none.
     """
     validate_overrides(threads=threads, seed=seed)
-    out = Path(out_dir if out_dir is not None else config.get("run.out_dir"))
-    out.mkdir(parents=True, exist_ok=True)
     threads = threads if threads is not None else config.get("run.threads")
     seed = seed if seed is not None else config.get("run.seed")
 
     manifest = RunManifest(mode=config.mode, config=config.to_dict())
     manifest.config["run.threads"] = threads
     manifest.config["run.seed"] = seed
-    emit = _Emitter(out)
+    emit = _Emitter(Path(out_dir if out_dir is not None else config.get("run.out_dir")))
     clock = time.perf_counter
 
     t0 = clock()
@@ -300,7 +307,7 @@ def run_experiment(
 
     manifest.stage_seconds["total"] = clock() - t0
     manifest.files = emit.records
-    write_json(out / "manifest.json", manifest.to_dict())
+    write_json(emit.path("manifest.json"), manifest.to_dict())
     return manifest
 
 

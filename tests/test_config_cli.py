@@ -206,6 +206,19 @@ class TestRunExperiment:
         double = run_experiment(parse_config(DEMOS["refocus"]), out_dir=tmp_path / "double")
         assert {"ghost_peak_neg_m", "refocused_peak_pos_m"} <= set(double.results)
 
+    def test_auto_sizing_covers_a_configured_source_span(self, tmp_path):
+        # absent n_source/n_object are sized for the 1.5e-2 m half-width
+        # that is integrated, not for the default 5 sigma = 2.5e-3 m, so the
+        # run passes its own guard
+        analytic = DEMOS["montecarlo"].replace("run.mode = montecarlo", "run.mode = analytic")
+        cfg = parse_config(analytic + "grids.source_span = 1.5e-2\n")
+        quad = cfg.build_quadrature()
+        default = parse_config(analytic).build_quadrature()
+        assert quad.source_span == 1.5e-2
+        assert quad.n_source > 5 * default.n_source
+        manifest = run_experiment(cfg, out_dir=tmp_path)
+        assert "gamma.csv" in {f["name"] for f in manifest.files}
+
     def test_refocus_mode_resamples_once(self, tmp_path, monkeypatch):
         cfg = parse_config(
             DEMOS["refocus"].replace("run.mode = analytic", "run.mode = refocus")
@@ -267,8 +280,10 @@ class TestCli:
             DEMOS["refocus"]
             + "grids.n_source = 2000\ngrids.n_object = 170\ngrids.source_span = 1e-7\n"
         )
-        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 3
         assert "2.13 rad" in capsys.readouterr().err
+        assert not out.exists()  # the failed run leaves no empty directory
 
     @pytest.mark.parametrize(
         "settings, field",

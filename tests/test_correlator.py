@@ -323,3 +323,109 @@ class TestPhasePolicy:
             or outer_exp.search(text)
         }
         assert owners == {"phase.py"}
+
+
+def _with_wavenumber(geom, w):
+    return make_geometry(
+        z_a=geom.z_a, z_b=geom.z_b, S_o=geom.S_o, F=geom.focal_F, lambda0=2.0 * np.pi / w
+    )
+
+
+def _trips_at_its_rate(call, geom, products, tested):
+    """Check guard ``tested`` of ``call`` at 1.1x and 0.9x its step limit.
+
+    ``products`` maps the message prefix of every guard of the call to its
+    step times its w-free rate factor. Returns False, checking nothing,
+    unless ``tested`` binds: every other guard at most 1/1.1 of its limit.
+    """
+    p = products[tested]
+    if any(q > p / 1.1 for what, q in products.items() if what != tested):
+        return False
+    w_limit = (np.pi / 2.0) / p
+    with pytest.raises(UnderResolved, match=f"^{re.escape(tested)} step "):
+        call(_with_wavenumber(geom, 1.1 * w_limit))
+    with pytest.raises(_GuardsPassed):
+        call(_with_wavenumber(geom, 0.9 * w_limit))
+    return True
+
+
+class TestGuardsAtTheirRates:
+    def test_every_guard_trips_at_its_rate(self, monkeypatch):
+        # No guard may be looser than the rate of the factor it protects.
+        # The rates are written out here from the integrands, not read from
+        # phase.rates; each is w = omega0/c times a w-free factor of the
+        # largest |node| S, O, A, B of rho_s, rho_o, rho_a, rho_b, so every
+        # case sets w to put the tested step at 1.1x (must raise naming the
+        # guard) and 0.9x (must pass every guard) its pi/2 limit.
+        def stop(*args):
+            raise _GuardsPassed
+
+        monkeypatch.setattr(phase, "phase_matrix", stop)
+        rng = np.random.default_rng(20261019)
+        binding: dict[tuple[str, str], int] = {}
+
+        def check(name, call, geom, products, tested):
+            if _trips_at_its_rate(call, geom, products, tested):
+                binding[name, tested] = binding.get((name, tested), 0) + 1
+
+        for _ in range(100):
+            geom, source, mask, axis_a, axis_b = _random_setup(rng)
+            za, zb, M = geom.z_a, geom.z_b, geom.M
+            S = source.quadrature_interval()[1]
+            O = mask.support_half_width
+            A = float(np.max(np.abs(axis_a.coordinates)))
+            B = float(np.max(np.abs(axis_b.coordinates)))
+
+            # one coarse axis, one fine: each guard of gamma_quadrature and
+            # intensity_b reads its own axis
+            for tested, n_s, n_o in (("source", 32, 4096), ("object", 4096, 32)):
+                quad = QuadratureSpec(n_source=n_s, n_object=n_o, source_span=S)
+                step_s = 2.0 * S / (n_s - 1)
+                # every rho_o integral: d/drho_o of (w/z_b) rho_o (rho_s + rho_b/M)
+                obj = object_quadrature(mask, n_o)[2] * (S + B / M) / zb
+                # Gamma along rho_s: source chirp plus both coupling phases
+                gamma_s = step_s * (abs(1.0 / zb - 1.0 / za) * S + O / zb + A / za)
+                check(
+                    "gamma_quadrature",
+                    lambda g: gamma_quadrature(g, source, mask, axis_a, axis_b, quad),
+                    geom, {"source": gamma_s, "object": obj}, tested,
+                )
+                # intensity_b along rho_s: the argument of A~ moves by (w/z_b) rho_o
+                check(
+                    "intensity_b",
+                    lambda g: intensity_b(g, source, mask, axis_b, quad),
+                    geom, {"source": step_s * O / zb, "object": obj}, tested,
+                )
+
+            # arm_kernels: three rules share the cell step; a narrow and a
+            # wide cell axis let each of them bind
+            for n_cells, hw, n_o in ((32, 1e-5, 4096), (32, 1e-2, 4096), (4096, 1e-3, 32)):
+                axis_s = Axis.from_half_width(n_cells, hw)
+                step = axis_s.step
+                products = {
+                    # a cell spans at most pi/2 of the linear phase
+                    # w rho_x rho_s / z at the farthest pixel, shorter z
+                    "source cell (unresolved-cell rule)": step * max(A, B / M) / min(za, zb),
+                    # d/drho_s of w (rho_a - rho_s)^2 / (2 z_a)
+                    "arm-a kernel source cell": step * (A + hw) / za,
+                    # d/drho_s of w rho_s^2 / (2 z_b) - (w/z_b) rho_o rho_s
+                    "arm-b kernel source cell": step * (hw + O) / zb,
+                    f"arm-b object quadrature (n_object = {n_o})":
+                        object_quadrature(mask, n_o)[2] * (hw + B / M) / zb,
+                }
+                for tested in products:
+                    check(
+                        "arm_kernels",
+                        lambda g: arm_kernels(g, mask, axis_s, axis_a, axis_b, n_o),
+                        geom, products, tested,
+                    )
+
+        assert set(binding) == {
+            ("gamma_quadrature", "source"), ("gamma_quadrature", "object"),
+            ("intensity_b", "source"), ("intensity_b", "object"),
+            ("arm_kernels", "source cell (unresolved-cell rule)"),
+            ("arm_kernels", "arm-a kernel source cell"),
+            ("arm_kernels", "arm-b kernel source cell"),
+            ("arm_kernels", "arm-b object quadrature (n_object = 32)"),
+        }
+        assert min(binding.values()) >= 10, binding

@@ -1,0 +1,69 @@
+"""The block-anchored phase-matrix builder against the direct exponential."""
+
+import numpy as np
+import pytest
+
+from cpi_sim import DEMOS, Axis, parse_config, phase
+from cpi_sim.optics import object_quadrature, source_quadrature
+
+
+def _direct(c, x, y):
+    return np.exp((-1j * c) * np.outer(x, y))
+
+
+@pytest.fixture(scope="module")
+def refocus_nodes():
+    """The refocus demo's coupling constants and node sets."""
+    cfg = parse_config(DEMOS["refocus"])
+    geom = cfg.build_geometry()
+    quad = cfg.build_quadrature()
+    axis_a, axis_b = cfg.build_axes()
+    nodes = {
+        "s": source_quadrature(cfg.build_source(), quad.n_source, quad.source_span)[0],
+        "o": object_quadrature(cfg.build_mask(), quad.n_object)[0],
+        "a": axis_a.coordinates,
+        "b": axis_b.coordinates,
+    }
+    c1 = geom.omega0_over_c / geom.z_b
+    consts = {"c1": c1, "c_a": -c1 * geom.z_b / geom.z_a, "c_b": c1 / geom.M}
+    return nodes, consts
+
+
+class TestPhaseMatrix:
+    @pytest.mark.parametrize(
+        "c, x, y",
+        [("c1", "o", "s"), ("c_a", "s", "a"), ("c_b", "o", "b"), ("c1", "a", "b")],
+        ids=["U_916x4379", "V_4379x160", "W_916x64", "a_160x64"],
+    )
+    def test_matches_direct_exp_on_refocus_demo(self, refocus_nodes, c, x, y):
+        nodes, consts = refocus_nodes
+        assert {v.size for v in nodes.values()} == {4379, 916, 160, 64}
+        c, x, y = consts[c], nodes[x], nodes[y]
+        np.testing.assert_allclose(phase.phase_matrix(c, x, y), _direct(c, x, y), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shift", [-3.0, 0.7, 5.0, 40.0])
+    def test_matches_direct_exp_off_centre(self, shift):
+        # off-centre axes; c is set for a largest phase of ~150 rad
+        x = Axis.from_half_width(97, 3e-4, center=-0.4 * 3e-4).coordinates
+        y = Axis.from_half_width(1001, 2e-4, center=shift * 2e-4).coordinates
+        c = 150.0 / (np.max(np.abs(x)) * np.max(np.abs(y)))
+        np.testing.assert_allclose(phase.phase_matrix(c, x, y), _direct(c, x, y), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_y", [1, 2, 3, 16, 17])
+    def test_matches_direct_exp_small_and_partial_blocks(self, n_y):
+        # 17 nodes in blocks of 5: the last block holds 2
+        x = np.linspace(-2e-3, 1e-3, 40)
+        y = np.linspace(-1e-3, 2.5e-3, n_y)
+        c = 2.0e7
+        got = phase.phase_matrix(c, x, y)
+        assert got.shape == (40, n_y)
+        np.testing.assert_allclose(got, _direct(c, x, y), rtol=0, atol=1e-12)
+
+    def test_uneven_y_raises(self, refocus_nodes):
+        nodes, consts = refocus_nodes
+        with pytest.raises(ValueError, match="evenly spaced"):
+            phase.phase_matrix(consts["c1"], nodes["s"], nodes["o"])  # two-slit rho_o
+        y = np.linspace(-1e-3, 1e-3, 50)
+        y[31] += 1e-6 * (y[1] - y[0])
+        with pytest.raises(ValueError, match="evenly spaced"):
+            phase.phase_matrix(1e7, np.ones(3), y)
