@@ -44,7 +44,6 @@ from .montecarlo import (
     arm_kernels,
     default_sampling,
     estimate_gamma,
-    propagate_arms,
     sample_source_field,
 )
 from .optics import (
@@ -54,7 +53,6 @@ from .optics import (
     SampledImage,
     SetupGeometry,
     SourceProfile,
-    eval_object,
     fresnel_prefactor,
     gaussian_phase,
     make_geometry,

@@ -74,10 +74,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             config = _load_config(args.config)
             if config.mode != "budget" or config.get("geometry.z_a") is not None:
-                config.build_geometry()
-                config.build_source()
-                config.build_mask()
-                config.build_axes()
+                config.resolve()
             sys.stdout.write(f"OK: {args.config} ({config.mode} mode)\n")
             return EXIT_OK
 

@@ -12,6 +12,7 @@ default are resolved from the physics when absent: ``grids.span_a`` and
 ``grids.span_b`` from the object support and the source image, and
 ``grids.n_source``, ``grids.n_object`` and ``grids.source_span`` by
 ``QuadratureSpec.auto`` from the phase-rate table of ``cpi_sim.phase``.
+``ExperimentConfig.resolve()`` does all of this once per run.
 """
 
 from __future__ import annotations
@@ -141,14 +142,29 @@ class ExperimentConfig:
         return mask
 
     def build_axes(self) -> tuple[Axis, Axis]:
+        """The detector axes of ``resolve()``."""
+        exp = self.resolve()
+        return exp.axis_a, exp.axis_b
+
+    def build_quadrature(self) -> QuadratureSpec:
+        """The quadrature spec of ``resolve()``."""
+        return self.resolve().quad
+
+    def resolve(self) -> Experiment:
+        """Build every input of one run, each exactly once.
+
+        Absent detector spans come from the mask support (``rho_a``) and the
+        source image (``rho_b``); absent quadrature counts and span from
+        ``QuadratureSpec.auto`` on those axes.
+        """
+        geom = self.build_geometry()
+        source = self.build_source()
         mask = self.build_mask()
         span_a = self.get("grids.span_a")
         if span_a is None:
             span_a = 2.0 * mask.support_half_width
         span_b = self.get("grids.span_b")
         if span_b is None:
-            geom = self.build_geometry()
-            source = self.build_source()
             span_b = 1.5 * geom.M * source.diameter
         axis_a = Axis.from_half_width(
             self.get("grids.n_a"), span_a, self.get("grids.center_a")
@@ -156,24 +172,30 @@ class ExperimentConfig:
         axis_b = Axis.from_half_width(
             self.get("grids.n_b"), span_b, self.get("grids.center_b")
         )
-        return axis_a, axis_b
-
-    def build_quadrature(self) -> QuadratureSpec:
-        geom = self.build_geometry()
-        source = self.build_source()
-        mask = self.build_mask()
-        axis_a, axis_b = self.build_axes()
         source_span = self.get("grids.source_span")
         auto = QuadratureSpec.auto(
             geom, source, mask, axis_a, axis_b,
             guard_factor=self.get("grids.guard_factor"),
             source_span=source_span,
         )
-        return QuadratureSpec(
+        quad = QuadratureSpec(
             n_source=self.get("grids.n_source") or auto.n_source,
             n_object=self.get("grids.n_object") or auto.n_object,
             source_span=source_span or auto.source_span,
         )
+        return Experiment(geom, source, mask, axis_a, axis_b, quad)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """The resolved inputs of one run (see ``ExperimentConfig.resolve``)."""
+
+    geom: SetupGeometry
+    source: SourceProfile
+    mask: ObjectMask
+    axis_a: Axis
+    axis_b: Axis
+    quad: QuadratureSpec
 
 
 def _parse_value(key: str, raw: str, problems: list[str]) -> Any:
@@ -328,6 +350,8 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
                 _positive(values, "object.slit_width", problems)
         elif kind == "sampled":
             _require(values, "object.file", problems)
+            if mode == "budget":  # resolution_limits needs the detail size d
+                _require(values, "object.feature_size", problems)
         else:
             problems.append(
                 f"object.kind: must be double_slit|single_slit|sampled, got {kind!r}"
@@ -336,8 +360,8 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
     for key in ("grids.n_a", "grids.n_b"):
         if values.get(key, 2) < 2:
             problems.append(f"{key}: need at least 2 samples")
-    for key in ("grids.span_a", "grids.span_b", "grids.source_span",
-                "grids.guard_factor", "budget.delta"):
+    for key in ("object.feature_size", "grids.span_a", "grids.span_b",
+                "grids.source_span", "grids.guard_factor", "budget.delta"):
         _positive(values, key, problems)
     for key in ("grids.n_source", "grids.n_object"):
         if key in values and values[key] != 0 and values[key] < 16:

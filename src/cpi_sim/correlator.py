@@ -265,11 +265,8 @@ class PsfEval:
     shrinks like omega0^(-1/2), which is the depth-of-field advantage.
     """
 
-    alpha: float
     width_coherent: float
     width_incoherent: float
-    denom_coherent: complex
-    denom_incoherent: float
 
     def __post_init__(self):
         if not (self.width_coherent > 0.0 and self.width_incoherent > 0.0):
@@ -279,13 +276,9 @@ class PsfEval:
 def psf_widths(geom: SetupGeometry, sigma: float) -> PsfEval:
     """Evaluate the closed-form coherent/incoherent PSF width scales."""
     w = geom.omega0_over_c
-    alpha = geom.alpha
-    g = (w * sigma**2 / geom.z_b) * (1.0 - alpha)
+    g = (w * sigma**2 / geom.z_b) * (1.0 - geom.alpha)
     base = geom.z_b / (w * sigma)
     return PsfEval(
-        alpha=alpha,
         width_coherent=float(base * (1.0 + g * g) ** 0.25),
         width_incoherent=float(base * np.sqrt(1.0 + g * g)),
-        denom_coherent=1.0 - 1j * g,
-        denom_incoherent=1.0 + g * g,
     )

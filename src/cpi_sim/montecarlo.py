@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase
-from .correlator import QuadratureSpec, gamma_quadrature
 from .errors import DegenerateStatistics
 from .metrics import normalized_l1, normalized_linf, peak_normalize
 from .optics import (
@@ -220,25 +219,6 @@ def arm_kernels(
     return k_a, k_b
 
 
-def propagate_arms(
-    field: np.ndarray,
-    geom: SetupGeometry,
-    axis_s: Axis,
-    mask: ObjectMask,
-    axis_a: Axis,
-    axis_b: Axis,
-    n_object: int = 256,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate one source realization to both detectors.
-
-    Returns the complex fields (E_a, E_b) on axis_a and axis_b. Linear in
-    the input field.
-    """
-    k_a, k_b = arm_kernels(geom, mask, axis_s, axis_a, axis_b, n_object)
-    field = np.asarray(field, dtype=complex)
-    return k_a @ field, k_b @ field
-
-
 def _batch_covariance(
     source: SourceProfile,
     axis_s: Axis,
@@ -284,8 +264,7 @@ def estimate_gamma(
     geom: SetupGeometry,
     source: SourceProfile,
     mask: ObjectMask,
-    reference: CorrelationGrid | None = None,
-    ref_quad: QuadratureSpec | None = None,
+    reference: CorrelationGrid,
     threads: int = 1,
 ) -> tuple[CorrelationGrid, ConvergenceReport]:
     """Estimate the crossed correlation term as an intensity covariance.
@@ -295,12 +274,18 @@ def estimate_gamma(
     a fixed order, so the result is bitwise identical for any thread count;
     tiny negative covariance noise is clipped to keep the grid nonnegative.
 
-    The report measures the distance to ``reference`` (computed by
-    quadrature on the same grid when not supplied).
+    The report measures the distance to ``reference``, a deterministic
+    surface the caller supplies on the run's own detector axes (the runner
+    passes ``gamma_quadrature`` of the resolved quadrature).
     """
     if run.n_realizations < MIN_REALIZATIONS:
         raise ValueError(
             f"need n_realizations >= {MIN_REALIZATIONS} for meaningful error bars"
+        )
+    if reference.axis_a != run.axis_a or reference.axis_b != run.axis_b:
+        raise ValueError(
+            f"reference axes ({reference.axis_a}, {reference.axis_b}) differ "
+            f"from the run's ({run.axis_a}, {run.axis_b})"
         )
     k_a, k_b = arm_kernels(
         geom, mask, run.axis_s, run.axis_a, run.axis_b, run.n_object
@@ -331,13 +316,6 @@ def estimate_gamma(
     weights = np.array([hi - lo for lo, hi in spans], dtype=float)
     raw = np.tensordot(weights / weights.sum(), covs, axes=1)
     se = covs.std(axis=0, ddof=1) / np.sqrt(run.n_batches)
-
-    if reference is None:
-        if ref_quad is None:
-            ref_quad = QuadratureSpec.auto(geom, source, mask, run.axis_a, run.axis_b)
-        reference = gamma_quadrature(
-            geom, source, mask, run.axis_a, run.axis_b, ref_quad
-        )
 
     peak = float(raw.max())
     if not (peak > 0.0):

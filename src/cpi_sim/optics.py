@@ -52,14 +52,6 @@ class Axis:
     def half_width(self) -> float:
         return (self.n - 1) / 2.0 * self.step
 
-    @property
-    def lo(self) -> float:
-        return self.center - self.half_width
-
-    @property
-    def hi(self) -> float:
-        return self.center + self.half_width
-
 
 @dataclass(frozen=True)
 class SetupGeometry:
@@ -317,14 +309,6 @@ class ObjectMask:
         out = re + 1j * im
         outside = (rho_o < c[0]) | (rho_o > c[-1])
         return np.where(outside, 0.0 + 0.0j, out)
-
-
-def eval_object(mask: ObjectMask, rho_o):
-    """Transmission A at rho_o (scalar in, scalar out)."""
-    out = mask.transmission(rho_o)
-    if np.isscalar(rho_o):
-        return complex(out)
-    return out
 
 
 def _trapezoid_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -27,25 +27,11 @@ from .optics import Axis, CorrelationGrid, SampledImage
 class RefocusSpec:
     """Refocusing request.
 
-    The acquisition distances are read from the grid snapshot; passing them
-    here too is allowed only as a cross-check. ``output_axis`` defaults to
-    the grid's own rho_a axis.
+    The acquisition distances are read from the grid snapshot.
+    ``output_axis`` defaults to the grid's own rho_a axis.
     """
 
-    z_a: float | None = None
-    z_b: float | None = None
     output_axis: Axis | None = None
-
-    def resolve(self, grid: CorrelationGrid) -> tuple[float, float, Axis]:
-        z_a = grid.z_a if self.z_a is None else self.z_a
-        z_b = grid.z_b if self.z_b is None else self.z_b
-        if z_a != grid.z_a or z_b != grid.z_b:
-            raise ValueError(
-                f"refocus distances ({z_a}, {z_b}) disagree with the grid "
-                f"acquisition snapshot ({grid.z_a}, {grid.z_b})"
-            )
-        axis = grid.axis_a if self.output_axis is None else self.output_axis
-        return z_a, z_b, axis
 
 
 def _integrate_over_b(grid: CorrelationGrid) -> np.ndarray:
@@ -82,8 +68,8 @@ def refocus_grid(grid: CorrelationGrid, spec: RefocusSpec) -> CorrelationGrid:
     identity. Raises EmptyOverlap when more than half of the requested
     samples fall outside the acquired rho_a range.
     """
-    z_a, z_b, out_axis = spec.resolve(grid)
-    ratio = z_a / z_b
+    out_axis = grid.axis_a if spec.output_axis is None else spec.output_axis
+    ratio = grid.z_a / grid.z_b
     shear = 1.0 - ratio
 
     coords_in = grid.axis_a.coordinates

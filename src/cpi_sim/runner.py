@@ -230,10 +230,9 @@ def run_experiment(
     if config.mode == "budget":
         _run_budget(config, emit, manifest)
     else:
-        geom = config.build_geometry()
-        source = config.build_source()
-        mask = config.build_mask()
-        axis_a, axis_b = config.build_axes()
+        exp = config.resolve()
+        geom, source, mask = exp.geom, exp.source, exp.mask
+        axis_a, axis_b = exp.axis_a, exp.axis_b
         manifest.stage_seconds["setup"] = clock() - t0
 
         if config.mode == "geometric":
@@ -244,6 +243,10 @@ def run_experiment(
             emit.pgm("geometric.pgm", grid.values)
 
         elif config.mode == "montecarlo":
+            t = clock()
+            reference = gamma_quadrature(geom, source, mask, axis_a, axis_b, exp.quad)
+            manifest.stage_seconds["reference_quadrature"] = clock() - t
+
             t = clock()
             axis_s, n_object = default_sampling(geom, source, mask, axis_a, axis_b)
             run = SpeckleRun(
@@ -256,8 +259,7 @@ def run_experiment(
                 n_batches=config.get("run.n_batches"),
             )
             grid, report = estimate_gamma(
-                run, geom, source, mask, ref_quad=config.build_quadrature(),
-                threads=threads,
+                run, geom, source, mask, reference, threads=threads
             )
             manifest.stage_seconds["estimate_gamma"] = clock() - t
             emit.grid_csv("gamma_mc.csv", grid)
@@ -269,8 +271,7 @@ def run_experiment(
 
         elif config.mode in ("analytic", "refocus"):
             t = clock()
-            quad = config.build_quadrature()
-            grid = gamma_quadrature(geom, source, mask, axis_a, axis_b, quad)
+            grid = gamma_quadrature(geom, source, mask, axis_a, axis_b, exp.quad)
             manifest.stage_seconds["gamma_quadrature"] = clock() - t
 
             t = clock()

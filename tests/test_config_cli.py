@@ -10,14 +10,17 @@ from cpi_sim import (
     DEMOS,
     ParseError,
     RefocusSpec,
+    SpeckleRun,
     ValidationError,
+    default_sampling,
+    estimate_gamma,
     gamma_quadrature,
     parse_config,
     refocused_image,
     run_experiment,
 )
 from cpi_sim.cli import main as cli_main
-from cpi_sim.runner import write_image_csv
+from cpi_sim.runner import write_image_csv, write_json
 
 MINIMAL = """
 geometry.z_a = 0.1
@@ -32,6 +35,24 @@ object.slit_width = 50e-6
 object.separation = 150e-6
 run.mode = analytic
 """
+
+
+def _sampled_config(tmp_path, mode: str = "analytic", extra: str = "") -> str:
+    """MINIMAL with a Gaussian-profile sampled mask read from a CSV file."""
+    coords = np.linspace(-100e-6, 100e-6, 81)
+    profile = np.exp(-(coords**2) / (2 * (30e-6) ** 2))
+    path = tmp_path / "mask.csv"
+    path.write_text(
+        "# rho_m,re\n"
+        + "\n".join(f"{float(x)!r},{float(v)!r}" for x, v in zip(coords, profile))
+        + "\n"
+    )
+    return (
+        MINIMAL.replace("object.kind = double_slit", "object.kind = sampled")
+        .replace("object.slit_width = 50e-6", f"object.file = {path}")
+        .replace("object.separation = 150e-6\n", extra)
+        .replace("run.mode = analytic", f"run.mode = {mode}")
+    )
 
 
 class TestParseConfig:
@@ -153,18 +174,8 @@ class TestRunExperiment:
         assert manifest.results["refocused_contrast"] > 0.8
 
     def test_sampled_object_loaded_from_csv(self, tmp_path):
-        coords = np.linspace(-100e-6, 100e-6, 81)
-        profile = np.exp(-(coords**2) / (2 * (30e-6) ** 2))
-        path = tmp_path / "mask.csv"
-        path.write_text(
-            "# rho_m,re\n"
-            + "\n".join(f"{float(x)!r},{float(v)!r}" for x, v in zip(coords, profile))
-            + "\n"
-        )
         cfg = parse_config(
-            MINIMAL.replace("object.kind = double_slit", "object.kind = sampled")
-            .replace("object.slit_width = 50e-6", f"object.file = {path}")
-            .replace("object.separation = 150e-6", "object.feature_size = 60e-6")
+            _sampled_config(tmp_path, extra="object.feature_size = 60e-6\n")
             + "grids.n_a = 24\ngrids.n_b = 12\n"
         )
         mask = cfg.build_mask()
@@ -245,6 +256,50 @@ class TestRunExperiment:
         write_image_csv(tmp_path / "expected.csv", refocused_image(grid, RefocusSpec()))
         assert (tmp_path / "run" / "refocused.csv").read_bytes() == (
             tmp_path / "expected.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["analytic", "montecarlo", "refocus", "geometric"])
+    def test_sampled_mask_is_read_once_per_run(self, tmp_path, monkeypatch, mode):
+        cfg = parse_config(
+            _sampled_config(tmp_path, mode)
+            + "grids.n_a = 24\ngrids.n_b = 12\nrun.n_realizations = 100\n"
+        )
+        calls = []
+        original = np.loadtxt
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        run_experiment(cfg, out_dir=tmp_path / "out")
+        assert len(calls) == 1
+
+    def test_montecarlo_is_judged_against_the_resolved_reference(self, tmp_path):
+        cfg = parse_config(
+            DEMOS["montecarlo"].replace("run.n_realizations = 2000", "run.n_realizations = 200")
+        )
+        manifest = run_experiment(cfg, out_dir=tmp_path / "run")
+        stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stage_seconds"]
+        assert {"reference_quadrature", "estimate_gamma"} <= set(stages)
+        assert set(stages) == set(manifest.stage_seconds)
+
+        exp = cfg.resolve()
+        reference = gamma_quadrature(
+            exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad
+        )
+        axis_s, n_object = default_sampling(
+            exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b
+        )
+        run = SpeckleRun(
+            seed=cfg.get("run.seed"), n_realizations=200, axis_s=axis_s,
+            axis_a=exp.axis_a, axis_b=exp.axis_b, n_object=n_object,
+            n_batches=cfg.get("run.n_batches"),
+        )
+        _, report = estimate_gamma(run, exp.geom, exp.source, exp.mask, reference)
+        write_json(tmp_path / "expected.json", report.to_dict())
+        assert (tmp_path / "run" / "convergence.json").read_bytes() == (
+            tmp_path / "expected.json"
         ).read_bytes()
 
 
@@ -344,4 +399,30 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["run", str(path), "--out", str(out), "--seed", "-1"]) == 2
         assert "run.seed: must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "object_lines",
+        [
+            "object.kind = sampled\nobject.file = {mask}\n",
+            "object.kind = double_slit\nobject.slit_width = 50e-6\n"
+            "object.separation = 150e-6\nobject.feature_size = -1e-6\n",
+        ],
+        ids=["sampled_without_feature_size", "negative_feature_size"],
+    )
+    def test_budget_without_usable_feature_size_fails_fast(
+        self, tmp_path, capsys, object_lines
+    ):
+        mask = tmp_path / "mask.csv"
+        mask.write_text("-1e-4,0.0\n0.0,1.0\n1e-4,0.0\n")
+        physics = "".join(
+            l + "\n" for l in MINIMAL.splitlines() if l.startswith(("geometry.", "source."))
+        )
+        path = tmp_path / "budget.cfg"
+        path.write_text(DEMOS["budget"] + physics + object_lines.format(mask=mask))
+        out = tmp_path / "out"
+        assert cli_main(["validate", str(path)]) == 2
+        assert "object.feature_size:" in capsys.readouterr().err
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert "object.feature_size:" in capsys.readouterr().err
         assert not out.exists()

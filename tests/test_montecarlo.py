@@ -3,15 +3,17 @@ import pytest
 
 from cpi_sim import (
     Axis,
+    CorrelationGrid,
     DegenerateStatistics,
     ObjectMask,
+    QuadratureSpec,
     SourceProfile,
     SpeckleRun,
     UnderResolved,
     arm_kernels,
     default_sampling,
     estimate_gamma,
-    propagate_arms,
+    gamma_quadrature,
     sample_source_field,
 )
 from cpi_sim.metrics import two_sided_peaks
@@ -27,6 +29,18 @@ def small_setup(geom_focused, source, slits):
     axis_b = Axis.from_half_width(24, 400e-6)
     axis_s, n_object = default_sampling(geom_focused, source, slits, axis_a, axis_b)
     return axis_a, axis_b, axis_s, n_object
+
+
+def _reference(geom, source, mask, axis_a, axis_b):
+    """The quadrature surface a Monte Carlo estimate is judged against."""
+    quad = QuadratureSpec.auto(geom, source, mask, axis_a, axis_b)
+    return gamma_quadrature(geom, source, mask, axis_a, axis_b, quad)
+
+
+@pytest.fixture(scope="module")
+def small_reference(geom_focused, source, slits, small_setup):
+    axis_a, axis_b, _, _ = small_setup
+    return _reference(geom_focused, source, slits, axis_a, axis_b)
 
 
 class TestSourceField:
@@ -63,11 +77,10 @@ class TestPropagateArms:
         rng = np.random.default_rng(11)
         f1 = rng.normal(size=axis_s.n) + 1j * rng.normal(size=axis_s.n)
         f2 = rng.normal(size=axis_s.n) + 1j * rng.normal(size=axis_s.n)
-        ea1, eb1 = propagate_arms(f1, geom_focused, axis_s, slits, axis_a, axis_b, n_object)
-        ea2, eb2 = propagate_arms(f2, geom_focused, axis_s, slits, axis_a, axis_b, n_object)
-        ea12, eb12 = propagate_arms(
-            f1 + f2, geom_focused, axis_s, slits, axis_a, axis_b, n_object
-        )
+        k_a, k_b = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
+        ea1, eb1 = k_a @ f1, k_b @ f1
+        ea2, eb2 = k_a @ f2, k_b @ f2
+        ea12, eb12 = k_a @ (f1 + f2), k_b @ (f1 + f2)
         np.testing.assert_allclose(ea12, ea1 + ea2, rtol=1e-12)
         np.testing.assert_allclose(eb12, eb1 + eb2, rtol=1e-12)
 
@@ -75,7 +88,8 @@ class TestPropagateArms:
         axis_a, axis_b, axis_s, n_object = small_setup
         field = np.zeros(axis_s.n, dtype=complex)
         field[axis_s.n // 2] = 1.0
-        e_a, _ = propagate_arms(field, geom_focused, axis_s, slits, axis_a, axis_b, n_object)
+        k_a, _ = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
+        e_a = k_a @ field
         mods = np.abs(e_a)
         np.testing.assert_allclose(mods, mods[0], rtol=1e-12)
 
@@ -90,18 +104,18 @@ class TestPropagateArms:
         field = np.zeros(axis_s.n, dtype=complex)
         idx = np.argmin(np.abs(axis_s.coordinates - rho_s_target))
         field[idx] = 1.0
-        _, e_b = propagate_arms(field, geom_focused, axis_s, open_mask, axis_a, axis_b, n_object)
+        _, k_b = arm_kernels(geom_focused, open_mask, axis_s, axis_a, axis_b, n_object)
+        e_b = k_b @ field
         peak = axis_b.coordinates[np.argmax(np.abs(e_b) ** 2)]
         expected = -geom_focused.M * axis_s.coordinates[idx]
         assert abs(peak - expected) <= 2 * axis_b.step
 
-    def test_kernel_alias_guard(self, geom_focused, source, slits):
+    def test_kernel_alias_guard(self, geom_focused, slits):
         axis_a = Axis.from_half_width(24, 150e-6)
         axis_b = Axis.from_half_width(24, 400e-6)
         coarse = Axis.from_half_width(32, 2.5e-3)  # cells far too wide
-        field = source.amplitude(coarse.coordinates).astype(complex)
         with pytest.raises(UnderResolved):
-            propagate_arms(field, geom_focused, coarse, slits, axis_a, axis_b)
+            arm_kernels(geom_focused, slits, coarse, axis_a, axis_b)
 
 
 class TestArmKernels:
@@ -159,48 +173,58 @@ class TestBatchCovariance:
 
 
 class TestEstimateGamma:
-    def test_matches_quadrature_within_noise(self, geom_focused, source, slits, small_setup):
+    def test_matches_quadrature_within_noise(
+        self, geom_focused, source, slits, small_setup, small_reference
+    ):
         axis_a, axis_b, axis_s, n_object = small_setup
         run = SpeckleRun(
             seed=101, n_realizations=2000, axis_s=axis_s,
             axis_a=axis_a, axis_b=axis_b, n_object=n_object,
         )
-        grid, report = estimate_gamma(run, geom_focused, source, slits)
+        grid, report = estimate_gamma(run, geom_focused, source, slits, small_reference)
         assert report.l1 < 3.0 * report.se_l1
         assert np.all(grid.values >= 0.0)
 
-    def test_ghost_image_shows_both_slits(self, geom_focused, source, slits, small_setup):
+    def test_ghost_image_shows_both_slits(
+        self, geom_focused, source, slits, small_setup, small_reference
+    ):
         axis_a, axis_b, axis_s, n_object = small_setup
         run = SpeckleRun(
             seed=2024, n_realizations=4000, axis_s=axis_s,
             axis_a=axis_a, axis_b=axis_b, n_object=n_object,
         )
-        grid, _ = estimate_gamma(run, geom_focused, source, slits)
+        grid, _ = estimate_gamma(run, geom_focused, source, slits, small_reference)
         left, right = two_sided_peaks(axis_a.coordinates, ghost_image(grid).values)
         assert abs(left + SEPARATION / 2) <= 2 * axis_a.step
         assert abs(right - SEPARATION / 2) <= 2 * axis_a.step
 
-    def test_bitwise_reproducible(self, geom_focused, source, slits, small_setup):
+    def test_bitwise_reproducible(
+        self, geom_focused, source, slits, small_setup, small_reference
+    ):
         axis_a, axis_b, axis_s, n_object = small_setup
         run = SpeckleRun(
             seed=7, n_realizations=400, axis_s=axis_s,
             axis_a=axis_a, axis_b=axis_b, n_object=n_object,
         )
-        g1, _ = estimate_gamma(run, geom_focused, source, slits)
-        g2, _ = estimate_gamma(run, geom_focused, source, slits)
+        g1, _ = estimate_gamma(run, geom_focused, source, slits, small_reference)
+        g2, _ = estimate_gamma(run, geom_focused, source, slits, small_reference)
         np.testing.assert_array_equal(g1.values, g2.values)
 
-    def test_threaded_equals_sequential(self, geom_focused, source, slits, small_setup):
+    def test_threaded_equals_sequential(
+        self, geom_focused, source, slits, small_setup, small_reference
+    ):
         axis_a, axis_b, axis_s, n_object = small_setup
         run = SpeckleRun(
             seed=7, n_realizations=400, axis_s=axis_s,
             axis_a=axis_a, axis_b=axis_b, n_object=n_object,
         )
-        g1, _ = estimate_gamma(run, geom_focused, source, slits, threads=1)
-        g4, _ = estimate_gamma(run, geom_focused, source, slits, threads=4)
+        g1, _ = estimate_gamma(run, geom_focused, source, slits, small_reference, threads=1)
+        g4, _ = estimate_gamma(run, geom_focused, source, slits, small_reference, threads=4)
         np.testing.assert_array_equal(g1.values, g4.values)
 
-    def test_error_bars_shrink_like_sqrt_n(self, geom_focused, source, slits, small_setup):
+    def test_error_bars_shrink_like_sqrt_n(
+        self, geom_focused, source, slits, small_setup, small_reference
+    ):
         axis_a, axis_b, axis_s, n_object = small_setup
         ses = []
         for n in (100, 1000, 10000):
@@ -208,7 +232,7 @@ class TestEstimateGamma:
                 seed=5, n_realizations=n, axis_s=axis_s,
                 axis_a=axis_a, axis_b=axis_b, n_object=n_object, n_batches=10,
             )
-            _, report = estimate_gamma(run, geom_focused, source, slits)
+            _, report = estimate_gamma(run, geom_focused, source, slits, small_reference)
             ses.append(report.se_per_point.mean())
         assert ses[0] > ses[1] > ses[2]
         assert 7.0 <= ses[0] / ses[2] <= 13.0
@@ -224,9 +248,11 @@ class TestEstimateGamma:
             seed=3, n_realizations=200, axis_s=axis_s,
             axis_a=axis_a, axis_b=axis_b, n_object=64,
         )
-        grid, _ = estimate_gamma(run, geom_focused, narrow, slits)
+        reference = _reference(geom_focused, narrow, slits, axis_a, axis_b)
+        grid, _ = estimate_gamma(run, geom_focused, narrow, slits, reference)
         field = sample_source_field(narrow, axis_s, seed=3, realization_index=0)
-        e_a, e_b = propagate_arms(field, geom_focused, axis_s, slits, axis_a, axis_b, 64)
+        k_a, k_b = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, 64)
+        e_a, e_b = k_a @ field, k_b @ field
         level = np.abs(e_a).max() ** 2 * np.abs(e_b).max() ** 2
         assert np.max(grid.values) < 1e-10 * level
 
@@ -242,7 +268,8 @@ class TestEstimateGamma:
             seed=99, n_realizations=3000, axis_s=axis_s,
             axis_a=axis_a, axis_b=axis_b, n_object=n_object,
         )
-        grid, _ = estimate_gamma(run, geom_focused, source, point)
+        reference = _reference(geom_focused, source, point, axis_a, axis_b)
+        grid, _ = estimate_gamma(run, geom_focused, source, point, reference)
         _, width = fit_gaussian_width(
             axis_a.coordinates, ghost_image(grid).values, floor=5e-2
         )
@@ -259,14 +286,34 @@ class TestEstimateGamma:
             seed=1, n_realizations=120, axis_s=axis_s,
             axis_a=axis_a, axis_b=axis_b, n_object=n_object,
         )
+        reference = _reference(geom_focused, source, dark, axis_a, axis_b)
         with pytest.raises(DegenerateStatistics):
-            estimate_gamma(run, geom_focused, source, dark)
+            estimate_gamma(run, geom_focused, source, dark, reference)
 
-    def test_requires_enough_realizations(self, geom_focused, source, slits, small_setup):
+    def test_requires_enough_realizations(
+        self, geom_focused, source, slits, small_setup, small_reference
+    ):
         axis_a, axis_b, axis_s, n_object = small_setup
         run = SpeckleRun(
             seed=1, n_realizations=50, axis_s=axis_s,
             axis_a=axis_a, axis_b=axis_b, n_object=n_object, n_batches=5,
         )
         with pytest.raises(ValueError, match="100"):
-            estimate_gamma(run, geom_focused, source, slits)
+            estimate_gamma(run, geom_focused, source, slits, small_reference)
+
+    def test_rejects_a_reference_on_other_axes(
+        self, geom_focused, source, slits, small_setup, small_reference
+    ):
+        # same shape, shifted rho_b: comparing it would be silently wrong
+        axis_a, axis_b, axis_s, n_object = small_setup
+        shifted = Axis(n=axis_b.n, center=axis_b.step, step=axis_b.step)
+        run = SpeckleRun(
+            seed=1, n_realizations=100, axis_s=axis_s,
+            axis_a=axis_a, axis_b=axis_b, n_object=n_object,
+        )
+        other = CorrelationGrid(
+            axis_a=axis_a, axis_b=shifted, values=small_reference.values,
+            z_a=geom_focused.z_a, z_b=geom_focused.z_b, M=geom_focused.M,
+        )
+        with pytest.raises(ValueError, match="reference axes"):
+            estimate_gamma(run, geom_focused, source, slits, other)

@@ -7,7 +7,6 @@ from cpi_sim import (
     InvalidGeometry,
     ObjectMask,
     SourceProfile,
-    eval_object,
     fresnel_prefactor,
     gaussian_phase,
     make_geometry,
@@ -141,9 +140,9 @@ class TestSourceProfile:
 class TestObjectMask:
     def test_double_slit_points(self):
         mask = ObjectMask.double_slit(separation=150e-6, slit_width=50e-6)
-        assert eval_object(mask, 75e-6) == 1.0 + 0.0j
-        assert eval_object(mask, 0.0) == 0.0 + 0.0j
-        assert eval_object(mask, 200e-6) == 0.0 + 0.0j
+        assert mask.transmission(75e-6) == 1.0 + 0.0j
+        assert mask.transmission(0.0) == 0.0 + 0.0j
+        assert mask.transmission(200e-6) == 0.0 + 0.0j
 
     def test_transmission_bounded(self):
         mask = ObjectMask.double_slit(separation=150e-6, slit_width=50e-6)
@@ -154,8 +153,8 @@ class TestObjectMask:
         coords = np.array([-1e-4, 0.0, 1e-4])
         vals = np.array([0.0, 1.0, 0.0])
         mask = ObjectMask.from_samples(coords, vals)
-        assert eval_object(mask, 5e-5) == pytest.approx(0.5)
-        assert eval_object(mask, 2e-4) == 0.0
+        assert mask.transmission(5e-5) == pytest.approx(0.5)
+        assert mask.transmission(2e-4) == 0.0
 
     def test_sampled_rejects_overunity(self):
         with pytest.raises(ValueError):

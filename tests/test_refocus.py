@@ -142,10 +142,6 @@ class TestRefocusGrid:
         with pytest.raises(EmptyOverlap):
             refocus_grid(acquired_defocused, RefocusSpec(output_axis=far))
 
-    def test_distance_crosscheck_against_grid(self, grid_focused):
-        with pytest.raises(ValueError):
-            refocus_grid(grid_focused, RefocusSpec(z_a=0.2, z_b=0.1))
-
 
 class TestRefocusedImage:
     def test_contrast_restored(self, acquired_defocused, out_axis):
