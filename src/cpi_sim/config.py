@@ -17,6 +17,7 @@ default are resolved from the physics when absent: ``grids.span_a`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -206,12 +207,14 @@ def _parse_value(key: str, raw: str, problems: list[str]) -> Any:
             raw = raw[1:-1]
         return raw
     try:
-        if typ is int:
-            return int(raw)
-        return float(raw)
+        value = typ(raw)
     except ValueError:
         problems.append(f"{key}: expected a {typ.__name__}, got {raw!r}")
         return None
+    if not math.isfinite(value):
+        problems.append(f"{key}: must be finite, got {raw!r}")
+        return None
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -295,7 +298,7 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
         problems.append(f"run.mode: must be one of {'|'.join(MODES)}, got {mode!r}")
         return
 
-    for key in ("run.n_realizations", "run.n_batches"):
+    for key in ("run.n_realizations", "run.n_batches", "budget.delta"):
         _positive(values, key, problems)
     _validate_threads_seed(values, problems)
     if mode == "montecarlo":  # the thresholds SpeckleRun and estimate_gamma enforce
@@ -311,7 +314,6 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
     if mode == "budget":
         if _require(values, "budget.n_tot", problems) and values["budget.n_tot"] < 2:
             problems.append("budget.n_tot: must be >= 2")
-        _positive(values, "budget.delta", problems)
         # Physics blocks are optional in budget mode; validate them only if begun.
         if not any(k.startswith(("geometry.", "source.", "object.")) for k in values):
             return
@@ -360,9 +362,12 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
     for key in ("grids.n_a", "grids.n_b"):
         if values.get(key, 2) < 2:
             problems.append(f"{key}: need at least 2 samples")
-    for key in ("object.feature_size", "grids.span_a", "grids.span_b",
-                "grids.source_span", "grids.guard_factor", "budget.delta"):
+    for key in ("object.feature_size", "grids.span_a", "grids.span_b", "grids.source_span"):
         _positive(values, key, problems)
+    # below 1, auto-sized steps exceed the pi/2 limit their own guard enforces
+    guard_factor = values["grids.guard_factor"]
+    if guard_factor < 1.0:
+        problems.append(f"grids.guard_factor: must be >= 1, got {guard_factor}")
     for key in ("grids.n_source", "grids.n_object"):
         if key in values and values[key] != 0 and values[key] < 16:
             problems.append(f"{key}: need at least 16 nodes (or 0 for auto)")

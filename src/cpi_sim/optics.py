@@ -295,14 +295,17 @@ class ObjectMask:
         return [(float(self.sample_coords[0]), float(self.sample_coords[-1]))]
 
     def transmission(self, rho_o) -> np.ndarray:
-        """Evaluate A(rho_o); always complex-valued."""
+        """Evaluate A(rho_o); always complex-valued.
+
+        A slit transmits 1 on the closed intervals of ``support_intervals``,
+        so the end nodes a quadrature places there see the slit open.
+        """
         rho_o = np.asarray(rho_o, dtype=float)
-        if self.kind == "double_slit":
-            a, s = self.slit_width, self.separation
-            on_slit = (np.abs(rho_o - s / 2) <= a / 2) | (np.abs(rho_o + s / 2) <= a / 2)
+        if self.kind in ("double_slit", "single_slit"):
+            on_slit = np.zeros(rho_o.shape, dtype=bool)
+            for lo, hi in self.support_intervals():
+                on_slit |= (rho_o >= lo) & (rho_o <= hi)
             return on_slit.astype(complex)
-        if self.kind == "single_slit":
-            return (np.abs(rho_o) <= self.slit_width / 2.0).astype(complex)
         c, v = self.sample_coords, self.sample_values
         re = np.interp(rho_o, c, v.real, left=0.0, right=0.0)
         im = np.interp(rho_o, c, v.imag, left=0.0, right=0.0)

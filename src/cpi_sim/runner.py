@@ -3,8 +3,12 @@
 Every run emits a fixed set of files per mode plus ``manifest.json``
 (written last) listing each emitted file with its SHA-256 digest, the
 resolved config, per-stage wall times and the headline scalar results.
-With a fixed seed and --threads 1 the emitted data files are bitwise
+Each digest and size is taken from the bytes written, in memory. With a
+fixed seed and --threads 1 the emitted data files are bitwise
 reproducible, so the digest list doubles as a regression oracle.
+
+Every correlation grid and every image is emitted as a pair of files with
+one stem: ``<stem>.csv`` holds the values, ``<stem>.pgm`` a picture.
 
 File formats, and nothing else:
   *.csv  RFC 4180 with '.' decimals, LF line endings, one header row,
@@ -19,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,7 +47,6 @@ class RunManifest:
 
     mode: str
     config: dict
-    tool_version: str = __version__
     stage_seconds: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
     results: dict = field(default_factory=dict)
@@ -50,19 +54,13 @@ class RunManifest:
     def to_dict(self) -> dict:
         return {
             "tool": "cpi-sim",
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "mode": self.mode,
             "config": self.config,
             "stage_seconds": self.stage_seconds,
             "files": self.files,
             "results": self.results,
         }
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
 
 
 def _num(value) -> str:
@@ -74,44 +72,40 @@ def _axis_comment(name: str, axis: Axis) -> str:
     return f"# {name}: n={axis.n} center={_num(axis.center)} step={_num(axis.step)}"
 
 
-def write_image_csv(path: Path, image: SampledImage) -> None:
-    lines = [
-        f"# cpi-sim {__version__}",
-        f"# label: {image.label}",
-        _axis_comment("axis", image.axis),
+def _csv(comments: list[str], header: str, rows: Iterable[str]) -> bytes:
+    """The one CSV layout: version line, comments, header, rows, LF-terminated."""
+    lines = [f"# cpi-sim {__version__}", *comments, header, *rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _image_csv(image: SampledImage) -> bytes:
+    return _csv(
+        [f"# label: {image.label}", _axis_comment("axis", image.axis)],
         "rho_m,value",
-    ]
-    for x, v in zip(image.axis.coordinates, image.values):
-        lines.append(f"{_num(x)},{_num(v)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        (f"{_num(x)},{_num(v)}" for x, v in zip(image.axis.coordinates, image.values)),
+    )
 
 
-def write_grid_csv(path: Path, grid: CorrelationGrid) -> None:
-    lines = [
-        f"# cpi-sim {__version__}",
-        _axis_comment("axis_a", grid.axis_a),
-        _axis_comment("axis_b", grid.axis_b),
-        f"# z_a={_num(grid.z_a)} z_b={_num(grid.z_b)} M={_num(grid.M)}",
-        "rho_a_m,rho_b_m,value",
-    ]
-    coords_a = grid.axis_a.coordinates
-    coords_b = grid.axis_b.coordinates
+def _grid_csv(grid: CorrelationGrid) -> bytes:
     valid = grid.validity
-    for i, a in enumerate(coords_a):
-        for j, b in enumerate(coords_b):
-            if valid[i, j]:
-                lines.append(f"{_num(a)},{_num(b)},{_num(grid.values[i, j])}")
-            else:
-                lines.append(f"{_num(a)},{_num(b)},")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return _csv(
+        [
+            _axis_comment("axis_a", grid.axis_a),
+            _axis_comment("axis_b", grid.axis_b),
+            f"# z_a={_num(grid.z_a)} z_b={_num(grid.z_b)} M={_num(grid.M)}",
+        ],
+        "rho_a_m,rho_b_m,value",
+        (
+            f"{_num(a)},{_num(b)},{_num(grid.values[i, j]) if valid[i, j] else ''}"
+            for i, a in enumerate(grid.axis_a.coordinates)
+            for j, b in enumerate(grid.axis_b.coordinates)
+        ),
+    )
 
 
-def write_pgm(path: Path, values: np.ndarray) -> tuple[float, float]:
-    """Render a 2D array (or a 1D image as a strip) as 16-bit binary PGM.
-
-    Returns the (min, max) used for scaling so absolute values stay
-    recoverable through the manifest.
-    """
+def _pgm(values: np.ndarray) -> tuple[bytes, float, float]:
+    """16-bit binary PGM of a 2D array (or a 1D image as a strip), with the
+    (min, max) used for scaling so absolute values stay recoverable."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = np.tile(values, (_PGM_STRIP_ROWS, 1))
@@ -121,68 +115,59 @@ def write_pgm(path: Path, values: np.ndarray) -> tuple[float, float]:
     else:
         scaled = np.zeros_like(values)
     header = f"P5\n{values.shape[1]} {values.shape[0]}\n65535\n".encode("ascii")
-    path.write_bytes(header + scaled.astype(">u2").tobytes())
+    return header + scaled.astype(">u2").tobytes(), lo, hi
+
+
+def _json(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def write_image_csv(path: Path, image: SampledImage) -> None:
+    path.write_bytes(_image_csv(image))
+
+
+def write_grid_csv(path: Path, grid: CorrelationGrid) -> None:
+    path.write_bytes(_grid_csv(grid))
+
+
+def write_pgm(path: Path, values: np.ndarray) -> tuple[float, float]:
+    """Write ``values`` as PGM; returns the (min, max) of the scaling."""
+    data, lo, hi = _pgm(values)
+    path.write_bytes(data)
     return lo, hi
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    path.write_bytes(_json(payload))
 
 
 class _Emitter:
-    """Tracks emitted files and their digests for the manifest.
+    """Writes output files and records each one's digest for the manifest.
 
-    The output directory is created by the first write, so a run that fails
-    before emitting anything leaves no directory behind.
+    Digests and sizes come from the bytes in memory, so no file is read
+    back. The output directory is created by the first write, so a run
+    that fails before emitting anything leaves no directory behind.
     """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.records: list[dict] = []
 
-    def path(self, name: str) -> Path:
+    def write(self, name: str, data: bytes) -> dict:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / name
+        (self.out_dir / name).write_bytes(data)
+        record = {"name": name, "sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+        self.records.append(record)
+        return record
 
-    def _record(self, path: Path, extra: dict | None = None) -> None:
-        entry = {
-            "name": path.name,
-            "sha256": _sha256(path),
-            "bytes": path.stat().st_size,
-        }
-        if extra:
-            entry.update(extra)
-        self.records.append(entry)
-
-    def image_csv(self, name: str, image: SampledImage) -> None:
-        path = self.path(name)
-        write_image_csv(path, image)
-        self._record(path)
-
-    def grid_csv(self, name: str, grid: CorrelationGrid) -> None:
-        path = self.path(name)
-        write_grid_csv(path, grid)
-        self._record(path)
-
-    def pgm(self, name: str, values: np.ndarray) -> None:
-        path = self.path(name)
-        lo, hi = write_pgm(path, values)
-        self._record(path, {"pgm_min": lo, "pgm_max": hi})
-
-    def json(self, name: str, payload: dict) -> None:
-        path = self.path(name)
-        write_json(path, payload)
-        self._record(path)
-
-    def csv_rows(self, name: str, comments: list[str], header: str, rows: list[str]) -> None:
-        path = self.path(name)
-        text = "\n".join([*comments, header, *rows]) + "\n"
-        path.write_text(text, encoding="utf-8", newline="\n")
-        self._record(path)
+    def pair(self, stem: str, surface: CorrelationGrid | SampledImage) -> None:
+        """Emit a grid or an image as ``<stem>.csv`` plus ``<stem>.pgm``."""
+        if isinstance(surface, CorrelationGrid):
+            self.write(f"{stem}.csv", _grid_csv(surface))
+        else:
+            self.write(f"{stem}.csv", _image_csv(surface))
+        data, lo, hi = _pgm(surface.values)
+        self.write(f"{stem}.pgm", data).update(pgm_min=lo, pgm_max=hi)
 
 
 def _image_metrics(config: ExperimentConfig, image: SampledImage) -> dict:
@@ -239,8 +224,7 @@ def run_experiment(
             t = clock()
             grid = gamma_geometric(geom, source, mask, axis_a, axis_b)
             manifest.stage_seconds["gamma_geometric"] = clock() - t
-            emit.grid_csv("geometric.csv", grid)
-            emit.pgm("geometric.pgm", grid.values)
+            emit.pair("geometric", grid)
 
         elif config.mode == "montecarlo":
             t = clock()
@@ -262,9 +246,8 @@ def run_experiment(
                 run, geom, source, mask, reference, threads=threads
             )
             manifest.stage_seconds["estimate_gamma"] = clock() - t
-            emit.grid_csv("gamma_mc.csv", grid)
-            emit.pgm("gamma_mc.pgm", grid.values)
-            emit.json("convergence.json", report.to_dict())
+            emit.pair("gamma_mc", grid)
+            emit.write("convergence.json", _json(report.to_dict()))
             manifest.results.update(
                 {"l1": report.l1, "linf": report.linf, "se_l1": report.se_l1}
             )
@@ -281,17 +264,11 @@ def run_experiment(
             manifest.stage_seconds["refocus"] = clock() - t
 
             if config.mode == "analytic":
-                emit.grid_csv("gamma.csv", grid)
-                emit.pgm("gamma.pgm", grid.values)
-                emit.image_csv("ghost.csv", ghost)
-                emit.pgm("ghost.pgm", ghost.values)
-                emit.image_csv("refocused.csv", refocused)
-                emit.pgm("refocused.pgm", refocused.values)
+                emit.pair("gamma", grid)
+                emit.pair("ghost", ghost)
             else:
-                emit.grid_csv("refocused_grid.csv", refocused_grid_)
-                emit.pgm("refocused_grid.pgm", refocused_grid_.values)
-                emit.image_csv("refocused.csv", refocused)
-                emit.pgm("refocused.pgm", refocused.values)
+                emit.pair("refocused_grid", refocused_grid_)
+            emit.pair("refocused", refocused)
 
             ghost_metrics = _image_metrics(config, ghost)
             refocused_metrics = _image_metrics(config, refocused)
@@ -308,7 +285,7 @@ def run_experiment(
 
     manifest.stage_seconds["total"] = clock() - t0
     manifest.files = emit.records
-    write_json(emit.path("manifest.json"), manifest.to_dict())
+    write_json(emit.out_dir / "manifest.json", manifest.to_dict())
     return manifest
 
 
@@ -324,18 +301,17 @@ def _run_budget(config: ExperimentConfig, emit: _Emitter, manifest: RunManifest)
         for scheme, curve in curves.items()
         for n_x, n_u in curve.pairs
     ]
-    emit.csv_rows(
-        "budget.csv",
-        [f"# cpi-sim {__version__}", f"# n_tot={n_tot} delta={_num(delta)}"],
-        "scheme,N_x,N_u",
-        rows,
+    emit.write(
+        "budget.csv", _csv([f"# n_tot={n_tot} delta={_num(delta)}"], "scheme,N_x,N_u", rows)
     )
     cont = plenoptic_hyperbola(n_tot)
-    emit.csv_rows(
+    emit.write(
         "budget_continuous.csv",
-        [f"# cpi-sim {__version__}", f"# n_tot={n_tot} (continuous hyperbola)"],
-        "N_x,N_u",
-        [f"{_num(x)},{_num(u)}" for x, u in cont],
+        _csv(
+            [f"# n_tot={n_tot} (continuous hyperbola)"],
+            "N_x,N_u",
+            (f"{_num(x)},{_num(u)}" for x, u in cont),
+        ),
     )
     manifest.results["n_tot"] = n_tot
     manifest.results["n_pairs_plenoptic"] = len(curves["plenoptic"].pairs)

@@ -15,11 +15,13 @@ from cpi_sim import (
     default_sampling,
     estimate_gamma,
     gamma_quadrature,
+    QuadratureSpec,
     parse_config,
     refocused_image,
     run_experiment,
 )
 from cpi_sim.cli import main as cli_main
+from cpi_sim.metrics import normalized_linf
 from cpi_sim.runner import write_image_csv, write_json
 
 MINIMAL = """
@@ -303,6 +305,30 @@ class TestRunExperiment:
         ).read_bytes()
 
 
+class TestResolvedQuadrature:
+    def test_narrow_double_slit_converges_under_node_doubling(self):
+        # 30 um slits 50 um apart: with the slit edges read as opaque, the
+        # auto quadrature converged at first order and doubling moved the
+        # surface by ~6e-3 of its peak
+        cfg = parse_config(
+            MINIMAL.replace("object.slit_width = 50e-6", "object.slit_width = 30e-6")
+            .replace("object.separation = 150e-6", "object.separation = 50e-6")
+        )
+        exp = cfg.resolve()
+        base, doubled = (
+            gamma_quadrature(
+                exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b,
+                QuadratureSpec(
+                    n_source=k * exp.quad.n_source,
+                    n_object=k * exp.quad.n_object,
+                    source_span=exp.quad.source_span,
+                ),
+            )
+            for k in (1, 2)
+        )
+        assert normalized_linf(base.values, doubled.values) < 1e-3
+
+
 class TestCli:
     def test_run_and_validate(self, tmp_path, capsys):
         path = tmp_path / "budget.cfg"
@@ -425,4 +451,33 @@ class TestCli:
         assert "object.feature_size:" in capsys.readouterr().err
         assert cli_main(["run", str(path), "--out", str(out)]) == 2
         assert "object.feature_size:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (DEMOS["refocus"] + "grids.guard_factor = 0.9\n", "grids.guard_factor"),
+            (DEMOS["refocus"] + "grids.guard_factor = inf\n", "grids.guard_factor"),
+            (DEMOS["refocus"] + "grids.center_a = inf\n", "grids.center_a"),
+            (DEMOS["refocus"] + "grids.center_a = nan\n", "grids.center_a"),
+            (
+                DEMOS["budget"].replace("budget.delta = 10e-6", "budget.delta = -1e-6")
+                + "".join(
+                    l + "\n" for l in MINIMAL.splitlines()
+                    if l.startswith(("geometry.", "source.", "object."))
+                ),
+                "budget.delta",
+            ),
+        ],
+        ids=["guard_factor_below_one", "infinite_guard_factor", "infinite_center",
+             "nan_center", "budget_delta_with_physics"],
+    )
+    def test_values_the_run_would_reject_fail_validation(self, tmp_path, capsys, text, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.count(f"{field}:") == 1
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count(f"{field}:") == 1
         assert not out.exists()

@@ -165,6 +165,21 @@ class TestObjectMask:
         (l0, h0), (l1, h1) = mask.support_intervals()
         np.testing.assert_allclose([l0, h0, l1, h1], [-100e-6, -50e-6, 50e-6, 100e-6], rtol=1e-12)
 
+    def test_every_slit_quadrature_node_transmits(self):
+        # sizes as a config file spells them: separation 20-1000 um in
+        # steps of 10, width 5-495 um in steps of 5; the interval end nodes
+        # must see the slit open, whatever the rounding of s/2 +- a/2
+        masks = [
+            ObjectMask.double_slit(separation=float(f"{s}e-6"), slit_width=float(f"{a}e-6"))
+            for s in range(20, 1001, 10)
+            for a in range(5, 500, 5)
+            if s > a
+        ]
+        assert len(masks) == 7449
+        for mask in masks:
+            nodes, _, _ = object_quadrature(mask, 200)
+            assert np.all(mask.transmission(nodes) == 1.0), (mask.separation, mask.slit_width)
+
 
 class TestAxesAndGrids:
     def test_axis_coordinates_symmetric_increasing(self):
