@@ -156,7 +156,8 @@ class ExperimentConfig:
 
         Absent detector spans come from the mask support (``rho_a``) and the
         source image (``rho_b``); absent quadrature counts and span from
-        ``QuadratureSpec.auto`` on those axes.
+        ``QuadratureSpec.auto`` on those axes. A Gaussian ``grids.source_span``
+        below 5 sigma raises ValidationError (``QuadratureSpec.validate_for``).
         """
         geom = self.build_geometry()
         source = self.build_source()
@@ -184,6 +185,10 @@ class ExperimentConfig:
             n_object=self.get("grids.n_object") or auto.n_object,
             source_span=source_span or auto.source_span,
         )
+        try:
+            quad.validate_for(source)
+        except ValueError as exc:
+            raise ValidationError(f"grids.source_span: {exc}") from None
         return Experiment(geom, source, mask, axis_a, axis_b, quad)
 
 

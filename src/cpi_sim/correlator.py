@@ -102,14 +102,27 @@ def intensity_prefactor_a(geom: SetupGeometry) -> float:
     return float(np.abs(2.0 * np.pi * fresnel_prefactor(geom.omega0_over_c, geom.z_a)) ** 2)
 
 
+def arm_b_prefactor(geom: SetupGeometry) -> complex:
+    """Complex arm-b prefactor h_b = h(omega0, z_b) h(omega0, S_i) S_o / z_b."""
+    w = geom.omega0_over_c
+    return fresnel_prefactor(w, geom.z_b) * fresnel_prefactor(w, geom.S_i) * (geom.S_o / geom.z_b)
+
+
 def intensity_prefactor_b(geom: SetupGeometry) -> float:
-    """Arm-b prefactor: |2 pi h(omega0, z_b) h(omega0, S_i) S_o / z_b|^2."""
-    h = (
-        fresnel_prefactor(geom.omega0_over_c, geom.z_b)
-        * fresnel_prefactor(geom.omega0_over_c, geom.S_i)
-        * (geom.S_o / geom.z_b)
-    )
-    return float(np.abs(2.0 * np.pi * h) ** 2)
+    """Arm-b intensity level: |2 pi h_b|^2 (see ``arm_b_prefactor``)."""
+    return float(np.abs(2.0 * np.pi * arm_b_prefactor(geom)) ** 2)
+
+
+def object_transfer(geom: SetupGeometry, rho_o, amp_o, rho_s, rho_b) -> np.ndarray:
+    """Arm-b object transfer T[s, b] = A~[c1 (rho_s + rho_b/M)], c1 = w/z_b.
+
+    T = sum_o amp_o exp(-i c1 rho_o (rho_s + rho_b / M)), amp_o = A(rho_o) w_o:
+    one matmul of a rho_s and a rho_b phase matrix, shape (n_s, n_b). Gamma,
+    intensity_b and the arm-b kernel all use it; each caller guards first.
+    """
+    c1 = geom.omega0_over_c / geom.z_b
+    W_b = amp_o[:, None] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b)
+    return phase.phase_matrix(c1, rho_o, rho_s).T @ W_b
 
 
 def intensity_a(geom: SetupGeometry, axis_a: Axis) -> SampledImage:
@@ -140,14 +153,8 @@ def intensity_b(
     phase.check_step("source", _max_step(rho_s), r.intensity_b_s)
     phase.check_step("object", step_o, r.object)
 
-    # ft[s, b] = A~[c1 (rho_s + rho_b/M)]; the phase splits into a rho_s and
-    # a rho_b factor, so one matmul replaces a transform per detector pixel
-    c1 = geom.omega0_over_c / geom.z_b
-    amp = mask.transmission(rho_o) * w_o
-    f_s = source.intensity(rho_s) * w_s
-    W_b = amp[:, None] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b)
-    ft = phase.phase_matrix(c1, rho_o, rho_s).T @ W_b
-    out = f_s @ np.abs(ft) ** 2
+    t = object_transfer(geom, rho_o, mask.transmission(rho_o) * w_o, rho_s, rho_b)
+    out = (source.intensity(rho_s) * w_s) @ np.abs(t) ** 2
     return SampledImage(
         axis=axis_b, values=intensity_prefactor_b(geom) * out, label="intensity_b"
     )
@@ -167,9 +174,9 @@ def gamma_quadrature(
             exp[i (w/2)(1/z_b - 1/z_a) rho_s^2]
             exp[-i (w/z_b)((rho_o - (z_b/z_a) rho_a) rho_s + rho_o rho_b / M)]|^2
 
-    with w = omega0/c. The double sum factors into two dense matrix
-    products, so each output point is an independent reduction; results do
-    not depend on evaluation order beyond fixed BLAS summation.
+    with w = omega0/c. The rho_o sum is ``object_transfer`` T[s, b], so
+    Gamma = K_a K_b |V^T T|^2 with V[s, a] = F w_s chirp exp(+i (w/z_a) rho_s rho_a):
+    dense matmuls, each output point an independent fixed-order reduction.
     """
     quad.validate_for(source)
     w = geom.omega0_over_c
@@ -182,26 +189,22 @@ def gamma_quadrature(
     phase.check_step("source", _max_step(rho_s), r.gamma_s)
     phase.check_step("object", step_o, r.object)
 
-    c1 = w / geom.z_b
-    c_a = c1 * (geom.z_b / geom.z_a)
+    c_a = w / geom.z_a
     chirp_beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
 
-    # inner[o, a] = sum_s exp(-i c1 rho_o rho_s) F w_s chirp(s) exp(+i c_a rho_a rho_s),
-    # c_a = c1 z_b/z_a, accumulated over source chunks to bound the n_o x n_s
-    # working set; the source line goes on the smaller (n_s, n_a) factor
+    # B[a, b] = sum_s V[s, a] T[s, b], accumulated over source chunks to
+    # bound the n_o x n_s working set of the object transfer; T comes
+    # first, so that phase matrix is freed before V is built
     src_line = source.intensity(rho_s) * w_s * gaussian_phase(rho_s, chirp_beta)
-    inner = np.zeros((rho_o.size, rho_a.size), dtype=complex)
+    amp = mask.transmission(rho_o) * w_o
+    B = np.zeros((rho_a.size, rho_b.size), dtype=complex)
     chunk = max(1, int(8e6 // max(rho_o.size, 1)))
     for lo in range(0, rho_s.size, chunk):
         sl = slice(lo, min(lo + chunk, rho_s.size))
-        U = phase.phase_matrix(c1, rho_o, rho_s[sl])
-        V = src_line[sl, None] * phase.phase_matrix(-c_a, rho_s[sl], rho_a)
-        inner += U @ V
-
-    # B[a, b] = sum_o A w_o inner[o, a] exp(-i c1 rho_o rho_b / M)
-    amp = mask.transmission(rho_o) * w_o
-    W = amp[:, None] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b)
-    B = inner.T @ W
+        t = object_transfer(geom, rho_o, amp, rho_s[sl], rho_b)
+        V = phase.phase_matrix(-c_a, rho_s[sl], rho_a)
+        V *= src_line[sl, None]
+        B += V.T @ t
 
     scale = intensity_prefactor_a(geom) * intensity_prefactor_b(geom)
     values = scale * np.abs(B) ** 2

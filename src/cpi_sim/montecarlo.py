@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase
+from .correlator import arm_b_prefactor, object_transfer
 from .errors import DegenerateStatistics
 from .metrics import normalized_l1, normalized_linf, peak_normalize
 from .optics import (
@@ -180,13 +181,9 @@ def arm_kernels(
     cell width is folded into the kernels, so E = K @ field.
 
     Arm a is the free Fresnel kernel h * exp(i w (rho_a - rho_s)^2 / (2 z_a)).
-    Arm b carries the source chirp exp(i w rho_s^2 / (2 z_b)) times the
-    object-plane integral of A against the lens-imaging phase
-    exp(-i c1 rho_o (rho_s + rho_b / M)), c1 = w / z_b. That phase is
-    bilinear, so the integral factors into one matmul, K_b ~ W_b @ U, with
-    W_b[b, o] = A(rho_o) w_o exp(-i (c1/M) rho_b rho_o) and
-    U[o, s] = exp(-i c1 rho_o rho_s): two phase matrices instead of one
-    (n_o, n_s) exponential per detector pixel.
+    Arm b is the prefactor h_b (``correlator.arm_b_prefactor``) times the
+    source chirp exp(i w rho_s^2 / (2 z_b)) times the object transfer
+    T[s, b] of ``correlator.object_transfer``.
     """
     w = geom.omega0_over_c
     rho_s = axis_s.coordinates
@@ -205,18 +202,9 @@ def arm_kernels(
     h_a = fresnel_prefactor(w, geom.z_a)
     k_a = h_a * gaussian_phase(rho_a[:, None] - rho_s[None, :], w / geom.z_a) * axis_s.step
 
-    c_b = (
-        fresnel_prefactor(w, geom.z_b)
-        * fresnel_prefactor(w, geom.S_i)
-        * (geom.S_o / geom.z_b)
-    )
-    chirp = gaussian_phase(rho_s, w / geom.z_b)
-    amp_o = mask.transmission(rho_o) * w_o
-    c1 = w / geom.z_b
-    w_b = amp_o[None, :] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b).T
-    k_b = w_b @ phase.phase_matrix(c1, rho_o, rho_s)
-    k_b *= c_b * chirp[None, :] * axis_s.step
-    return k_a, k_b
+    t = object_transfer(geom, rho_o, mask.transmission(rho_o) * w_o, rho_s, rho_b)
+    t *= (arm_b_prefactor(geom) * gaussian_phase(rho_s, w / geom.z_b) * axis_s.step)[:, None]
+    return k_a, t.T
 
 
 def _batch_covariance(

@@ -173,7 +173,8 @@ class _Emitter:
 def _image_metrics(config: ExperimentConfig, image: SampledImage) -> dict:
     """Two-sided peak positions of an image (not for a single slit, whose
     one lobe has no peak on either side), plus slit visibility for double
-    slits."""
+    slits. A metric the image axis cannot measure (no samples on one side,
+    or none beyond a quarter of the slit separation) is left out."""
     out: dict = {}
     x = image.axis.coordinates
     kind = config.get("object.kind")
@@ -184,7 +185,10 @@ def _image_metrics(config: ExperimentConfig, image: SampledImage) -> dict:
             pass
     if kind == "double_slit":
         sep = config.get("object.separation")
-        out["contrast"] = slit_contrast(x, image.values, min_offset=sep / 4.0)
+        try:
+            out["contrast"] = slit_contrast(x, image.values, min_offset=sep / 4.0)
+        except ValueError:
+            pass
     return out
 
 

@@ -219,6 +219,21 @@ class TestRunExperiment:
         double = run_experiment(parse_config(DEMOS["refocus"]), out_dir=tmp_path / "double")
         assert {"ghost_peak_neg_m", "refocused_peak_pos_m"} <= set(double.results)
 
+    def test_axis_too_narrow_for_contrast_still_writes_manifest(self, tmp_path):
+        # no rho_a sample reaches separation/4 = 37.5 um, so neither image can
+        # measure slit contrast; the run still finishes and says so by omission
+        path = tmp_path / "narrow.cfg"
+        path.write_text(
+            DEMOS["montecarlo"]
+            .replace("run.mode = montecarlo", "run.mode = analytic")
+            .replace("grids.span_a = 200e-6", "grids.span_a = 30e-6")
+        )
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 0
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert not any(key.endswith("_contrast") for key in results)
+        assert {"ghost_peak_pos_m", "refocused_peak_pos_m"} <= set(results)
+
     def test_auto_sizing_covers_a_configured_source_span(self, tmp_path):
         # absent n_source/n_object are sized for the 1.5e-2 m half-width
         # that is integrated, not for the default 5 sigma = 2.5e-3 m, so the
@@ -461,6 +476,11 @@ class TestCli:
             (DEMOS["refocus"] + "grids.center_a = inf\n", "grids.center_a"),
             (DEMOS["refocus"] + "grids.center_a = nan\n", "grids.center_a"),
             (
+                DEMOS["montecarlo"].replace("run.mode = montecarlo", "run.mode = analytic")
+                + "grids.source_span = 1e-3\n",  # 2 sigma of a Gaussian source
+                "grids.source_span",
+            ),
+            (
                 DEMOS["budget"].replace("budget.delta = 10e-6", "budget.delta = -1e-6")
                 + "".join(
                     l + "\n" for l in MINIMAL.splitlines()
@@ -470,7 +490,7 @@ class TestCli:
             ),
         ],
         ids=["guard_factor_below_one", "infinite_guard_factor", "infinite_center",
-             "nan_center", "budget_delta_with_physics"],
+             "nan_center", "gaussian_source_span_below_5_sigma", "budget_delta_with_physics"],
     )
     def test_values_the_run_would_reject_fail_validation(self, tmp_path, capsys, text, field):
         path = tmp_path / "bad.cfg"

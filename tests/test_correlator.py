@@ -23,7 +23,7 @@ from cpi_sim import (
     phase,
     psf_widths,
 )
-from cpi_sim.correlator import intensity_prefactor_b
+from cpi_sim.correlator import intensity_prefactor_a, intensity_prefactor_b
 from cpi_sim.metrics import normalized_l2, normalized_linf, two_sided_peaks
 from cpi_sim.optics import object_quadrature, source_quadrature
 from conftest import SEPARATION, smooth_two_lobe_mask
@@ -163,6 +163,32 @@ class TestGammaQuadrature:
             col = grid.values[:, j]
             assert normalized_l2(col, expected) < 1e-2
             assert abs(axis_a.coordinates[np.argmax(col)]) <= axis_a.step
+
+    @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
+    def test_matches_per_pixel_double_sum(self, request, geom_name, source, slits):
+        g = request.getfixturevalue(geom_name)
+        axis_a = Axis.from_half_width(7, 150e-6, center=20e-6)
+        axis_b = Axis.from_half_width(9, 400e-6, center=-60e-6)
+        quad = QuadratureSpec.auto(g, source, slits, axis_a, axis_b)
+        grid = gamma_quadrature(g, source, slits, axis_a, axis_b, quad)
+
+        # direct evaluation: the (rho_o, rho_s) double sum of the integrand,
+        # one full exponential per node pair and detector pixel pair
+        w = g.omega0_over_c
+        rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
+        rho_o, w_o, _ = object_quadrature(slits, quad.n_object)
+        weight = np.outer(slits.transmission(rho_o) * w_o, source.intensity(rho_s) * w_s)
+        chirp = 0.5 * w * (1.0 / g.z_b - 1.0 / g.z_a) * rho_s**2
+        direct = np.empty((axis_a.n, axis_b.n))
+        for i, ra in enumerate(axis_a.coordinates):
+            for j, rb in enumerate(axis_b.coordinates):
+                coupling = (w / g.z_b) * (
+                    np.outer(rho_o - (g.z_b / g.z_a) * ra, rho_s) + (rho_o * rb / g.M)[:, None]
+                )
+                direct[i, j] = np.abs(np.sum(weight * np.exp(1j * (chirp[None, :] - coupling)))) ** 2
+        direct *= intensity_prefactor_a(g) * intensity_prefactor_b(g)
+        # dark-fringe entries sit near zero, so they are held to the peak
+        np.testing.assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-12 * direct.max())
 
     def test_nonnegative_and_finite_for_random_configs(self):
         rng = np.random.default_rng(7)
@@ -323,6 +349,19 @@ class TestPhasePolicy:
             or outer_exp.search(text)
         }
         assert owners == {"phase.py"}
+
+    def test_one_arm_b_model(self):
+        # correlator.object_transfer builds every arm-b phase matrix and
+        # correlator.arm_b_prefactor holds the arm-b prefactor formula
+        package = Path(cpi_sim.__file__).parent
+        assert "phase_matrix" not in (package / "montecarlo.py").read_text(encoding="utf-8")
+        prefactor = re.compile(r"fresnel_prefactor\([^()]*S_i\)")
+        hits = [
+            path.name
+            for path in package.glob("*.py")
+            for _ in prefactor.finditer(path.read_text(encoding="utf-8"))
+        ]
+        assert hits == ["correlator.py"]
 
 
 def _with_wavenumber(geom, w):

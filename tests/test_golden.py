@@ -16,6 +16,13 @@ from cpi_sim import DEMOS, parse_config, run_experiment
 GOLDEN = Path(__file__).parent / "golden"
 MONTECARLO = json.loads((GOLDEN / "montecarlo.json").read_text(encoding="utf-8"))
 REFOCUS = json.loads((GOLDEN / "refocus.json").read_text(encoding="utf-8"))
+DEFOCUSED = json.loads((GOLDEN / "gaussian_defocused.json").read_text(encoding="utf-8"))
+
+
+def _with_overrides(text: str, overrides: dict) -> str:
+    """``text`` with each overridden key's line replaced by its new value."""
+    lines = [l for l in text.splitlines() if l.partition("=")[0].strip() not in overrides]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n"
 
 
 @pytest.mark.parametrize("n_batches", sorted(MONTECARLO["runs"], key=int))
@@ -33,3 +40,13 @@ def test_refocus_demo_scalars(tmp_path):
     assert set(manifest.results) == set(REFOCUS["results"])
     for key, expected in REFOCUS["results"].items():
         assert manifest.results[key] == pytest.approx(expected, rel=REFOCUS["rtol"], abs=0.0), key
+
+
+def test_defocused_gaussian_analytic_scalars(tmp_path):
+    # the montecarlo demo's Gaussian source at alpha = 0.9: the quadrature
+    # carries the defocus chirp, and the closed-form PSF widths are pinned
+    text = _with_overrides(DEMOS["montecarlo"], DEFOCUSED["overrides"])
+    manifest = run_experiment(parse_config(text), out_dir=tmp_path, threads=1)
+    assert set(manifest.results) == set(DEFOCUSED["results"])
+    for key, expected in DEFOCUSED["results"].items():
+        assert manifest.results[key] == pytest.approx(expected, rel=DEFOCUSED["rtol"], abs=0.0), key
