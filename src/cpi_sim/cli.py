@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .config import DEMOS, parse_config
 from .errors import (
@@ -60,8 +61,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str):
+    """Parse a config file; a relative ``object.file`` is taken relative to
+    the config file's directory, and the config (so the manifest) records
+    the joined path that is read."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        config = parse_config(fh.read())
+    mask_file = config.get("object.file")
+    if mask_file is not None and not os.path.isabs(mask_file):
+        mask_file = os.path.join(os.path.dirname(path), mask_file)
+        config = replace(
+            config,
+            values=tuple(
+                (k, mask_file if k == "object.file" else v) for k, v in config.values
+            ),
+        )
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,7 +12,8 @@ one stem: ``<stem>.csv`` holds the values, ``<stem>.pgm`` a picture.
 
 File formats, and nothing else:
   *.csv  RFC 4180 with '.' decimals, LF line endings, one header row,
-         axis metadata in leading '#' comment lines
+         axis metadata in leading '#' comment lines; every number is its
+         shortest round-trip ``repr``, so it parses back to the same float
   *.pgm  binary P5, 16-bit big-endian, min-max scaled per image
          (the scale is recorded in the manifest so values are recoverable)
   *.json UTF-8, keys sorted
@@ -25,6 +26,7 @@ import json
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -73,21 +75,39 @@ def _axis_comment(name: str, axis: Axis) -> str:
 
 
 def _csv(comments: list[str], header: str, rows: Iterable[str]) -> bytes:
-    """The one CSV layout: version line, comments, header, rows, LF-terminated."""
-    lines = [f"# cpi-sim {__version__}", *comments, header, *rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """The one CSV layout: version line, comments, header, rows, LF-terminated.
+
+    A row may be a block of several LF-joined lines.
+    """
+    lines = [f"# cpi-sim {__version__}", *comments, header, *rows, ""]
+    return "\n".join(lines).encode("utf-8")
 
 
 def _image_csv(image: SampledImage) -> bytes:
     return _csv(
         [f"# label: {image.label}", _axis_comment("axis", image.axis)],
         "rho_m,value",
-        (f"{_num(x)},{_num(v)}" for x, v in zip(image.axis.coordinates, image.values)),
+        map(
+            ",".join,
+            zip(
+                map(repr, image.axis.coordinates.tolist()),
+                map(repr, image.values.tolist()),
+            ),
+        ),
     )
 
 
 def _grid_csv(grid: CorrelationGrid) -> bytes:
-    valid = grid.validity
+    """One LF-joined block of n_b lines per rho_a; a masked sample keeps an
+    empty value field. Only one row of values is a Python list at a time."""
+    b_fields = [repr(b) + "," for b in grid.axis_b.coordinates.tolist()]
+    blocks = []
+    for i, a in enumerate(grid.axis_a.coordinates.tolist()):
+        fields = map(repr, grid.values[i].tolist())
+        if grid.valid is not None and not grid.valid[i].all():
+            fields = (f if ok else "" for f, ok in zip(fields, grid.valid[i].tolist()))
+        a_field = repr(a) + ","
+        blocks.append("\n".join(map("".join, zip(repeat(a_field), b_fields, fields))))
     return _csv(
         [
             _axis_comment("axis_a", grid.axis_a),
@@ -95,11 +115,7 @@ def _grid_csv(grid: CorrelationGrid) -> bytes:
             f"# z_a={_num(grid.z_a)} z_b={_num(grid.z_b)} M={_num(grid.M)}",
         ],
         "rho_a_m,rho_b_m,value",
-        (
-            f"{_num(a)},{_num(b)},{_num(grid.values[i, j]) if valid[i, j] else ''}"
-            for i, a in enumerate(grid.axis_a.coordinates)
-            for j, b in enumerate(grid.axis_b.coordinates)
-        ),
+        blocks,
     )
 
 

@@ -401,6 +401,21 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_relative_object_file_is_read_next_to_the_config(self, tmp_path, monkeypatch):
+        cfg_dir = tmp_path / "cfgdir"
+        cfg_dir.mkdir()
+        text = _sampled_config(cfg_dir, "refocus", extra="object.feature_size = 60e-6\n")
+        path = cfg_dir / "s.cfg"
+        path.write_text(text.replace(str(cfg_dir / "mask.csv"), "mask.csv"))
+        assert "object.file = mask.csv\n" in path.read_text()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli_main(["validate", str(path)]) == 0
+        assert cli_main(["run", str(path), "--out", "out"]) == 0
+        manifest = json.loads((elsewhere / "out" / "manifest.json").read_text())
+        assert manifest["config"]["object.file"] == str(cfg_dir / "mask.csv")
+
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.cfg")]) == 4
 
