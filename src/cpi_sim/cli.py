@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import DEMOS, parse_config
 from .errors import (
@@ -68,13 +67,7 @@ def _load_config(path: str):
         config = parse_config(fh.read())
     mask_file = config.get("object.file")
     if mask_file is not None and not os.path.isabs(mask_file):
-        mask_file = os.path.join(os.path.dirname(path), mask_file)
-        config = replace(
-            config,
-            values=tuple(
-                (k, mask_file if k == "object.file" else v) for k, v in config.values
-            ),
-        )
+        config = config.updated({"object.file": os.path.join(os.path.dirname(path), mask_file)})
     return config
 
 
@@ -87,8 +80,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "validate":
             config = _load_config(args.config)
-            if config.mode != "budget" or config.get("geometry.z_a") is not None:
-                config.resolve()
+            config.resolve()
             sys.stdout.write(f"OK: {args.config} ({config.mode} mode)\n")
             return EXIT_OK
 

@@ -7,9 +7,12 @@ default. Syntax problems raise ParseError with a line number; semantic
 problems are collected across the whole file and raised together as one
 ValidationError with field-addressed messages.
 
-Defaults for absent keys are the ``_DEFAULTS`` table below. Keys with no
-default are resolved from the physics when absent: ``grids.span_a`` and
-``grids.span_b`` from the object support and the source image, and
+Each key's type, default and range rule live in one table, ``_KEYS``
+below; a range rule applies to every value present, in every mode, and
+``ExperimentConfig.updated`` re-checks a changed config the same way.
+Keys with no default are resolved from the physics when absent:
+``grids.span_a`` and ``grids.span_b`` from the object support and the
+source image, and
 ``grids.n_source``, ``grids.n_object`` and ``grids.source_span`` by
 ``QuadratureSpec.auto`` from the phase-rate table of ``cpi_sim.phase``.
 ``ExperimentConfig.resolve()`` does all of this once per run.
@@ -30,55 +33,49 @@ from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile, make_geometr
 
 MODES = ("analytic", "montecarlo", "geometric", "refocus", "budget")
 
-# Every key the format accepts, with its value type. Which keys are
-# required depends on the run mode and is resolved in _validate().
-_SCHEMA: dict[str, type] = {
-    "geometry.z_a": float,
-    "geometry.z_b": float,
-    "geometry.S_o": float,
-    "geometry.S_i": float,
-    "geometry.F": float,
-    "geometry.lambda0": float,
-    "source.kind": str,
-    "source.sigma": float,
-    "source.width": float,
-    "object.kind": str,
-    "object.slit_width": float,
-    "object.separation": float,
-    "object.file": str,
-    "object.feature_size": float,
-    "grids.n_a": int,
-    "grids.n_b": int,
-    "grids.span_a": float,
-    "grids.span_b": float,
-    "grids.center_a": float,
-    "grids.center_b": float,
-    "grids.n_source": int,
-    "grids.n_object": int,
-    "grids.source_span": float,
-    "grids.guard_factor": float,
-    "run.mode": str,
-    "run.seed": int,
-    "run.n_realizations": int,
-    "run.n_batches": int,
-    "run.threads": int,
-    "run.out_dir": str,
-    "budget.n_tot": int,
-    "budget.delta": float,
-}
+# A range rule is (test, message); it applies to every value present, in
+# every mode, and its message may show the value with "{}".
+_POSITIVE = (lambda v: v > 0, "must be positive, got {}")
+_NODES = (lambda v: v == 0 or v >= 16, "need at least 16 nodes (or 0 for auto)")
+_SAMPLES = (lambda v: v >= 2, "need at least 2 samples")
 
-_DEFAULTS: dict[str, Any] = {
-    "grids.n_a": 64,
-    "grids.n_b": 64,
-    "grids.center_a": 0.0,
-    "grids.center_b": 0.0,
-    "grids.guard_factor": 4.0,
-    "run.seed": 0,
-    "run.n_realizations": 1000,
-    "run.n_batches": 20,
-    "run.threads": 1,
-    "run.out_dir": "out",
-    "budget.delta": 10e-6,
+# Every key the format accepts: (type, default, range rule). A default of
+# None means absent unless given; which keys are required depends on the
+# run mode and is resolved in _validate().
+_KEYS: dict[str, tuple[type, Any, tuple | None]] = {
+    "geometry.z_a": (float, None, _POSITIVE),
+    "geometry.z_b": (float, None, _POSITIVE),
+    "geometry.S_o": (float, None, _POSITIVE),
+    "geometry.S_i": (float, None, _POSITIVE),
+    "geometry.F": (float, None, _POSITIVE),
+    "geometry.lambda0": (float, None, _POSITIVE),
+    "source.kind": (str, None, None),
+    "source.sigma": (float, None, _POSITIVE),
+    "source.width": (float, None, _POSITIVE),
+    "object.kind": (str, None, None),
+    "object.slit_width": (float, None, _POSITIVE),
+    "object.separation": (float, None, _POSITIVE),
+    "object.file": (str, None, None),
+    "object.feature_size": (float, None, _POSITIVE),
+    "grids.n_a": (int, 64, _SAMPLES),
+    "grids.n_b": (int, 64, _SAMPLES),
+    "grids.span_a": (float, None, _POSITIVE),
+    "grids.span_b": (float, None, _POSITIVE),
+    "grids.center_a": (float, 0.0, None),
+    "grids.center_b": (float, 0.0, None),
+    "grids.n_source": (int, None, _NODES),
+    "grids.n_object": (int, None, _NODES),
+    "grids.source_span": (float, None, _POSITIVE),
+    # below 1, auto-sized steps exceed the pi/2 limit their own guard enforces
+    "grids.guard_factor": (float, 4.0, (lambda v: v >= 1.0, "must be >= 1, got {}")),
+    "run.mode": (str, None, None),
+    "run.seed": (int, 0, (lambda v: v >= 0, "must be nonnegative")),
+    "run.n_realizations": (int, 1000, _POSITIVE),
+    "run.n_batches": (int, 20, _POSITIVE),
+    "run.threads": (int, 1, _POSITIVE),
+    "run.out_dir": (str, "out", None),
+    "budget.n_tot": (int, None, (lambda v: v >= 2, "must be >= 2")),
+    "budget.delta": (float, 10e-6, _POSITIVE),
 }
 
 
@@ -97,6 +94,13 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict[str, Any]:
         return dict(self.values)
+
+    def updated(self, changes: dict[str, Any]) -> ExperimentConfig:
+        """This config with ``changes`` applied, skipping ``None`` values,
+        checked again with every rule ``parse_config`` applies."""
+        values = self.to_dict()
+        values.update((k, v) for k, v in changes.items() if v is not None)
+        return _checked(values, [])
 
     def serialize(self) -> str:
         """Canonical text form; parse_config(serialize()) round-trips."""
@@ -151,14 +155,17 @@ class ExperimentConfig:
         """The quadrature spec of ``resolve()``."""
         return self.resolve().quad
 
-    def resolve(self) -> Experiment:
-        """Build every input of one run, each exactly once.
+    def resolve(self) -> Experiment | None:
+        """Build every input of one run, each exactly once; ``None`` for a
+        budget config without physics blocks.
 
         Absent detector spans come from the mask support (``rho_a``) and the
         source image (``rho_b``); absent quadrature counts and span from
         ``QuadratureSpec.auto`` on those axes. A Gaussian ``grids.source_span``
         below 5 sigma raises ValidationError (``QuadratureSpec.validate_for``).
         """
+        if self.mode == "budget" and not _has_physics(k for k, _ in self.values):
+            return None
         geom = self.build_geometry()
         source = self.build_source()
         mask = self.build_mask()
@@ -205,7 +212,7 @@ class Experiment:
 
 
 def _parse_value(key: str, raw: str, problems: list[str]) -> Any:
-    typ = _SCHEMA[key]
+    typ = _KEYS[key][0]
     raw = raw.strip()
     if typ is str:
         if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
@@ -242,22 +249,29 @@ def parse_config(text: str) -> ExperimentConfig:
     problems: list[str] = []
     values: dict[str, Any] = {}
     for key, value in raw.items():
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             problems.append(f"{key}: unknown key")
             continue
         parsed = _parse_value(key, value, problems)
         if parsed is not None:
             values[key] = parsed
+    return _checked(values, problems)
 
-    for key, default in _DEFAULTS.items():
-        values.setdefault(key, default)
 
+def _checked(values: dict[str, Any], problems: list[str]) -> ExperimentConfig:
+    """Fill defaults, validate, and raise every problem found as one error."""
+    for key, (_, default, _) in _KEYS.items():
+        if default is not None:
+            values.setdefault(key, default)
     _validate(values, problems)
     if problems:
         raise ValidationError(problems)
+    return ExperimentConfig(mode=values["run.mode"], values=tuple(sorted(values.items())))
 
-    ordered = tuple(sorted(values.items()))
-    return ExperimentConfig(mode=values["run.mode"], values=ordered)
+
+def _has_physics(keys) -> bool:
+    """Physics blocks are optional in budget mode; any key of them begins them."""
+    return any(k.startswith(("geometry.", "source.", "object.")) for k in keys)
 
 
 def _require(values: dict, key: str, problems: list[str]) -> bool:
@@ -267,35 +281,12 @@ def _require(values: dict, key: str, problems: list[str]) -> bool:
     return True
 
 
-def _positive(values: dict, key: str, problems: list[str]) -> None:
-    if key in values and not values[key] > 0:
-        problems.append(f"{key}: must be positive, got {values[key]}")
-
-
-def _validate_threads_seed(values: dict, problems: list[str]) -> None:
-    _positive(values, "run.threads", problems)
-    if values.get("run.seed", 0) < 0:
-        problems.append("run.seed: must be nonnegative")
-
-
-def validate_overrides(threads: int | None, seed: int | None) -> None:
-    """Check run.threads / run.seed overrides with the config file's rules.
-
-    Raises ValidationError with the same field-addressed messages a config
-    file carrying those values would get.
-    """
-    values = {
-        key: value
-        for key, value in (("run.threads", threads), ("run.seed", seed))
-        if value is not None
-    }
-    problems: list[str] = []
-    _validate_threads_seed(values, problems)
-    if problems:
-        raise ValidationError(problems)
-
-
 def _validate(values: dict[str, Any], problems: list[str]) -> None:
+    """Every key's range rule, then the rules that involve more than one key."""
+    for key, (_, _, rule) in _KEYS.items():
+        if rule is not None and key in values and not rule[0](values[key]):
+            problems.append(f"{key}: {rule[1].format(values[key])}")
+
     if not _require(values, "run.mode", problems):
         return
     mode = values["run.mode"]
@@ -303,9 +294,6 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
         problems.append(f"run.mode: must be one of {'|'.join(MODES)}, got {mode!r}")
         return
 
-    for key in ("run.n_realizations", "run.n_batches", "budget.delta"):
-        _positive(values, key, problems)
-    _validate_threads_seed(values, problems)
     if mode == "montecarlo":  # the thresholds SpeckleRun and estimate_gamma enforce
         n_real, n_batches = values["run.n_realizations"], values["run.n_batches"]
         if n_real < MIN_REALIZATIONS:
@@ -317,32 +305,25 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
             )
 
     if mode == "budget":
-        if _require(values, "budget.n_tot", problems) and values["budget.n_tot"] < 2:
-            problems.append("budget.n_tot: must be >= 2")
-        # Physics blocks are optional in budget mode; validate them only if begun.
-        if not any(k.startswith(("geometry.", "source.", "object.")) for k in values):
+        _require(values, "budget.n_tot", problems)
+        if not _has_physics(values):
             return
 
     for key in ("geometry.z_a", "geometry.z_b", "geometry.S_o", "geometry.lambda0"):
-        if _require(values, key, problems):
-            _positive(values, key, problems)
+        _require(values, key, problems)
     has_si, has_f = "geometry.S_i" in values, "geometry.F" in values
     if has_si == has_f:
         problems.append(
             "geometry.S_i/geometry.F: give exactly one (the other is solved "
             "from the thin-lens equation)"
         )
-    _positive(values, "geometry.S_i", problems)
-    _positive(values, "geometry.F", problems)
 
     if _require(values, "source.kind", problems):
         kind = values["source.kind"]
         if kind == "gaussian":
-            if _require(values, "source.sigma", problems):
-                _positive(values, "source.sigma", problems)
+            _require(values, "source.sigma", problems)
         elif kind == "tophat":
-            if _require(values, "source.width", problems):
-                _positive(values, "source.width", problems)
+            _require(values, "source.width", problems)
         else:
             problems.append(f"source.kind: must be gaussian|tophat, got {kind!r}")
 
@@ -350,11 +331,9 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
         kind = values["object.kind"]
         if kind == "double_slit":
             for key in ("object.slit_width", "object.separation"):
-                if _require(values, key, problems):
-                    _positive(values, key, problems)
+                _require(values, key, problems)
         elif kind == "single_slit":
-            if _require(values, "object.slit_width", problems):
-                _positive(values, "object.slit_width", problems)
+            _require(values, "object.slit_width", problems)
         elif kind == "sampled":
             _require(values, "object.file", problems)
             if mode == "budget":  # resolution_limits needs the detail size d
@@ -363,19 +342,6 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
             problems.append(
                 f"object.kind: must be double_slit|single_slit|sampled, got {kind!r}"
             )
-
-    for key in ("grids.n_a", "grids.n_b"):
-        if values.get(key, 2) < 2:
-            problems.append(f"{key}: need at least 2 samples")
-    for key in ("object.feature_size", "grids.span_a", "grids.span_b", "grids.source_span"):
-        _positive(values, key, problems)
-    # below 1, auto-sized steps exceed the pi/2 limit their own guard enforces
-    guard_factor = values["grids.guard_factor"]
-    if guard_factor < 1.0:
-        problems.append(f"grids.guard_factor: must be >= 1, got {guard_factor}")
-    for key in ("grids.n_source", "grids.n_object"):
-        if key in values and values[key] != 0 and values[key] < 16:
-            problems.append(f"{key}: need at least 16 nodes (or 0 for auto)")
 
 
 # -- bundled demo configs ----------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .budget import SensorBudget, plenoptic_hyperbola, resolution_limits, tradeoff_curve
-from .config import ExperimentConfig, validate_overrides
+from .config import Experiment, ExperimentConfig
 from .correlator import gamma_geometric, gamma_quadrature, psf_widths
 from .metrics import slit_contrast, two_sided_peaks
 from .montecarlo import SpeckleRun, default_sampling, estimate_gamma
@@ -217,28 +217,23 @@ def run_experiment(
     """Execute one configured experiment and emit its files and manifest.
 
     ``out_dir``, ``threads`` and ``seed`` override the config when given;
-    invalid ``threads``/``seed`` overrides raise ValidationError before any
-    file is written. The output directory is created with the first file,
-    so a run stopped by a numerical error leaves none.
+    the overridden config is checked with the config file's rules and
+    resolved before any file is written. The output directory is created
+    with the first file, so a run stopped by a numerical error leaves none.
     """
-    validate_overrides(threads=threads, seed=seed)
-    threads = threads if threads is not None else config.get("run.threads")
-    seed = seed if seed is not None else config.get("run.seed")
-
+    config = config.updated({"run.threads": threads, "run.seed": seed})
     manifest = RunManifest(mode=config.mode, config=config.to_dict())
-    manifest.config["run.threads"] = threads
-    manifest.config["run.seed"] = seed
     emit = _Emitter(Path(out_dir if out_dir is not None else config.get("run.out_dir")))
     clock = time.perf_counter
 
     t0 = clock()
+    exp = config.resolve()
+    manifest.stage_seconds["setup"] = clock() - t0
     if config.mode == "budget":
-        _run_budget(config, emit, manifest)
+        _run_budget(config, exp, emit, manifest)
     else:
-        exp = config.resolve()
         geom, source, mask = exp.geom, exp.source, exp.mask
         axis_a, axis_b = exp.axis_a, exp.axis_b
-        manifest.stage_seconds["setup"] = clock() - t0
 
         if config.mode == "geometric":
             t = clock()
@@ -254,7 +249,7 @@ def run_experiment(
             t = clock()
             axis_s, n_object = default_sampling(geom, source, mask, axis_a, axis_b)
             run = SpeckleRun(
-                seed=seed,
+                seed=config.get("run.seed"),
                 n_realizations=config.get("run.n_realizations"),
                 axis_s=axis_s,
                 axis_a=axis_a,
@@ -263,7 +258,7 @@ def run_experiment(
                 n_batches=config.get("run.n_batches"),
             )
             grid, report = estimate_gamma(
-                run, geom, source, mask, reference, threads=threads
+                run, geom, source, mask, reference, threads=config.get("run.threads")
             )
             manifest.stage_seconds["estimate_gamma"] = clock() - t
             emit.pair("gamma_mc", grid)
@@ -309,7 +304,9 @@ def run_experiment(
     return manifest
 
 
-def _run_budget(config: ExperimentConfig, emit: _Emitter, manifest: RunManifest) -> None:
+def _run_budget(
+    config: ExperimentConfig, exp: Experiment | None, emit: _Emitter, manifest: RunManifest
+) -> None:
     n_tot = config.get("budget.n_tot")
     delta = config.get("budget.delta")
     curves = {
@@ -337,9 +334,7 @@ def _run_budget(config: ExperimentConfig, emit: _Emitter, manifest: RunManifest)
     manifest.results["n_pairs_plenoptic"] = len(curves["plenoptic"].pairs)
     manifest.results["n_pairs_cpi"] = len(curves["cpi"].pairs)
 
-    if config.get("geometry.z_a") is not None:
-        delta_a, delta_b = resolution_limits(
-            config.build_geometry(), config.build_source(), config.build_mask()
-        )
+    if exp is not None:
+        delta_a, delta_b = resolution_limits(exp.geom, exp.source, exp.mask)
         manifest.results["delta_rho_a_m"] = delta_a
         manifest.results["delta_rho_b_m"] = delta_b

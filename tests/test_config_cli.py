@@ -95,6 +95,43 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="run.mode"):
             parse_config(MINIMAL.replace("run.mode = analytic", "run.mode = magic"))
 
+    @pytest.mark.parametrize("demo", ["refocus", "budget"])
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("geometry.z_a", "-0.1"),
+            ("geometry.z_b", "0"),
+            ("geometry.S_o", "-0.2"),
+            ("geometry.S_i", "-0.1"),
+            ("geometry.F", "0"),
+            ("geometry.lambda0", "-5e-7"),
+            ("source.sigma", "-1e-3"),  # beside the refocus demo's top hat
+            ("source.width", "0"),
+            ("object.slit_width", "-1e-6"),
+            ("object.separation", "0"),
+            ("object.feature_size", "-1e-6"),
+            ("grids.n_a", "1"),
+            ("grids.n_b", "0"),
+            ("grids.span_a", "-1e-3"),
+            ("grids.span_b", "0"),
+            ("grids.n_source", "15"),
+            ("grids.n_object", "-16"),
+            ("grids.source_span", "0"),
+            ("grids.guard_factor", "0.5"),
+            ("run.seed", "-1"),
+            ("run.n_realizations", "0"),
+            ("run.n_batches", "-2"),
+            ("run.threads", "0"),
+            ("budget.n_tot", "1"),  # in the refocus demo's analytic mode
+            ("budget.delta", "-1e-6"),
+        ],
+    )
+    def test_range_rules_hold_in_every_mode(self, demo, key, bad):
+        kept = [l for l in DEMOS[demo].splitlines() if not l.startswith(f"{key} =")]
+        with pytest.raises(ValidationError) as err:
+            parse_config("\n".join(kept) + f"\n{key} = {bad}\n")
+        assert any(p.startswith(f"{key}:") for p in err.value.problems)
+
     def test_demo_configs_parse(self):
         for name, text in DEMOS.items():
             cfg = parse_config(text)
@@ -113,6 +150,20 @@ class TestRunExperiment:
         assert all(x + u == 50 for x, u in cpi)
         assert (tmp_path / "budget_continuous.csv").exists()
         assert manifest.results["n_pairs_cpi"] == 49
+
+    def test_override_fails_like_the_file_value_and_writes_nothing(self, tmp_path):
+        with pytest.raises(ValidationError) as from_file:
+            parse_config(DEMOS["budget"] + "run.threads = 0\n")
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as from_override:
+            run_experiment(parse_config(DEMOS["budget"]), out_dir=out, threads=0)
+        assert str(from_override.value) == str(from_file.value)
+        assert not out.exists()
+
+    def test_overrides_reach_the_manifest(self, tmp_path):
+        run_experiment(parse_config(DEMOS["budget"]), out_dir=tmp_path, seed=5, threads=2)
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert (config["run.seed"], config["run.threads"]) == (5, 2)
 
     def test_montecarlo_mode_is_seed_deterministic(self, tmp_path):
         text = DEMOS["montecarlo"].replace(
@@ -503,9 +554,19 @@ class TestCli:
                 ),
                 "budget.delta",
             ),
+            (
+                DEMOS["budget"]
+                + "".join(
+                    l + "\n" for l in MINIMAL.splitlines()
+                    if l.startswith(("geometry.", "source.", "object."))
+                )
+                + "grids.source_span = 1e-4\n",  # 0.2 sigma of a Gaussian source
+                "grids.source_span",
+            ),
         ],
         ids=["guard_factor_below_one", "infinite_guard_factor", "infinite_center",
-             "nan_center", "gaussian_source_span_below_5_sigma", "budget_delta_with_physics"],
+             "nan_center", "gaussian_source_span_below_5_sigma", "budget_delta_with_physics",
+             "budget_source_span_below_5_sigma"],
     )
     def test_values_the_run_would_reject_fail_validation(self, tmp_path, capsys, text, field):
         path = tmp_path / "bad.cfg"
