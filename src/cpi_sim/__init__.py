@@ -19,6 +19,7 @@ from .config import DEMOS, ExperimentConfig, parse_config
 from .correlator import (
     PsfEval,
     QuadratureSpec,
+    arm_kernels,
     coherent_psf,
     gamma_geometric,
     gamma_quadrature,
@@ -41,7 +42,6 @@ from .errors import (
 from .montecarlo import (
     ConvergenceReport,
     SpeckleRun,
-    arm_kernels,
     default_sampling,
     estimate_gamma,
     sample_source_field,

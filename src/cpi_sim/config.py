@@ -98,9 +98,14 @@ class ExperimentConfig:
     def updated(self, changes: dict[str, Any]) -> ExperimentConfig:
         """This config with ``changes`` applied, skipping ``None`` values,
         checked again with every rule ``parse_config`` applies."""
-        values = self.to_dict()
-        values.update((k, v) for k, v in changes.items() if v is not None)
-        return _checked(values, [])
+        values, problems = self.to_dict(), []
+        for key, value in changes.items():
+            typ = _KEYS[key][0]
+            if isinstance(value, bool) or not isinstance(value, typ | None):
+                problems.append(f"{key}: expected a {typ.__name__}, got {value!r}")
+            elif value is not None:
+                values[key] = value
+        return _checked(values, problems)
 
     def serialize(self) -> str:
         """Canonical text form; parse_config(serialize()) round-trips."""
@@ -136,11 +141,11 @@ class ExperimentConfig:
         elif kind == "single_slit":
             mask = ObjectMask.single_slit(self.get("object.slit_width"))
         else:
-            data = np.loadtxt(self.get("object.file"), delimiter=",", comments="#")
+            data = np.loadtxt(self.get("object.file"), delimiter=",", comments="#", ndmin=2)
+            if min(data.shape) < 2:
+                raise ValidationError(f"object.file: need 2+ rows of 2+ columns, got {data.shape}")
             values = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
-            mask = ObjectMask.from_samples(
-                data[:, 0], values, feature_size=self.get("object.feature_size")
-            )
+            mask = ObjectMask.from_samples(data[:, 0], values)
         fs = self.get("object.feature_size")
         if fs is not None and fs != mask.feature_size:
             mask = replace(mask, feature_size=fs)

@@ -9,6 +9,7 @@ nodes actually integrated): if the integrand phase can advance by more than
 pi/2 between adjacent nodes, the evaluation refuses to run instead of
 silently returning an aliased surface.
 
+Every propagator is built here: ``arm_kernels`` and ``object_transfer``.
 Also provided: the detector intensities (flat in arm a, object-Fourier
 modulated in arm b), the geometric-optics limit of Gamma, and the closed
 Gaussian-source point-spread functions before and after angular
@@ -34,6 +35,8 @@ from .optics import (
     object_quadrature,
     source_quadrature,
 )
+
+_PHASE_BLOCK = 8e6  # entry bound of one source block in object_transfer
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,59 @@ def object_transfer(geom: SetupGeometry, rho_o, amp_o, rho_s, rho_b) -> np.ndarr
     T = sum_o amp_o exp(-i c1 rho_o (rho_s + rho_b / M)), amp_o = A(rho_o) w_o:
     one matmul of a rho_s and a rho_b phase matrix, shape (n_s, n_b). Gamma,
     intensity_b and the arm-b kernel all use it; each caller guards first.
+    The rho_s matrix is built in source blocks of <= ``_PHASE_BLOCK`` entries.
     """
     c1 = geom.omega0_over_c / geom.z_b
     W_b = amp_o[:, None] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b)
-    return phase.phase_matrix(c1, rho_o, rho_s).T @ W_b
+    t = np.empty((rho_s.size, rho_b.size), dtype=complex)
+    chunk = max(1, int(_PHASE_BLOCK // max(rho_o.size, 1)))
+    for lo in range(0, rho_s.size, chunk):
+        sl = slice(lo, lo + chunk)
+        np.matmul(phase.phase_matrix(c1, rho_o, rho_s[sl]).T, W_b, out=t[sl])
+    return t
+
+
+def arm_kernels(
+    geom: SetupGeometry,
+    mask: ObjectMask,
+    axis_s: Axis,
+    axis_a: Axis,
+    axis_b: Axis,
+    n_object: int = 256,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete propagation kernels from source cells to both detectors.
+
+    Returns (K_a, K_b) with shapes (n_a, n_s) and (n_b, n_s); the source
+    cell width is folded into the kernels, so E = K @ field.
+
+    Arm a is the free Fresnel kernel h_a exp(i c_a (rho_a - rho_s)^2 / 2), c_a = w / z_a,
+    built as h_a exp(i c_a rho_a^2 / 2) exp(-i c_a rho_a rho_s) exp(i c_a rho_s^2 / 2).
+    Arm b is the prefactor h_b (``arm_b_prefactor``) times the source chirp
+    exp(i w rho_s^2 / (2 z_b)) times the object transfer T[s, b] of
+    ``object_transfer``.
+    """
+    w = geom.omega0_over_c
+    rho_s = axis_s.coordinates
+    rho_a = axis_a.coordinates
+    rho_b = axis_b.coordinates
+    rho_o, w_o, step_o = object_quadrature(mask, n_object)
+
+    # Each cell must act as a point emitter for both detectors, and every
+    # oscillatory kernel factor must be sampled below the phase limit.
+    r = phase.rates(geom, rho_s, rho_o, rho_a, rho_b)
+    phase.check_step("source cell (unresolved-cell rule)", axis_s.step, r.cell)
+    phase.check_step("arm-a kernel source cell", axis_s.step, r.arm_a)
+    phase.check_step("arm-b kernel source cell", axis_s.step, r.arm_b)
+    phase.check_step(f"arm-b object quadrature (n_object = {n_object})", step_o, r.object)
+
+    c_a = w / geom.z_a
+    k_a = phase.phase_matrix(c_a, rho_a, rho_s)
+    k_a *= (fresnel_prefactor(w, geom.z_a) * gaussian_phase(rho_a, c_a))[:, None]
+    k_a *= gaussian_phase(rho_s, c_a) * axis_s.step
+
+    t = object_transfer(geom, rho_o, mask.transmission(rho_o) * w_o, rho_s, rho_b)
+    t *= (arm_b_prefactor(geom) * gaussian_phase(rho_s, w / geom.z_b) * axis_s.step)[:, None]
+    return k_a, t.T
 
 
 def intensity_a(geom: SetupGeometry, axis_a: Axis) -> SampledImage:
@@ -192,22 +244,13 @@ def gamma_quadrature(
     c_a = w / geom.z_a
     chirp_beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
 
-    # B[a, b] = sum_s V[s, a] T[s, b], accumulated over source chunks to
-    # bound the n_o x n_s working set of the object transfer; T comes
-    # first, so that phase matrix is freed before V is built
-    src_line = source.intensity(rho_s) * w_s * gaussian_phase(rho_s, chirp_beta)
-    amp = mask.transmission(rho_o) * w_o
-    B = np.zeros((rho_a.size, rho_b.size), dtype=complex)
-    chunk = max(1, int(8e6 // max(rho_o.size, 1)))
-    for lo in range(0, rho_s.size, chunk):
-        sl = slice(lo, min(lo + chunk, rho_s.size))
-        t = object_transfer(geom, rho_o, amp, rho_s[sl], rho_b)
-        V = phase.phase_matrix(-c_a, rho_s[sl], rho_a)
-        V *= src_line[sl, None]
-        B += V.T @ t
+    # T comes first, so its object phase matrix is freed before V is built
+    t = object_transfer(geom, rho_o, mask.transmission(rho_o) * w_o, rho_s, rho_b)
+    V = phase.phase_matrix(-c_a, rho_s, rho_a)
+    V *= (source.intensity(rho_s) * w_s * gaussian_phase(rho_s, chirp_beta))[:, None]
 
     scale = intensity_prefactor_a(geom) * intensity_prefactor_b(geom)
-    values = scale * np.abs(B) ** 2
+    values = scale * np.abs(V.T @ t) ** 2
     return CorrelationGrid(
         axis_a=axis_a, axis_b=axis_b, values=values, z_a=geom.z_a, z_b=geom.z_b, M=geom.M
     )

@@ -12,7 +12,7 @@ Cells are sampled in position space and propagated with the two arm
 kernels directly; summing position-basis kernels against independent cell
 amplitudes is equivalent to the plane-wave decomposition (the transverse
 momentum integral collapses onto one source point per cell) and avoids a
-redundant Fourier layer.
+redundant Fourier layer. The kernels are ``correlator.arm_kernels``.
 
 Randomness is counter-based: realization r draws its phases from a Philox
 stream keyed by (seed, r), so cell i of realization r is a pure function of
@@ -27,19 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase
-from .correlator import arm_b_prefactor, object_transfer
+from .correlator import arm_kernels
 from .errors import DegenerateStatistics
 from .metrics import normalized_l1, normalized_linf, peak_normalize
-from .optics import (
-    Axis,
-    CorrelationGrid,
-    ObjectMask,
-    SetupGeometry,
-    SourceProfile,
-    fresnel_prefactor,
-    gaussian_phase,
-    object_quadrature,
-)
+from .optics import Axis, CorrelationGrid, ObjectMask, SetupGeometry, SourceProfile
 
 _REALIZATION_CHUNK = 256  # realizations per matmul block
 MIN_BATCHES = 2  # the spread of batch means is the error bar
@@ -165,46 +156,6 @@ def default_sampling(
     support = sum(hi - lo for lo, hi in mask.support_intervals())
     n_object = max(16, int(np.ceil(support / step_o)) + 1)
     return axis_s, n_object
-
-
-def arm_kernels(
-    geom: SetupGeometry,
-    mask: ObjectMask,
-    axis_s: Axis,
-    axis_a: Axis,
-    axis_b: Axis,
-    n_object: int = 256,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete propagation kernels from source cells to both detectors.
-
-    Returns (K_a, K_b) with shapes (n_a, n_s) and (n_b, n_s); the source
-    cell width is folded into the kernels, so E = K @ field.
-
-    Arm a is the free Fresnel kernel h * exp(i w (rho_a - rho_s)^2 / (2 z_a)).
-    Arm b is the prefactor h_b (``correlator.arm_b_prefactor``) times the
-    source chirp exp(i w rho_s^2 / (2 z_b)) times the object transfer
-    T[s, b] of ``correlator.object_transfer``.
-    """
-    w = geom.omega0_over_c
-    rho_s = axis_s.coordinates
-    rho_a = axis_a.coordinates
-    rho_b = axis_b.coordinates
-    rho_o, w_o, step_o = object_quadrature(mask, n_object)
-
-    # Each cell must act as a point emitter for both detectors, and every
-    # oscillatory kernel factor must be sampled below the phase limit.
-    r = phase.rates(geom, rho_s, rho_o, rho_a, rho_b)
-    phase.check_step("source cell (unresolved-cell rule)", axis_s.step, r.cell)
-    phase.check_step("arm-a kernel source cell", axis_s.step, r.arm_a)
-    phase.check_step("arm-b kernel source cell", axis_s.step, r.arm_b)
-    phase.check_step(f"arm-b object quadrature (n_object = {n_object})", step_o, r.object)
-
-    h_a = fresnel_prefactor(w, geom.z_a)
-    k_a = h_a * gaussian_phase(rho_a[:, None] - rho_s[None, :], w / geom.z_a) * axis_s.step
-
-    t = object_transfer(geom, rho_o, mask.transmission(rho_o) * w_o, rho_s, rho_b)
-    t *= (arm_b_prefactor(geom) * gaussian_phase(rho_s, w / geom.z_b) * axis_s.step)[:, None]
-    return k_a, t.T
 
 
 def _batch_covariance(

@@ -160,6 +160,22 @@ class TestRunExperiment:
         assert str(from_override.value) == str(from_file.value)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"threads": 2.5}, "run.threads: expected a int, got 2.5"),
+            ({"seed": True}, "run.seed: expected a int, got True"),
+            ({"seed": "3"}, "run.seed: expected a int, got '3'"),
+        ],
+        ids=["float_threads", "bool_seed", "str_seed"],
+    )
+    def test_mistyped_override_fails_and_writes_nothing(self, tmp_path, override, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError) as exc:
+            run_experiment(parse_config(DEMOS["budget"]), out_dir=out, **override)
+        assert str(exc.value) == message
+        assert not out.exists()
+
     def test_overrides_reach_the_manifest(self, tmp_path):
         run_experiment(parse_config(DEMOS["budget"]), out_dir=tmp_path, seed=5, threads=2)
         config = json.loads((tmp_path / "manifest.json").read_text())["config"]
@@ -466,6 +482,26 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", "out"]) == 0
         manifest = json.loads((elsewhere / "out" / "manifest.json").read_text())
         assert manifest["config"]["object.file"] == str(cfg_dir / "mask.csv")
+
+    @pytest.mark.parametrize(
+        "rows", ["-1e-3\n0\n1e-3\n", "0,1\n"], ids=["one_column", "one_row"]
+    )
+    def test_sampled_mask_file_needs_two_rows_and_two_columns(self, tmp_path, capsys, rows):
+        (tmp_path / "mask.csv").write_text(rows)
+        path = tmp_path / "sampled.cfg"
+        path.write_text(
+            DEMOS["refocus"].replace(
+                "object.kind = double_slit\nobject.slit_width = 200e-6\n"
+                "object.separation = 600e-6\n",
+                "object.kind = sampled\nobject.file = mask.csv\n",
+            )
+        )
+        out = tmp_path / "out"
+        assert cli_main(["validate", str(path)]) == 2
+        assert "config error: object.file:" in capsys.readouterr().err
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert "config error: object.file:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.cfg")]) == 4

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cpi_sim
+from cpi_sim import correlator
 from cpi_sim import (
     Axis,
     ObjectMask,
@@ -363,6 +364,24 @@ class TestPhasePolicy:
         ]
         assert hits == ["correlator.py"]
 
+    def test_one_propagator_module(self):
+        # correlator.py builds both arm propagators; the Monte Carlo only
+        # samples cells and reduces statistics, and no kernel is a per-entry
+        # exponential of a 2D coordinate difference
+        package = Path(cpi_sim.__file__).parent
+        montecarlo = (package / "montecarlo.py").read_text(encoding="utf-8")
+        optics = (
+            "phase_matrix", "fresnel_prefactor", "gaussian_phase", "object_transfer",
+            "object_quadrature", "arm_b_prefactor",
+        )
+        assert [name for name in optics if re.search(rf"\b{name}\b", montecarlo)] == []
+        difference_kernel = re.compile(r"gaussian_phase\([^)]*None\]")
+        assert not [
+            path.name
+            for path in package.glob("*.py")
+            if difference_kernel.search(path.read_text(encoding="utf-8"))
+        ]
+
 
 def _with_wavenumber(geom, w):
     return make_geometry(
@@ -468,3 +487,72 @@ class TestGuardsAtTheirRates:
             ("arm_kernels", "arm-b object quadrature (n_object = 32)"),
         }
         assert min(binding.values()) >= 10, binding
+
+
+class TestObjectTransferBlocks:
+    """object_transfer in several source blocks equals its one-block result."""
+
+    @staticmethod
+    def _blocked(monkeypatch, geom, n_o, n_s, call):
+        # at least three full blocks of the rho_s phase matrix, then a ragged one
+        chunk = (n_s - 1) // 3
+        c1 = geom.omega0_over_c / geom.z_b
+        sizes = []
+        build = phase.phase_matrix
+
+        def spy(c, x, y):
+            if c == c1 and len(x) == n_o:
+                sizes.append(len(y))
+            return build(c, x, y)
+
+        with monkeypatch.context() as m:
+            m.setattr(correlator, "_PHASE_BLOCK", chunk * n_o)
+            m.setattr(phase, "phase_matrix", spy)
+            out = call()
+        assert len(sizes) >= 4 and sum(sizes) == n_s
+        assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] < chunk
+        return out
+
+    @staticmethod
+    def _assert_close(actual, desired):
+        peak = np.abs(desired).max()
+        np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * peak)
+
+    @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
+    def test_gamma_and_intensity_b(self, request, monkeypatch, geom_name, source, slits):
+        g = request.getfixturevalue(geom_name)
+        axis_a = Axis.from_half_width(12, 200e-6, center=30e-6)
+        axis_b = Axis.from_half_width(10, 500e-6, center=-60e-6)
+        quad = QuadratureSpec.auto(g, source, slits, axis_a, axis_b)
+        n_o = object_quadrature(slits, quad.n_object)[0].size
+        gamma = gamma_quadrature(g, source, slits, axis_a, axis_b, quad)
+        self._assert_close(
+            self._blocked(
+                monkeypatch, g, n_o, quad.n_source,
+                lambda: gamma_quadrature(g, source, slits, axis_a, axis_b, quad),
+            ).values,
+            gamma.values,
+        )
+        i_b = intensity_b(g, source, slits, axis_b, quad)
+        self._assert_close(
+            self._blocked(
+                monkeypatch, g, n_o, quad.n_source,
+                lambda: intensity_b(g, source, slits, axis_b, quad),
+            ).values,
+            i_b.values,
+        )
+
+    @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
+    def test_arm_kernels(self, request, monkeypatch, geom_name, source, slits):
+        g = request.getfixturevalue(geom_name)
+        axis_a = Axis.from_half_width(12, 150e-6, center=30e-6)
+        axis_b = Axis.from_half_width(10, 400e-6, center=-60e-6)
+        axis_s, n_object = default_sampling(g, source, slits, axis_a, axis_b)
+        n_o = object_quadrature(slits, n_object)[0].size
+        k_a, k_b = arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object)
+        blocked_a, blocked_b = self._blocked(
+            monkeypatch, g, n_o, axis_s.n,
+            lambda: arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object),
+        )
+        self._assert_close(blocked_a, k_a)
+        self._assert_close(blocked_b, k_b)

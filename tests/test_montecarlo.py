@@ -120,6 +120,21 @@ class TestPropagateArms:
 
 class TestArmKernels:
     @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
+    def test_arm_a_matches_closed_form_fresnel_kernel(self, request, geom_name, source, slits):
+        g = request.getfixturevalue(geom_name)
+        axis_a = Axis.from_half_width(8, 150e-6, center=40e-6)
+        axis_b = Axis.from_half_width(9, 400e-6, center=-90e-6)
+        axis_s, n_object = default_sampling(g, source, slits, axis_a, axis_b)
+        k_a, _ = arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object)
+
+        # direct evaluation: h_a exp(i w (rho_a - rho_s)^2 / (2 z_a)) per entry
+        w = g.omega0_over_c
+        d = axis_a.coordinates[:, None] - axis_s.coordinates[None, :]
+        direct = fresnel_prefactor(w, g.z_a) * np.exp(0.5j * (w / g.z_a) * d**2) * axis_s.step
+        peak = np.abs(direct).max()
+        np.testing.assert_allclose(k_a, direct, rtol=1e-12, atol=1e-12 * peak)
+
+    @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
     def test_arm_b_matches_per_pixel_object_integral(self, request, geom_name, source, slits):
         g = request.getfixturevalue(geom_name)
         axis_a = Axis.from_half_width(8, 150e-6)
