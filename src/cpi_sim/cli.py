@@ -7,8 +7,8 @@
 Output directory precedence: --out flag, then the CPI_SIM_OUT environment
 variable, then run.out_dir from the config.
 
-Exit codes: 0 success, 2 config error, 3 numerical error (under-resolved
-grids, empty refocus overlap, degenerate statistics), 4 I/O error.
+Exit codes, by error type alone: 0 success, 2 a failed config rule, 3 a failed
+computation (UnderResolved, ..., any ValueError or ArithmeticError), 4 I/O.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-_CONFIG_ERRORS = (ParseError, ValidationError, InvalidGeometry, ValueError)
-_NUMERICAL_ERRORS = (UnderResolved, EmptyOverlap, DegenerateStatistics, OutOfRange)
+_CONFIG_ERRORS = (ParseError, ValidationError, InvalidGeometry)
+_NUMERICAL_ERRORS = (
+    UnderResolved, EmptyOverlap, DegenerateStatistics, OutOfRange, ValueError, ArithmeticError
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,8 @@ comments, and nothing else. Unknown keys are hard errors: a typo in a
 numerical experiment must fail loudly, not silently fall back to a
 default. Syntax problems raise ParseError with a line number; semantic
 problems are collected across the whole file and raised together as one
-ValidationError with field-addressed messages.
+ValidationError with field-addressed messages. ``resolve()`` names the key
+of a rule checked where its value is built (mask file, 5 sigma span) too.
 
 Each key's type, default and range rule live in one table, ``_KEYS``
 below; a range rule applies to every value present, in every mode, and
@@ -141,11 +142,14 @@ class ExperimentConfig:
         elif kind == "single_slit":
             mask = ObjectMask.single_slit(self.get("object.slit_width"))
         else:
-            data = np.loadtxt(self.get("object.file"), delimiter=",", comments="#", ndmin=2)
-            if min(data.shape) < 2:
-                raise ValidationError(f"object.file: need 2+ rows of 2+ columns, got {data.shape}")
-            values = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
-            mask = ObjectMask.from_samples(data[:, 0], values)
+            try:
+                data = np.loadtxt(self.get("object.file"), delimiter=",", comments="#", ndmin=2)
+                if min(data.shape) < 2:
+                    raise ValueError(f"need 2+ rows of 2+ columns, got {data.shape}")
+                values = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
+                mask = ObjectMask.from_samples(data[:, 0], values)
+            except ValueError as exc:
+                raise ValidationError(f"object.file: {exc}") from None
         fs = self.get("object.feature_size")
         if fs is not None and fs != mask.feature_size:
             mask = replace(mask, feature_size=fs)
@@ -167,7 +171,7 @@ class ExperimentConfig:
         Absent detector spans come from the mask support (``rho_a``) and the
         source image (``rho_b``); absent quadrature counts and span from
         ``QuadratureSpec.auto`` on those axes. A Gaussian ``grids.source_span``
-        below 5 sigma raises ValidationError (``QuadratureSpec.validate_for``).
+        below 5 sigma raises ValidationError, from the sizer's source interval.
         """
         if self.mode == "budget" and not _has_physics(k for k, _ in self.values):
             return None
@@ -187,20 +191,19 @@ class ExperimentConfig:
             self.get("grids.n_b"), span_b, self.get("grids.center_b")
         )
         source_span = self.get("grids.source_span")
-        auto = QuadratureSpec.auto(
-            geom, source, mask, axis_a, axis_b,
-            guard_factor=self.get("grids.guard_factor"),
-            source_span=source_span,
-        )
+        try:
+            auto = QuadratureSpec.auto(
+                geom, source, mask, axis_a, axis_b,
+                guard_factor=self.get("grids.guard_factor"),
+                source_span=source_span,
+            )
+        except ValueError as exc:
+            raise ValidationError(f"grids.source_span: {exc}") from None
         quad = QuadratureSpec(
             n_source=self.get("grids.n_source") or auto.n_source,
             n_object=self.get("grids.n_object") or auto.n_object,
             source_span=source_span or auto.source_span,
         )
-        try:
-            quad.validate_for(source)
-        except ValueError as exc:
-            raise ValidationError(f"grids.source_span: {exc}") from None
         return Experiment(geom, source, mask, axis_a, axis_b, quad)
 
 
@@ -337,6 +340,8 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
         if kind == "double_slit":
             for key in ("object.slit_width", "object.separation"):
                 _require(values, key, problems)
+            if 0 < values.get("object.separation", 0) <= values.get("object.slit_width", 0):
+                problems.append("object.separation: must exceed object.slit_width")
         elif kind == "single_slit":
             _require(values, "object.slit_width", problems)
         elif kind == "sampled":

@@ -44,9 +44,9 @@ class QuadratureSpec:
     """Node counts and source span for the (rho_o, rho_s) product rule.
 
     ``source_span`` is a half-width in metres. For Gaussian sources it must
-    reach at least 5 sigma (truncated tail mass < 1e-5); top hats are always
-    integrated over exactly their support, and object nodes always cover
-    exactly ``mask.support_intervals()``.
+    reach at least 5 sigma, checked by ``SourceProfile.quadrature_interval``;
+    top hats are always integrated over exactly their support, and object
+    nodes always cover exactly ``mask.support_intervals()``.
     """
 
     n_source: int
@@ -58,13 +58,6 @@ class QuadratureSpec:
             raise ValueError("quadrature needs at least 16 nodes per axis")
         if not (self.source_span > 0.0):
             raise ValueError("quadrature source_span must be positive")
-
-    def validate_for(self, source: SourceProfile) -> None:
-        if source.kind == "gaussian" and self.source_span < 5.0 * source.sigma:
-            raise ValueError(
-                f"source_span {self.source_span:.3e} < 5 sigma "
-                f"({5 * source.sigma:.3e}); Gaussian tail would be truncated"
-            )
 
     @classmethod
     def auto(
@@ -196,7 +189,6 @@ def intensity_b(
 
     I_b(rho_b) = K_b * int drho_s F(rho_s) |A~[(w/z_b)(rho_s + rho_b/M)]|^2.
     """
-    quad.validate_for(source)
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
     rho_o, w_o, step_o = object_quadrature(mask, quad.n_object)
     rho_b = axis_b.coordinates
@@ -230,7 +222,6 @@ def gamma_quadrature(
     Gamma = K_a K_b |V^T T|^2 with V[s, a] = F w_s chirp exp(+i (w/z_a) rho_s rho_a):
     dense matmuls, each output point an independent fixed-order reduction.
     """
-    quad.validate_for(source)
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
     rho_o, w_o, step_o = object_quadrature(mask, quad.n_object)

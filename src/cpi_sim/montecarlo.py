@@ -238,11 +238,8 @@ def estimate_gamma(
             source, run.axis_s, k_a, k_b, run.seed, span[0], span[1]
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, spans))
-    else:
-        results = [job(s) for s in spans]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(job, spans))
 
     covs = np.stack([r[0] for r in results])
     mean_a = np.stack([r[1] for r in results]).mean(axis=0)

@@ -206,12 +206,18 @@ class SourceProfile:
         """Integration interval capturing the profile.
 
         Gaussian tails are truncated at ``half_width`` (default 5*sigma,
-        which leaves < 1e-5 of the mass outside); a top hat is integrated
-        over exactly its support so the integrand stays smooth.
+        which leaves < 1e-5 of the mass outside, and the floor every span
+        is checked against here); a top hat is integrated over exactly its
+        support so the integrand stays smooth, and ignores ``half_width``.
         """
         if self.kind == "tophat":
             return (-self.width / 2.0, self.width / 2.0)
         hw = 5.0 * self.sigma if half_width is None else half_width
+        if hw < 5.0 * self.sigma:
+            raise ValueError(
+                f"source_span {hw:.3e} < 5 sigma ({5 * self.sigma:.3e}); "
+                "Gaussian tail would be truncated"
+            )
         return (-hw, hw)
 
 
@@ -245,9 +251,9 @@ class ObjectMask:
             v = np.asarray(self.sample_values, dtype=complex)
             if c.ndim != 1 or c.size < 2 or v.shape != c.shape:
                 raise ValueError("sampled mask needs matching 1D coords and values")
-            if np.any(np.diff(c) <= 0.0):
-                raise ValueError("sampled mask coords must be strictly increasing")
-            if np.any(np.abs(v) > 1.0 + 1e-12):
+            if not (np.all(np.isfinite(c)) and np.all(np.diff(c) > 0.0)):
+                raise ValueError("sampled mask coords must be finite and strictly increasing")
+            if not np.all(np.abs(v) <= 1.0 + 1e-12):  # a nan fails this too
                 raise ValueError("sampled mask |A| must not exceed 1")
             object.__setattr__(self, "sample_coords", c)
             object.__setattr__(self, "sample_values", v)
@@ -309,9 +315,7 @@ class ObjectMask:
         c, v = self.sample_coords, self.sample_values
         re = np.interp(rho_o, c, v.real, left=0.0, right=0.0)
         im = np.interp(rho_o, c, v.imag, left=0.0, right=0.0)
-        out = re + 1j * im
-        outside = (rho_o < c[0]) | (rho_o > c[-1])
-        return np.where(outside, 0.0 + 0.0j, out)
+        return re + 1j * im
 
 
 def _trapezoid_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -187,24 +187,23 @@ class _Emitter:
 
 
 def _image_metrics(config: ExperimentConfig, image: SampledImage) -> dict:
-    """Two-sided peak positions of an image (not for a single slit, whose
-    one lobe has no peak on either side), plus slit visibility for double
-    slits. A metric the image axis cannot measure (no samples on one side,
-    or none beyond a quarter of the slit separation) is left out."""
+    """Two-sided peak positions and slit visibility of a double-slit image;
+    nothing for any other mask, whose lobes need not sit one on each side.
+    A metric the image axis cannot measure (no samples on one side, or none
+    beyond a quarter of the slit separation) is left out."""
+    if config.get("object.kind") != "double_slit":
+        return {}
     out: dict = {}
     x = image.axis.coordinates
-    kind = config.get("object.kind")
-    if kind != "single_slit":
-        try:
-            out["peak_neg_m"], out["peak_pos_m"] = two_sided_peaks(x, image.values)
-        except ValueError:
-            pass
-    if kind == "double_slit":
-        sep = config.get("object.separation")
-        try:
-            out["contrast"] = slit_contrast(x, image.values, min_offset=sep / 4.0)
-        except ValueError:
-            pass
+    try:
+        out["peak_neg_m"], out["peak_pos_m"] = two_sided_peaks(x, image.values)
+    except ValueError:
+        pass
+    sep = config.get("object.separation")
+    try:
+        out["contrast"] = slit_contrast(x, image.values, min_offset=sep / 4.0)
+    except ValueError:
+        pass
     return out
 
 

@@ -286,6 +286,13 @@ class TestRunExperiment:
         double = run_experiment(parse_config(DEMOS["refocus"]), out_dir=tmp_path / "double")
         assert {"ghost_peak_neg_m", "refocused_peak_pos_m"} <= set(double.results)
 
+    def test_sampled_mask_reports_no_two_sided_peaks(self, tmp_path):
+        manifest = run_experiment(
+            parse_config(_sampled_config(tmp_path) + "grids.n_a = 24\ngrids.n_b = 12\n"),
+            out_dir=tmp_path / "out",
+        )
+        assert not any("peak" in key for key in manifest.results)
+
     def test_axis_too_narrow_for_contrast_still_writes_manifest(self, tmp_path):
         # no rho_a sample reaches separation/4 = 37.5 um, so neither image can
         # measure slit contrast; the run still finishes and says so by omission
@@ -484,7 +491,17 @@ class TestCli:
         assert manifest["config"]["object.file"] == str(cfg_dir / "mask.csv")
 
     @pytest.mark.parametrize(
-        "rows", ["-1e-3\n0\n1e-3\n", "0,1\n"], ids=["one_column", "one_row"]
+        "rows",
+        [
+            "-1e-3\n0\n1e-3\n",
+            "0,1\n",
+            "-1e-3,0\n1e-3,1\n0,0\n",
+            "-1e-3,0\n0,2\n1e-3,0\n",
+            "-1e-3,0\n0,one\n1e-3,0\n",
+            "-1e-3,0\n0,nan\n1e-3,0\n",
+        ],
+        ids=["one_column", "one_row", "non_increasing_coords", "modulus_above_one",
+             "non_numeric_field", "nan_field"],
     )
     def test_sampled_mask_file_needs_two_rows_and_two_columns(self, tmp_path, capsys, rows):
         (tmp_path / "mask.csv").write_text(rows)
@@ -501,6 +518,28 @@ class TestCli:
         assert "config error: object.file:" in capsys.readouterr().err
         assert cli_main(["run", str(path), "--out", str(out)]) == 2
         assert "config error: object.file:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "span_a",
+        [None, "1e308", "1e307"],
+        ids=["value_error_after_resolve", "overflowing_span_a", "overflowing_phase_rate"],
+    )
+    def test_failed_computation_is_a_numerical_error(self, tmp_path, capsys, monkeypatch, span_a):
+        text = DEMOS["refocus"]
+        if span_a is None:
+            def ghost_image(*args, **kwargs):
+                raise ValueError("arithmetic failed")
+
+            monkeypatch.setattr(cpi_sim.runner, "ghost_image", ghost_image)
+        else:  # passes every range rule, but at 1e308 the axis step overflows to
+            # inf, and at 1e307 the phase rate does, so the sizer divides by zero
+            text = text.replace("grids.span_a = 1.75e-3", f"grids.span_a = {span_a}")
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 3
+        assert "numerical error:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_file_exit_code(self, tmp_path):
@@ -599,10 +638,14 @@ class TestCli:
                 + "grids.source_span = 1e-4\n",  # 0.2 sigma of a Gaussian source
                 "grids.source_span",
             ),
+            (
+                DEMOS["refocus"].replace("object.separation = 600e-6", "object.separation = 200e-6"),
+                "object.separation",
+            ),
         ],
         ids=["guard_factor_below_one", "infinite_guard_factor", "infinite_center",
              "nan_center", "gaussian_source_span_below_5_sigma", "budget_delta_with_physics",
-             "budget_source_span_below_5_sigma"],
+             "budget_source_span_below_5_sigma", "separation_equal_to_slit_width"],
     )
     def test_values_the_run_would_reject_fail_validation(self, tmp_path, capsys, text, field):
         path = tmp_path / "bad.cfg"

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from cpi_sim import (
 from cpi_sim.correlator import intensity_prefactor_a, intensity_prefactor_b
 from cpi_sim.metrics import normalized_l2, normalized_linf, two_sided_peaks
 from cpi_sim.optics import object_quadrature, source_quadrature
-from conftest import SEPARATION, smooth_two_lobe_mask
+from conftest import SEPARATION, SIGMA, smooth_two_lobe_mask
 
 
 class TestIntensityA:
@@ -228,6 +229,39 @@ class TestGammaQuadrature:
         quad = QuadratureSpec(n_source=512, n_object=128, source_span=1e-3)
         with pytest.raises(ValueError, match="5 sigma"):
             gamma_quadrature(geom_focused, source, slits, axis_a, axis_b, quad)
+
+
+# Every consumer of a source span, called as (geom, source, quad, mask, axis_a, axis_b).
+_SPAN_CONSUMERS = {
+    "source_quadrature": lambda g, src, quad, mask, a, b: source_quadrature(
+        src, quad.n_source, quad.source_span
+    ),
+    "auto": lambda g, src, quad, mask, a, b: QuadratureSpec.auto(
+        g, src, mask, a, b, source_span=quad.source_span
+    ),
+    "declared_rates": lambda g, src, quad, mask, a, b: phase.declared_rates(
+        g, src, mask, a, b, quad.source_span
+    ),
+    "gamma_quadrature": lambda g, src, quad, mask, a, b: gamma_quadrature(
+        g, src, mask, a, b, quad
+    ),
+    "intensity_b": lambda g, src, quad, mask, a, b: intensity_b(g, src, mask, b, quad),
+}
+
+
+class TestSourceSpanRule:
+    @pytest.mark.parametrize("consumer", list(_SPAN_CONSUMERS))
+    def test_gaussian_span_below_5_sigma_fails_at_every_consumer(
+        self, consumer, geom_focused, source, slits, axis_a, axis_b
+    ):
+        call = _SPAN_CONSUMERS[consumer]
+        quad = QuadratureSpec(n_source=512, n_object=128, source_span=2 * SIGMA)
+        with pytest.raises(ValueError, match="5 sigma"):
+            call(geom_focused, source, quad, slits, axis_a, axis_b)
+        # a top hat is integrated over its own support and ignores the span
+        tophat = SourceProfile.tophat(4 * SIGMA)
+        sized = QuadratureSpec.auto(geom_focused, tophat, slits, axis_a, axis_b)
+        call(geom_focused, tophat, replace(sized, source_span=2 * SIGMA), slits, axis_a, axis_b)
 
 
 class TestGammaGeometric:
