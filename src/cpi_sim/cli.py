@@ -7,8 +7,9 @@
 Output directory precedence: --out flag, then the CPI_SIM_OUT environment
 variable, then run.out_dir from the config.
 
-Exit codes, by error type alone: 0 success, 2 a failed config rule, 3 a failed
-computation (UnderResolved, ..., any ValueError or ArithmeticError), 4 I/O.
+Exit codes, by error type alone: 0 success, 2 a failed config rule (any
+ConfigError), 3 a failed computation (any ComputationError, ValueError or
+ArithmeticError), 4 I/O.
 """
 
 from __future__ import annotations
@@ -18,26 +19,13 @@ import os
 import sys
 
 from .config import DEMOS, parse_config
-from .errors import (
-    DegenerateStatistics,
-    EmptyOverlap,
-    InvalidGeometry,
-    OutOfRange,
-    ParseError,
-    UnderResolved,
-    ValidationError,
-)
+from .errors import ComputationError, ConfigError, ParseError
 from .runner import run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_CONFIG_ERRORS = (ParseError, ValidationError, InvalidGeometry)
-_NUMERICAL_ERRORS = (
-    UnderResolved, EmptyOverlap, DegenerateStatistics, OutOfRange, ValueError, ArithmeticError
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +54,11 @@ def _load_config(path: str):
     the config file's directory, and the config (so the manifest) records
     the joined path that is read."""
     with open(path, "r", encoding="utf-8") as fh:
-        config = parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"config is not UTF-8 text: {exc}") from None
+    config = parse_config(text)
     mask_file = config.get("object.file")
     if mask_file is not None and not os.path.isabs(mask_file):
         config = config.updated({"object.file": os.path.join(os.path.dirname(path), mask_file)})
@@ -97,12 +89,12 @@ def main(argv: list[str] | None = None) -> int:
         )
         return EXIT_OK
 
-    except _NUMERICAL_ERRORS as exc:
-        sys.stderr.write(f"numerical error: {exc}\n")
-        return EXIT_NUMERICAL
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
+    except (ComputationError, ValueError, ArithmeticError) as exc:
+        sys.stderr.write(f"numerical error: {exc}\n")
+        return EXIT_NUMERICAL
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .correlator import QuadratureSpec
+from .correlator import MIN_NODES, QuadratureSpec
 from .errors import ParseError, ValidationError
 from .montecarlo import MIN_BATCHES, MIN_REALIZATIONS
 from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile, make_geometry
@@ -37,7 +37,7 @@ MODES = ("analytic", "montecarlo", "geometric", "refocus", "budget")
 # A range rule is (test, message); it applies to every value present, in
 # every mode, and its message may show the value with "{}".
 _POSITIVE = (lambda v: v > 0, "must be positive, got {}")
-_NODES = (lambda v: v == 0 or v >= 16, "need at least 16 nodes (or 0 for auto)")
+_NODES = (lambda v: v >= MIN_NODES, f"need at least {MIN_NODES} nodes")
 _SAMPLES = (lambda v: v >= 2, "need at least 2 samples")
 
 # Every key the format accepts: (type, default, range rule). A default of
@@ -200,8 +200,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValidationError(f"grids.source_span: {exc}") from None
         quad = QuadratureSpec(
-            n_source=self.get("grids.n_source") or auto.n_source,
-            n_object=self.get("grids.n_object") or auto.n_object,
+            n_source=self.get("grids.n_source", auto.n_source),
+            n_object=self.get("grids.n_object", auto.n_object),
             source_span=source_span or auto.source_span,
         )
         return Experiment(geom, source, mask, axis_a, axis_b, quad)

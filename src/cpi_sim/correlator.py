@@ -37,6 +37,7 @@ from .optics import (
 )
 
 _PHASE_BLOCK = 8e6  # entry bound of one source block in object_transfer
+MIN_NODES = 16  # floor on every quadrature and source-cell node count
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,8 @@ class QuadratureSpec:
     source_span: float
 
     def __post_init__(self):
-        if self.n_source < 16 or self.n_object < 16:
-            raise ValueError("quadrature needs at least 16 nodes per axis")
+        if min(self.n_source, self.n_object) < MIN_NODES:
+            raise ValueError(f"quadrature needs at least {MIN_NODES} nodes per axis")
         if not (self.source_span > 0.0):
             raise ValueError("quadrature source_span must be positive")
 
@@ -82,10 +83,10 @@ class QuadratureSpec:
         r = phase.declared_rates(geom, source, mask, axis_a, axis_b, source_span)
         step_s = phase.step_limit(r.gamma_s, guard_factor)
         step_o = phase.step_limit(r.object, guard_factor)
-        n_source = max(16, int(np.ceil(2.0 * source_span / step_s)) + 1)
+        n_source = max(MIN_NODES, int(np.ceil(2.0 * source_span / step_s)) + 1)
         intervals = mask.support_intervals()
         support = sum(hi - lo for lo, hi in intervals)
-        n_object = max(16, int(np.ceil(support / step_o)) + len(intervals) + 1)
+        n_object = max(MIN_NODES, int(np.ceil(support / step_o)) + len(intervals) + 1)
         return cls(n_source=n_source, n_object=n_object, source_span=source_span)
 
 

@@ -1,15 +1,24 @@
-"""Exception classes shared by every simulator module."""
+"""Exception classes shared by every simulator module. Each concrete class
+derives from ConfigError (CLI exit 2) or ComputationError (CLI exit 3)."""
 
 
 class CpiSimError(Exception):
     """Base class for all simulator errors."""
 
 
-class InvalidGeometry(CpiSimError):
+class ConfigError(CpiSimError):
+    """A rule on the config failed: its text, a value, or the geometry."""
+
+
+class ComputationError(CpiSimError):
+    """A computation on a valid config failed."""
+
+
+class InvalidGeometry(ConfigError):
     """Geometry parameters are unphysical (non-positive lengths, no real image...)."""
 
 
-class UnderResolved(CpiSimError):
+class UnderResolved(ComputationError):
     """A quadrature or kernel grid is too coarse to sample its phase safely.
 
     Raised whenever the phase of an oscillatory integrand would advance by
@@ -17,26 +26,26 @@ class UnderResolved(CpiSimError):
     """
 
 
-class EmptyOverlap(CpiSimError):
+class EmptyOverlap(ComputationError):
     """The refocusing remap leaves too little of the requested grid inside
     the acquired coordinate range."""
 
 
-class OutOfRange(CpiSimError):
+class OutOfRange(ComputationError):
     """A requested coordinate lies outside the sampled axis."""
 
 
-class MissingFeatureScale(CpiSimError):
+class MissingFeatureScale(ComputationError):
     """A resolution formula needs a feature scale (object detail size or
     source diameter) that was never declared."""
 
 
-class DegenerateStatistics(CpiSimError):
+class DegenerateStatistics(ComputationError):
     """A Monte Carlo estimate collapsed (e.g. a mean detected intensity of
     exactly zero), so the covariance estimator is meaningless."""
 
 
-class ParseError(CpiSimError):
+class ParseError(ConfigError):
     """Config text is syntactically malformed; carries a line number."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -46,7 +55,7 @@ class ParseError(CpiSimError):
         super().__init__(message)
 
 
-class ValidationError(CpiSimError):
+class ValidationError(ConfigError):
     """Config parsed but is semantically invalid; aggregates field-addressed
     diagnostics."""
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase
-from .correlator import arm_kernels
+from .correlator import MIN_NODES, arm_kernels
 from .errors import DegenerateStatistics
 from .metrics import normalized_l1, normalized_linf, peak_normalize
 from .optics import Axis, CorrelationGrid, ObjectMask, SetupGeometry, SourceProfile
@@ -149,12 +149,12 @@ def default_sampling(
     step = _CELL_MARGIN * min(
         phase.step_limit(r.cell), phase.step_limit(r.arm_a), phase.step_limit(r.arm_b)
     )
-    n_cells = max(16, int(np.ceil(2.0 * s_max / step)) + 1)
+    n_cells = max(MIN_NODES, int(np.ceil(2.0 * s_max / step)) + 1)
     axis_s = Axis.from_half_width(n_cells, s_max)
 
     step_o = phase.step_limit(r.object, guard_factor=2.0)
     support = sum(hi - lo for lo, hi in mask.support_intervals())
-    n_object = max(16, int(np.ceil(support / step_o)) + 1)
+    n_object = max(MIN_NODES, int(np.ceil(support / step_o)) + 1)
     return axis_s, n_object
 
 

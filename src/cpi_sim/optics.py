@@ -116,9 +116,8 @@ def make_geometry(
     """
     if (S_i is None) == (F is None):
         raise InvalidGeometry("give exactly one of S_i or F")
-    for name, v in (("z_a", z_a), ("z_b", z_b), ("S_o", S_o), ("lambda0", lambda0)):
-        if not np.isfinite(v) or v <= 0.0:
-            raise InvalidGeometry(f"{name} must be a positive length, got {v}")
+    if not np.isfinite(S_o) or S_o <= 0.0:
+        raise InvalidGeometry(f"S_o must be a positive length, got {S_o}")
     if F is not None:
         if not np.isfinite(F) or F <= 0.0:
             raise InvalidGeometry(f"F must be a positive length, got {F}")
@@ -273,19 +272,12 @@ class ObjectMask:
     @classmethod
     def from_samples(cls, coords, values, feature_size: float | None = None) -> "ObjectMask":
         return cls(
-            kind="sampled",
-            sample_coords=np.asarray(coords, dtype=float),
-            sample_values=np.asarray(values, dtype=complex),
-            feature_size=feature_size,
+            kind="sampled", sample_coords=coords, sample_values=values, feature_size=feature_size
         )
 
     @property
     def support_half_width(self) -> float:
-        if self.kind == "double_slit":
-            return (self.separation + self.slit_width) / 2.0
-        if self.kind == "single_slit":
-            return self.slit_width / 2.0
-        return float(np.max(np.abs(self.sample_coords)))
+        return max(max(-lo, hi) for lo, hi in self.support_intervals())
 
     def support_intervals(self) -> list[tuple[float, float]]:
         """Disjoint intervals outside which A vanishes identically.
@@ -318,12 +310,16 @@ class ObjectMask:
         return re + 1j * im
 
 
-def _trapezoid_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes = np.linspace(lo, hi, n)
-    w = np.full(n, (hi - lo) / (n - 1))
+def trapezoid_weights(n: int, step: float) -> np.ndarray:
+    """Composite trapezoid weights of n evenly spaced nodes ``step`` apart."""
+    w = np.full(n, step)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return nodes, w
+    return w
+
+
+def _trapezoid_rule(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.linspace(lo, hi, n), trapezoid_weights(n, (hi - lo) / (n - 1))
 
 
 def object_quadrature(

@@ -56,13 +56,14 @@ def rates(geom: SetupGeometry, s, o, a, b) -> PhaseRates:
     """The rate table for the coordinates rho_s, rho_o, rho_a and rho_b.
 
     Each argument is a node array or a bare extent; only its largest
-    |value| enters.
+    |value| enters. Raises OverflowError, naming them, if any rate is not
+    finite.
     """
     s, o, a, b = (float(np.max(np.abs(x))) for x in (s, o, a, b))
     w = geom.omega0_over_c
     c1 = w / geom.z_b
     chirp = w * abs(1.0 / geom.z_b - 1.0 / geom.z_a) * s
-    return PhaseRates(
+    r = PhaseRates(
         gamma_s=chirp + c1 * (o + (geom.z_b / geom.z_a) * a),
         object=c1 * (s + b / geom.M),
         intensity_b_s=c1 * o,
@@ -70,6 +71,13 @@ def rates(geom: SetupGeometry, s, o, a, b) -> PhaseRates:
         arm_b=c1 * (s + o),
         cell=(w / min(geom.z_a, geom.z_b)) * max(a, b / geom.M),
     )
+    bad = [name for name, rate in vars(r).items() if not np.isfinite(rate)]
+    if bad:
+        raise OverflowError(
+            f"phase rate {', '.join(bad)} overflows at max |rho_s|, |rho_o|, |rho_a|, "
+            f"|rho_b| = {s:.3e}, {o:.3e}, {a:.3e}, {b:.3e} m"
+        )
+    return r
 
 
 def declared_rates(

@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import EmptyOverlap, OutOfRange
-from .optics import Axis, CorrelationGrid, SampledImage
+from .optics import Axis, CorrelationGrid, SampledImage, trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,7 @@ class RefocusSpec:
 def _integrate_over_b(grid: CorrelationGrid) -> np.ndarray:
     """Trapezoidal rho_b integration at each rho_a, renormalized by the
     valid weight fraction so masked columns do not dim their row."""
-    w = np.full(grid.axis_b.n, grid.axis_b.step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = trapezoid_weights(grid.axis_b.n, grid.axis_b.step)
     valid = grid.validity
     weighted = (grid.values * valid) @ w
     fraction = (valid @ w) / w.sum()

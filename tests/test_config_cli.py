@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import cpi_sim.cli
+import cpi_sim.errors
 import cpi_sim.refocus
 import cpi_sim.runner
 from cpi_sim import (
@@ -23,6 +25,8 @@ from cpi_sim import (
 from cpi_sim.cli import main as cli_main
 from cpi_sim.metrics import normalized_linf
 from cpi_sim.runner import write_image_csv, write_json
+
+BASE_EXIT = {cpi_sim.errors.ConfigError: 2, cpi_sim.errors.ComputationError: 3}
 
 MINIMAL = """
 geometry.z_a = 0.1
@@ -115,7 +119,9 @@ class TestParseConfig:
             ("grids.span_a", "-1e-3"),
             ("grids.span_b", "0"),
             ("grids.n_source", "15"),
+            ("grids.n_source", "0"),
             ("grids.n_object", "-16"),
+            ("grids.n_object", "0"),
             ("grids.source_span", "0"),
             ("grids.guard_factor", "0.5"),
             ("run.seed", "-1"),
@@ -541,6 +547,38 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(out)]) == 3
         assert "numerical error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(DEMOS["budget"].encode() + b"# \xff\n")
+        out = tmp_path / "out"
+        assert cli_main(["validate", str(path)]) == 2
+        assert "config error: config is not UTF-8 text:" in capsys.readouterr().err
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert "config error: config is not UTF-8 text:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            c for c in vars(cpi_sim.errors).values()
+            if isinstance(c, type) and issubclass(c, cpi_sim.errors.CpiSimError)
+            and c not in BASE_EXIT and c is not cpi_sim.errors.CpiSimError
+        ],
+        ids=lambda c: c.__name__,
+    )
+    def test_error_class_alone_sets_the_exit_code(self, tmp_path, capsys, monkeypatch, cls):
+        bases = [b for b in BASE_EXIT if issubclass(cls, b)]
+        assert len(bases) == 1
+
+        def run_experiment(*args, **kwargs):
+            raise cls("failed")
+
+        monkeypatch.setattr(cpi_sim.cli, "run_experiment", run_experiment)
+        path = tmp_path / "run.cfg"
+        path.write_text(DEMOS["budget"])
+        assert cli_main(["run", str(path)]) == BASE_EXIT[bases[0]]
+        assert "failed" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "nope.cfg")]) == 4

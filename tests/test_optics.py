@@ -47,6 +47,13 @@ class TestMakeGeometry:
         with pytest.raises(InvalidGeometry):
             make_geometry(**kwargs)
 
+    @pytest.mark.parametrize("field", ["z_a", "z_b", "lambda0"])
+    def test_lengths_not_used_by_the_lens_are_checked_by_the_geometry(self, field):
+        kwargs = dict(z_a=0.1, z_b=0.1, S_o=0.2, F=0.05, lambda0=500e-9)
+        kwargs[field] = float("nan")
+        with pytest.raises(InvalidGeometry, match=f"^{field} must be a positive length, got nan$"):
+            make_geometry(**kwargs)
+
     def test_object_beyond_lens_rejected(self):
         with pytest.raises(InvalidGeometry):
             make_geometry(z_a=0.1, z_b=0.25, S_o=0.2, F=0.05)
@@ -164,6 +171,19 @@ class TestObjectMask:
         mask = ObjectMask.double_slit(separation=150e-6, slit_width=50e-6)
         (l0, h0), (l1, h1) = mask.support_intervals()
         np.testing.assert_allclose([l0, h0, l1, h1], [-100e-6, -50e-6, 50e-6, 100e-6], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            ObjectMask.double_slit(separation=600e-6, slit_width=200e-6),
+            ObjectMask.single_slit(70e-6),
+            ObjectMask.from_samples([2e-5, 5e-5, 9e-5], [0.0, 1.0, 0.5]),
+        ],
+        ids=["double_slit", "single_slit", "sampled_at_positive_rho"],
+    )
+    def test_support_half_width_is_the_farthest_quadrature_node(self, mask):
+        nodes, _, _ = object_quadrature(mask, 64)
+        assert mask.support_half_width == np.max(np.abs(nodes))
 
     def test_every_slit_quadrature_node_transmits(self):
         # sizes as a config file spells them: separation 20-1000 um in

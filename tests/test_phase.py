@@ -67,3 +67,10 @@ class TestPhaseMatrix:
         y[31] += 1e-6 * (y[1] - y[0])
         with pytest.raises(ValueError, match="evenly spaced"):
             phase.phase_matrix(1e7, np.ones(3), y)
+
+
+class TestRates:
+    def test_overflowing_rate_names_itself(self):
+        geom = parse_config(DEMOS["refocus"]).build_geometry()
+        with pytest.raises(OverflowError, match=r"^phase rate gamma_s, arm_a, cell overflows at"):
+            phase.rates(geom, 2.4e-3, 4e-4, 1e307, 1.1e-3)
