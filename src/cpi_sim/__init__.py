@@ -29,6 +29,8 @@ from .correlator import (
     psf_widths,
 )
 from .errors import (
+    ComputationError,
+    ConfigError,
     CpiSimError,
     DegenerateStatistics,
     EmptyOverlap,

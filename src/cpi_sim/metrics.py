@@ -42,17 +42,23 @@ def fit_gaussian_width(
     """Fit y ~ A exp(-(x - c)^2 / w^2) and return (c, w).
 
     Least squares on log(y) (weighted by y, so the peak dominates) over the
-    samples above ``floor`` times the maximum; w is the 1/e half-width.
+    lobe: the contiguous run of samples above ``floor`` times the maximum
+    that contains the maximum, so a detached noise island in the wings
+    cannot pull the fit. Samples are ordered along x; w is the 1/e
+    half-width.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    peak = y.max()
+    i = int(np.argmax(y))
+    peak = y[i]
     if not (peak > 0.0):
         raise ValueError("cannot fit a Gaussian to non-positive data")
-    keep = y > floor * peak
-    if keep.sum() < 4:
+    below = np.flatnonzero(y <= floor * peak)
+    lo = below[below < i].max(initial=-1) + 1
+    hi = below[below > i].min(initial=y.size)
+    if hi - lo < 4:
         raise ValueError("too few samples above the fit floor")
-    xs, ys = x[keep], y[keep]
+    xs, ys = x[lo:hi], y[lo:hi]
     coeff = np.polyfit(xs, np.log(ys), deg=2, w=ys)
     if not (coeff[0] < 0.0):
         raise ValueError("fitted log-parabola is not concave; data is not a peak")

@@ -1,9 +1,13 @@
 """Stochastic oracle: chaotic-speckle synthesis and correlation estimation.
 
 Chaotic light is modeled as a phase-screen random field: each source cell
-emits f(rho_s) * exp(i theta) with an independent uniform phase per cell
-and realization. Fourth-order moments of that field reproduce the
-direct-plus-exchange structure of chaotic statistics, so the intensity
+emits f(rho_s) * exp(i theta) with an independent phase per cell and
+realization, drawn uniformly from the eight phases 2 pi k / 8. Every phase
+moment <exp(i j theta)> with 0 < |j| < 8 vanishes over that table, as it
+does for a continuous uniform phase; the covariance's mean needs moments
+up to order 2 per cell and its variance up to order 4, so both are those
+of continuous uniform phases. Fourth-order moments of that field reproduce
+the direct-plus-exchange structure of chaotic statistics, so the intensity
 covariance <I_a I_b> - <I_a><I_b> converges to the same crossed correlation
 term the quadrature integrator computes (never to the plain intensity
 product, which the estimator subtracts by construction).
@@ -12,11 +16,14 @@ Cells are sampled in position space and propagated with the two arm
 kernels directly; summing position-basis kernels against independent cell
 amplitudes is equivalent to the plane-wave decomposition (the transverse
 momentum integral collapses onto one source point per cell) and avoids a
-redundant Fourier layer. The kernels are ``correlator.arm_kernels``.
+redundant Fourier layer. The kernels are ``correlator.arm_kernels``;
+``estimate_gamma`` folds the source amplitude into them once, so a
+realization is a row of unit phasors looked up in the table.
 
-Randomness is counter-based: realization r draws its phases from a Philox
-stream keyed by (seed, r), so cell i of realization r is a pure function of
-(seed, r, i) and parallel scheduling cannot perturb the stream.
+Randomness is counter-based: realization r draws its phase indices from a
+Philox stream keyed by (seed, r), one byte per cell, so cell i of
+realization r is a pure function of (seed, r, i) and parallel scheduling
+cannot perturb the stream.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ MIN_BATCHES = 2  # the spread of batch means is the error bar
 MIN_REALIZATIONS = 100  # fewer give no meaningful error bars
 # default_sampling takes this fraction of the tightest source-cell limit
 _CELL_MARGIN = 0.8
+# the phases exp(2 pi i k / 8); a cell's index is the low 3 bits of one byte
+_PHASES = np.exp(2j * np.pi * np.arange(8) / 8)
 
 
 @dataclass(frozen=True)
@@ -106,29 +115,27 @@ def sample_source_field(
     """One chaotic source realization: f(rho_s_i) * exp(i theta_i).
 
     Deterministic in (seed, realization_index, cell index); phases are
-    i.i.d. uniform on [0, 2 pi).
+    i.i.d. uniform over the eight phases 2 pi k / 8. This is the row the
+    batch path propagates, with the amplitude taken out of the kernels.
     """
-    return _source_fields(
-        source, axis_s, seed, realization_index, realization_index + 1
-    )[0]
+    idx = _phase_indices(seed, realization_index, realization_index + 1, axis_s.n)
+    return source.amplitude(axis_s.coordinates) * _PHASES[idx[0]]
 
 
-def _source_fields(
-    source: SourceProfile, axis_s: Axis, seed: int, lo: int, hi: int
-) -> np.ndarray:
-    """Realizations [lo, hi) as the rows of a (hi - lo, n_s) array.
+def _phase_indices(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """Phase-table indices of realizations [lo, hi) as a (hi - lo, n) array.
 
-    Row r - lo draws its phases from the Philox stream keyed by (seed, r),
-    so a row does not depend on the block it was generated in.
+    Row r - lo reads the Philox stream keyed by (seed, r), so a row does not
+    depend on the block it was generated in: cell i takes byte i of the
+    stream's little-endian words, modulo 8.
     """
-    amp = source.amplitude(axis_s.coordinates)
-    fields = np.empty((hi - lo, axis_s.n), dtype=complex)
+    words = -(-n // 8)
+    idx = np.empty((hi - lo, 8 * words), dtype=np.uint8)
     for r in range(lo, hi):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
-        )
-        fields[r - lo] = amp * np.exp(1j * (rng.random(axis_s.n) * (2.0 * np.pi)))
-    return fields
+        raw = np.random.Philox(key=np.array([seed, r], dtype=np.uint64)).random_raw(words)
+        idx[r - lo] = raw.astype("<u8", copy=False).view(np.uint8)
+    idx &= 7
+    return idx[:, :n]
 
 
 def default_sampling(
@@ -159,18 +166,14 @@ def default_sampling(
 
 
 def _batch_covariance(
-    source: SourceProfile,
-    axis_s: Axis,
-    k_a: np.ndarray,
-    k_b: np.ndarray,
-    seed: int,
-    start: int,
-    stop: int,
+    k_a: np.ndarray, k_b: np.ndarray, seed: int, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-pass intensity covariance over realizations [start, stop).
 
-    Each chunk of realizations is generated and propagated once and reduced
-    to its count, mean intensities and centered co-moment
+    ``k_a`` and ``k_b`` carry the source amplitude on their cell columns, so
+    a realization is a row of unit phasors. Each chunk of realizations is
+    generated and propagated once and reduced to its count, mean
+    intensities and centered co-moment
     (I_a - mean_a)^T (I_b - mean_b); centering avoids the catastrophic
     cancellation of the <I_a I_b> - <I_a><I_b> form. Chunks are folded into
     the running state with the pairwise update of Chan, Golub & LeVeque
@@ -184,7 +187,7 @@ def _batch_covariance(
     for lo in range(start, stop, _REALIZATION_CHUNK):
         hi = min(lo + _REALIZATION_CHUNK, stop)
         k = hi - lo
-        fields = _source_fields(source, axis_s, seed, lo, hi)
+        fields = _PHASES[_phase_indices(seed, lo, hi, k_a.shape[1])]
         i_a = np.abs(fields @ k_a.T) ** 2
         i_b = np.abs(fields @ k_b.T) ** 2
         blk_a = i_a.sum(axis=0) / k
@@ -229,14 +232,15 @@ def estimate_gamma(
     k_a, k_b = arm_kernels(
         geom, mask, run.axis_s, run.axis_a, run.axis_b, run.n_object
     )
+    amp = source.amplitude(run.axis_s.coordinates)
+    k_a *= amp  # in place: arm_kernels returns fresh arrays
+    k_b *= amp
 
     edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
     spans = [(int(edges[k]), int(edges[k + 1])) for k in range(run.n_batches)]
 
     def job(span: tuple[int, int]):
-        return _batch_covariance(
-            source, run.axis_s, k_a, k_b, run.seed, span[0], span[1]
-        )
+        return _batch_covariance(k_a, k_b, run.seed, span[0], span[1])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(job, spans))

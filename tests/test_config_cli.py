@@ -527,11 +527,17 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "span_a",
-        [None, "1e308", "1e307"],
+        "span_a, message",
+        [
+            (None, "arithmetic failed"),
+            ("1e308", "axis step must be positive, got inf"),
+            ("1e307", "phase rate gamma_s, arm_a, cell overflows"),
+        ],
         ids=["value_error_after_resolve", "overflowing_span_a", "overflowing_phase_rate"],
     )
-    def test_failed_computation_is_a_numerical_error(self, tmp_path, capsys, monkeypatch, span_a):
+    def test_failed_computation_is_a_numerical_error(
+        self, tmp_path, capsys, monkeypatch, span_a, message
+    ):
         text = DEMOS["refocus"]
         if span_a is None:
             def ghost_image(*args, **kwargs):
@@ -539,14 +545,20 @@ class TestCli:
 
             monkeypatch.setattr(cpi_sim.runner, "ghost_image", ghost_image)
         else:  # passes every range rule, but at 1e308 the axis step overflows to
-            # inf, and at 1e307 the phase rate does, so the sizer divides by zero
+            # inf, and at 1e307 phase.rates finds the rates that overflow
             text = text.replace("grids.span_a = 1.75e-3", f"grids.span_a = {span_a}")
         path = tmp_path / "run.cfg"
         path.write_text(text)
         out = tmp_path / "out"
         assert cli_main(["run", str(path), "--out", str(out)]) == 3
-        assert "numerical error:" in capsys.readouterr().err
+        assert f"numerical error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_error_bases_are_exported(self):
+        from cpi_sim import ComputationError, ConfigError
+
+        assert ConfigError is cpi_sim.errors.ConfigError
+        assert ComputationError is cpi_sim.errors.ComputationError
 
     def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

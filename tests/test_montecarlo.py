@@ -17,7 +17,7 @@ from cpi_sim import (
     sample_source_field,
 )
 from cpi_sim.metrics import two_sided_peaks
-from cpi_sim.montecarlo import _REALIZATION_CHUNK, _batch_covariance
+from cpi_sim.montecarlo import _PHASES, _REALIZATION_CHUNK, _batch_covariance
 from cpi_sim.optics import fresnel_prefactor, object_quadrature
 from cpi_sim.refocus import ghost_image
 from conftest import SEPARATION
@@ -58,6 +58,21 @@ class TestSourceField:
         np.testing.assert_allclose(
             np.abs(field), source.amplitude(axis_s.coordinates), rtol=1e-12
         )
+
+    def test_phase_table_moments_vanish_below_order_8(self):
+        # the covariance's mean and variance need phase moments up to order 4
+        np.testing.assert_allclose(np.abs(_PHASES), 1.0, rtol=0, atol=1e-15)
+        for j in range(1, 8):
+            assert abs(np.mean(_PHASES**j)) < 1e-15, j
+
+    def test_stream_is_pinned(self, source):
+        # byte i of the little-endian Philox words keyed (42, 9), modulo 8;
+        # a change of numpy's Philox or of the byte order fails here
+        axis_s = Axis.from_half_width(64, 2.5e-3)
+        field = sample_source_field(source, axis_s, seed=42, realization_index=9)
+        idx = np.round(np.angle(field) / (np.pi / 4)).astype(int) % 8
+        assert idx[:16].tolist() == [5, 5, 3, 6, 6, 7, 7, 4, 5, 3, 2, 1, 2, 2, 4, 3]
+        np.testing.assert_array_equal(field, source.amplitude(axis_s.coordinates) * _PHASES[idx])
 
     def test_phase_average_vanishes(self, source):
         axis_s = Axis.from_half_width(16, 2.5e-3)
@@ -168,8 +183,10 @@ class TestBatchCovariance:
         start, stop = 0, 700
         assert 2 * _REALIZATION_CHUNK < stop - start < 3 * _REALIZATION_CHUNK
         k_a, k_b = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
+        # the batch path propagates unit phasors through amplitude-scaled kernels
+        amp = source.amplitude(axis_s.coordinates)
         cov, mean_a, mean_b = _batch_covariance(
-            source, axis_s, k_a, k_b, seed=13, start=start, stop=stop
+            k_a * amp, k_b * amp, seed=13, start=start, stop=stop
         )
 
         fields = np.stack(
