@@ -8,8 +8,8 @@ Output directory precedence: --out flag, then the CPI_SIM_OUT environment
 variable, then run.out_dir from the config.
 
 Exit codes, by error type alone: 0 success, 2 a failed config rule (any
-ConfigError), 3 a failed computation (any ComputationError, ValueError or
-ArithmeticError), 4 I/O.
+ConfigError), 3 a failed computation (any ComputationError, ValueError,
+ArithmeticError or MemoryError), 4 I/O.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (ComputationError, ValueError, ArithmeticError) as exc:
+    except (ComputationError, ValueError, ArithmeticError, MemoryError) as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -6,16 +6,17 @@ numerical experiment must fail loudly, not silently fall back to a
 default. Syntax problems raise ParseError with a line number; semantic
 problems are collected across the whole file and raised together as one
 ValidationError with field-addressed messages. ``resolve()`` names the key
-of a rule checked where its value is built (mask file, 5 sigma span) too.
+of a rule checked where its value is built (mask file, 5 sigma span,
+Monte Carlo counts) too.
 
 Each key's type, default and range rule live in one table, ``_KEYS``
 below; a range rule applies to every value present, in every mode, and
 ``ExperimentConfig.updated`` re-checks a changed config the same way.
 Keys with no default are resolved from the physics when absent:
 ``grids.span_a`` and ``grids.span_b`` from the object support and the
-source image, and
-``grids.n_source``, ``grids.n_object`` and ``grids.source_span`` by
-``QuadratureSpec.auto`` from the phase-rate table of ``cpi_sim.phase``.
+source image, ``grids.n_source``, ``grids.n_object`` and
+``grids.source_span`` by ``QuadratureSpec.auto`` from the phase-rate table
+of ``cpi_sim.phase``, and the Monte Carlo cells by ``default_sampling``.
 ``ExperimentConfig.resolve()`` does all of this once per run.
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .correlator import MIN_NODES, QuadratureSpec
 from .errors import ParseError, ValidationError
-from .montecarlo import MIN_BATCHES, MIN_REALIZATIONS
+from .montecarlo import SpeckleRun, default_sampling
 from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile, make_geometry
 
 MODES = ("analytic", "montecarlo", "geometric", "refocus", "budget")
@@ -169,9 +170,12 @@ class ExperimentConfig:
         budget config without physics blocks.
 
         Absent detector spans come from the mask support (``rho_a``) and the
-        source image (``rho_b``); absent quadrature counts and span from
-        ``QuadratureSpec.auto`` on those axes. A Gaussian ``grids.source_span``
-        below 5 sigma raises ValidationError, from the sizer's source interval.
+        source image (``rho_b``); absent quadrature counts from
+        ``QuadratureSpec.auto`` on those axes, whose span is the one
+        integrated (a top hat's support, whatever ``grids.source_span`` says).
+        In montecarlo mode the ``SpeckleRun`` is built on the cells of
+        ``default_sampling``. A Gaussian span below 5 sigma or a count
+        ``SpeckleRun`` rejects raises ValidationError naming its key.
         """
         if self.mode == "budget" and not _has_physics(k for k, _ in self.values):
             return None
@@ -190,21 +194,31 @@ class ExperimentConfig:
         axis_b = Axis.from_half_width(
             self.get("grids.n_b"), span_b, self.get("grids.center_b")
         )
-        source_span = self.get("grids.source_span")
         try:
             auto = QuadratureSpec.auto(
                 geom, source, mask, axis_a, axis_b,
                 guard_factor=self.get("grids.guard_factor"),
-                source_span=source_span,
+                source_span=self.get("grids.source_span"),
             )
         except ValueError as exc:
             raise ValidationError(f"grids.source_span: {exc}") from None
         quad = QuadratureSpec(
             n_source=self.get("grids.n_source", auto.n_source),
             n_object=self.get("grids.n_object", auto.n_object),
-            source_span=source_span or auto.source_span,
+            source_span=auto.source_span,
         )
-        return Experiment(geom, source, mask, axis_a, axis_b, quad)
+        speckle = None
+        if self.mode == "montecarlo":
+            axis_s, n_object = default_sampling(geom, source, mask, axis_a, axis_b)
+            try:
+                speckle = SpeckleRun(
+                    seed=self.get("run.seed"), n_realizations=self.get("run.n_realizations"),
+                    axis_s=axis_s, axis_a=axis_a, axis_b=axis_b, n_object=n_object,
+                    n_batches=self.get("run.n_batches"),
+                )
+            except ValueError as exc:
+                raise ValidationError(f"run.{exc}") from None
+        return Experiment(geom, source, mask, axis_a, axis_b, quad, speckle)
 
 
 @dataclass(frozen=True)
@@ -217,6 +231,7 @@ class Experiment:
     axis_a: Axis
     axis_b: Axis
     quad: QuadratureSpec
+    speckle: SpeckleRun | None  # the Monte Carlo run; None outside montecarlo mode
 
 
 def _parse_value(key: str, raw: str, problems: list[str]) -> Any:
@@ -301,16 +316,6 @@ def _validate(values: dict[str, Any], problems: list[str]) -> None:
     if mode not in MODES:
         problems.append(f"run.mode: must be one of {'|'.join(MODES)}, got {mode!r}")
         return
-
-    if mode == "montecarlo":  # the thresholds SpeckleRun and estimate_gamma enforce
-        n_real, n_batches = values["run.n_realizations"], values["run.n_batches"]
-        if n_real < MIN_REALIZATIONS:
-            problems.append(f"run.n_realizations: need at least {MIN_REALIZATIONS}, got {n_real}")
-        if not MIN_BATCHES <= n_batches <= n_real:
-            problems.append(
-                f"run.n_batches: need {MIN_BATCHES} <= n_batches <= run.n_realizations, "
-                f"got {n_batches}"
-            )
 
     if mode == "budget":
         _require(values, "budget.n_tot", problems)

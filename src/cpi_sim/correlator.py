@@ -110,15 +110,24 @@ def intensity_prefactor_b(geom: SetupGeometry) -> float:
     return float(np.abs(2.0 * np.pi * arm_b_prefactor(geom)) ** 2)
 
 
-def object_transfer(geom: SetupGeometry, rho_o, amp_o, rho_s, rho_b) -> np.ndarray:
+def object_transfer(
+    geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b
+) -> np.ndarray:
     """Arm-b object transfer T[s, b] = A~[c1 (rho_s + rho_b/M)], c1 = w/z_b.
 
-    T = sum_o amp_o exp(-i c1 rho_o (rho_s + rho_b / M)), amp_o = A(rho_o) w_o:
-    one matmul of a rho_s and a rho_b phase matrix, shape (n_s, n_b). Gamma,
-    intensity_b and the arm-b kernel all use it; each caller guards first.
+    T = sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b / M)) over the
+    ``object_quadrature`` nodes of ``mask``: one matmul of a rho_s and a
+    rho_b phase matrix, shape (n_s, n_b). Gamma, intensity_b and the arm-b
+    kernel all use it. It checks its object step against the rate on these
+    nodes before it builds anything, so no rho_o integral runs unguarded.
     The rho_s matrix is built in source blocks of <= ``_PHASE_BLOCK`` entries.
     """
+    rho_o, w_o, step_o = object_quadrature(mask, n_object)
+    r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # only r.object is read
+    phase.check_step(f"object quadrature (n_object = {n_object})", step_o, r.object)
+
     c1 = geom.omega0_over_c / geom.z_b
+    amp_o = mask.transmission(rho_o) * w_o
     W_b = amp_o[:, None] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b)
     t = np.empty((rho_s.size, rho_b.size), dtype=complex)
     chunk = max(1, int(_PHASE_BLOCK // max(rho_o.size, 1)))
@@ -151,23 +160,21 @@ def arm_kernels(
     rho_s = axis_s.coordinates
     rho_a = axis_a.coordinates
     rho_b = axis_b.coordinates
-    rho_o, w_o, step_o = object_quadrature(mask, n_object)
 
     # Each cell must act as a point emitter for both detectors, and every
     # oscillatory kernel factor must be sampled below the phase limit.
-    r = phase.rates(geom, rho_s, rho_o, rho_a, rho_b)
+    r = phase.rates(geom, rho_s, mask.support_half_width, rho_a, rho_b)
     phase.check_step("source cell (unresolved-cell rule)", axis_s.step, r.cell)
     phase.check_step("arm-a kernel source cell", axis_s.step, r.arm_a)
     phase.check_step("arm-b kernel source cell", axis_s.step, r.arm_b)
-    phase.check_step(f"arm-b object quadrature (n_object = {n_object})", step_o, r.object)
+
+    t = object_transfer(geom, mask, n_object, rho_s, rho_b)
+    t *= (arm_b_prefactor(geom) * gaussian_phase(rho_s, w / geom.z_b) * axis_s.step)[:, None]
 
     c_a = w / geom.z_a
     k_a = phase.phase_matrix(c_a, rho_a, rho_s)
     k_a *= (fresnel_prefactor(w, geom.z_a) * gaussian_phase(rho_a, c_a))[:, None]
     k_a *= gaussian_phase(rho_s, c_a) * axis_s.step
-
-    t = object_transfer(geom, rho_o, mask.transmission(rho_o) * w_o, rho_s, rho_b)
-    t *= (arm_b_prefactor(geom) * gaussian_phase(rho_s, w / geom.z_b) * axis_s.step)[:, None]
     return k_a, t.T
 
 
@@ -191,14 +198,12 @@ def intensity_b(
     I_b(rho_b) = K_b * int drho_s F(rho_s) |A~[(w/z_b)(rho_s + rho_b/M)]|^2.
     """
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
-    rho_o, w_o, step_o = object_quadrature(mask, quad.n_object)
     rho_b = axis_b.coordinates
 
-    r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # no arm a: no rate used here reads it
+    r = phase.rates(geom, rho_s, mask.support_half_width, 0.0, rho_b)  # no arm a here
     phase.check_step("source", _max_step(rho_s), r.intensity_b_s)
-    phase.check_step("object", step_o, r.object)
 
-    t = object_transfer(geom, rho_o, mask.transmission(rho_o) * w_o, rho_s, rho_b)
+    t = object_transfer(geom, mask, quad.n_object, rho_s, rho_b)
     out = (source.intensity(rho_s) * w_s) @ np.abs(t) ** 2
     return SampledImage(
         axis=axis_b, values=intensity_prefactor_b(geom) * out, label="intensity_b"
@@ -225,19 +230,17 @@ def gamma_quadrature(
     """
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
-    rho_o, w_o, step_o = object_quadrature(mask, quad.n_object)
     rho_a = axis_a.coordinates
     rho_b = axis_b.coordinates
 
-    r = phase.rates(geom, rho_s, rho_o, rho_a, rho_b)
+    r = phase.rates(geom, rho_s, mask.support_half_width, rho_a, rho_b)
     phase.check_step("source", _max_step(rho_s), r.gamma_s)
-    phase.check_step("object", step_o, r.object)
 
     c_a = w / geom.z_a
     chirp_beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
 
     # T comes first, so its object phase matrix is freed before V is built
-    t = object_transfer(geom, rho_o, mask.transmission(rho_o) * w_o, rho_s, rho_b)
+    t = object_transfer(geom, mask, quad.n_object, rho_s, rho_b)
     V = phase.phase_matrix(-c_a, rho_s, rho_a)
     V *= (source.intensity(rho_s) * w_s * gaussian_phase(rho_s, chirp_beta))[:, None]
 

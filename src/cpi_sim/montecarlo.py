@@ -55,7 +55,7 @@ class SpeckleRun:
     ``axis_s`` sets the emitter cells (one independent phase per node);
     ``n_object`` controls the object-plane quadrature inside the arm-b
     kernel. Realizations are split into ``n_batches`` equal-as-possible
-    batches whose spread yields the statistical error bars.
+    batches whose spread yields the error bars. Only here are counts checked.
     """
 
     seed: int
@@ -67,10 +67,13 @@ class SpeckleRun:
     n_batches: int = 20
 
     def __post_init__(self):
-        if self.n_batches < MIN_BATCHES:
-            raise ValueError(f"need at least {MIN_BATCHES} batches for error bars")
-        if self.n_realizations < self.n_batches:
-            raise ValueError("more batches than realizations")
+        n_real, n_batches = self.n_realizations, self.n_batches
+        if n_real < MIN_REALIZATIONS:
+            raise ValueError(f"n_realizations: need at least {MIN_REALIZATIONS}, got {n_real}")
+        if not MIN_BATCHES <= n_batches <= n_real:
+            raise ValueError(
+                f"n_batches: need {MIN_BATCHES} <= n_batches <= n_realizations, got {n_batches}"
+            )
 
 
 @dataclass(frozen=True)
@@ -220,10 +223,6 @@ def estimate_gamma(
     surface the caller supplies on the run's own detector axes (the runner
     passes ``gamma_quadrature`` of the resolved quadrature).
     """
-    if run.n_realizations < MIN_REALIZATIONS:
-        raise ValueError(
-            f"need n_realizations >= {MIN_REALIZATIONS} for meaningful error bars"
-        )
     if reference.axis_a != run.axis_a or reference.axis_b != run.axis_b:
         raise ValueError(
             f"reference axes ({reference.axis_a}, {reference.axis_b}) differ "

@@ -4,10 +4,12 @@ Every sampled oscillatory factor has a phase quadratic or bilinear in
 transverse coordinates, so its rate along one coordinate is bounded by the
 largest |coordinate| of the others. The sizers (``QuadratureSpec.auto``,
 ``montecarlo.default_sampling``) evaluate the table on the declared extents;
-the guards (``gamma_quadrature``, ``intensity_b``, ``arm_kernels``) evaluate
-it on the nodes they actually integrate over and refuse any step advancing
-a phase by more than ``MAX_PHASE_STEP``. An auto-sized grid therefore passes
-its own guard, and no declared span that places no nodes can loosen one.
+the guards (``gamma_quadrature``, ``intensity_b`` and ``arm_kernels`` on
+their source nodes or cells, ``object_transfer`` on the object nodes it
+builds for all three) evaluate it on the nodes actually integrated and
+refuse any step advancing a phase by more than ``MAX_PHASE_STEP``. An
+auto-sized grid therefore passes its own guard, and no declared span that
+places no nodes can loosen one.
 
 The bilinear phase matrices exp(-i c x_j y_k) that every two-arm integral
 factors into are built here too, by block anchoring along the evenly
@@ -45,7 +47,7 @@ class PhaseRates:
     """
 
     gamma_s: float  # Gamma integrand along rho_s
-    object: float  # every rho_o integral: Gamma, intensity_b, arm-b kernel
+    object: float  # every rho_o integral, all in object_transfer
     intensity_b_s: float  # intensity_b along rho_s (the argument of A~)
     arm_a: float  # arm-a Fresnel kernel per source cell
     arm_b: float  # arm-b kernel per source cell

@@ -36,7 +36,7 @@ from .budget import SensorBudget, plenoptic_hyperbola, resolution_limits, tradeo
 from .config import Experiment, ExperimentConfig
 from .correlator import gamma_geometric, gamma_quadrature, psf_widths
 from .metrics import slit_contrast, two_sided_peaks
-from .montecarlo import SpeckleRun, default_sampling, estimate_gamma
+from .montecarlo import estimate_gamma
 from .optics import Axis, CorrelationGrid, SampledImage
 from .refocus import RefocusSpec, ghost_image, refocus_grid
 
@@ -246,18 +246,8 @@ def run_experiment(
             manifest.stage_seconds["reference_quadrature"] = clock() - t
 
             t = clock()
-            axis_s, n_object = default_sampling(geom, source, mask, axis_a, axis_b)
-            run = SpeckleRun(
-                seed=config.get("run.seed"),
-                n_realizations=config.get("run.n_realizations"),
-                axis_s=axis_s,
-                axis_a=axis_a,
-                axis_b=axis_b,
-                n_object=n_object,
-                n_batches=config.get("run.n_batches"),
-            )
             grid, report = estimate_gamma(
-                run, geom, source, mask, reference, threads=config.get("run.threads")
+                exp.speckle, geom, source, mask, reference, threads=config.get("run.threads")
             )
             manifest.stage_seconds["estimate_gamma"] = clock() - t
             emit.pair("gamma_mc", grid)

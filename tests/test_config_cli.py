@@ -24,6 +24,7 @@ from cpi_sim import (
 )
 from cpi_sim.cli import main as cli_main
 from cpi_sim.metrics import normalized_linf
+from cpi_sim.optics import source_quadrature
 from cpi_sim.runner import write_image_csv, write_json
 
 BASE_EXIT = {cpi_sim.errors.ConfigError: 2, cpi_sim.errors.ComputationError: 3}
@@ -424,6 +425,15 @@ class TestResolvedQuadrature:
         assert normalized_linf(base.values, doubled.values) < 1e-3
 
 
+    def test_source_span_is_the_one_integrated(self):
+        # a top hat is integrated over exactly its support, so a wider
+        # grids.source_span changes neither the nodes nor the recorded span
+        exp = parse_config(DEMOS["refocus"] + "grids.source_span = 5e-3\n").resolve()
+        nodes = source_quadrature(exp.source, exp.quad.n_source, exp.quad.source_span)[0]
+        assert exp.quad.source_span == nodes.max() == 2.4e-3
+        assert exp.quad == parse_config(DEMOS["refocus"]).resolve().quad
+
+
 class TestCli:
     def test_run_and_validate(self, tmp_path, capsys):
         path = tmp_path / "budget.cfg"
@@ -553,6 +563,17 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(out)]) == 3
         assert f"numerical error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_memory_error_is_a_numerical_error(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate exits 3 with a message, not a traceback
+        def run_experiment(*args, **kwargs):
+            raise MemoryError("Unable to allocate 11.4 GiB")
+
+        monkeypatch.setattr(cpi_sim.cli, "run_experiment", run_experiment)
+        path = tmp_path / "run.cfg"
+        path.write_text(DEMOS["refocus"])
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "numerical error: Unable to allocate" in capsys.readouterr().err
 
     def test_error_bases_are_exported(self):
         from cpi_sim import ComputationError, ConfigError

@@ -470,23 +470,25 @@ class TestGuardsAtTheirRates:
 
             # one coarse axis, one fine: each guard of gamma_quadrature and
             # intensity_b reads its own axis
-            for tested, n_s, n_o in (("source", 32, 4096), ("object", 4096, 32)):
+            for n_s, n_o in ((32, 4096), (4096, 32)):
                 quad = QuadratureSpec(n_source=n_s, n_object=n_o, source_span=S)
                 step_s = 2.0 * S / (n_s - 1)
                 # every rho_o integral: d/drho_o of (w/z_b) rho_o (rho_s + rho_b/M)
                 obj = object_quadrature(mask, n_o)[2] * (S + B / M) / zb
+                obj_guard = f"object quadrature (n_object = {n_o})"
+                tested = "source" if n_s == 32 else obj_guard
                 # Gamma along rho_s: source chirp plus both coupling phases
                 gamma_s = step_s * (abs(1.0 / zb - 1.0 / za) * S + O / zb + A / za)
                 check(
                     "gamma_quadrature",
                     lambda g: gamma_quadrature(g, source, mask, axis_a, axis_b, quad),
-                    geom, {"source": gamma_s, "object": obj}, tested,
+                    geom, {"source": gamma_s, obj_guard: obj}, tested,
                 )
                 # intensity_b along rho_s: the argument of A~ moves by (w/z_b) rho_o
                 check(
                     "intensity_b",
                     lambda g: intensity_b(g, source, mask, axis_b, quad),
-                    geom, {"source": step_s * O / zb, "object": obj}, tested,
+                    geom, {"source": step_s * O / zb, obj_guard: obj}, tested,
                 )
 
             # arm_kernels: three rules share the cell step; a narrow and a
@@ -502,7 +504,7 @@ class TestGuardsAtTheirRates:
                     "arm-a kernel source cell": step * (A + hw) / za,
                     # d/drho_s of w rho_s^2 / (2 z_b) - (w/z_b) rho_o rho_s
                     "arm-b kernel source cell": step * (hw + O) / zb,
-                    f"arm-b object quadrature (n_object = {n_o})":
+                    f"object quadrature (n_object = {n_o})":
                         object_quadrature(mask, n_o)[2] * (hw + B / M) / zb,
                 }
                 for tested in products:
@@ -513,14 +515,29 @@ class TestGuardsAtTheirRates:
                     )
 
         assert set(binding) == {
-            ("gamma_quadrature", "source"), ("gamma_quadrature", "object"),
-            ("intensity_b", "source"), ("intensity_b", "object"),
+            ("gamma_quadrature", "source"),
+            ("gamma_quadrature", "object quadrature (n_object = 32)"),
+            ("intensity_b", "source"),
+            ("intensity_b", "object quadrature (n_object = 32)"),
             ("arm_kernels", "source cell (unresolved-cell rule)"),
             ("arm_kernels", "arm-a kernel source cell"),
             ("arm_kernels", "arm-b kernel source cell"),
-            ("arm_kernels", "arm-b object quadrature (n_object = 32)"),
+            ("arm_kernels", "object quadrature (n_object = 32)"),
         }
         assert min(binding.values()) >= 10, binding
+
+
+class TestObjectTransferGuard:
+    def test_a_direct_call_is_guarded(self, geom_focused, source, slits, axis_b):
+        # object_transfer builds its own rho_o nodes, so it checks their
+        # step itself: 16 nodes over two 50 um slits step 6.25 um, past the
+        # ~3.1 um limit at |rho_s| = 2.5 mm and |rho_b| = 500 um
+        rho_s = source_quadrature(source, 64)[0]
+        rho_b = axis_b.coordinates
+        with pytest.raises(UnderResolved, match=r"^object quadrature \(n_object = 16\) step "):
+            correlator.object_transfer(geom_focused, slits, 16, rho_s, rho_b)
+        t = correlator.object_transfer(geom_focused, slits, 64, rho_s, rho_b)
+        assert t.shape == (rho_s.size, rho_b.size)
 
 
 class TestObjectTransferBlocks:

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cpi_sim import montecarlo
 from cpi_sim import (
     Axis,
     CorrelationGrid,
@@ -14,13 +17,16 @@ from cpi_sim import (
     default_sampling,
     estimate_gamma,
     gamma_quadrature,
+    parse_config,
     sample_source_field,
 )
-from cpi_sim.metrics import two_sided_peaks
+from cpi_sim.metrics import normalized_l1, two_sided_peaks
 from cpi_sim.montecarlo import _PHASES, _REALIZATION_CHUNK, _batch_covariance
 from cpi_sim.optics import fresnel_prefactor, object_quadrature
 from cpi_sim.refocus import ghost_image
 from conftest import SEPARATION
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -322,16 +328,13 @@ class TestEstimateGamma:
         with pytest.raises(DegenerateStatistics):
             estimate_gamma(run, geom_focused, source, dark, reference)
 
-    def test_requires_enough_realizations(
-        self, geom_focused, source, slits, small_setup, small_reference
-    ):
+    def test_requires_enough_realizations(self, small_setup):
         axis_a, axis_b, axis_s, n_object = small_setup
-        run = SpeckleRun(
-            seed=1, n_realizations=50, axis_s=axis_s,
-            axis_a=axis_a, axis_b=axis_b, n_object=n_object, n_batches=5,
-        )
         with pytest.raises(ValueError, match="100"):
-            estimate_gamma(run, geom_focused, source, slits, small_reference)
+            SpeckleRun(
+                seed=1, n_realizations=50, axis_s=axis_s,
+                axis_a=axis_a, axis_b=axis_b, n_object=n_object, n_batches=5,
+            )
 
     def test_rejects_a_reference_on_other_axes(
         self, geom_focused, source, slits, small_setup, small_reference
@@ -349,3 +352,33 @@ class TestEstimateGamma:
         )
         with pytest.raises(ValueError, match="reference axes"):
             estimate_gamma(run, geom_focused, source, slits, other)
+
+
+class _Captured(Exception):
+    """Raised by a stand-in sampler once it has the kernels."""
+
+
+class TestSourceAmplitude:
+    def test_sampled_kernels_match_the_quadrature_without_noise(self, monkeypatch):
+        # The covariance of unit-phasor rows through k_a and k_b tends to
+        # |k_a k_b^H|^2, so that product must match the quadrature surface
+        # with no sampling noise at all. On this Gaussian source a missing
+        # amplitude on either arm reads 0.26 and a doubled one on arm b
+        # 0.13, which criterion 1's error bars cannot resolve.
+        text = (BENCH_CONFIGS / "montecarlo-focused.cfg").read_text(encoding="utf-8")
+        exp = parse_config(text).resolve()
+        assert exp.source.kind == "gaussian"
+        kernels = []
+
+        def capture(k_a, k_b, *args):
+            kernels.append((k_a, k_b))
+            raise _Captured
+
+        monkeypatch.setattr(montecarlo, "_batch_covariance", capture)
+        reference = gamma_quadrature(
+            exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad
+        )
+        with pytest.raises(_Captured):
+            estimate_gamma(exp.speckle, exp.geom, exp.source, exp.mask, reference)
+        k_a, k_b = kernels[0]
+        assert normalized_l1(np.abs(k_a @ k_b.conj().T) ** 2, reference.values) < 1e-2
