@@ -38,6 +38,7 @@ from .errors import (
     MissingFeatureScale,
     OutOfRange,
     ParseError,
+    ResourceLimit,
     UnderResolved,
     ValidationError,
 )

@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .correlator import MIN_NODES, QuadratureSpec
+from .correlator import MIN_NODES, QuadratureSpec, check_working_set
 from .errors import ParseError, ValidationError
 from .montecarlo import SpeckleRun, default_sampling
 from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile, make_geometry
@@ -71,7 +71,10 @@ _KEYS: dict[str, tuple[type, Any, tuple | None]] = {
     # below 1, auto-sized steps exceed the pi/2 limit their own guard enforces
     "grids.guard_factor": (float, 4.0, (lambda v: v >= 1.0, "must be >= 1, got {}")),
     "run.mode": (str, None, None),
-    "run.seed": (int, 0, (lambda v: v >= 0, "must be nonnegative")),
+    # the seed is one 64-bit word of the Philox key
+    "run.seed": (
+        int, 0, (lambda v: 0 <= v < 2**64, "must be nonnegative and below 2**64, got {}")
+    ),
     "run.n_realizations": (int, 1000, _POSITIVE),
     "run.n_batches": (int, 20, _POSITIVE),
     "run.threads": (int, 1, _POSITIVE),
@@ -175,7 +178,9 @@ class ExperimentConfig:
         integrated (a top hat's support, whatever ``grids.source_span`` says).
         In montecarlo mode the ``SpeckleRun`` is built on the cells of
         ``default_sampling``. A Gaussian span below 5 sigma or a count
-        ``SpeckleRun`` rejects raises ValidationError naming its key.
+        ``SpeckleRun`` rejects raises ValidationError naming its key. A
+        quadrature or Monte Carlo kernel the mode would build above the
+        working-set limit raises ResourceLimit (``check_working_set``).
         """
         if self.mode == "budget" and not _has_physics(k for k, _ in self.values):
             return None
@@ -218,6 +223,9 @@ class ExperimentConfig:
                 )
             except ValueError as exc:
                 raise ValidationError(f"run.{exc}") from None
+            check_working_set("Monte Carlo kernels", axis_s.n, n_object, axis_a.n, axis_b.n)
+        if self.mode in ("analytic", "refocus", "montecarlo"):  # the modes that integrate Gamma
+            check_working_set("quadrature", quad.n_source, quad.n_object, axis_a.n, axis_b.n)
         return Experiment(geom, source, mask, axis_a, axis_b, quad, speckle)
 
 

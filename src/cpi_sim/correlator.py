@@ -18,11 +18,14 @@ integration.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import phase
+from .errors import ResourceLimit
 from .optics import (
     Axis,
     CorrelationGrid,
@@ -38,6 +41,18 @@ from .optics import (
 
 _PHASE_BLOCK = 8e6  # entry bound of one source block in object_transfer
 MIN_NODES = 16  # floor on every quadrature and source-cell node count
+
+
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # the host does not report it
+        return math.inf
+
+
+# bytes of propagator arrays one run may hold: the host's physical memory,
+# since a run that needs more cannot finish on it
+MAX_WORKING_SET = _physical_memory()
 
 
 @dataclass(frozen=True)
@@ -88,6 +103,25 @@ class QuadratureSpec:
         support = sum(hi - lo for lo, hi in intervals)
         n_object = max(MIN_NODES, int(np.ceil(support / step_o)) + len(intervals) + 1)
         return cls(n_source=n_source, n_object=n_object, source_span=source_span)
+
+
+def check_working_set(what: str, n_source: int, n_object: int, n_a: int, n_b: int) -> None:
+    """Raise ResourceLimit before a propagation from ``n_source`` source
+    nodes would hold more than ``MAX_WORKING_SET`` bytes.
+
+    The estimate counts the complex arrays of ``gamma_quadrature`` and
+    ``arm_kernels``: T (n_source x n_b), V or K_a (n_source x n_a), the
+    object factor W_b (n_object x n_b) and one phase block of
+    ``_PHASE_BLOCK`` entries. It leaves out the n_a x n_b output grid and
+    the realization chunks each Monte Carlo thread holds.
+    """
+    need = 16 * (n_source * (n_a + n_b) + n_object * n_b + int(_PHASE_BLOCK))
+    if need > MAX_WORKING_SET:
+        raise ResourceLimit(
+            f"{what} needs {need / 2**30:.3g} GiB ({n_source} source nodes, "
+            f"{n_object} object nodes, n_a = {n_a}, n_b = {n_b}), above the "
+            f"{MAX_WORKING_SET / 2**30:.3g} GiB working-set limit (physical memory)"
+        )
 
 
 def _max_step(nodes: np.ndarray) -> float:

@@ -45,6 +45,11 @@ class DegenerateStatistics(ComputationError):
     exactly zero), so the covariance estimator is meaningless."""
 
 
+class ResourceLimit(ComputationError):
+    """A resolved run would hold more array memory than the working-set
+    limit; raised before any of it is allocated."""
+
+
 class ParseError(ConfigError):
     """Config text is syntactically malformed; carries a line number."""
 

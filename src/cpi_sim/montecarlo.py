@@ -23,7 +23,10 @@ realization is a row of unit phasors looked up in the table.
 Randomness is counter-based: realization r draws its phase indices from a
 Philox stream keyed by (seed, r), one byte per cell, so cell i of
 realization r is a pure function of (seed, r, i) and parallel scheduling
-cannot perturb the stream.
+cannot perturb the stream. A block of realizations builds one generator
+and re-keys it per realization through its state (key (seed, r), counter
+0, empty buffer), which gives the same (seed, r) stream as a generator
+built for that key, without the cost of building one per row.
 """
 
 from __future__ import annotations
@@ -130,13 +133,19 @@ def _phase_indices(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
 
     Row r - lo reads the Philox stream keyed by (seed, r), so a row does not
     depend on the block it was generated in: cell i takes byte i of the
-    stream's little-endian words, modulo 8.
+    stream's little-endian words, modulo 8. One generator serves the block:
+    setting its state with key (seed, r) restarts it at counter 0 with an
+    empty buffer, the state ``Philox(key=(seed, r))`` starts in.
     """
     words = -(-n // 8)
     idx = np.empty((hi - lo, 8 * words), dtype=np.uint8)
+    gen = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
+    state = gen.state  # counter 0, buffer_pos 4: nothing drawn yet
+    key = state["state"]["key"]
     for r in range(lo, hi):
-        raw = np.random.Philox(key=np.array([seed, r], dtype=np.uint64)).random_raw(words)
-        idx[r - lo] = raw.astype("<u8", copy=False).view(np.uint8)
+        key[1] = r
+        gen.state = state
+        idx[r - lo] = gen.random_raw(words).astype("<u8", copy=False).view(np.uint8)
     idx &= 7
     return idx[:, :n]
 

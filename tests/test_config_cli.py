@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 import cpi_sim.cli
+import cpi_sim.correlator
 import cpi_sim.errors
 import cpi_sim.refocus
 import cpi_sim.runner
@@ -12,6 +14,7 @@ from cpi_sim import (
     DEMOS,
     ParseError,
     RefocusSpec,
+    ResourceLimit,
     SpeckleRun,
     ValidationError,
     default_sampling,
@@ -575,6 +578,65 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "numerical error: Unable to allocate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            ("analytic", "quadrature needs 5.25 GiB (1537691 source nodes, 916 object nodes"),
+            ("refocus", "quadrature needs 5.25 GiB (1537691 source nodes"),
+            ("montecarlo", "Monte Carlo kernels needs 2.12 GiB (600001 source nodes, 458 object"),
+            ("geometric", None),  # builds no propagator, so any span fits
+        ],
+        ids=["analytic", "refocus", "montecarlo", "geometric"],
+    )
+    def test_oversized_run_fails_before_allocating(
+        self, tmp_path, capsys, monkeypatch, mode, message
+    ):
+        # grids.span_a = 1 on the refocus demo resolves to 1537691 source
+        # nodes: T alone would be 1.6 GB, and validate used to print OK; a
+        # fixed 1 GiB limit keeps the case independent of the host's memory
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", 2**30)
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            DEMOS["refocus"]
+            .replace("grids.span_a = 1.75e-3", "grids.span_a = 1")
+            .replace("run.mode = analytic", f"run.mode = {mode}")
+        )
+        out = tmp_path / "out"
+        if message is None:
+            assert cli_main(["validate", str(path)]) == 0
+            return
+        assert cli_main(["validate", str(path)]) == 3
+        assert f"numerical error: {message}" in capsys.readouterr().err
+        assert cli_main(["run", str(path), "--out", str(out)]) == 3
+        assert "above the 1 GiB working-set limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_working_set_estimate_is_pinned_at_the_limit(self, monkeypatch):
+        # T + V (n_source x (n_a + n_b)), W_b (n_object x n_b) and one phase
+        # block, 16 bytes each
+        config = parse_config(DEMOS["refocus"])
+        need = 16 * (4379 * (160 + 64) + 916 * 64 + 8_000_000)
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
+        assert config.resolve().quad.n_source == 4379
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
+        with pytest.raises(ResourceLimit, match="quadrature needs"):
+            config.resolve()
+
+    def test_limit_is_the_hosts_memory(self):
+        # a convergence-study run over 1 GiB that fits the host resolves; one
+        # no host can hold (3.3 TiB) fails in resolve()
+        pages = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert cpi_sim.correlator.MAX_WORKING_SET == pages
+        need = 16 * (350_000 * (160 + 64) + 916 * 64 + 8_000_000)
+        assert need > 2**30
+        if need > pages:
+            pytest.skip(f"host has {pages} bytes, the run needs {need}")
+        config = parse_config(DEMOS["refocus"] + "grids.n_source = 350000\n")
+        assert config.resolve().quad.n_source == 350_000
+        config = parse_config(DEMOS["refocus"] + "grids.n_source = 1000000000\n")
+        with pytest.raises(ResourceLimit, match="quadrature needs 3.34e\\+03 GiB"):
+            config.resolve()
+
     def test_error_bases_are_exported(self):
         from cpi_sim import ComputationError, ConfigError
 
@@ -653,6 +715,31 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(out), "--seed", "-1"]) == 2
         assert "run.seed: must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed, code", [(2**64 - 1, 0), (2**64, 2)])
+    def test_seed_is_one_64_bit_key_word(self, tmp_path, capsys, seed, code):
+        # the file and --seed meet one rule; 2**64 used to pass validate and
+        # then fail the run with exit 3 after the reference quadrature
+        text = DEMOS["montecarlo"].replace("run.n_realizations = 2000", "run.n_realizations = 200")
+        in_file = tmp_path / "seed.cfg"
+        in_file.write_text(text.replace("run.seed = 7", f"run.seed = {seed}"))
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(text)
+        calls = [
+            ["validate", str(in_file)],
+            ["run", str(in_file), "--out", str(tmp_path / "file")],
+            ["run", str(plain), "--out", str(tmp_path / "flag"), "--seed", str(seed)],
+        ]
+        for argv in calls:
+            assert cli_main(argv) == code, argv
+            if code:
+                err = capsys.readouterr().err
+                assert f"run.seed: must be nonnegative and below 2**64, got {seed}" in err
+        assert (tmp_path / "file").exists() == (tmp_path / "flag").exists() == (code == 0)
+        if code == 0:
+            for out in ("file", "flag"):
+                manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+                assert manifest["config"]["run.seed"] == seed
 
     @pytest.mark.parametrize(
         "object_lines",

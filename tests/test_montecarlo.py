@@ -21,7 +21,7 @@ from cpi_sim import (
     sample_source_field,
 )
 from cpi_sim.metrics import normalized_l1, two_sided_peaks
-from cpi_sim.montecarlo import _PHASES, _REALIZATION_CHUNK, _batch_covariance
+from cpi_sim.montecarlo import _PHASES, _REALIZATION_CHUNK, _batch_covariance, _phase_indices
 from cpi_sim.optics import fresnel_prefactor, object_quadrature
 from cpi_sim.refocus import ghost_image
 from conftest import SEPARATION
@@ -79,6 +79,22 @@ class TestSourceField:
         idx = np.round(np.angle(field) / (np.pi / 4)).astype(int) % 8
         assert idx[:16].tolist() == [5, 5, 3, 6, 6, 7, 7, 4, 5, 3, 2, 1, 2, 2, 4, 3]
         np.testing.assert_array_equal(field, source.amplitude(axis_s.coordinates) * _PHASES[idx])
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n", [17, 1352, 1993])
+    def test_every_row_is_a_fresh_philox_stream(self, seed, n):
+        # row r is byte i of a generator built for key (seed, r), modulo 8,
+        # whatever the block; the key goes in as a uint64 array because a
+        # list holding 2**64 - 1 is cast through float and loses the key
+        lo, mid, hi = 300, 305, 311
+        idx = _phase_indices(seed, lo, hi, n)
+        assert idx.shape == (hi - lo, n)
+        for r in range(lo, hi):
+            gen = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
+            raw = gen.random_raw(-(-n // 8)).astype("<u8").view(np.uint8)
+            np.testing.assert_array_equal(idx[r - lo], raw[:n] & 7, err_msg=f"row {r}")
+        halves = [_phase_indices(seed, lo, mid, n), _phase_indices(seed, mid, hi, n)]
+        np.testing.assert_array_equal(np.concatenate(halves), idx)
 
     def test_phase_average_vanishes(self, source):
         axis_s = Axis.from_half_width(16, 2.5e-3)
