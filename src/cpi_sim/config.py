@@ -179,8 +179,9 @@ class ExperimentConfig:
         In montecarlo mode the ``SpeckleRun`` is built on the cells of
         ``default_sampling``. A Gaussian span below 5 sigma or a count
         ``SpeckleRun`` rejects raises ValidationError naming its key. A
-        quadrature or Monte Carlo kernel the mode would build above the
-        working-set limit raises ResourceLimit (``check_working_set``).
+        quadrature, Monte Carlo kernel or geometric grid the mode would
+        build above the working-set limit raises ResourceLimit
+        (``check_working_set``).
         """
         if self.mode == "budget" and not _has_physics(k for k, _ in self.values):
             return None
@@ -226,6 +227,8 @@ class ExperimentConfig:
             check_working_set("Monte Carlo kernels", axis_s.n, n_object, axis_a.n, axis_b.n)
         if self.mode in ("analytic", "refocus", "montecarlo"):  # the modes that integrate Gamma
             check_working_set("quadrature", quad.n_source, quad.n_object, axis_a.n, axis_b.n)
+        elif self.mode == "geometric":  # builds its grid and no propagator
+            check_working_set("correlation grid", 0, 0, axis_a.n, axis_b.n)
         return Experiment(geom, source, mask, axis_a, axis_b, quad, speckle)
 
 

@@ -10,10 +10,12 @@ pi/2 between adjacent nodes, the evaluation refuses to run instead of
 silently returning an aliased surface.
 
 Every propagator is built here: ``arm_kernels`` and ``object_transfer``.
-Also provided: the detector intensities (flat in arm a, object-Fourier
-modulated in arm b), the geometric-optics limit of Gamma, and the closed
-Gaussian-source point-spread functions before and after angular
-integration.
+The object transfer T[s, b] builds phase entries for the non-negative half
+of its source axis only, about the axis midpoint, and forms both mirror
+rows from two real matmuls. Also provided: the detector intensities (flat
+in arm a, object-Fourier modulated in arm b), the geometric-optics limit
+of Gamma, and the closed Gaussian-source point-spread functions before and
+after angular integration.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .optics import (
     source_quadrature,
 )
 
-_PHASE_BLOCK = 8e6  # entry bound of one source block in object_transfer
+_PHASE_BLOCK = 8e6  # phase-entry bound of one block of object_transfer's source half
 MIN_NODES = 16  # floor on every quadrature and source-cell node count
 
 
@@ -50,8 +52,8 @@ def _physical_memory() -> float:
         return math.inf
 
 
-# bytes of propagator arrays one run may hold: the host's physical memory,
-# since a run that needs more cannot finish on it
+# bytes of propagator and grid arrays one run may hold: the host's physical
+# memory, since a run that needs more cannot finish on it
 MAX_WORKING_SET = _physical_memory()
 
 
@@ -106,16 +108,20 @@ class QuadratureSpec:
 
 
 def check_working_set(what: str, n_source: int, n_object: int, n_a: int, n_b: int) -> None:
-    """Raise ResourceLimit before a propagation from ``n_source`` source
-    nodes would hold more than ``MAX_WORKING_SET`` bytes.
+    """Raise ResourceLimit before a run from ``n_source`` source nodes would
+    hold more than ``MAX_WORKING_SET`` bytes.
 
     The estimate counts the complex arrays of ``gamma_quadrature`` and
     ``arm_kernels``: T (n_source x n_b), V or K_a (n_source x n_a), the
-    object factor W_b (n_object x n_b) and one phase block of
-    ``_PHASE_BLOCK`` entries. It leaves out the n_a x n_b output grid and
-    the realization chunks each Monte Carlo thread holds.
+    object factor W_b (n_object x n_b) and the n_a x n_b output grid; and
+    what one ``object_transfer`` block holds: the complex half block, its
+    two real copies and the two real products. With ``n_source = 0`` it
+    bounds the output grid alone. It leaves out the realization chunks
+    each Monte Carlo thread holds.
     """
-    need = 16 * (n_source * (n_a + n_b) + n_object * n_b + int(_PHASE_BLOCK))
+    rows = min((n_source + 1) // 2, max(1, int(_PHASE_BLOCK // max(n_object, 1))))
+    need = 16 * (n_source * (n_a + n_b) + n_object * n_b + n_a * n_b)
+    need += rows * (32 * n_object + 32 * n_b)
     if need > MAX_WORKING_SET:
         raise ResourceLimit(
             f"{what} needs {need / 2**30:.3g} GiB ({n_source} source nodes, "
@@ -150,24 +156,48 @@ def object_transfer(
     """Arm-b object transfer T[s, b] = A~[c1 (rho_s + rho_b/M)], c1 = w/z_b.
 
     T = sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b / M)) over the
-    ``object_quadrature`` nodes of ``mask``: one matmul of a rho_s and a
-    rho_b phase matrix, shape (n_s, n_b). Gamma, intensity_b and the arm-b
-    kernel all use it. It checks its object step against the rate on these
-    nodes before it builds anything, so no rho_o integral runs unguarded.
-    The rho_s matrix is built in source blocks of <= ``_PHASE_BLOCK`` entries.
+    ``object_quadrature`` nodes of ``mask``, shape (n_s, n_b). Gamma,
+    intensity_b and the arm-b kernel all use it. It checks its object step
+    against the rate on these nodes before it builds anything, so no rho_o
+    integral runs unguarded.
+
+    The evenly spaced rho_s is written as c + d with c its midpoint and d
+    the exact odd part of rho_s - c (each node moves by at most an ulp).
+    The factor exp(-i c1 rho_o c) goes into W_b = A w_o exp(-i c1 rho_o
+    (c + rho_b/M)), and since P(-d) = conj P(d) for P = exp(-i c1 rho_o d),
+    only the d >= 0 half is built: T(c +- d) = C +- iS with C = Re(P)^T W_b
+    and S = Im(P)^T W_b, two real matmuls on the float view of W_b. The
+    half is built in blocks of <= ``_PHASE_BLOCK`` phase entries.
     """
     rho_o, w_o, step_o = object_quadrature(mask, n_object)
     r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # only r.object is read
     phase.check_step(f"object quadrature (n_object = {n_object})", step_o, r.object)
 
+    n = rho_s.size
+    c = 0.5 * (rho_s[0] + rho_s[-1])
+    d = rho_s - c
+    d_odd = 0.5 * (d - d[::-1])
+    tol = phase._EVEN_ULPS * np.spacing(np.max(np.abs(rho_s)))
+    if np.any(np.abs(d_odd - d) > tol):  # rho_s is not mirror-symmetric about c
+        raise ValueError("object_transfer needs evenly spaced rho_s")
+
     c1 = geom.omega0_over_c / geom.z_b
-    amp_o = mask.transmission(rho_o) * w_o
-    W_b = amp_o[:, None] * phase.phase_matrix(c1 / geom.M, rho_o, rho_b)
-    t = np.empty((rho_s.size, rho_b.size), dtype=complex)
+    amp_o = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * c) * rho_o)
+    W_b = np.multiply(
+        amp_o[:, None], phase.phase_matrix(c1 / geom.M, rho_o, rho_b), order="C"
+    ).view(float)
+    t = np.empty((n, rho_b.size), dtype=complex)
+    half = d_odd[n // 2 :]
+    up, down = t[n // 2 :], t[::-1][n // 2 :]  # down[k] is the mirror row of up[k]
     chunk = max(1, int(_PHASE_BLOCK // max(rho_o.size, 1)))
-    for lo in range(0, rho_s.size, chunk):
+    for lo in range(0, half.size, chunk):
         sl = slice(lo, lo + chunk)
-        np.matmul(phase.phase_matrix(c1, rho_o, rho_s[sl]).T, W_b, out=t[sl])
+        p = phase.phase_matrix(c1, rho_o, half[sl]).T
+        cos_t = (np.ascontiguousarray(p.real) @ W_b).view(complex)
+        isin_t = (np.ascontiguousarray(p.imag) @ W_b).view(complex)
+        isin_t *= 1j
+        np.subtract(cos_t, isin_t, out=down[sl])
+        np.add(cos_t, isin_t, out=up[sl])
     return t
 
 

@@ -32,8 +32,10 @@ from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile
 # oscillatory factor sampled by the simulator.
 MAX_PHASE_STEP = np.pi / 2.0
 
-# phase_matrix tolerance, in ulps of max|y|, on a node's distance from its
-# block anchor plus block-0 offset; linspace and Axis nodes stay within 2.5.
+# evenness tolerance, in ulps of max|y|: on a node's distance from its block
+# anchor plus block-0 offset (phase_matrix; linspace and Axis nodes stay
+# within 2.5) and from its mirror image about the midpoint (object_transfer;
+# within 1).
 _EVEN_ULPS = 8
 
 

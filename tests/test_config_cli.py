@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from cpi_sim.cli import main as cli_main
 from cpi_sim.metrics import normalized_linf
 from cpi_sim.optics import source_quadrature
 from cpi_sim.runner import write_image_csv, write_json
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 BASE_EXIT = {cpi_sim.errors.ConfigError: 2, cpi_sim.errors.ComputationError: 3}
 
@@ -581,9 +584,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "mode, message",
         [
-            ("analytic", "quadrature needs 5.25 GiB (1537691 source nodes, 916 object nodes"),
-            ("refocus", "quadrature needs 5.25 GiB (1537691 source nodes"),
-            ("montecarlo", "Monte Carlo kernels needs 2.12 GiB (600001 source nodes, 458 object"),
+            ("analytic", "quadrature needs 5.39 GiB (1537691 source nodes, 916 object nodes"),
+            ("refocus", "quadrature needs 5.39 GiB (1537691 source nodes"),
+            ("montecarlo", "Monte Carlo kernels needs 2.28 GiB (600001 source nodes, 458 object"),
             ("geometric", None),  # builds no propagator, so any span fits
         ],
         ids=["analytic", "refocus", "montecarlo", "geometric"],
@@ -611,11 +614,36 @@ class TestCli:
         assert "above the 1 GiB working-set limit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_geometric_grid_fails_before_allocating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # geometric mode builds no propagator, but its n_a x n_b grid alone
+        # needs 1.49e4 GiB at 16 bytes a point, and validate used to print OK;
+        # a fixed 1 GiB limit keeps the case independent of the host
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", 2**30)
+        text = (BENCH_CONFIGS / "geometric-wide.cfg").read_text(encoding="utf-8")
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            text.replace("grids.n_a = 512", "grids.n_a = 1000000")
+            .replace("grids.n_b = 256", "grids.n_b = 1000000")
+        )
+        assert cli_main(["validate", str(path)]) == 3
+        assert (
+            "numerical error: correlation grid needs 1.49e+04 GiB (0 source nodes, "
+            "0 object nodes, n_a = 1000000, n_b = 1000000)"
+        ) in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_working_set_estimate_is_pinned_at_the_limit(self, monkeypatch):
-        # T + V (n_source x (n_a + n_b)), W_b (n_object x n_b) and one phase
-        # block, 16 bytes each
+        # T + V (n_source x (n_a + n_b)), W_b (n_object x n_b) and the output
+        # grid (n_a x n_b), 16 bytes each; one object_transfer block of the
+        # ceil(4379 / 2) = 2190 source rows: the complex half block and its
+        # two real copies (32 bytes per phase entry), the two real products
+        # (2 x 2 n_b floats per row)
         config = parse_config(DEMOS["refocus"])
-        need = 16 * (4379 * (160 + 64) + 916 * 64 + 8_000_000)
+        need = 16 * (4379 * (160 + 64) + 916 * 64 + 160 * 64) + 2190 * (32 * 916 + 32 * 64)
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         assert config.resolve().quad.n_source == 4379
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
@@ -627,7 +655,8 @@ class TestCli:
         # no host can hold (3.3 TiB) fails in resolve()
         pages = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert cpi_sim.correlator.MAX_WORKING_SET == pages
-        need = 16 * (350_000 * (160 + 64) + 916 * 64 + 8_000_000)
+        rows = 8_000_000 // 916  # source rows of one object_transfer block
+        need = 16 * (350_000 * (160 + 64) + 916 * 64 + 160 * 64) + rows * (32 * 916 + 32 * 64)
         assert need > 2**30
         if need > pages:
             pytest.skip(f"host has {pages} bytes, the run needs {need}")

@@ -539,14 +539,70 @@ class TestObjectTransferGuard:
         t = correlator.object_transfer(geom_focused, slits, 64, rho_s, rho_b)
         assert t.shape == (rho_s.size, rho_b.size)
 
+    def test_uneven_source_nodes_are_refused(self, geom_focused, slits, axis_b):
+        # the mirror rows come from the odd part of rho_s - c, which equals
+        # rho_s - c only on an evenly spaced axis
+        rho_s = np.array([0.0, 1.0, 3.0]) * 1e-6
+        with pytest.raises(ValueError, match="evenly spaced rho_s"):
+            correlator.object_transfer(geom_focused, slits, 64, rho_s, axis_b.coordinates)
+
+
+class TestObjectTransferDirectSum:
+    """object_transfer equals sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b/M))."""
+
+    @staticmethod
+    def _mask():
+        # complex and off-centre, so T has no symmetry in rho_o or rho_b
+        c = np.linspace(-140e-6, 90e-6, 461)
+        values = 0.9 * np.exp(-((c - 20e-6) ** 2) / (2 * (45e-6) ** 2) + 1j * c / 30e-6)
+        return ObjectMask.from_samples(c, values)
+
+    @pytest.mark.parametrize(
+        "axis_s",
+        [
+            Axis(n=33, center=0.0, step=17e-6),
+            Axis(n=34, center=0.0, step=17e-6),
+            Axis(n=2, center=0.5e-6, step=1e-6),
+            Axis(n=41, center=0.5e-6, step=13e-6),
+        ],
+        ids=["odd", "even", "two-cell-off-centre", "odd-off-centre"],
+    )
+    def test_matches_the_direct_sum(self, monkeypatch, geom_focused, axis_s):
+        mask = self._mask()
+        rho_s = axis_s.coordinates
+        rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
+        n_object = 128
+        c1 = geom_focused.omega0_over_c / geom_focused.z_b
+        rho_o, w_o, _ = object_quadrature(mask, n_object)
+        built = []
+        build = phase.phase_matrix
+
+        def spy(c, x, y):
+            if c == c1:
+                built.append(len(x) * len(y))
+            return build(c, x, y)
+
+        monkeypatch.setattr(phase, "phase_matrix", spy)
+        t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
+        # phase entries for the ceil(n/2) nodes of the non-negative half only
+        assert sum(built) == rho_o.size * ((rho_s.size + 1) // 2)
+
+        arg = rho_s[:, None, None] + rho_b[None, :, None] / geom_focused.M
+        direct = np.exp(-1j * c1 * arg * rho_o) @ (mask.transmission(rho_o) * w_o)
+        peak = np.abs(direct).max()
+        assert np.abs(t - direct).max() <= 1e-12 * peak
+
 
 class TestObjectTransferBlocks:
-    """object_transfer in several source blocks equals its one-block result."""
+    """object_transfer in several blocks of its source half equals its
+    one-block result."""
 
     @staticmethod
     def _blocked(monkeypatch, geom, n_o, n_s, call):
-        # at least three full blocks of the rho_s phase matrix, then a ragged one
-        chunk = (n_s - 1) // 3
+        # at least three full blocks of the non-negative rho_s half, then a
+        # ragged one; the half holds ceil(n_s / 2) nodes
+        half = (n_s + 1) // 2
+        chunk = (half - 1) // 3
         c1 = geom.omega0_over_c / geom.z_b
         sizes = []
         build = phase.phase_matrix
@@ -560,7 +616,7 @@ class TestObjectTransferBlocks:
             m.setattr(correlator, "_PHASE_BLOCK", chunk * n_o)
             m.setattr(phase, "phase_matrix", spy)
             out = call()
-        assert len(sizes) >= 4 and sum(sizes) == n_s
+        assert len(sizes) >= 4 and sum(sizes) == half
         assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] < chunk
         return out
 
