@@ -13,7 +13,10 @@ one stem: ``<stem>.csv`` holds the values, ``<stem>.pgm`` a picture.
 File formats, and nothing else:
   *.csv  RFC 4180 with '.' decimals, LF line endings, one header row,
          axis metadata in leading '#' comment lines; every number is its
-         shortest round-trip ``repr``, so it parses back to the same float
+         shortest round-trip ``repr``, so it parses back to the same float.
+         Each distinct value (float64 bit pattern) of a surface is
+         formatted once and its text reused for every sample holding it;
+         the bytes are those of one ``repr`` per sample
   *.pgm  binary P5, 16-bit big-endian, min-max scaled per image
          (the scale is recorded in the manifest so values are recoverable)
   *.json UTF-8, keys sorted
@@ -83,31 +86,57 @@ def _csv(comments: list[str], header: str, rows: Iterable[str]) -> bytes:
     return "\n".join(lines).encode("utf-8")
 
 
+def _value_rows(values: np.ndarray, valid: np.ndarray | None = None):
+    """Yield the CSV value fields of each row of ``values`` (a 1D array is
+    one row) as a list: each sample's float ``repr``, or ``""`` where
+    ``valid`` is False.
+
+    Each distinct float64 bit pattern is formatted once, into a table that
+    every sample indexes, so a surface with repeated values skips most of
+    its ``repr`` calls and writes the same bytes. The table is keyed on
+    bits, not values: 0.0 and -0.0 compare equal but print differently.
+    Indices are looked up one row at a time, so no grid-sized index array
+    is held while the rows are written.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    ordered = np.sort(bits, axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    del ordered, first  # not held while the rows are written
+    table = np.array([*map(repr, distinct.view(np.float64).tolist()), ""], dtype=object)
+    masked = None if valid is None else ~np.atleast_2d(valid)
+    for i, row in enumerate(np.atleast_2d(bits)):
+        index = distinct.searchsorted(row)
+        if masked is not None:
+            index[masked[i]] = distinct.size
+        yield table[index].tolist()
+
+
 def _image_csv(image: SampledImage) -> bytes:
+    (fields,) = _value_rows(image.values)
     return _csv(
         [f"# label: {image.label}", _axis_comment("axis", image.axis)],
         "rho_m,value",
-        map(
-            ",".join,
-            zip(
-                map(repr, image.axis.coordinates.tolist()),
-                map(repr, image.values.tolist()),
-            ),
-        ),
+        map(",".join, zip(map(repr, image.axis.coordinates.tolist()), fields)),
     )
 
 
 def _grid_csv(grid: CorrelationGrid) -> bytes:
     """One LF-joined block of n_b lines per rho_a; a masked sample keeps an
-    empty value field. Only one row of values is a Python list at a time."""
-    b_fields = [repr(b) + "," for b in grid.axis_b.coordinates.tolist()]
+    empty value field. Each block is one join over a reused list of line
+    parts (rho_a, rho_b, value), so no per-line string is built."""
+    n_b = grid.axis_b.n
+    parts: list[str] = [""] * (3 * n_b)
+    parts[1::3] = [repr(b) + "," for b in grid.axis_b.coordinates.tolist()]
     blocks = []
-    for i, a in enumerate(grid.axis_a.coordinates.tolist()):
-        fields = map(repr, grid.values[i].tolist())
-        if grid.valid is not None and not grid.valid[i].all():
-            fields = (f if ok else "" for f, ok in zip(fields, grid.valid[i].tolist()))
+    for a, fields in zip(grid.axis_a.coordinates.tolist(), _value_rows(grid.values, grid.valid)):
         a_field = repr(a) + ","
-        blocks.append("\n".join(map("".join, zip(repeat(a_field), b_fields, fields))))
+        parts[::3] = repeat("\n" + a_field, n_b)
+        parts[0] = a_field
+        parts[2::3] = fields
+        blocks.append("".join(parts))
     return _csv(
         [
             _axis_comment("axis_a", grid.axis_a),

@@ -15,7 +15,9 @@ from cpi_sim import parse_config, run_experiment
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-@pytest.mark.parametrize("workload", ["refocus-analytic", "montecarlo-focused", "geometric-wide"])
+@pytest.mark.parametrize(
+    "workload", ["refocus-analytic", "montecarlo-focused", "montecarlo-defocused", "geometric-wide"]
+)
 def test_replay_writes_what_the_runner_writes(tmp_path, monkeypatch, workload):
     monkeypatch.syspath_prepend(str(BENCH))
     replay = importlib.import_module("replay")

@@ -5,6 +5,7 @@ must reproduce these files exactly. The CSV renderers are checked against
 a naive per-cell reference, written out below, on random and real grids.
 """
 
+import builtins
 import hashlib
 
 import numpy as np
@@ -14,12 +15,14 @@ from cpi_sim import (
     DEMOS,
     RefocusSpec,
     __version__,
+    gamma_geometric,
     gamma_quadrature,
     ghost_image,
     parse_config,
     refocus_grid,
     run_experiment,
 )
+from cpi_sim import runner
 from cpi_sim.optics import Axis, CorrelationGrid, SampledImage
 from cpi_sim.runner import write_grid_csv, write_image_csv, write_pgm
 
@@ -245,6 +248,23 @@ def test_grid_csv_of_special_values_matches_the_naive_reference(tmp_path):
     )
 
 
+def test_grid_csv_of_repeated_bit_patterns_matches_the_naive_reference(tmp_path):
+    # A few bit patterns repeated across rows and columns; 0.0 and -0.0 are
+    # equal as floats but print differently.
+    patterns = np.array([0.0, -0.0, 5e-324, 1 / 3, 1e300])
+    rng = np.random.default_rng(5)
+    values = patterns[rng.integers(0, len(patterns), size=(6, 9))]
+    values[:, 0] = -0.0
+    values[0] = 0.0
+    valid = rng.random(values.shape) < 0.6
+    valid[:, 0] = ~valid[:, 1]  # masked -0.0 cells next to valid ones
+    valid[3] = False  # one fully masked rho_a row
+    grid = CorrelationGrid(
+        Axis(6, 0.0, 1e-6), Axis(9, 1e-6, 2e-7), values, z_a=0.1, z_b=0.08, M=0.8, valid=valid
+    )
+    assert _grid_bytes(tmp_path, grid) == naive_grid_csv(grid)
+
+
 def test_refocus_demo_grids_match_the_naive_reference(tmp_path, refocus_demo_grids):
     gamma, refocused = refocus_demo_grids
     assert refocused.valid is not None and not refocused.valid.all()
@@ -267,6 +287,9 @@ def test_image_csv_of_special_values_and_demo_images(tmp_path, refocus_demo_grid
     gamma, refocused = refocus_demo_grids
     images = [
         SampledImage(Axis(6, 0.0, 1e-6), np.array(SPECIAL_VALUES), "ghost"),
+        SampledImage(
+            Axis(8, 0.0, 1e-6), np.array([0.0, -0.0, 1 / 3, 0.0, -0.0, 1 / 3, 5e-324, -0.0]), "ghost"
+        ),
         ghost_image(gamma),
         ghost_image(refocused, label="refocused"),
     ]
@@ -290,3 +313,20 @@ def test_geometric_wide_files_are_pinned(tmp_path):
         raw = (tmp_path / name).read_bytes()
         assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
     assert {f["name"]: (f["bytes"], f["sha256"]) for f in manifest.files} == expected
+
+
+def test_geometric_wide_grid_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    exp = parse_config(GEOMETRIC_WIDE).resolve()
+    grid = gamma_geometric(exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b)
+    distinct = len(set(grid.values.view(np.uint64).ravel().tolist()))
+    assert distinct == 2
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(runner, "repr", spy, raising=False)
+    write_grid_csv(tmp_path / "grid.csv", grid)
+    header_numbers = 7  # center and step of both axes, then z_a, z_b, M
+    assert len(calls) == grid.axis_a.n + grid.axis_b.n + distinct + header_numbers
