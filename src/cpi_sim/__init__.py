@@ -9,7 +9,6 @@ viewpoint extraction, and the sensor pixel-budget arithmetic.
 __version__ = "0.1.0"
 
 from .budget import (
-    SensorBudget,
     TradeoffCurve,
     plenoptic_hyperbola,
     resolution_limits,

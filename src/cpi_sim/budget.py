@@ -18,26 +18,14 @@ from .errors import MissingFeatureScale
 from .optics import ObjectMask, SetupGeometry, SourceProfile
 
 
-@dataclass(frozen=True)
-class SensorBudget:
-    """Total pixel budget per side and the sharing scheme."""
+BYTES_PER_PIXEL = 256  # peak bytes of a budget run per pixel of n_tot (245 measured)
 
-    n_tot: int
-    delta: float
-    scheme: Literal["plenoptic", "cpi"]
-
-    def __post_init__(self):
-        if self.n_tot < 2:
-            raise ValueError(f"need n_tot >= 2, got {self.n_tot}")
-        if not (self.delta > 0.0):
-            raise ValueError(f"pixel pitch must be positive, got {self.delta}")
-        if self.scheme not in ("plenoptic", "cpi"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    @property
-    def width(self) -> float:
-        """Sensor width W = n_tot * delta."""
-        return self.n_tot * self.delta
+# Each scheme's rule, written once as the generator of its integer (N_x, N_u)
+# pairs for n pixels: N_x * N_u = n (macropixel tiling) or N_x + N_u = n.
+_SCHEMES = {
+    "plenoptic": lambda n: ((d, n // d) for d in range(1, n + 1) if n % d == 0),
+    "cpi": lambda n: ((k, n - k) for k in range(1, n)),
+}
 
 
 @dataclass(frozen=True)
@@ -48,15 +36,6 @@ class TradeoffCurve:
     n_tot: int
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        for n_x, n_u in self.pairs:
-            if n_x < 1 or n_u < 1:
-                raise ValueError(f"pixel counts must be >= 1, got ({n_x}, {n_u})")
-            if self.scheme == "plenoptic" and n_x * n_u != self.n_tot:
-                raise ValueError(f"({n_x}, {n_u}) violates N_x * N_u = {self.n_tot}")
-            if self.scheme == "cpi" and n_x + n_u != self.n_tot:
-                raise ValueError(f"({n_x}, {n_u}) violates N_x + N_u = {self.n_tot}")
-
     def angular_for(self, n_x: int) -> int | None:
         """N_u available at image resolution n_x, or None if inadmissible."""
         for px, pu in self.pairs:
@@ -65,20 +44,15 @@ class TradeoffCurve:
         return None
 
 
-def tradeoff_curve(budget: SensorBudget) -> TradeoffCurve:
-    """Enumerate the admissible integer (N_x, N_u) pairs for the scheme.
-
-    Plenoptic: exact divisor pairs of n_tot (physical macropixel tiling).
-    Two-sensor correlation scheme: every split with N_x + N_u = n_tot.
-    """
-    n = budget.n_tot
-    if budget.scheme == "plenoptic":
-        pairs = tuple(
-            (d, n // d) for d in range(1, n + 1) if n % d == 0
-        )
-    else:
-        pairs = tuple((k, n - k) for k in range(1, n))
-    return TradeoffCurve(scheme=budget.scheme, n_tot=n, pairs=pairs)
+def tradeoff_curve(n_tot: int, scheme: Literal["plenoptic", "cpi"]) -> TradeoffCurve:
+    """Enumerate the admissible integer (N_x, N_u) pairs of ``n_tot`` pixels
+    per side under ``scheme``: ``plenoptic`` (N_x * N_u = n_tot) or ``cpi``
+    (N_x + N_u = n_tot)."""
+    if n_tot < 2:
+        raise ValueError(f"need n_tot >= 2, got {n_tot}")
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return TradeoffCurve(scheme=scheme, n_tot=n_tot, pairs=tuple(_SCHEMES[scheme](n_tot)))
 
 
 def plenoptic_hyperbola(n_tot: int, n_points: int = 200) -> np.ndarray:

@@ -28,7 +28,8 @@ from typing import Any
 
 import numpy as np
 
-from .correlator import MIN_NODES, QuadratureSpec, check_working_set
+from .budget import BYTES_PER_PIXEL
+from .correlator import MIN_NODES, QuadratureSpec, check_bytes, check_working_set
 from .errors import ParseError, ValidationError
 from .montecarlo import SpeckleRun, default_sampling
 from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile, make_geometry
@@ -88,8 +89,11 @@ _KEYS: dict[str, tuple[type, Any, tuple | None]] = {
 class ExperimentConfig:
     """Fully validated experiment description (defaults resolved)."""
 
-    mode: str
     values: tuple[tuple[str, Any], ...]
+
+    @property
+    def mode(self) -> str:
+        return self.get("run.mode")
 
     def get(self, key: str, default: Any = None) -> Any:
         for k, v in self.values:
@@ -179,12 +183,15 @@ class ExperimentConfig:
         In montecarlo mode the ``SpeckleRun`` is built on the cells of
         ``default_sampling``. A Gaussian span below 5 sigma or a count
         ``SpeckleRun`` rejects raises ValidationError naming its key. A
-        quadrature, Monte Carlo kernel or geometric grid the mode would
-        build above the working-set limit raises ResourceLimit
-        (``check_working_set``).
+        quadrature, Monte Carlo run, geometric grid or pixel budget the mode
+        would build above the working-set limit raises ResourceLimit
+        (``check_working_set``, ``check_bytes``).
         """
-        if self.mode == "budget" and not _has_physics(k for k, _ in self.values):
-            return None
+        if self.mode == "budget":
+            n_tot = self.get("budget.n_tot")
+            check_bytes("pixel budget", BYTES_PER_PIXEL * n_tot, f"n_tot = {n_tot}")
+            if not _has_physics(k for k, _ in self.values):
+                return None
         geom = self.build_geometry()
         source = self.build_source()
         mask = self.build_mask()
@@ -224,7 +231,10 @@ class ExperimentConfig:
                 )
             except ValueError as exc:
                 raise ValidationError(f"run.{exc}") from None
-            check_working_set("Monte Carlo kernels", axis_s.n, n_object, axis_a.n, axis_b.n)
+            check_working_set(
+                "Monte Carlo run", axis_s.n, n_object, axis_a.n, axis_b.n,
+                speckle.sampling_bytes(self.get("run.threads")),
+            )
         if self.mode in ("analytic", "refocus", "montecarlo"):  # the modes that integrate Gamma
             check_working_set("quadrature", quad.n_source, quad.n_object, axis_a.n, axis_b.n)
         elif self.mode == "geometric":  # builds its grid and no propagator
@@ -300,7 +310,7 @@ def _checked(values: dict[str, Any], problems: list[str]) -> ExperimentConfig:
     _validate(values, problems)
     if problems:
         raise ValidationError(problems)
-    return ExperimentConfig(mode=values["run.mode"], values=tuple(sorted(values.items())))
+    return ExperimentConfig(values=tuple(sorted(values.items())))
 
 
 def _has_physics(keys) -> bool:

@@ -107,7 +107,9 @@ class QuadratureSpec:
         return cls(n_source=n_source, n_object=n_object, source_span=source_span)
 
 
-def check_working_set(what: str, n_source: int, n_object: int, n_a: int, n_b: int) -> None:
+def check_working_set(
+    what: str, n_source: int, n_object: int, n_a: int, n_b: int, extra: int = 0
+) -> None:
     """Raise ResourceLimit before a run from ``n_source`` source nodes would
     hold more than ``MAX_WORKING_SET`` bytes.
 
@@ -116,16 +118,23 @@ def check_working_set(what: str, n_source: int, n_object: int, n_a: int, n_b: in
     object factor W_b (n_object x n_b) and the n_a x n_b output grid; and
     what one ``object_transfer`` block holds: the complex half block, its
     two real copies and the two real products. With ``n_source = 0`` it
-    bounds the output grid alone. It leaves out the realization chunks
-    each Monte Carlo thread holds.
+    bounds the output grid alone. ``extra`` adds the bytes the caller holds
+    beside them: Monte Carlo sampling's, from ``SpeckleRun.sampling_bytes``.
     """
     rows = min((n_source + 1) // 2, max(1, int(_PHASE_BLOCK // max(n_object, 1))))
-    need = 16 * (n_source * (n_a + n_b) + n_object * n_b + n_a * n_b)
+    need = 16 * (n_source * (n_a + n_b) + n_object * n_b + n_a * n_b) + extra
     need += rows * (32 * n_object + 32 * n_b)
+    check_bytes(
+        what, need, f"{n_source} source nodes, {n_object} object nodes, n_a = {n_a}, n_b = {n_b}"
+    )
+
+
+def check_bytes(what: str, need: float, counts: str) -> None:
+    """Raise ResourceLimit, naming the ``counts`` that size it, if ``what``
+    needs more than ``MAX_WORKING_SET`` bytes."""
     if need > MAX_WORKING_SET:
         raise ResourceLimit(
-            f"{what} needs {need / 2**30:.3g} GiB ({n_source} source nodes, "
-            f"{n_object} object nodes, n_a = {n_a}, n_b = {n_b}), above the "
+            f"{what} needs {need / 2**30:.3g} GiB ({counts}), above the "
             f"{MAX_WORKING_SET / 2**30:.3g} GiB working-set limit (physical memory)"
         )
 

@@ -58,7 +58,8 @@ class SpeckleRun:
     ``axis_s`` sets the emitter cells (one independent phase per node);
     ``n_object`` controls the object-plane quadrature inside the arm-b
     kernel. Realizations are split into ``n_batches`` equal-as-possible
-    batches whose spread yields the error bars. Only here are counts checked.
+    batches of at least two, whose spread yields the error bars. Only here
+    are counts checked.
     """
 
     seed: int
@@ -73,10 +74,18 @@ class SpeckleRun:
         n_real, n_batches = self.n_realizations, self.n_batches
         if n_real < MIN_REALIZATIONS:
             raise ValueError(f"n_realizations: need at least {MIN_REALIZATIONS}, got {n_real}")
-        if not MIN_BATCHES <= n_batches <= n_real:
+        if not MIN_BATCHES <= n_batches <= n_real // 2:  # one realization has no covariance
             raise ValueError(
-                f"n_batches: need {MIN_BATCHES} <= n_batches <= n_realizations, got {n_batches}"
+                f"n_batches: need {MIN_BATCHES} <= n_batches <= n_realizations / 2, got {n_batches}"
             )
+
+    def sampling_bytes(self, threads: int) -> int:
+        """Bytes sampling holds beside the kernels: a chunk per batch in flight
+        (uint8 index plus complex phasor, 17 bytes a cell and row) and three
+        n_a x n_b float grids per batch that ``estimate_gamma`` keeps, stacks and reduces."""
+        rows = min(_REALIZATION_CHUNK, -(-self.n_realizations // self.n_batches))
+        chunks = min(threads, self.n_batches) * rows * 17 * self.axis_s.n
+        return chunks + 3 * 8 * self.axis_a.n * self.axis_b.n * self.n_batches
 
 
 @dataclass(frozen=True)

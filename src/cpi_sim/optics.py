@@ -15,10 +15,6 @@ import numpy as np
 
 from .errors import InvalidGeometry
 
-# Relative tolerance for the thin-lens conjugation check on directly
-# constructed geometries (the factory solves it exactly instead).
-_CONJUGATION_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Axis:
@@ -60,17 +56,18 @@ class SetupGeometry:
     Arm a: free propagation from the source to the detector array over z_a.
     Arm b: source -> object (z_b) -> thin lens at S_o from the source ->
     detector at the conjugate distance S_i, so the lens images the source.
+    F is not stored: imaging fixes it from S_o and S_i (``focal_F``), so no
+    geometry holds a lens that does not image the source.
     """
 
     z_a: float
     z_b: float
     S_o: float
     S_i: float
-    focal_F: float
     lambda0: float
 
     def __post_init__(self):
-        for name in ("z_a", "z_b", "S_o", "S_i", "focal_F", "lambda0"):
+        for name in ("z_a", "z_b", "S_o", "S_i", "lambda0"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0.0:
                 raise InvalidGeometry(f"{name} must be a positive length, got {v}")
@@ -78,11 +75,11 @@ class SetupGeometry:
             raise InvalidGeometry(
                 f"object must sit between source and lens: z_b={self.z_b} >= S_o={self.S_o}"
             )
-        residual = abs(1.0 / self.S_i + 1.0 / self.S_o - 1.0 / self.focal_F)
-        if residual > _CONJUGATION_RTOL / self.focal_F:
-            raise InvalidGeometry(
-                f"S_o, S_i not conjugate for F={self.focal_F}: residual {residual:.3e}"
-            )
+
+    @property
+    def focal_F(self) -> float:
+        """Thin-lens focal length 1 / (1/S_i + 1/S_o) that images the source."""
+        return 1.0 / (1.0 / self.S_i + 1.0 / self.S_o)
 
     @property
     def omega0_over_c(self) -> float:
@@ -108,11 +105,11 @@ def make_geometry(
     F: float | None = None,
     lambda0: float = 500e-9,
 ) -> SetupGeometry:
-    """Build a SetupGeometry, solving the thin-lens equation for the member
-    that was not given.
+    """Build a SetupGeometry from the lens given either way.
 
-    Exactly one of S_i or F must be provided; the other is computed, never
-    checked, which keeps the conjugation invariant exact by construction.
+    Exactly one of S_i or F must be provided. A focal length is turned into
+    the image distance S_i = 1 / (1/F - 1/S_o); the geometry stores S_i and
+    derives F from it (``SetupGeometry.focal_F``).
     """
     if (S_i is None) == (F is None):
         raise InvalidGeometry("give exactly one of S_i or F")
@@ -126,11 +123,9 @@ def make_geometry(
                 f"S_o={S_o} <= F={F}: the lens forms no real image of the source"
             )
         S_i = 1.0 / (1.0 / F - 1.0 / S_o)
-    else:
-        if not np.isfinite(S_i) or S_i <= 0.0:
-            raise InvalidGeometry(f"S_i must be a positive length, got {S_i}")
-        F = 1.0 / (1.0 / S_i + 1.0 / S_o)
-    return SetupGeometry(z_a=z_a, z_b=z_b, S_o=S_o, S_i=S_i, focal_F=F, lambda0=lambda0)
+    elif not np.isfinite(S_i) or S_i <= 0.0:
+        raise InvalidGeometry(f"S_i must be a positive length, got {S_i}")
+    return SetupGeometry(z_a=z_a, z_b=z_b, S_o=S_o, S_i=S_i, lambda0=lambda0)
 
 
 def gaussian_phase(rho, beta):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .budget import SensorBudget, plenoptic_hyperbola, resolution_limits, tradeoff_curve
+from .budget import plenoptic_hyperbola, resolution_limits, tradeoff_curve
 from .config import Experiment, ExperimentConfig
 from .correlator import gamma_geometric, gamma_quadrature, psf_widths
 from .metrics import slit_contrast, two_sided_peaks
@@ -245,13 +246,16 @@ def run_experiment(
     """Execute one configured experiment and emit its files and manifest.
 
     ``out_dir``, ``threads`` and ``seed`` override the config when given;
-    the overridden config is checked with the config file's rules and
-    resolved before any file is written. The output directory is created
-    with the first file, so a run stopped by a numerical error leaves none.
+    the overridden config is checked with the config file's rules,
+    recorded in the manifest and resolved before any file is written. The
+    output directory is created with the first file, so a run stopped by a
+    numerical error leaves none.
     """
-    config = config.updated({"run.threads": threads, "run.seed": seed})
+    if out_dir is not None:
+        out_dir = os.fspath(out_dir)
+    config = config.updated({"run.threads": threads, "run.seed": seed, "run.out_dir": out_dir})
     manifest = RunManifest(mode=config.mode, config=config.to_dict())
-    emit = _Emitter(Path(out_dir if out_dir is not None else config.get("run.out_dir")))
+    emit = _Emitter(Path(config.get("run.out_dir")))
     clock = time.perf_counter
 
     t0 = clock()
@@ -327,10 +331,7 @@ def _run_budget(
 ) -> None:
     n_tot = config.get("budget.n_tot")
     delta = config.get("budget.delta")
-    curves = {
-        scheme: tradeoff_curve(SensorBudget(n_tot=n_tot, delta=delta, scheme=scheme))
-        for scheme in ("plenoptic", "cpi")
-    }
+    curves = {scheme: tradeoff_curve(n_tot, scheme) for scheme in ("plenoptic", "cpi")}
     rows = [
         f"{scheme},{n_x},{n_u}"
         for scheme, curve in curves.items()

@@ -16,7 +16,6 @@ from cpi_sim import (
     Axis,
     QuadratureSpec,
     RefocusSpec,
-    SensorBudget,
     SourceProfile,
     SpeckleRun,
     coherent_psf,
@@ -186,8 +185,8 @@ class TestAcceptance:
         )
 
     def test_6_resolution_budget(self):
-        plen = tradeoff_curve(SensorBudget(n_tot=50, delta=10e-6, scheme="plenoptic"))
-        cpi = tradeoff_curve(SensorBudget(n_tot=50, delta=10e-6, scheme="cpi"))
+        plen = tradeoff_curve(50, "plenoptic")
+        cpi = tradeoff_curve(50, "cpi")
         for n_x, n_u in plen.pairs:
             assert n_x * n_u == 50
         for n_x, n_u in cpi.pairs:

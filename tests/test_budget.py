@@ -4,7 +4,6 @@ import pytest
 from cpi_sim import (
     MissingFeatureScale,
     ObjectMask,
-    SensorBudget,
     SourceProfile,
     make_geometry,
     plenoptic_hyperbola,
@@ -15,21 +14,21 @@ from cpi_sim import (
 
 class TestTradeoffCurve:
     def test_plenoptic_pairs_are_divisors(self):
-        curve = tradeoff_curve(SensorBudget(n_tot=50, delta=10e-6, scheme="plenoptic"))
+        curve = tradeoff_curve(50, "plenoptic")
         assert {(10, 5), (25, 2), (50, 1)} <= set(curve.pairs)
         for n_x, n_u in curve.pairs:
             assert n_x * n_u == 50
 
     def test_cpi_pairs_are_splits(self):
-        curve = tradeoff_curve(SensorBudget(n_tot=50, delta=10e-6, scheme="cpi"))
+        curve = tradeoff_curve(50, "cpi")
         assert {(10, 40), (25, 25), (49, 1)} <= set(curve.pairs)
         assert len(curve.pairs) == 49
         for n_x, n_u in curve.pairs:
             assert n_x + n_u == 50
 
     def test_angular_advantage_at_fixed_resolution(self):
-        plen = tradeoff_curve(SensorBudget(n_tot=50, delta=10e-6, scheme="plenoptic"))
-        cpi = tradeoff_curve(SensorBudget(n_tot=50, delta=10e-6, scheme="cpi"))
+        plen = tradeoff_curve(50, "plenoptic")
+        cpi = tradeoff_curve(50, "cpi")
         assert plen.angular_for(10) == 5
         assert cpi.angular_for(10) == 40
 
@@ -38,8 +37,8 @@ class TestTradeoffCurve:
         # strictly more angular pixels at every shared interior resolution;
         # N_x = 1 is the degenerate single-pixel image where the tiling
         # scheme keeps all N_tot angular samples
-        plen = tradeoff_curve(SensorBudget(n_tot=n_tot, delta=1e-5, scheme="plenoptic"))
-        cpi = tradeoff_curve(SensorBudget(n_tot=n_tot, delta=1e-5, scheme="cpi"))
+        plen = tradeoff_curve(n_tot, "plenoptic")
+        cpi = tradeoff_curve(n_tot, "cpi")
         for n_x, n_u_plen in plen.pairs:
             n_u_cpi = cpi.angular_for(n_x)
             if n_u_cpi is None or n_x == 1:
@@ -51,12 +50,11 @@ class TestTradeoffCurve:
         np.testing.assert_allclose(pts[:, 0] * pts[:, 1], 50.0, rtol=1e-12)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            SensorBudget(n_tot=1, delta=1e-5, scheme="cpi")
-        with pytest.raises(ValueError):
-            SensorBudget(n_tot=50, delta=0.0, scheme="cpi")
-        with pytest.raises(ValueError):
-            SensorBudget(n_tot=50, delta=1e-5, scheme="lightfield")
+        # the pixel pitch is a config rule (budget.delta), not the curve's
+        with pytest.raises(ValueError, match="need n_tot >= 2, got 1"):
+            tradeoff_curve(1, "cpi")
+        with pytest.raises(ValueError, match="unknown scheme 'lightfield'"):
+            tradeoff_curve(50, "lightfield")
 
 
 class TestResolutionLimits:

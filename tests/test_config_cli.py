@@ -193,6 +193,7 @@ class TestRunExperiment:
         run_experiment(parse_config(DEMOS["budget"]), out_dir=tmp_path, seed=5, threads=2)
         config = json.loads((tmp_path / "manifest.json").read_text())["config"]
         assert (config["run.seed"], config["run.threads"]) == (5, 2)
+        assert config["run.out_dir"] == str(tmp_path)  # the directory written
 
     def test_montecarlo_mode_is_seed_deterministic(self, tmp_path):
         text = DEMOS["montecarlo"].replace(
@@ -483,8 +484,12 @@ class TestCli:
             ("run.n_batches = 1\n", "run.n_batches"),
             ("run.n_realizations = 50\n", "run.n_realizations"),
             ("run.n_realizations = 120\nrun.n_batches = 121\n", "run.n_batches"),
+            # a batch of one realization would divide its co-moment by n - 1 = 0
+            ("run.n_realizations = 120\nrun.n_batches = 61\n", "run.n_batches"),
+            ("run.n_realizations = 120\nrun.n_batches = 60\n", None),  # two a batch: runs
         ],
-        ids=["one_batch", "few_realizations", "more_batches_than_realizations"],
+        ids=["one_batch", "few_realizations", "more_batches_than_realizations",
+             "a_batch_of_one", "two_realizations_a_batch"],
     )
     def test_montecarlo_run_settings_fail_fast(self, tmp_path, capsys, settings, field):
         path = tmp_path / "mc.cfg"
@@ -492,6 +497,11 @@ class TestCli:
             DEMOS["montecarlo"].replace("run.n_realizations = 2000\n", "") + settings
         )
         out = tmp_path / "out"
+        if field is None:
+            assert cli_main(["run", str(path), "--out", str(out)]) == 0
+            results = json.loads((out / "manifest.json").read_text())["results"]
+            assert all(np.isfinite(results[k]) and results[k] > 0 for k in ("l1", "se_l1"))
+            return
         assert cli_main(["validate", str(path)]) == 2
         assert f"{field}:" in capsys.readouterr().err
         assert cli_main(["run", str(path), "--out", str(out)]) == 2
@@ -586,7 +596,7 @@ class TestCli:
         [
             ("analytic", "quadrature needs 5.39 GiB (1537691 source nodes, 916 object nodes"),
             ("refocus", "quadrature needs 5.39 GiB (1537691 source nodes"),
-            ("montecarlo", "Monte Carlo kernels needs 2.28 GiB (600001 source nodes, 458 object"),
+            ("montecarlo", "Monte Carlo run needs 2.75 GiB (600001 source nodes, 458 object"),
             ("geometric", None),  # builds no propagator, so any span fits
         ],
         ids=["analytic", "refocus", "montecarlo", "geometric"],
@@ -636,6 +646,29 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_oversized_budget_fails_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # the curves and their CSV hold about 245 bytes a pixel of n_tot, so a
+        # 1 MiB limit admits n_tot = 4096 at 256 bytes a pixel and no more;
+        # validate used to print OK for any n_tot
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", 2**20)
+
+        def budget(n_tot):
+            return DEMOS["budget"].replace("budget.n_tot = 50", f"budget.n_tot = {n_tot}")
+
+        assert parse_config(budget(4096)).resolve() is None
+        with pytest.raises(ResourceLimit, match=r"pixel budget needs .* \(n_tot = 4097\)"):
+            parse_config(budget(4097)).resolve()
+        path = tmp_path / "budget.cfg"
+        path.write_text(budget(1000000))
+        assert cli_main(["validate", str(path)]) == 3
+        assert (
+            "numerical error: pixel budget needs 0.238 GiB (n_tot = 1000000), above the "
+            "0.000977 GiB working-set limit"
+        ) in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+
     def test_working_set_estimate_is_pinned_at_the_limit(self, monkeypatch):
         # T + V (n_source x (n_a + n_b)), W_b (n_object x n_b) and the output
         # grid (n_a x n_b), 16 bytes each; one object_transfer block of the
@@ -649,6 +682,28 @@ class TestCli:
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
         with pytest.raises(ResourceLimit, match="quadrature needs"):
             config.resolve()
+
+    def test_monte_carlo_estimate_is_pinned_at_the_limit(self, monkeypatch):
+        # the arm kernels K_a, K_b (1352 cells x (n_a + n_b)), W_b and the
+        # grid, 16 bytes each, one object_transfer block of ceil(1352 / 2) =
+        # 676 rows; then sampling: one chunk of the 100 realizations of a
+        # batch (17 bytes a cell) per thread, and three 8-byte n_a x n_b
+        # grids per batch
+        config = parse_config(DEMOS["montecarlo"])
+        kernels = 16 * (1352 * (64 + 64) + 65 * 64 + 64 * 64) + 676 * (32 * 65 + 32 * 64)
+        need = kernels + 100 * 17 * 1352 + 3 * 8 * 64 * 64 * 20
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
+        speckle = config.resolve().speckle
+        assert (speckle.axis_s.n, speckle.n_object, speckle.n_batches) == (1352, 65, 20)
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
+        with pytest.raises(ResourceLimit, match="Monte Carlo run needs"):
+            config.resolve()
+        # a second thread holds a second chunk
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + 100 * 17 * 1352)
+        config.updated({"run.threads": 2}).resolve()
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + 100 * 17 * 1352 - 1)
+        with pytest.raises(ResourceLimit, match="Monte Carlo run needs"):
+            config.updated({"run.threads": 2}).resolve()
 
     def test_limit_is_the_hosts_memory(self):
         # a convergence-study run over 1 GiB that fits the host resolves; one

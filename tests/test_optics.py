@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,13 @@ class TestMakeGeometry:
     def test_conjugation_exact_by_construction(self):
         g = make_geometry(z_a=0.1, z_b=0.1, S_o=0.2, F=0.05)
         assert abs(1 / g.S_i + 1 / g.S_o - 1 / g.focal_F) <= 1e-12 / g.focal_F
+
+    def test_replaced_image_distance_moves_the_focal_length(self):
+        # F is derived from S_o and S_i, so a replaced S_i cannot leave a
+        # stale focal length behind
+        g = replace(make_geometry(z_a=0.1, z_b=0.1, S_o=0.2, F=0.05), S_i=0.25)
+        assert g.focal_F == 1.0 / (1.0 / 0.25 + 1.0 / 0.2)
+        assert g.M == 1.25
 
     def test_rebuild_from_fields_is_bit_identical(self):
         g = make_geometry(z_a=0.1, z_b=0.07, S_o=0.19, F=0.048, lambda0=633e-9)
