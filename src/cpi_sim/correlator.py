@@ -11,8 +11,9 @@ silently returning an aliased surface.
 
 Every propagator is built here: ``arm_kernels`` and ``object_transfer``.
 The object transfer T[s, b] builds phase entries for the non-negative half
-of its source axis only, about the axis midpoint, and forms both mirror
-rows from two real matmuls. Also provided: the detector intensities (flat
+of its source axis only, about the axis midpoint, streamed through two
+small real cos/sin planes, and forms both mirror rows from two real
+matmuls per block. Also provided: the detector intensities (flat
 in arm a, object-Fourier modulated in arm b), the geometric-optics limit
 of Gamma, and the closed Gaussian-source point-spread functions before and
 after angular integration.
@@ -41,7 +42,9 @@ from .optics import (
     source_quadrature,
 )
 
-_PHASE_BLOCK = 8e6  # phase-entry bound of one block of object_transfer's source half
+# float64 entries one object_transfer block may hold (8 MiB): its cos/sin
+# planes, their tables and the two real products (``transfer_block``)
+_BLOCK_ENTRIES = 2**20
 MIN_NODES = 16  # floor on every quadrature and source-cell node count
 
 
@@ -107,6 +110,24 @@ class QuadratureSpec:
         return cls(n_source=n_source, n_object=n_object, source_span=source_span)
 
 
+def transfer_block(n_half: int, n_object: int, n_b: int) -> tuple[int, int, int, int]:
+    """Rows R, object columns K and anchor spacing B of one
+    ``object_transfer`` block over ``n_half`` source nodes, and the float64
+    entries it holds: K (2R + 3B + 2) + 4 R n_b (``phase.phase_planes``
+    and the two real products).
+
+    K is n_object up to sqrt(_BLOCK_ENTRIES) = 1024, so the matmuls keep a
+    few hundred rows whatever n_object. R is the most rows that fit
+    ``_BLOCK_ENTRIES`` were B as large as R, at least one, rounded down to
+    a multiple of B = min(ceil(sqrt(n_half)), R) unless it covers the half.
+    """
+    cols = min(n_object, math.isqrt(_BLOCK_ENTRIES))
+    rows = max(1, (_BLOCK_ENTRIES - 2 * cols) // (5 * cols + 4 * n_b))
+    block = min(phase.anchor_block(n_half), rows)
+    rows = n_half if rows >= n_half else rows - rows % block
+    return rows, cols, block, cols * (2 * rows + 3 * block + 2) + 4 * rows * n_b
+
+
 def check_working_set(
     what: str, n_source: int, n_object: int, n_a: int, n_b: int, extra: int = 0
 ) -> None:
@@ -116,14 +137,14 @@ def check_working_set(
     The estimate counts the complex arrays of ``gamma_quadrature`` and
     ``arm_kernels``: T (n_source x n_b), V or K_a (n_source x n_a), the
     object factor W_b (n_object x n_b) and the n_a x n_b output grid; and
-    what one ``object_transfer`` block holds: the complex half block, its
-    two real copies and the two real products. With ``n_source = 0`` it
-    bounds the output grid alone. ``extra`` adds the bytes the caller holds
-    beside them: Monte Carlo sampling's, from ``SpeckleRun.sampling_bytes``.
+    what one ``object_transfer`` block holds (``transfer_block``): the
+    cos/sin planes, their tables and the two real products. With
+    ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
+    bytes the caller holds beside them: Monte Carlo sampling's, from
+    ``SpeckleRun.sampling_bytes``.
     """
-    rows = min((n_source + 1) // 2, max(1, int(_PHASE_BLOCK // max(n_object, 1))))
     need = 16 * (n_source * (n_a + n_b) + n_object * n_b + n_a * n_b) + extra
-    need += rows * (32 * n_object + 32 * n_b)
+    need += 8 * transfer_block((n_source + 1) // 2, n_object, n_b)[3]
     check_bytes(
         what, need, f"{n_source} source nodes, {n_object} object nodes, n_a = {n_a}, n_b = {n_b}"
     )
@@ -174,9 +195,14 @@ def object_transfer(
     the exact odd part of rho_s - c (each node moves by at most an ulp).
     The factor exp(-i c1 rho_o c) goes into W_b = A w_o exp(-i c1 rho_o
     (c + rho_b/M)), and since P(-d) = conj P(d) for P = exp(-i c1 rho_o d),
-    only the d >= 0 half is built: T(c +- d) = C +- iS with C = Re(P)^T W_b
-    and S = Im(P)^T W_b, two real matmuls on the float view of W_b. The
-    half is built in blocks of <= ``_PHASE_BLOCK`` phase entries.
+    only the d >= 0 half is built, as the two real planes cos(c1 d rho_o)
+    and sin(c1 d rho_o) of ``phase.phase_planes``: T(c +- d) = C -+ iS with
+    C = cos W_b and S = sin W_b, two real matmuls on the float view of W_b.
+    The half streams through the planes in blocks of source rows by object
+    columns sized by ``transfer_block``, each block adding its share to its
+    rows of T, so besides T and W_b a call holds at most ``_BLOCK_ENTRIES``
+    float64 entries, whatever ``n_object``. Evenness of the half is checked
+    once, at the scale of max|rho_s|, where its nodes were rounded.
     """
     rho_o, w_o, step_o = object_quadrature(mask, n_object)
     r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # only r.object is read
@@ -186,7 +212,8 @@ def object_transfer(
     c = 0.5 * (rho_s[0] + rho_s[-1])
     d = rho_s - c
     d_odd = 0.5 * (d - d[::-1])
-    tol = phase._EVEN_ULPS * np.spacing(np.max(np.abs(rho_s)))
+    scale = np.max(np.abs(rho_s))
+    tol = phase._EVEN_ULPS * np.spacing(scale)
     if np.any(np.abs(d_odd - d) > tol):  # rho_s is not mirror-symmetric about c
         raise ValueError("object_transfer needs evenly spaced rho_s")
 
@@ -198,15 +225,21 @@ def object_transfer(
     t = np.empty((n, rho_b.size), dtype=complex)
     half = d_odd[n // 2 :]
     up, down = t[n // 2 :], t[::-1][n // 2 :]  # down[k] is the mirror row of up[k]
-    chunk = max(1, int(_PHASE_BLOCK // max(rho_o.size, 1)))
-    for lo in range(0, half.size, chunk):
-        sl = slice(lo, lo + chunk)
-        p = phase.phase_matrix(c1, rho_o, half[sl]).T
-        cos_t = (np.ascontiguousarray(p.real) @ W_b).view(complex)
-        isin_t = (np.ascontiguousarray(p.imag) @ W_b).view(complex)
+    rows, cols, block, _ = transfer_block(half.size, rho_o.size, rho_b.size)
+    products = np.empty((2, rows, W_b.shape[1]))
+    for s_rows, o_cols, planes in phase.phase_planes(c1, rho_o, half, rows, cols, block, scale):
+        cos_t, sin_t = np.matmul(planes, W_b[o_cols], out=products[:, : planes.shape[1]])
+        cos_t, isin_t = cos_t.view(complex), sin_t.view(complex)
         isin_t *= 1j
-        np.subtract(cos_t, isin_t, out=down[sl])
-        np.add(cos_t, isin_t, out=up[sl])
+        if o_cols.start:
+            # later object nodes add to the rows u, v written so far: with u
+            # and v folded into C and iS, up gains u and down gains v, also
+            # where d = 0 makes them one row
+            u, v = up[s_rows], down[s_rows]
+            cos_t += 0.5 * (u + v)
+            isin_t += 0.5 * (v - u)
+        np.subtract(cos_t, isin_t, out=up[s_rows])
+        np.add(cos_t, isin_t, out=down[s_rows])
     return t
 
 
@@ -312,7 +345,7 @@ def gamma_quadrature(
     c_a = w / geom.z_a
     chirp_beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
 
-    # T comes first, so its object phase matrix is freed before V is built
+    # T comes first, so its block buffers are freed before V is built
     t = object_transfer(geom, mask, quad.n_object, rho_s, rho_b)
     V = phase.phase_matrix(-c_a, rho_s, rho_a)
     V *= (source.intensity(rho_s) * w_s * gaussian_phase(rho_s, chirp_beta))[:, None]

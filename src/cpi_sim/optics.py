@@ -109,7 +109,8 @@ def make_geometry(
 
     Exactly one of S_i or F must be provided. A focal length is turned into
     the image distance S_i = 1 / (1/F - 1/S_o); the geometry stores S_i and
-    derives F from it (``SetupGeometry.focal_F``).
+    derives F from it (``SetupGeometry.focal_F``). A given S_i is checked
+    by ``SetupGeometry`` with every other length.
     """
     if (S_i is None) == (F is None):
         raise InvalidGeometry("give exactly one of S_i or F")
@@ -123,8 +124,6 @@ def make_geometry(
                 f"S_o={S_o} <= F={F}: the lens forms no real image of the source"
             )
         S_i = 1.0 / (1.0 / F - 1.0 / S_o)
-    elif not np.isfinite(S_i) or S_i <= 0.0:
-        raise InvalidGeometry(f"S_i must be a positive length, got {S_i}")
     return SetupGeometry(z_a=z_a, z_b=z_b, S_o=S_o, S_i=S_i, lambda0=lambda0)
 
 

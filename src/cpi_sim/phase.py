@@ -16,11 +16,15 @@ factors into are built here too, by block anchoring along the evenly
 spaced coordinate y: node k = qB + p is the anchor y_qB plus the block-0
 offset y_p - y_0, so each entry is the product of two exponentials from
 tables of about sqrt(n_y) columns. Each entry takes one rounded complex
-product and no recurrence, so nothing drifts along y.
+product and no recurrence, so nothing drifts along y. One anchoring
+(``_anchoring``) has two outputs: the complex matrix (``phase_matrix``)
+and its cosine and sine as two real planes, streamed in small blocks
+(``phase_planes``) for real matmuls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +36,9 @@ from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile
 # oscillatory factor sampled by the simulator.
 MAX_PHASE_STEP = np.pi / 2.0
 
-# evenness tolerance, in ulps of max|y|: on a node's distance from its block
-# anchor plus block-0 offset (phase_matrix; linspace and Axis nodes stay
+# evenness tolerance, in ulps of the axis scale (max|y|, or max|rho_s| for
+# the object transfer's source half): on a node's distance from its block
+# anchor plus block-0 offset (_anchoring; linspace and Axis nodes stay
 # within 2.5) and from its mirror image about the midpoint (object_transfer;
 # within 1).
 _EVEN_ULPS = 8
@@ -119,6 +124,31 @@ def check_step(what: str, step: float, rate: float) -> None:
         )
 
 
+def anchor_block(n: int) -> int:
+    """Anchor spacing B = ceil(sqrt(n)) of ``n`` nodes: about sqrt(n)
+    anchors and sqrt(n) offsets, the fewest exponentials for n entries."""
+    return int(np.ceil(np.sqrt(n)))
+
+
+def _anchoring(y: np.ndarray, block: int, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Anchors y[::block] and block-0 offsets y[:block] - y[0] of ``y``.
+
+    Node qB + p is anchor y_qB plus offset y_p - y_0. Raises ValueError
+    unless every node matches its anchor plus offset to within
+    _EVEN_ULPS ulps of ``scale``, the magnitude at which the nodes were
+    rounded (an evenly spaced y passes).
+    """
+    anchors, offsets = y[::block], y[:block] - y[0]
+    k = np.arange(y.size)
+    drift = np.abs(anchors[k // block] + offsets[k % block] - y)
+    if not np.all(drift <= _EVEN_ULPS * np.spacing(scale)):
+        raise ValueError(
+            f"block anchoring needs evenly spaced y; node {int(np.argmax(drift))} "
+            f"is {float(np.max(drift)):.3e} off its block anchor plus offset"
+        )
+    return anchors, offsets
+
+
 def phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bilinear phase matrix exp(-i c x_j y_k), shape (x.size, y.size).
 
@@ -136,7 +166,8 @@ def phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``np.exp(-1j * c * np.outer(x, y))`` the largest absolute error is
     8.8e-14 on the refocus demo's 916 x 4379 object-source matrix (phases
     up to 151 rad). A ``y`` whose nodes do not match their anchor plus
-    offset to within _EVEN_ULPS ulps of max|y| raises ValueError.
+    offset to within _EVEN_ULPS ulps of max|y| raises ValueError
+    (``_anchoring``).
 
     The result is the transpose of a C-ordered (y.size, x.size) buffer,
     so the products run over contiguous rows of length x.size.
@@ -144,15 +175,8 @@ def phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size
-    block = int(np.ceil(np.sqrt(n)))
-    anchors, offsets = y[::block], y[:block] - y[0]
-    k = np.arange(n)
-    drift = np.abs(anchors[k // block] + offsets[k % block] - y)
-    if not np.all(drift <= _EVEN_ULPS * np.spacing(np.max(np.abs(y)))):
-        raise ValueError(
-            f"phase_matrix needs evenly spaced y; node {int(np.argmax(drift))} "
-            f"is {float(np.max(drift)):.3e} off its block anchor plus offset"
-        )
+    block = anchor_block(n)
+    anchors, offsets = _anchoring(y, block, np.max(np.abs(y)))
     a = np.exp((-1j * c) * np.outer(anchors, x))
     e = np.exp((-1j * c) * np.outer(offsets, x))
     out = np.empty((n, x.size), dtype=complex)
@@ -160,3 +184,61 @@ def phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         hi = min(lo + block, n)
         np.multiply(a[q], e[: hi - lo], out=out[lo:hi])
     return out.T
+
+
+def phase_planes(
+    c: float, x: np.ndarray, y: np.ndarray, rows: int, cols: int, block: int, scale: float
+) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Stream cos(c x_j y_k) and sin(c x_j y_k) in blocks of at most
+    ``rows`` nodes of y by ``cols`` nodes of x.
+
+    Yields (ys, xs, planes) for each chunk xs of x and, within it, each
+    block ys of y: planes[0] and planes[1] are the cosine and sine on
+    y[ys] x x[xs], C-ordered, so each feeds a real matmul as it stands;
+    exp(-i c x y) = planes[0] - i planes[1]. The planes are one buffer,
+    reused: read each block before the next.
+
+    This is ``phase_matrix``'s anchoring in real form: per chunk of x, the
+    offset tables cos and sin of c x (y_p - y_0), p < ``block``, are built
+    once, each anchor y_qB adds a cosine and a sine row, and each entry is
+    an angle sum, cos(a + b) = cos a cos b - sin a sin b and
+    sin(a + b) = sin a cos b + cos a sin b. ``rows`` must be a multiple of
+    ``block`` unless it covers y, so every block starts at an anchor.
+    Evenness is checked once, on all of y, to _EVEN_ULPS ulps of ``scale``.
+    Besides the planes (2 rows cols entries) this holds the offset tables
+    and a product buffer (3 block cols) and two anchor rows (2 cols).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if rows < n and rows % block:
+        raise ValueError(f"phase_planes needs rows a multiple of block, got {rows} and {block}")
+    anchors, offsets = _anchoring(y, block, scale)
+    cols = min(cols, x.size)
+    tables = np.empty(3 * block * cols)
+    buffer = np.empty(2 * min(rows, n) * cols)
+    for j in range(0, x.size, cols):
+        xs = x[j : j + cols]
+        cos_off, sin_off, spare = tables[: 3 * block * xs.size].reshape(3, block, xs.size)
+        np.multiply.outer(offsets, xs, out=cos_off)
+        cos_off *= c
+        np.sin(cos_off, out=sin_off)
+        np.cos(cos_off, out=cos_off)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            planes = buffer[: 2 * (hi - lo) * xs.size].reshape(2, hi - lo, xs.size)
+            for start in range(lo, hi, block):
+                m = min(block, hi - start)
+                ang = np.multiply(xs, anchors[start // block])
+                ang *= c
+                cos_a = np.cos(ang)
+                sin_a = np.sin(ang, out=ang)
+                cos_p, sin_p = planes[:, start - lo : start - lo + m]
+                co, so, tmp = cos_off[:m], sin_off[:m], spare[:m]
+                np.multiply(co, cos_a, out=cos_p)
+                np.multiply(so, sin_a, out=tmp)
+                cos_p -= tmp
+                np.multiply(so, cos_a, out=sin_p)
+                np.multiply(co, sin_a, out=tmp)
+                sin_p += tmp
+            yield slice(lo, hi), slice(j, j + xs.size), planes

@@ -81,10 +81,13 @@ def _axis_comment(name: str, axis: Axis) -> str:
 def _csv(comments: list[str], header: str, rows: Iterable[str]) -> bytes:
     """The one CSV layout: version line, comments, header, rows, LF-terminated.
 
-    A row may be a block of several LF-joined lines.
+    A row may be a block of several LF-joined lines. Each row is encoded as
+    it arrives and the bytes are joined, so a file built from a generator of
+    rows is held twice (its encoded rows and the joined bytes), not three
+    times.
     """
-    lines = [f"# cpi-sim {__version__}", *comments, header, *rows, ""]
-    return "\n".join(lines).encode("utf-8")
+    head = "\n".join([f"# cpi-sim {__version__}", *comments, header])
+    return b"\n".join([head.encode("utf-8"), *(row.encode("utf-8") for row in rows), b""])
 
 
 def _value_rows(values: np.ndarray, valid: np.ndarray | None = None):
@@ -127,17 +130,21 @@ def _image_csv(image: SampledImage) -> bytes:
 def _grid_csv(grid: CorrelationGrid) -> bytes:
     """One LF-joined block of n_b lines per rho_a; a masked sample keeps an
     empty value field. Each block is one join over a reused list of line
-    parts (rho_a, rho_b, value), so no per-line string is built."""
+    parts (rho_a, rho_b, value), so no per-line string is built, and is
+    handed to ``_csv`` as it is built, to be encoded there."""
     n_b = grid.axis_b.n
     parts: list[str] = [""] * (3 * n_b)
     parts[1::3] = [repr(b) + "," for b in grid.axis_b.coordinates.tolist()]
-    blocks = []
-    for a, fields in zip(grid.axis_a.coordinates.tolist(), _value_rows(grid.values, grid.valid)):
-        a_field = repr(a) + ","
-        parts[::3] = repeat("\n" + a_field, n_b)
-        parts[0] = a_field
-        parts[2::3] = fields
-        blocks.append("".join(parts))
+
+    def blocks():
+        rows = zip(grid.axis_a.coordinates.tolist(), _value_rows(grid.values, grid.valid))
+        for a, fields in rows:
+            a_field = repr(a) + ","
+            parts[::3] = repeat("\n" + a_field, n_b)
+            parts[0] = a_field
+            parts[2::3] = fields
+            yield "".join(parts)
+
     return _csv(
         [
             _axis_comment("axis_a", grid.axis_a),
@@ -145,7 +152,7 @@ def _grid_csv(grid: CorrelationGrid) -> bytes:
             f"# z_a={_num(grid.z_a)} z_b={_num(grid.z_b)} M={_num(grid.M)}",
         ],
         "rho_a_m,rho_b_m,value",
-        blocks,
+        blocks(),
     )
 
 

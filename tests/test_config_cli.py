@@ -594,9 +594,9 @@ class TestCli:
     @pytest.mark.parametrize(
         "mode, message",
         [
-            ("analytic", "quadrature needs 5.39 GiB (1537691 source nodes, 916 object nodes"),
-            ("refocus", "quadrature needs 5.39 GiB (1537691 source nodes"),
-            ("montecarlo", "Monte Carlo run needs 2.75 GiB (600001 source nodes, 458 object"),
+            ("analytic", "quadrature needs 5.14 GiB (1537691 source nodes, 916 object nodes"),
+            ("refocus", "quadrature needs 5.14 GiB (1537691 source nodes"),
+            ("montecarlo", "Monte Carlo run needs 2.49 GiB (600001 source nodes, 458 object"),
             ("geometric", None),  # builds no propagator, so any span fits
         ],
         ids=["analytic", "refocus", "montecarlo", "geometric"],
@@ -671,12 +671,16 @@ class TestCli:
 
     def test_working_set_estimate_is_pinned_at_the_limit(self, monkeypatch):
         # T + V (n_source x (n_a + n_b)), W_b (n_object x n_b) and the output
-        # grid (n_a x n_b), 16 bytes each; one object_transfer block of the
-        # ceil(4379 / 2) = 2190 source rows: the complex half block and its
-        # two real copies (32 bytes per phase entry), the two real products
-        # (2 x 2 n_b floats per row)
+        # grid (n_a x n_b), 16 bytes each; one object_transfer block, 8 bytes
+        # an entry: 2**20 entries at 5 x 916 + 4 x 64 = 4836 a row (less two
+        # anchor rows of 916) give 216 rows, rounded down to 188, a multiple
+        # of the anchor spacing ceil(sqrt(2190)) = 47 of the ceil(4379 / 2)
+        # = 2190 source rows; the block holds the two planes (2 x 188 rows of
+        # 916), the two offset tables and a product buffer (3 x 47 rows), two
+        # anchor rows and the two real products (2 x 188 rows of 2 x 64)
         config = parse_config(DEMOS["refocus"])
-        need = 16 * (4379 * (160 + 64) + 916 * 64 + 160 * 64) + 2190 * (32 * 916 + 32 * 64)
+        block = 916 * (2 * 188 + 3 * 47 + 2) + 4 * 188 * 64
+        need = 16 * (4379 * (160 + 64) + 916 * 64 + 160 * 64) + 8 * block
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         assert config.resolve().quad.n_source == 4379
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
@@ -685,12 +689,17 @@ class TestCli:
 
     def test_monte_carlo_estimate_is_pinned_at_the_limit(self, monkeypatch):
         # the arm kernels K_a, K_b (1352 cells x (n_a + n_b)), W_b and the
-        # grid, 16 bytes each, one object_transfer block of ceil(1352 / 2) =
-        # 676 rows; then sampling: one chunk of the 100 realizations of a
-        # batch (17 bytes a cell) per thread, and three 8-byte n_a x n_b
-        # grids per batch
+        # grid, 16 bytes each, one object_transfer block, 8 bytes an entry:
+        # 2**20 entries allow (2**20 - 2 x 65) // (5 x 65 + 4 x 64) = 1804
+        # rows, so the block is all ceil(1352 / 2) = 676 rows of the half,
+        # anchored every ceil(sqrt(676)) = 26: two planes (2 x 676 rows of
+        # 65), two offset tables and a product buffer (3 x 26 rows), two
+        # anchor rows and the two real products (2 x 676 rows of 2 x 64);
+        # then sampling: one chunk of the 100 realizations of a batch (17
+        # bytes a cell) per thread, and three 8-byte n_a x n_b grids per batch
         config = parse_config(DEMOS["montecarlo"])
-        kernels = 16 * (1352 * (64 + 64) + 65 * 64 + 64 * 64) + 676 * (32 * 65 + 32 * 64)
+        block = 65 * (2 * 676 + 3 * 26 + 2) + 4 * 676 * 64
+        kernels = 16 * (1352 * (64 + 64) + 65 * 64 + 64 * 64) + 8 * block
         need = kernels + 100 * 17 * 1352 + 3 * 8 * 64 * 64 * 20
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         speckle = config.resolve().speckle
@@ -710,8 +719,10 @@ class TestCli:
         # no host can hold (3.3 TiB) fails in resolve()
         pages = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert cpi_sim.correlator.MAX_WORKING_SET == pages
-        rows = 8_000_000 // 916  # source rows of one object_transfer block
-        need = 16 * (350_000 * (160 + 64) + 916 * 64 + 160 * 64) + rows * (32 * 916 + 32 * 64)
+        # one object_transfer block: 216 rows (see the pinned estimate above),
+        # anchored every 216 rows too, since ceil(sqrt(175000)) = 419 is more
+        block = 916 * (2 * 216 + 3 * 216 + 2) + 4 * 216 * 64
+        need = 16 * (350_000 * (160 + 64) + 916 * 64 + 160 * 64) + 8 * block
         assert need > 2**30
         if need > pages:
             pytest.skip(f"host has {pages} bytes, the run needs {need}")
@@ -726,6 +737,16 @@ class TestCli:
 
         assert ConfigError is cpi_sim.errors.ConfigError
         assert ComputationError is cpi_sim.errors.ComputationError
+
+    @pytest.mark.parametrize("S_i", ["0", "-1"])
+    def test_nonpositive_image_distance_exits_2(self, tmp_path, capsys, S_i):
+        path = tmp_path / "run.cfg"
+        path.write_text(DEMOS["refocus"].replace("geometry.F = 0.05", f"geometry.S_i = {S_i}"))
+        out = tmp_path / "out"
+        for args in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert cli_main(args) == 2
+            assert "config error: geometry.S_i: must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"

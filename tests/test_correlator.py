@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -547,6 +548,27 @@ class TestObjectTransferGuard:
             correlator.object_transfer(geom_focused, slits, 64, rho_s, axis_b.coordinates)
 
 
+def _spy_planes(monkeypatch):
+    """Record the (rows, columns) of every block ``phase.phase_planes``
+    yields, and the entries of every complex phase matrix, keyed by its
+    coupling constant."""
+    planes_built, complex_built = [], {}
+    planes, matrix = phase.phase_planes, phase.phase_matrix
+
+    def planes_spy(c, x, y, *args):
+        for ys, xs, block in planes(c, x, y, *args):
+            planes_built.append(block.shape[1:])
+            yield ys, xs, block
+
+    def matrix_spy(c, x, y):
+        complex_built.setdefault(c, []).append(len(x) * len(y))
+        return matrix(c, x, y)
+
+    monkeypatch.setattr(phase, "phase_planes", planes_spy)
+    monkeypatch.setattr(phase, "phase_matrix", matrix_spy)
+    return planes_built, complex_built
+
+
 class TestObjectTransferDirectSum:
     """object_transfer equals sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b/M))."""
 
@@ -556,6 +578,13 @@ class TestObjectTransferDirectSum:
         c = np.linspace(-140e-6, 90e-6, 461)
         values = 0.9 * np.exp(-((c - 20e-6) ** 2) / (2 * (45e-6) ** 2) + 1j * c / 30e-6)
         return ObjectMask.from_samples(c, values)
+
+    @staticmethod
+    def _direct(geom, mask, n_object, rho_s, rho_b):
+        rho_o, w_o, _ = object_quadrature(mask, n_object)
+        c1 = geom.omega0_over_c / geom.z_b
+        arg = rho_s[:, None, None] + rho_b[None, :, None] / geom.M
+        return np.exp(-1j * c1 * arg * rho_o) @ (mask.transmission(rho_o) * w_o)
 
     @pytest.mark.parametrize(
         "axis_s",
@@ -573,24 +602,62 @@ class TestObjectTransferDirectSum:
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
         c1 = geom_focused.omega0_over_c / geom_focused.z_b
-        rho_o, w_o, _ = object_quadrature(mask, n_object)
-        built = []
-        build = phase.phase_matrix
-
-        def spy(c, x, y):
-            if c == c1:
-                built.append(len(x) * len(y))
-            return build(c, x, y)
-
-        monkeypatch.setattr(phase, "phase_matrix", spy)
+        n_o = object_quadrature(mask, n_object)[0].size
+        planes_built, complex_built = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        # phase entries for the ceil(n/2) nodes of the non-negative half only
-        assert sum(built) == rho_o.size * ((rho_s.size + 1) // 2)
+        # phase entries for the ceil(n/2) nodes of the non-negative half
+        # only, all as cos/sin planes: no complex matrix at c1
+        assert sum(rows * cols for rows, cols in planes_built) == n_o * ((rho_s.size + 1) // 2)
+        assert c1 not in complex_built
 
-        arg = rho_s[:, None, None] + rho_b[None, :, None] / geom_focused.M
-        direct = np.exp(-1j * c1 * arg * rho_o) @ (mask.transmission(rho_o) * w_o)
+        direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         peak = np.abs(direct).max()
         assert np.abs(t - direct).max() <= 1e-12 * peak
+
+    def test_a_small_block_near_zero_is_checked_at_the_axis_scale(
+        self, monkeypatch, geom_focused
+    ):
+        # linspace nodes near 0 carry rounding at the scale of the axis end
+        # (1e-19 m here), while the first blocks of 90 of the 2001 half
+        # nodes, anchored every 45, reach only 44.5-89.5 um. Checked block
+        # by block at the scale of each block's own max|d| (8 ulps of
+        # 44.5 um, 5.4e-20 m), a node was refused as uneven; checked once
+        # at max|rho_s|, the half passes.
+        mask = self._mask()
+        rho_s = np.linspace(-1e-3, 1e-3, 4001)
+        rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
+        n_object = 128
+        n_o = object_quadrature(mask, n_object)[0].size
+        # the budget of 90 rows: 5 n_o + 4 n_b entries a row, two anchor rows
+        monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 90 * (5 * n_o + 4 * rho_b.size) + 2 * n_o)
+        assert correlator.transfer_block(2001, n_o, rho_b.size)[:3] == (90, n_o, 45)
+        planes_built, _ = _spy_planes(monkeypatch)
+        t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
+        assert planes_built == [(90, n_o)] * 22 + [(21, n_o)]
+
+        direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
+        assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("n", [33, 34])
+    def test_chunks_of_object_nodes_add_up(self, monkeypatch, geom_focused, n):
+        # a budget of 50 x 50 entries splits the 128 object nodes into
+        # chunks of 50, 50 and 28 columns; each chunk adds its share to
+        # every row, and the d = 0 row of the odd axis, its own mirror, is
+        # counted once
+        mask = self._mask()
+        rho_s = Axis(n=n, center=0.5e-6, step=13e-6).coordinates
+        rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
+        n_object = 128
+        assert object_quadrature(mask, n_object)[0].size == 128
+        monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 50 * 50)
+        rows, cols, block, entries = correlator.transfer_block(17, 128, 12)
+        assert (rows, cols, block) == (5, 50, 5) and entries <= 50 * 50
+        planes_built, _ = _spy_planes(monkeypatch)
+        t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
+        assert planes_built == [(r, k) for k in (50, 50, 28) for r in (5, 5, 5, 2)]
+
+        direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
+        assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 class TestObjectTransferBlocks:
@@ -598,27 +665,26 @@ class TestObjectTransferBlocks:
     one-block result."""
 
     @staticmethod
-    def _blocked(monkeypatch, geom, n_o, n_s, call):
-        # at least three full blocks of the non-negative rho_s half, then a
-        # ragged one; the half holds ceil(n_s / 2) nodes
+    def _blocked(monkeypatch, n_o, n_b, n_s, call):
+        # the default budget holds the whole half in one block; then at
+        # least four full blocks of the non-negative rho_s half, each a
+        # multiple of the anchor spacing ceil(sqrt(half)), and a ragged one;
+        # the half holds ceil(n_s / 2) nodes
         half = (n_s + 1) // 2
-        chunk = (half - 1) // 3
-        c1 = geom.omega0_over_c / geom.z_b
-        sizes = []
-        build = phase.phase_matrix
-
-        def spy(c, x, y):
-            if c == c1 and len(x) == n_o:
-                sizes.append(len(y))
-            return build(c, x, y)
-
+        block = phase.anchor_block(half)
+        chunk = block * ((half - 1) // (4 * block))
         with monkeypatch.context() as m:
-            m.setattr(correlator, "_PHASE_BLOCK", chunk * n_o)
-            m.setattr(phase, "phase_matrix", spy)
-            out = call()
-        assert len(sizes) >= 4 and sum(sizes) == half
+            built, _ = _spy_planes(m)
+            one = call()
+            assert built == [(half, n_o)]
+            built.clear()
+            # the budget of chunk rows: 5 n_o + 4 n_b entries a row, two anchor rows
+            m.setattr(correlator, "_BLOCK_ENTRIES", chunk * (5 * n_o + 4 * n_b) + 2 * n_o)
+            blocked = call()
+        sizes = [rows for rows, _ in built]
+        assert len(sizes) >= 5 and sum(sizes) == half
         assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] < chunk
-        return out
+        return one, blocked
 
     @staticmethod
     def _assert_close(actual, desired):
@@ -632,22 +698,16 @@ class TestObjectTransferBlocks:
         axis_b = Axis.from_half_width(10, 500e-6, center=-60e-6)
         quad = QuadratureSpec.auto(g, source, slits, axis_a, axis_b)
         n_o = object_quadrature(slits, quad.n_object)[0].size
-        gamma = gamma_quadrature(g, source, slits, axis_a, axis_b, quad)
-        self._assert_close(
-            self._blocked(
-                monkeypatch, g, n_o, quad.n_source,
-                lambda: gamma_quadrature(g, source, slits, axis_a, axis_b, quad),
-            ).values,
-            gamma.values,
+        gamma, blocked = self._blocked(
+            monkeypatch, n_o, axis_b.n, quad.n_source,
+            lambda: gamma_quadrature(g, source, slits, axis_a, axis_b, quad),
         )
-        i_b = intensity_b(g, source, slits, axis_b, quad)
-        self._assert_close(
-            self._blocked(
-                monkeypatch, g, n_o, quad.n_source,
-                lambda: intensity_b(g, source, slits, axis_b, quad),
-            ).values,
-            i_b.values,
+        self._assert_close(blocked.values, gamma.values)
+        i_b, blocked = self._blocked(
+            monkeypatch, n_o, axis_b.n, quad.n_source,
+            lambda: intensity_b(g, source, slits, axis_b, quad),
         )
+        self._assert_close(blocked.values, i_b.values)
 
     @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
     def test_arm_kernels(self, request, monkeypatch, geom_name, source, slits):
@@ -656,10 +716,26 @@ class TestObjectTransferBlocks:
         axis_b = Axis.from_half_width(10, 400e-6, center=-60e-6)
         axis_s, n_object = default_sampling(g, source, slits, axis_a, axis_b)
         n_o = object_quadrature(slits, n_object)[0].size
-        k_a, k_b = arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object)
-        blocked_a, blocked_b = self._blocked(
-            monkeypatch, g, n_o, axis_s.n,
+        (k_a, k_b), (blocked_a, blocked_b) = self._blocked(
+            monkeypatch, n_o, axis_b.n, axis_s.n,
             lambda: arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object),
         )
         self._assert_close(blocked_a, k_a)
         self._assert_close(blocked_b, k_b)
+
+
+class TestObjectTransferMemory:
+    def test_gamma_quadrature_peak_on_the_refocus_demo(self):
+        # T (4379 x 64) and V (4379 x 160) are 15.0 MiB of complex entries;
+        # the object transfer's block adds at most 8 MiB (_BLOCK_ENTRIES),
+        # freed before V is built. A complex phase block of the whole source
+        # half, with its two real copies, peaked at 55.5 MiB.
+        exp = cpi_sim.parse_config(cpi_sim.DEMOS["refocus"]).resolve()
+        assert (exp.quad.n_source, exp.quad.n_object) == (4379, 916)
+        tracemalloc.start()
+        try:
+            gamma_quadrature(exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20

@@ -63,6 +63,12 @@ class TestMakeGeometry:
         with pytest.raises(InvalidGeometry, match=f"^{field} must be a positive length, got nan$"):
             make_geometry(**kwargs)
 
+    @pytest.mark.parametrize("S_i", [0.0, -1.0])
+    def test_nonpositive_image_distance_rejected_by_the_geometry(self, S_i):
+        # SetupGeometry alone owns the S_i rule; make_geometry passes S_i on
+        with pytest.raises(InvalidGeometry, match=f"^S_i must be a positive length, got {S_i}$"):
+            make_geometry(z_a=0.1, z_b=0.1, S_o=0.2, S_i=S_i)
+
     def test_object_beyond_lens_rejected(self):
         with pytest.raises(InvalidGeometry):
             make_geometry(z_a=0.1, z_b=0.25, S_o=0.2, F=0.05)
