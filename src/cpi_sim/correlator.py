@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -48,16 +49,27 @@ _BLOCK_ENTRIES = 2**20
 MIN_NODES = 16  # floor on every quadrature and source-cell node count
 
 
-def _physical_memory() -> float:
+# a cgroup v2 container's memory limit: bytes, or "max" for none
+_CGROUP_MEMORY_MAX = Path("/sys/fs/cgroup/memory.max")
+
+
+def _memory_limit() -> float:
+    """The host's physical memory, or the container's cgroup v2 limit if
+    that is smaller. A missing or unreadable file, or "max", is no limit."""
     try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # the host does not report it
-        return math.inf
+        physical = math.inf
+    try:
+        text = _CGROUP_MEMORY_MAX.read_text(encoding="ascii").strip()
+    except (OSError, ValueError):
+        return physical
+    return min(physical, int(text)) if text.isdigit() else physical
 
 
-# bytes of propagator and grid arrays one run may hold: the host's physical
-# memory, since a run that needs more cannot finish on it
-MAX_WORKING_SET = _physical_memory()
+# bytes of propagator and grid arrays one run may hold: the memory the run
+# can have, since a run that needs more cannot finish
+MAX_WORKING_SET = _memory_limit()
 
 
 @dataclass(frozen=True)
@@ -103,7 +115,16 @@ class QuadratureSpec:
         r = phase.declared_rates(geom, source, mask, axis_a, axis_b, source_span)
         step_s = phase.step_limit(r.gamma_s, guard_factor)
         step_o = phase.step_limit(r.object, guard_factor)
-        n_source = max(MIN_NODES, int(np.ceil(2.0 * source_span / step_s)) + 1)
+        # floor + 2 keeps the nominal step below the limit at an integer
+        # ratio, where ceil + 1 would put it on the limit; a ratio an ulp
+        # below an integer does that too, and linspace can round one gap
+        # past the limit either way, so nodes are added while the gaps the
+        # guard will measure fail its test
+        n_source = max(MIN_NODES, int(np.floor(2.0 * source_span / step_s)) + 2)
+        while phase.exceeds(
+            _max_step(source_quadrature(source, n_source, source_span)[0]), r.gamma_s, guard_factor
+        ):
+            n_source += 1
         intervals = mask.support_intervals()
         support = sum(hi - lo for lo, hi in intervals)
         n_object = max(MIN_NODES, int(np.ceil(support / step_o)) + len(intervals) + 1)
@@ -156,7 +177,7 @@ def check_bytes(what: str, need: float, counts: str) -> None:
     if need > MAX_WORKING_SET:
         raise ResourceLimit(
             f"{what} needs {need / 2**30:.3g} GiB ({counts}), above the "
-            f"{MAX_WORKING_SET / 2**30:.3g} GiB working-set limit (physical memory)"
+            f"{MAX_WORKING_SET / 2**30:.3g} GiB working-set limit (physical or cgroup memory)"
         )
 
 

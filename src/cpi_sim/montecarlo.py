@@ -27,6 +27,13 @@ cannot perturb the stream. A block of realizations builds one generator
 and re-keys it per realization through its state (key (seed, r), counter
 0, empty buffer), which gives the same (seed, r) stream as a generator
 built for that key, without the cost of building one per row.
+
+Propagation runs in blocks of consecutive realizations, one GEMM per arm
+and block. A block holds whole batches, as many as fit ``_BLOCK_BYTES`` of
+phasors, so short batches share the cost of streaming each kernel through
+the GEMM; a batch longer than that is cut into blocks of its own. Each
+batch is reduced from its own rows only, so its moments do not depend on
+the block it shared.
 """
 
 from __future__ import annotations
@@ -42,7 +49,10 @@ from .errors import DegenerateStatistics
 from .metrics import normalized_l1, normalized_linf, peak_normalize
 from .optics import Axis, CorrelationGrid, ObjectMask, SetupGeometry, SourceProfile
 
-_REALIZATION_CHUNK = 256  # realizations per matmul block
+# phasor bytes one propagation block holds (16 a cell and realization):
+# consecutive batches share a block up to it (``_block_rows``)
+_BLOCK_BYTES = 4 * 2**20
+_TAKE_ROWS = 16  # phasor rows gathered from the table per np.take
 MIN_BATCHES = 2  # the spread of batch means is the error bar
 MIN_REALIZATIONS = 100  # fewer give no meaningful error bars
 # default_sampling takes this fraction of the tightest source-cell limit
@@ -80,12 +90,19 @@ class SpeckleRun:
             )
 
     def sampling_bytes(self, threads: int) -> int:
-        """Bytes sampling holds beside the kernels: a chunk per batch in flight
-        (uint8 index plus complex phasor, 17 bytes a cell and row) and three
-        n_a x n_b float grids per batch that ``estimate_gamma`` keeps, stacks and reduces."""
-        rows = min(_REALIZATION_CHUNK, -(-self.n_realizations // self.n_batches))
-        chunks = min(threads, self.n_batches) * rows * 17 * self.axis_s.n
-        return chunks + 3 * 8 * self.axis_a.n * self.axis_b.n * self.n_batches
+        """Bytes sampling holds beside the kernels: per block in flight
+        (``_batch_covariances``; at most ``threads``, and at most one per
+        batch plus one per ``_block_rows`` realizations), its rows' uint8
+        indices, padded to whole Philox words, and complex phasors, 17 bytes
+        a cell, both arms' propagated rows, at most 32 bytes a pixel, and
+        the intp copy of one ``_TAKE_ROWS`` slice; and two n_a x n_b float
+        grids per batch, the stacked covariances and the deviations
+        ``estimate_gamma`` reduces them with."""
+        n, pixels = self.axis_s.n, self.axis_a.n + self.axis_b.n
+        rows = min(_block_rows(n), self.n_realizations)
+        blocks = min(threads, self.n_batches + self.n_realizations // rows)
+        block = rows * (8 * -(-n // 8) + 16 * n + 32 * pixels) + 8 * min(rows, _TAKE_ROWS) * n
+        return blocks * block + 2 * 8 * self.axis_a.n * self.axis_b.n * self.n_batches
 
 
 @dataclass(frozen=True)
@@ -186,40 +203,102 @@ def default_sampling(
     return axis_s, n_object
 
 
-def _batch_covariance(
-    k_a: np.ndarray, k_b: np.ndarray, seed: int, start: int, stop: int
+def _block_rows(n_cells: int) -> int:
+    """Realizations one propagation block holds: as many phasor rows of
+    ``n_cells`` complex cells as fit ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (16 * n_cells))
+
+
+def _phasors(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """Unit phasors of realizations [lo, hi): the table entries of
+    ``_phase_indices``, gathered ``_TAKE_ROWS`` rows at a time so the intp
+    copy of the uint8 indices that ``np.take`` makes stays that small."""
+    idx = _phase_indices(seed, lo, hi, n)
+    fields = np.empty(idx.shape, dtype=complex)
+    for r in range(0, hi - lo, _TAKE_ROWS):
+        _PHASES.take(idx[r : r + _TAKE_ROWS], out=fields[r : r + _TAKE_ROWS], mode="clip")
+    return fields
+
+
+def _block_moments(
+    k_a: np.ndarray, k_b: np.ndarray, seed: int, pieces: list[tuple[int, int, int]]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Mean intensities and centered co-moment of each (batch, lo, hi) piece
+    of one block of consecutive realizations.
+
+    The block's rows are generated and propagated together, one GEMM per
+    arm; each piece is then reduced from its own rows alone, to its means
+    and (I_a - mean_a)^T (I_b - mean_b). Centering avoids the catastrophic
+    cancellation of the <I_a I_b> - <I_a><I_b> form.
+    """
+    lo, hi = pieces[0][1], pieces[-1][2]
+    fields = _phasors(seed, lo, hi, k_a.shape[1])
+    i_a = np.abs(fields @ k_a.T) ** 2
+    i_b = np.abs(fields @ k_b.T) ** 2
+    del fields
+    moments = []
+    for _, start, stop in pieces:
+        p_a, p_b = i_a[start - lo : stop - lo], i_b[start - lo : stop - lo]
+        k = stop - start
+        blk_a = p_a.sum(axis=0) / k
+        blk_b = p_b.sum(axis=0) / k
+        moments.append((blk_a, blk_b, (p_a - blk_a).T @ (p_b - blk_b)))
+    return moments
+
+
+def _batch_covariances(
+    k_a: np.ndarray, k_b: np.ndarray, seed: int, spans: list[tuple[int, int]], threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-pass intensity covariance over realizations [start, stop).
+    """Single-pass intensity covariance and mean intensities of each batch
+    of realizations [lo, hi) in ``spans``, stacked in batch order: shapes
+    (batches, n_a, n_b), (batches, n_a) and (batches, n_b).
 
     ``k_a`` and ``k_b`` carry the source amplitude on their cell columns, so
-    a realization is a row of unit phasors. Each chunk of realizations is
-    generated and propagated once and reduced to its count, mean
-    intensities and centered co-moment
-    (I_a - mean_a)^T (I_b - mean_b); centering avoids the catastrophic
-    cancellation of the <I_a I_b> - <I_a><I_b> form. Chunks are folded into
-    the running state with the pairwise update of Chan, Golub & LeVeque
-    (1979). The first chunk merges into an empty state exactly, so a batch
-    that fits in one chunk gets the plain two-pass result bitwise.
+    a realization is a row of unit phasors. A batch longer than
+    ``_block_rows`` is cut into pieces of that many rows; consecutive pieces
+    then share a block up to that size, so short batches are propagated
+    together (``_block_moments``), and ``threads`` threads map over blocks.
+    Each batch folds its pieces' moments, in order, into a running state
+    with the pairwise update of Chan, Golub & LeVeque (1979). The first
+    piece merges into an empty state exactly, so a batch of one piece gets
+    the plain two-pass result bitwise, whatever block it shared.
     """
-    n = 0
-    mean_a = np.zeros(k_a.shape[0])
-    mean_b = np.zeros(k_b.shape[0])
-    co = np.zeros((k_a.shape[0], k_b.shape[0]))
-    for lo in range(start, stop, _REALIZATION_CHUNK):
-        hi = min(lo + _REALIZATION_CHUNK, stop)
-        k = hi - lo
-        fields = _PHASES[_phase_indices(seed, lo, hi, k_a.shape[1])]
-        i_a = np.abs(fields @ k_a.T) ** 2
-        i_b = np.abs(fields @ k_b.T) ** 2
-        blk_a = i_a.sum(axis=0) / k
-        blk_b = i_b.sum(axis=0) / k
-        d_a = blk_a - mean_a
-        d_b = blk_b - mean_b
-        co += (i_a - blk_a).T @ (i_b - blk_b) + np.outer(d_a, d_b) * (n * k / (n + k))
-        mean_a += d_a * (k / (n + k))
-        mean_b += d_b * (k / (n + k))
-        n += k
-    return co / (n - 1), mean_a, mean_b
+    rows = _block_rows(k_a.shape[1])
+    blocks: list[list[tuple[int, int, int]]] = []
+    filled = rows
+    for b, (start, stop) in enumerate(spans):
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            if filled + hi - lo > rows:
+                blocks.append([])
+                filled = 0
+            blocks[-1].append((b, lo, hi))
+            filled += hi - lo
+
+    counts = [0] * len(spans)
+    means_a = np.zeros((len(spans), k_a.shape[0]))
+    means_b = np.zeros((len(spans), k_b.shape[0]))
+    covs = np.zeros((len(spans), k_a.shape[0], k_b.shape[0]))
+
+    def job(pieces):
+        return _block_moments(k_a, k_b, seed, pieces)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # one thread runs in the caller's: a worker thread allocates from a
+        # malloc arena of its own, which holds its blocks' pages resident
+        # beside the ones the caller freed
+        mapped = pool.map(job, blocks) if threads > 1 else map(job, blocks)
+        for pieces, moments in zip(blocks, mapped):
+            for (b, lo, hi), (blk_a, blk_b, m) in zip(pieces, moments):
+                n, k = counts[b], hi - lo
+                d_a = blk_a - means_a[b]
+                d_b = blk_b - means_b[b]
+                covs[b] += m + np.outer(d_a, d_b) * (n * k / (n + k))
+                means_a[b] += d_a * (k / (n + k))
+                means_b[b] += d_b * (k / (n + k))
+                counts[b] = n + k
+    covs /= (np.array(counts, dtype=float) - 1.0)[:, None, None]
+    return covs, means_a, means_b
 
 
 def estimate_gamma(
@@ -233,9 +312,13 @@ def estimate_gamma(
     """Estimate the crossed correlation term as an intensity covariance.
 
     Gamma^(rho_a, rho_b) = <I_a(rho_a) I_b(rho_b)> - <I_a(rho_a)><I_b(rho_b)>
-    over ``run.n_realizations`` speckle realizations. Batches are reduced in
-    a fixed order, so the result is bitwise identical for any thread count;
-    tiny negative covariance noise is clipped to keep the grid nonnegative.
+    over ``run.n_realizations`` speckle realizations, split into
+    ``run.n_batches`` batches whose spread gives the error bars. Consecutive
+    batches are propagated together in blocks (``_batch_covariances``), and
+    ``threads`` workers map over the blocks. Each batch is reduced from its
+    own rows and batches are combined in a fixed order, so the result is
+    bitwise identical for any thread count; tiny negative covariance noise
+    is clipped to keep the grid nonnegative.
 
     The report measures the distance to ``reference``, a deterministic
     surface the caller supplies on the run's own detector axes (the runner
@@ -255,16 +338,9 @@ def estimate_gamma(
 
     edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
     spans = [(int(edges[k]), int(edges[k + 1])) for k in range(run.n_batches)]
-
-    def job(span: tuple[int, int]):
-        return _batch_covariance(k_a, k_b, run.seed, span[0], span[1])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(job, spans))
-
-    covs = np.stack([r[0] for r in results])
-    mean_a = np.stack([r[1] for r in results]).mean(axis=0)
-    mean_b = np.stack([r[2] for r in results]).mean(axis=0)
+    covs, means_a, means_b = _batch_covariances(k_a, k_b, run.seed, spans, threads)
+    mean_a = means_a.mean(axis=0)
+    mean_b = means_b.mean(axis=0)
     if np.any(mean_a == 0.0) or np.any(mean_b == 0.0):
         raise DegenerateStatistics(
             "a mean detected intensity is exactly zero; no speckle statistics"

@@ -478,6 +478,22 @@ class TestCli:
         assert "2.13 rad" in capsys.readouterr().err
         assert not out.exists()  # the failed run leaves no empty directory
 
+    def test_auto_sized_run_passes_its_own_guard_at_guard_factor_1(self, tmp_path, capsys):
+        # 2 span / limit is exactly 80 here: ceil + 1 = 81 nodes put the
+        # nominal step on the limit, and one rounded gap exceeded it, so
+        # validate printed OK and run exited 3 ("source step 6.250e-05 m
+        # advances the phase by 1.57 rad > pi/2")
+        path = tmp_path / "round.cfg"
+        path.write_text(
+            DEMOS["montecarlo"]
+            .replace("run.mode = montecarlo", "run.mode = analytic")
+            .replace("grids.span_a = 200e-6", "grids.span_a = 100e-6")
+            + "grids.guard_factor = 1\n"
+        )
+        assert cli_main(["validate", str(path)]) == 0
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["results"]
+
     @pytest.mark.parametrize(
         "settings, field",
         [
@@ -596,7 +612,9 @@ class TestCli:
         [
             ("analytic", "quadrature needs 5.14 GiB (1537691 source nodes, 916 object nodes"),
             ("refocus", "quadrature needs 5.14 GiB (1537691 source nodes"),
-            ("montecarlo", "Monte Carlo run needs 2.49 GiB (600001 source nodes, 458 object"),
+            # a 600001-cell phasor row is more than the 4 MiB block budget,
+            # so sampling counts a block of one row, not one 50-row batch
+            ("montecarlo", "Monte Carlo run needs 2.03 GiB (600001 source nodes, 458 object"),
             ("geometric", None),  # builds no propagator, so any span fits
         ],
         ids=["analytic", "refocus", "montecarlo", "geometric"],
@@ -695,22 +713,26 @@ class TestCli:
         # anchored every ceil(sqrt(676)) = 26: two planes (2 x 676 rows of
         # 65), two offset tables and a product buffer (3 x 26 rows), two
         # anchor rows and the two real products (2 x 676 rows of 2 x 64);
-        # then sampling: one chunk of the 100 realizations of a batch (17
-        # bytes a cell) per thread, and three 8-byte n_a x n_b grids per batch
+        # then sampling: per thread one propagation block of 4 MiB // (16 x
+        # 1352) = 193 rows, each 8 x 169 bytes of padded indices, 16 x 1352
+        # of phasors and 32 x (64 + 64) of propagated rows, plus a 16-row
+        # intp slice of 8 x 1352 bytes a row; and two 8-byte n_a x n_b
+        # grids per batch
         config = parse_config(DEMOS["montecarlo"])
         block = 65 * (2 * 676 + 3 * 26 + 2) + 4 * 676 * 64
         kernels = 16 * (1352 * (64 + 64) + 65 * 64 + 64 * 64) + 8 * block
-        need = kernels + 100 * 17 * 1352 + 3 * 8 * 64 * 64 * 20
+        sampling = 193 * (8 * 169 + 16 * 1352 + 32 * 128) + 16 * 8 * 1352
+        need = kernels + sampling + 2 * 8 * 64 * 64 * 20
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         speckle = config.resolve().speckle
         assert (speckle.axis_s.n, speckle.n_object, speckle.n_batches) == (1352, 65, 20)
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
         with pytest.raises(ResourceLimit, match="Monte Carlo run needs"):
             config.resolve()
-        # a second thread holds a second chunk
-        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + 100 * 17 * 1352)
+        # a second thread holds a second block
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + sampling)
         config.updated({"run.threads": 2}).resolve()
-        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + 100 * 17 * 1352 - 1)
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + sampling - 1)
         with pytest.raises(ResourceLimit, match="Monte Carlo run needs"):
             config.updated({"run.threads": 2}).resolve()
 
@@ -718,7 +740,7 @@ class TestCli:
         # a convergence-study run over 1 GiB that fits the host resolves; one
         # no host can hold (3.3 TiB) fails in resolve()
         pages = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        assert cpi_sim.correlator.MAX_WORKING_SET == pages
+        assert cpi_sim.correlator.MAX_WORKING_SET == cpi_sim.correlator._memory_limit() <= pages
         # one object_transfer block: 216 rows (see the pinned estimate above),
         # anchored every 216 rows too, since ceil(sqrt(175000)) = 419 is more
         block = 916 * (2 * 216 + 3 * 216 + 2) + 4 * 216 * 64
@@ -731,6 +753,24 @@ class TestCli:
         config = parse_config(DEMOS["refocus"] + "grids.n_source = 1000000000\n")
         with pytest.raises(ResourceLimit, match="quadrature needs 3.34e\\+03 GiB"):
             config.resolve()
+
+    @pytest.mark.parametrize(
+        "text, limit",
+        [("1073741824\n", 2**30), ("max\n", None), (None, None), ("", None)],
+        ids=["cgroup_limit", "cgroup_max", "no_file", "empty_file"],
+    )
+    def test_limit_reads_the_cgroup_memory_max(self, tmp_path, monkeypatch, text, limit):
+        # the smaller of physical memory and a cgroup v2 memory.max in
+        # bytes; "max", an unreadable or a missing file leave physical memory
+        pages = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        path = tmp_path / "memory.max"
+        if text is not None:
+            path.write_text(text)
+        monkeypatch.setattr(cpi_sim.correlator, "_CGROUP_MEMORY_MAX", path)
+        expected = pages if limit is None else min(pages, limit)
+        assert cpi_sim.correlator._memory_limit() == expected
+        path.write_text(f"{2 * pages}\n")  # a limit above the host's memory
+        assert cpi_sim.correlator._memory_limit() == pages
 
     def test_error_bases_are_exported(self):
         from cpi_sim import ComputationError, ConfigError

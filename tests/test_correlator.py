@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -364,6 +365,35 @@ class TestPhasePolicy:
         rng = np.random.default_rng(20261018)
         for _ in range(200):
             geom, source, mask, axis_a, axis_b = _random_setup(rng)
+            for guard_factor in (1.0, 2.0, 4.0):
+                quad = QuadratureSpec.auto(geom, source, mask, axis_a, axis_b, guard_factor)
+                with pytest.raises(_GuardsPassed):
+                    gamma_quadrature(geom, source, mask, axis_a, axis_b, quad)
+                with pytest.raises(_GuardsPassed):
+                    intensity_b(geom, source, mask, axis_b, quad)
+            axis_s, n_object = default_sampling(geom, source, mask, axis_a, axis_b)
+            with pytest.raises(_GuardsPassed):
+                arm_kernels(geom, mask, axis_s, axis_a, axis_b, n_object)
+
+    def test_round_valued_setups_pass_their_own_guards(self, monkeypatch):
+        # Round values like the demos' make 2 span / limit an exact integer,
+        # or an ulp below one, and put the nominal source step on the limit:
+        # at guard factor 1, 23 of these 96 setups failed gamma_quadrature's
+        # source guard when the sizer took ceil(ratio) + 1 nodes.
+        def stop(*args):
+            raise _GuardsPassed
+
+        monkeypatch.setattr(phase, "phase_matrix", stop)
+        source_axis = itertools.product(
+            (0.05, 0.08, 0.1, 0.12), (25e-6, 50e-6), (100e-6, 150e-6, 200e-6),
+            (100e-6, 200e-6), (0.5e-3, 1e-3),
+        )
+        for z_b, width, separation, span_a, sigma in source_axis:
+            geom = make_geometry(z_a=0.1, z_b=z_b, S_o=0.2, F=0.05, lambda0=500e-9)
+            source = SourceProfile.gaussian(sigma)
+            mask = ObjectMask.double_slit(separation=separation, slit_width=width)
+            axis_a = Axis.from_half_width(64, span_a)
+            axis_b = Axis.from_half_width(64, 500e-6)
             for guard_factor in (1.0, 2.0, 4.0):
                 quad = QuadratureSpec.auto(geom, source, mask, axis_a, axis_b, guard_factor)
                 with pytest.raises(_GuardsPassed):

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from cpi_sim import (
     sample_source_field,
 )
 from cpi_sim.metrics import normalized_l1, two_sided_peaks
-from cpi_sim.montecarlo import _PHASES, _REALIZATION_CHUNK, _batch_covariance, _phase_indices
+from cpi_sim.montecarlo import _PHASES, _batch_covariances, _block_rows, _phase_indices
 from cpi_sim.optics import fresnel_prefactor, object_quadrature
 from cpi_sim.refocus import ghost_image
 from conftest import SEPARATION
@@ -198,17 +199,47 @@ class TestArmKernels:
         np.testing.assert_allclose(k_b, direct, rtol=1e-12, atol=1e-12 * peak)
 
 
+def _set_block_rows(monkeypatch, rows, n_cells):
+    """Make ``_block_rows(n_cells)`` return ``rows``."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", rows * 16 * n_cells)
+    assert _block_rows(n_cells) == rows
+
+
+def _two_pass(k_a, k_b, seed, start, stop):
+    """Covariance and means of realizations [start, stop) propagated alone,
+    in the two-pass form, written with the batch path's own expressions."""
+    fields = _PHASES[_phase_indices(seed, start, stop, k_a.shape[1])]
+    i_a = np.abs(fields @ k_a.T) ** 2
+    i_b = np.abs(fields @ k_b.T) ** 2
+    k = stop - start
+    mean_a = i_a.sum(axis=0) / k
+    mean_b = i_b.sum(axis=0) / k
+    return (i_a - mean_a).T @ (i_b - mean_b) / (k - 1), mean_a, mean_b
+
+
+@pytest.fixture(scope="module")
+def scaled_kernels(geom_focused, source, slits, small_setup):
+    """The small setup's kernels with the source amplitude folded in."""
+    axis_a, axis_b, axis_s, n_object = small_setup
+    k_a, k_b = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
+    amp = source.amplitude(axis_s.coordinates)
+    return k_a * amp, k_b * amp
+
+
 class TestBatchCovariance:
-    def test_chunk_merge_matches_two_pass(self, geom_focused, source, slits, small_setup):
-        # 700 realizations: three chunks (256 + 256 + 188), the last one partial
+    def test_chunk_merge_matches_two_pass(
+        self, monkeypatch, geom_focused, source, slits, small_setup
+    ):
+        # 700 realizations in one batch, blocks of 256 rows: three pieces
+        # (256 + 256 + 188), the last one partial, Chan-merged
         axis_a, axis_b, axis_s, n_object = small_setup
         start, stop = 0, 700
-        assert 2 * _REALIZATION_CHUNK < stop - start < 3 * _REALIZATION_CHUNK
+        _set_block_rows(monkeypatch, 256, axis_s.n)
         k_a, k_b = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
         # the batch path propagates unit phasors through amplitude-scaled kernels
         amp = source.amplitude(axis_s.coordinates)
-        cov, mean_a, mean_b = _batch_covariance(
-            k_a * amp, k_b * amp, seed=13, start=start, stop=stop
+        [cov], [mean_a], [mean_b] = _batch_covariances(
+            k_a * amp, k_b * amp, seed=13, spans=[(start, stop)]
         )
 
         fields = np.stack(
@@ -224,6 +255,80 @@ class TestBatchCovariance:
         # the covariance crosses zero, so entries near zero are held to its peak
         peak = np.abs(ref_cov).max()
         np.testing.assert_allclose(cov, ref_cov, rtol=1e-12, atol=1e-12 * peak)
+
+    @pytest.mark.parametrize("rows", [300, 1000])
+    def test_batches_sharing_a_block_equal_each_batch_alone(self, monkeypatch, scaled_kernels, rows):
+        # 1000 realizations in 7 uneven batches (142 or 143 each), blocks of
+        # two batches or of all seven: each batch is reduced from its own
+        # rows of the block's GEMMs, so it equals, bit for bit, the plain
+        # two-pass result of that batch propagated alone. This rests on BLAS
+        # giving each output row independently of the row count.
+        k_a, k_b = scaled_kernels
+        _set_block_rows(monkeypatch, rows, k_a.shape[1])
+        edges = np.linspace(0, 1000, 8).astype(int)
+        spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert {hi - lo for lo, hi in spans} == {142, 143}
+        results = _batch_covariances(k_a, k_b, 21, spans)
+        assert [len(r) for r in results] == [len(spans)] * 3
+        for (lo, hi), *got in zip(spans, *results):
+            for g, r in zip(got, _two_pass(k_a, k_b, 21, lo, hi)):
+                np.testing.assert_array_equal(g, r, err_msg=f"batch [{lo}, {hi})")
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_batch_longer_than_a_block_is_split_and_merged(
+        self, monkeypatch, scaled_kernels, threads
+    ):
+        # blocks of 100 rows: each 142- or 143-row batch is cut into 100 +
+        # 42/43 and the two pieces Chan-merged, the same pieces as alone
+        k_a, k_b = scaled_kernels
+        _set_block_rows(monkeypatch, 100, k_a.shape[1])
+        edges = np.linspace(0, 1000, 8).astype(int)
+        spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        results = _batch_covariances(k_a, k_b, 21, spans, threads)
+        for (lo, hi), *got in zip(spans, *results):
+            alone = _batch_covariances(k_a, k_b, 21, [(lo, hi)])
+            for g, a in zip(got, alone):
+                np.testing.assert_array_equal(g, a[0])
+            ref_cov, ref_a, ref_b = _two_pass(k_a, k_b, 21, lo, hi)
+            np.testing.assert_allclose(got[1], ref_a, rtol=1e-12)
+            np.testing.assert_allclose(got[2], ref_b, rtol=1e-12)
+            peak = np.abs(ref_cov).max()
+            np.testing.assert_allclose(got[0], ref_cov, rtol=1e-12, atol=1e-12 * peak)
+
+    def test_bench_configs_block_rows(self):
+        # a 4 MiB phasor budget: two 50-row batches a block on the 1993
+        # cells of montecarlo-defocused, one 100-row batch on the 1352 of
+        # montecarlo-focused
+        assert _block_rows(1993) == 131
+        assert _block_rows(1352) == 193
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", ["montecarlo-focused", "montecarlo-defocused"])
+    def test_sampling_bytes_bound_the_traced_peak(self, monkeypatch, name, threads):
+        # tracemalloc peak of estimate_gamma once its kernels exist
+        text = (BENCH_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
+        exp = parse_config(text).resolve()
+        run = exp.speckle
+        reference = gamma_quadrature(
+            exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad
+        )
+        kernels = arm_kernels(exp.geom, exp.mask, run.axis_s, run.axis_a, run.axis_b, run.n_object)
+        base = []
+
+        def built(*args):
+            k = tuple(x.copy() for x in kernels)
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+            return k
+
+        monkeypatch.setattr(montecarlo, "arm_kernels", built)
+        tracemalloc.start()
+        try:
+            estimate_gamma(run, exp.geom, exp.source, exp.mask, reference, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1] - base[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= run.sampling_bytes(threads)
 
 
 class TestEstimateGamma:
@@ -390,7 +495,7 @@ class TestSourceAmplitude:
             kernels.append((k_a, k_b))
             raise _Captured
 
-        monkeypatch.setattr(montecarlo, "_batch_covariance", capture)
+        monkeypatch.setattr(montecarlo, "_batch_covariances", capture)
         reference = gamma_quadrature(
             exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad
         )
