@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phase
-from .errors import ResourceLimit
+from .errors import ResourceLimit, UnderResolved
 from .optics import (
     Axis,
     CorrelationGrid,
@@ -115,16 +115,19 @@ class QuadratureSpec:
         r = phase.declared_rates(geom, source, mask, axis_a, axis_b, source_span)
         step_s = phase.step_limit(r.gamma_s, guard_factor)
         step_o = phase.step_limit(r.object, guard_factor)
-        # floor + 2 keeps the nominal step below the limit at an integer
-        # ratio, where ceil + 1 would put it on the limit; a ratio an ulp
-        # below an integer does that too, and linspace can round one gap
-        # past the limit either way, so nodes are added while the gaps the
-        # guard will measure fail its test
-        n_source = max(MIN_NODES, int(np.floor(2.0 * source_span / step_s)) + 2)
-        while phase.exceeds(
-            _max_step(source_quadrature(source, n_source, source_span)[0]), r.gamma_s, guard_factor
-        ):
-            n_source += 1
+        # a gap of linspace's nodes can pass the nominal step 2 span / (n - 1)
+        # by a few ulp(span), rounding of the step, of each node and of their
+        # difference (at most 4), so the count is sized for the limit less
+        # twice that, and takes floor + 2 nodes, not ceil + 1, which puts the
+        # step on the limit at an integer ratio. Nothing is allocated, so a
+        # span no run could hold is left to check_working_set.
+        slack = 8.0 * float(np.spacing(source_span))
+        if step_s <= slack:
+            raise UnderResolved(
+                f"source step limit {step_s:.3e} m is below float64 resolution "
+                f"at span {source_span:.3e} m"
+            )
+        n_source = max(MIN_NODES, int(np.floor(2.0 * source_span / (step_s - slack))) + 2)
         intervals = mask.support_intervals()
         support = sum(hi - lo for lo, hi in intervals)
         n_object = max(MIN_NODES, int(np.ceil(support / step_o)) + len(intervals) + 1)

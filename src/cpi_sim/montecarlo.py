@@ -39,6 +39,7 @@ the block it shared.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,11 +284,11 @@ def _batch_covariances(
     def job(pieces):
         return _block_moments(k_a, k_b, seed, pieces)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # one thread runs in the caller's: a worker thread allocates from a
-        # malloc arena of its own, which holds its blocks' pages resident
-        # beside the ones the caller freed
-        mapped = pool.map(job, blocks) if threads > 1 else map(job, blocks)
+    # one thread runs in the caller's: a worker thread allocates from a
+    # malloc arena of its own, which holds its blocks' pages resident beside
+    # the ones the caller freed
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        mapped = map(job, blocks) if pool is None else pool.map(job, blocks)
         for pieces, moments in zip(blocks, mapped):
             for (b, lo, hi), (blk_a, blk_b, m) in zip(pieces, moments):
                 n, k = counts[b], hi - lo

@@ -114,16 +114,10 @@ def step_limit(rate: float, guard_factor: float = 1.0) -> float:
     return (MAX_PHASE_STEP / guard_factor) / rate
 
 
-def exceeds(step: float, rate: float, guard_factor: float = 1.0) -> bool:
-    """Whether one step advances a phase of worst-case ``rate`` by more than
-    MAX_PHASE_STEP / guard_factor: the test ``check_step`` applies."""
-    return rate * step > MAX_PHASE_STEP / guard_factor
-
-
 def check_step(what: str, step: float, rate: float) -> None:
     """Raise UnderResolved if one step advances a phase of worst-case
     ``rate`` by more than MAX_PHASE_STEP."""
-    if exceeds(step, rate):
+    if rate * step > MAX_PHASE_STEP:
         raise UnderResolved(
             f"{what} step {step:.3e} m advances the phase by {rate * step:.2f} rad "
             f"> pi/2; need step <= {step_limit(rate):.3e} m"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -642,6 +643,35 @@ class TestCli:
         assert "above the 1 GiB working-set limit" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["analytic", "refocus", "montecarlo", "geometric"])
+    def test_sizing_a_huge_span_allocates_nothing(self, tmp_path, capsys, monkeypatch, mode):
+        # grids.span_a = 1e3 sizes about 1.5e9 source nodes: building them
+        # to measure their gaps would take tens of GB before
+        # check_working_set could refuse the run, and geometric mode, which
+        # integrates nothing, would not validate at all
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", 2**30)
+        text = (
+            DEMOS["refocus"]
+            .replace("grids.span_a = 1.75e-3", "grids.span_a = 1e3")
+            .replace("run.mode = analytic", f"run.mode = {mode}")
+        )
+        tracemalloc.start()
+        try:
+            if mode == "geometric":
+                assert parse_config(text).resolve().quad.n_source > 10**9
+            else:
+                with pytest.raises(ResourceLimit, match="above the 1 GiB working-set limit"):
+                    parse_config(text).resolve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert cli_main(["validate", str(path)]) == (0 if mode == "geometric" else 3)
+        if mode != "geometric":
+            assert "working-set limit" in capsys.readouterr().err
+
     def test_oversized_geometric_grid_fails_before_allocating(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -746,8 +776,9 @@ class TestCli:
         block = 916 * (2 * 216 + 3 * 216 + 2) + 4 * 216 * 64
         need = 16 * (350_000 * (160 + 64) + 916 * 64 + 160 * 64) + 8 * block
         assert need > 2**30
-        if need > pages:
-            pytest.skip(f"host has {pages} bytes, the run needs {need}")
+        if need > cpi_sim.correlator.MAX_WORKING_SET:
+            limit = cpi_sim.correlator.MAX_WORKING_SET
+            pytest.skip(f"the run needs {need} bytes, the limit here is {limit}")
         config = parse_config(DEMOS["refocus"] + "grids.n_source = 350000\n")
         assert config.resolve().quad.n_source == 350_000
         config = parse_config(DEMOS["refocus"] + "grids.n_source = 1000000000\n")

@@ -404,6 +404,16 @@ class TestPhasePolicy:
             with pytest.raises(_GuardsPassed):
                 arm_kernels(geom, mask, axis_s, axis_a, axis_b, n_object)
 
+    def test_a_step_below_float_resolution_is_refused(self):
+        # at span_a = 1e10 the source step limit is below 8 ulp of the span,
+        # where no float64 node spacing can honour it
+        geom = make_geometry(z_a=0.1, z_b=0.1, S_o=0.2, F=0.05, lambda0=500e-9)
+        mask = ObjectMask.double_slit(separation=150e-6, slit_width=50e-6)
+        axis_a = Axis.from_half_width(64, 1e10)
+        axis_b = Axis.from_half_width(64, 500e-6)
+        with pytest.raises(UnderResolved, match="below float64 resolution"):
+            QuadratureSpec.auto(geom, SourceProfile.gaussian(0.5e-3), mask, axis_a, axis_b)
+
     def test_only_phase_module_owns_the_policy(self):
         # The step limit and every bilinear phase matrix live in phase.py
         package = Path(cpi_sim.__file__).parent
