@@ -10,13 +10,16 @@ pi/2 between adjacent nodes, the evaluation refuses to run instead of
 silently returning an aliased surface.
 
 Every propagator is built here: ``arm_kernels`` and ``object_transfer``.
-The object transfer T[s, b] builds phase entries for the non-negative half
-of its source axis only, about the axis midpoint, streamed through two
-small real cos/sin planes, and forms both mirror rows from two real
-matmuls per block. Also provided: the detector intensities (flat
-in arm a, object-Fourier modulated in arm b), the geometric-optics limit
-of Gamma, and the closed Gaussian-source point-spread functions before and
-after angular integration.
+Both sums over the mirror-symmetric source axis run on its non-negative
+half only, about the axis midpoint, streamed through two small real
+cos/sin planes: the object sum gives the half products CW and SW (two
+real matmuls per block), from which the object transfer T[s, b] forms
+both mirror rows, and Gamma contracts them against the cos/sin planes of
+its source phase (two more), so it builds no complex V and no full T.
+Also provided: the detector intensities (flat in arm a, object-Fourier
+modulated in arm b), the geometric-optics limit of Gamma, and the closed
+Gaussian-source point-spread functions before and after angular
+integration.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .optics import (
     source_quadrature,
 )
 
-# float64 entries one object_transfer block may hold (8 MiB): its cos/sin
+# float64 entries one phase_planes block may hold (8 MiB): its cos/sin
 # planes, their tables and the two real products (``transfer_block``)
 _BLOCK_ENTRIES = 2**20
 MIN_NODES = 16  # floor on every quadrature and source-cell node count
@@ -134,22 +137,32 @@ class QuadratureSpec:
         return cls(n_source=n_source, n_object=n_object, source_span=source_span)
 
 
-def transfer_block(n_half: int, n_object: int, n_b: int) -> tuple[int, int, int, int]:
-    """Rows R, object columns K and anchor spacing B of one
-    ``object_transfer`` block over ``n_half`` source nodes, and the float64
-    entries it holds: K (2R + 3B + 2) + 4 R n_b (``phase.phase_planes``
-    and the two real products).
+def transfer_block(
+    n_half: int, n_x: int, n_b: int, sums_half: bool = False
+) -> tuple[int, int, int, int]:
+    """Rows R, columns K and anchor spacing B of one ``phase.phase_planes``
+    block over ``n_half`` source-half rows and ``n_x`` columns, and the
+    float64 entries it holds: K (2R + 4B + 3) for the planes and their
+    tables, and the two real products, 4 R n_b where the block sums over
+    its columns (the object half products, one output row per source row)
+    or 4 K n_b where it sums over its rows (``sums_half``: Gamma's source
+    side, one output row per detector-a column).
 
-    K is n_object up to sqrt(_BLOCK_ENTRIES) = 1024, so the matmuls keep a
-    few hundred rows whatever n_object. R is the most rows that fit
+    K is n_x up to sqrt(_BLOCK_ENTRIES) = 1024, so the matmuls keep a few
+    hundred rows whatever n_x. R is the most rows that fit
     ``_BLOCK_ENTRIES`` were B as large as R, at least one, rounded down to
     a multiple of B = min(ceil(sqrt(n_half)), R) unless it covers the half.
     """
-    cols = min(n_object, math.isqrt(_BLOCK_ENTRIES))
-    rows = max(1, (_BLOCK_ENTRIES - 2 * cols) // (5 * cols + 4 * n_b))
+    cols = min(n_x, math.isqrt(_BLOCK_ENTRIES))
+    if sums_half:
+        rows = (_BLOCK_ENTRIES - cols * (3 + 4 * n_b)) // (6 * cols)
+    else:
+        rows = (_BLOCK_ENTRIES - 3 * cols) // (6 * cols + 4 * n_b)
+    rows = max(1, rows)
     block = min(phase.anchor_block(n_half), rows)
     rows = n_half if rows >= n_half else rows - rows % block
-    return rows, cols, block, cols * (2 * rows + 3 * block + 2) + 4 * rows * n_b
+    products = 4 * n_b * (cols if sums_half else rows)
+    return rows, cols, block, cols * (2 * rows + 4 * block + 3) + products
 
 
 def check_working_set(
@@ -158,17 +171,24 @@ def check_working_set(
     """Raise ResourceLimit before a run from ``n_source`` source nodes would
     hold more than ``MAX_WORKING_SET`` bytes.
 
-    The estimate counts the complex arrays of ``gamma_quadrature`` and
-    ``arm_kernels``: T (n_source x n_b), V or K_a (n_source x n_a), the
-    object factor W_b (n_object x n_b) and the n_a x n_b output grid; and
-    what one ``object_transfer`` block holds (``transfer_block``): the
-    cos/sin planes, their tables and the two real products. With
-    ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
-    bytes the caller holds beside them: Monte Carlo sampling's, from
-    ``SpeckleRun.sampling_bytes``.
+    The estimate counts the complex arrays of ``arm_kernels``: T
+    (n_source x n_b), K_a (n_source x n_a), the object factor W_b
+    (n_object x n_b) and the n_a x n_b output grid; and the larger of the
+    two ``phase.phase_planes`` blocks (``transfer_block``), the object
+    half products' and Gamma's source side's. ``gamma_quadrature`` holds
+    no V and no T, only the half products CW and SW (ceil(n_source / 2) x
+    n_b each), so through K_a's term the estimate stays an upper bound for
+    it too. With ``n_source = 0`` it bounds the output grid alone.
+    ``extra`` adds the bytes the caller holds beside them: Monte Carlo
+    sampling's, from ``SpeckleRun.sampling_bytes``.
     """
     need = 16 * (n_source * (n_a + n_b) + n_object * n_b + n_a * n_b) + extra
-    need += 8 * transfer_block((n_source + 1) // 2, n_object, n_b)[3]
+    if n_source:
+        half = (n_source + 1) // 2
+        need += 8 * max(
+            transfer_block(half, n_object, n_b)[3],
+            transfer_block(half, n_a, n_b, sums_half=True)[3],
+        )
     check_bytes(
         what, need, f"{n_source} source nodes, {n_object} object nodes, n_a = {n_a}, n_b = {n_b}"
     )
@@ -204,29 +224,26 @@ def intensity_prefactor_b(geom: SetupGeometry) -> float:
     return float(np.abs(2.0 * np.pi * arm_b_prefactor(geom)) ** 2)
 
 
-def object_transfer(
+def _half_products(
     geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b
-) -> np.ndarray:
-    """Arm-b object transfer T[s, b] = A~[c1 (rho_s + rho_b/M)], c1 = w/z_b.
-
-    T = sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b / M)) over the
-    ``object_quadrature`` nodes of ``mask``, shape (n_s, n_b). Gamma,
-    intensity_b and the arm-b kernel all use it. It checks its object step
-    against the rate on these nodes before it builds anything, so no rho_o
-    integral runs unguarded.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The object sum on the non-negative half of the source axis.
 
     The evenly spaced rho_s is written as c + d with c its midpoint and d
     the exact odd part of rho_s - c (each node moves by at most an ulp).
-    The factor exp(-i c1 rho_o c) goes into W_b = A w_o exp(-i c1 rho_o
-    (c + rho_b/M)), and since P(-d) = conj P(d) for P = exp(-i c1 rho_o d),
-    only the d >= 0 half is built, as the two real planes cos(c1 d rho_o)
-    and sin(c1 d rho_o) of ``phase.phase_planes``: T(c +- d) = C -+ iS with
-    C = cos W_b and S = sin W_b, two real matmuls on the float view of W_b.
-    The half streams through the planes in blocks of source rows by object
-    columns sized by ``transfer_block``, each block adding its share to its
-    rows of T, so besides T and W_b a call holds at most ``_BLOCK_ENTRIES``
-    float64 entries, whatever ``n_object``. Evenness of the half is checked
-    once, at the scale of max|rho_s|, where its nodes were rounded.
+    The factor exp(-i c1 rho_o c), c1 = w/z_b, goes into the object factor
+    W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)), and the d >= 0 half of the
+    phase exp(-i c1 rho_o d) into the two real planes cos(c1 rho_o d) and
+    sin(c1 rho_o d) of ``phase.phase_planes``. Returns (half, cs): the
+    ceil(n_s / 2) nodes d >= 0 and cs = (CW, SW), shape
+    (2, n_half, n_b), with CW = cos^T W_b and SW = sin^T W_b, two real
+    matmuls on the float view of W_b. The half streams through the planes
+    in blocks of source rows by object columns sized by ``transfer_block``,
+    each chunk of object nodes adding its share to every row, so besides
+    CW, SW and W_b a call holds at most ``_BLOCK_ENTRIES`` float64
+    entries, whatever ``n_object``. It checks its object step against the
+    rate on its nodes before it builds anything, and the evenness of the
+    half once, at the scale of max|rho_s|, where its nodes were rounded.
     """
     rho_o, w_o, step_o = object_quadrature(mask, n_object)
     r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # only r.object is read
@@ -239,31 +256,46 @@ def object_transfer(
     scale = np.max(np.abs(rho_s))
     tol = phase._EVEN_ULPS * np.spacing(scale)
     if np.any(np.abs(d_odd - d) > tol):  # rho_s is not mirror-symmetric about c
-        raise ValueError("object_transfer needs evenly spaced rho_s")
+        raise ValueError("the object transfer needs evenly spaced rho_s")
 
     c1 = geom.omega0_over_c / geom.z_b
     amp_o = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * c) * rho_o)
     W_b = np.multiply(
         amp_o[:, None], phase.phase_matrix(c1 / geom.M, rho_o, rho_b), order="C"
     ).view(float)
-    t = np.empty((n, rho_b.size), dtype=complex)
     half = d_odd[n // 2 :]
-    up, down = t[n // 2 :], t[::-1][n // 2 :]  # down[k] is the mirror row of up[k]
+    cs = np.empty((2, half.size, rho_b.size), dtype=complex)
+    out = cs.view(float)
     rows, cols, block, _ = transfer_block(half.size, rho_o.size, rho_b.size)
-    products = np.empty((2, rows, W_b.shape[1]))
+    # needed only where the object nodes come in several chunks
+    products = np.empty((2, rows, W_b.shape[1])) if cols < rho_o.size else None
     for s_rows, o_cols, planes in phase.phase_planes(c1, rho_o, half, rows, cols, block, scale):
-        cos_t, sin_t = np.matmul(planes, W_b[o_cols], out=products[:, : planes.shape[1]])
-        cos_t, isin_t = cos_t.view(complex), sin_t.view(complex)
-        isin_t *= 1j
-        if o_cols.start:
-            # later object nodes add to the rows u, v written so far: with u
-            # and v folded into C and iS, up gains u and down gains v, also
-            # where d = 0 makes them one row
-            u, v = up[s_rows], down[s_rows]
-            cos_t += 0.5 * (u + v)
-            isin_t += 0.5 * (v - u)
-        np.subtract(cos_t, isin_t, out=up[s_rows])
-        np.add(cos_t, isin_t, out=down[s_rows])
+        if o_cols.start:  # a later chunk of object nodes adds to its rows
+            out[:, s_rows] += np.matmul(planes, W_b[o_cols], out=products[:, : planes.shape[1]])
+        else:
+            np.matmul(planes, W_b[o_cols], out=out[:, s_rows])
+    return half, cs
+
+
+def object_transfer(
+    geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b
+) -> np.ndarray:
+    """Arm-b object transfer T[s, b] = A~[c1 (rho_s + rho_b/M)], c1 = w/z_b.
+
+    T = sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b / M)) over the
+    ``object_quadrature`` nodes of ``mask``, shape (n_s, n_b).
+    ``intensity_b`` and the arm-b kernel use it. It is assembled from the
+    half products of ``_half_products``: since P(-d) = conj P(d) for
+    P = exp(-i c1 rho_o d), every row is T(c +- d) = CW -+ i SW.
+    """
+    n = rho_s.size
+    cw, sw = _half_products(geom, mask, n_object, rho_s, rho_b)[1]
+    sw *= 1j
+    t = np.empty((n, rho_b.size), dtype=complex)
+    # down[k] is the mirror row of up[k]; where d = 0 they are one row, SW = 0
+    up, down = t[n // 2 :], t[::-1][n // 2 :]
+    np.subtract(cw, sw, out=up)
+    np.add(cw, sw, out=down)
     return t
 
 
@@ -354,9 +386,21 @@ def gamma_quadrature(
             exp[i (w/2)(1/z_b - 1/z_a) rho_s^2]
             exp[-i (w/z_b)((rho_o - (z_b/z_a) rho_a) rho_s + rho_o rho_b / M)]|^2
 
-    with w = omega0/c. The rho_o sum is ``object_transfer`` T[s, b], so
-    Gamma = K_a K_b |V^T T|^2 with V[s, a] = F w_s chirp exp(+i (w/z_a) rho_s rho_a):
-    dense matmuls, each output point an independent fixed-order reduction.
+    with w = omega0/c. The rho_o sum is the object transfer, kept as its
+    half products CW, SW on the nodes d >= 0 of rho_s = c + d
+    (``_half_products``): T(c +- d) = CW -+ i SW. With beta = w (1/z_b -
+    1/z_a), c_a = w/z_a and f(d) = F w_s exp(i beta d^2 / 2), the rho_s sum
+    pairs d with -d, which needs F w_s mirror-symmetric about c (else
+    ValueError), and leaves
+
+        G = 2 cos^T (f CW) + 2 sin^T (f SW),  Gamma = K_a K_b |G|^2,
+
+    with cos and sin of c_a d x_a, x_a = rho_a + (beta / c_a) c, and the
+    d = 0 row, present when n_source is odd, counted once. The phases
+    constant in rho_s drop out of |G|^2. The cos/sin planes stream from
+    ``phase.phase_planes`` under the ``transfer_block`` budget, each block
+    adding two real matmuls on the float view of CW, SW; no complex V and
+    no full T is built.
     """
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
@@ -366,16 +410,43 @@ def gamma_quadrature(
     r = phase.rates(geom, rho_s, mask.support_half_width, rho_a, rho_b)
     phase.check_step("source", _max_step(rho_s), r.gamma_s)
 
+    # F w_s at c + d and at its mirror c - d, to _EVEN_ULPS ulps of its peak
+    n = rho_s.size
+    c = 0.5 * (rho_s[0] + rho_s[-1])
+    d = rho_s[n // 2 :] - c
+    fw = source.intensity(c + d) * w_s[n // 2 :]
+    mirror = source.intensity(c - d) * w_s[::-1][n // 2 :]
+    if np.any(np.abs(fw - mirror) > phase._EVEN_ULPS * np.spacing(max(fw.max(), mirror.max()))):
+        raise ValueError(
+            "gamma_quadrature needs a source factor F w_s mirror-symmetric about the "
+            "midpoint of rho_s"
+        )
+
+    half, cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b)
     c_a = w / geom.z_a
-    chirp_beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
+    beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
+    f = 2.0 * fw * gaussian_phase(half, beta)
+    if n % 2:
+        f[0] *= 0.5  # d = 0 is its own mirror
+    cs *= f[:, None]
+    x_a = rho_a + (beta / c_a) * c
 
-    # T comes first, so its block buffers are freed before V is built
-    t = object_transfer(geom, mask, quad.n_object, rho_s, rho_b)
-    V = phase.phase_matrix(-c_a, rho_s, rho_a)
-    V *= (source.intensity(rho_s) * w_s * gaussian_phase(rho_s, chirp_beta))[:, None]
+    g = np.empty((rho_a.size, rho_b.size), dtype=complex)
+    g_f, cs_f = g.view(float), cs.view(float)
+    rows, cols, block, _ = transfer_block(half.size, rho_a.size, rho_b.size, sums_half=True)
+    products = np.empty((2, cols, cs_f.shape[2]))
+    scale = np.max(np.abs(rho_s))
+    for s_rows, a_cols, planes in phase.phase_planes(c_a, x_a, half, rows, cols, block, scale):
+        cos_g, sin_g = np.matmul(
+            planes.transpose(0, 2, 1), cs_f[:, s_rows], out=products[:, : planes.shape[2]]
+        )
+        if s_rows.start:  # a later block of source rows adds to the sum
+            g_f[a_cols] += cos_g
+            g_f[a_cols] += sin_g
+        else:
+            np.add(cos_g, sin_g, out=g_f[a_cols])
 
-    scale = intensity_prefactor_a(geom) * intensity_prefactor_b(geom)
-    values = scale * np.abs(V.T @ t) ** 2
+    values = intensity_prefactor_a(geom) * intensity_prefactor_b(geom) * np.abs(g) ** 2
     return CorrelationGrid(
         axis_a=axis_a, axis_b=axis_b, values=values, z_a=geom.z_a, z_b=geom.z_b, M=geom.M
     )

@@ -5,8 +5,8 @@ transverse coordinates, so its rate along one coordinate is bounded by the
 largest |coordinate| of the others. The sizers (``QuadratureSpec.auto``,
 ``montecarlo.default_sampling``) evaluate the table on the declared extents;
 the guards (``gamma_quadrature``, ``intensity_b`` and ``arm_kernels`` on
-their source nodes or cells, ``object_transfer`` on the object nodes it
-builds for all three) evaluate it on the nodes actually integrated and
+their source nodes or cells, the object half products of ``correlator``
+on the object nodes they build for all three) evaluate it on the nodes actually integrated and
 refuse any step advancing a phase by more than ``MAX_PHASE_STEP``. An
 auto-sized grid therefore passes its own guard, and no declared span that
 places no nodes can loosen one.
@@ -19,7 +19,9 @@ tables of about sqrt(n_y) columns. Each entry takes one rounded complex
 product and no recurrence, so nothing drifts along y. One anchoring
 (``_anchoring``) has two outputs: the complex matrix (``phase_matrix``)
 and its cosine and sine as two real planes, streamed in small blocks
-(``phase_planes``) for real matmuls.
+(``phase_planes``) for real matmuls; there each entry's complex product
+is split into the two planes. Both sums over the source half (the object
+half products and Gamma's source side) stream their planes from here.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ MAX_PHASE_STEP = np.pi / 2.0
 # evenness tolerance, in ulps of the axis scale (max|y|, or max|rho_s| for
 # the object transfer's source half): on a node's distance from its block
 # anchor plus block-0 offset (_anchoring; linspace and Axis nodes stay
-# within 2.5) and from its mirror image about the midpoint (object_transfer;
-# within 1).
+# within 2.5) and from its mirror image about the midpoint (the object half
+# products of correlator; within 1); Gamma's source factor F w_s must match
+# its mirror to as many ulps of its peak.
 _EVEN_ULPS = 8
 
 
@@ -54,7 +57,7 @@ class PhaseRates:
     """
 
     gamma_s: float  # Gamma integrand along rho_s
-    object: float  # every rho_o integral, all in object_transfer
+    object: float  # every rho_o integral, all in correlator's object half products
     intensity_b_s: float  # intensity_b along rho_s (the argument of A~)
     arm_a: float  # arm-a Fresnel kernel per source cell
     arm_b: float  # arm-b kernel per source cell
@@ -198,15 +201,16 @@ def phase_planes(
     exp(-i c x y) = planes[0] - i planes[1]. The planes are one buffer,
     reused: read each block before the next.
 
-    This is ``phase_matrix``'s anchoring in real form: per chunk of x, the
-    offset tables cos and sin of c x (y_p - y_0), p < ``block``, are built
-    once, each anchor y_qB adds a cosine and a sine row, and each entry is
-    an angle sum, cos(a + b) = cos a cos b - sin a sin b and
-    sin(a + b) = sin a cos b + cos a sin b. ``rows`` must be a multiple of
-    ``block`` unless it covers y, so every block starts at an anchor.
-    Evenness is checked once, on all of y, to _EVEN_ULPS ulps of ``scale``.
-    Besides the planes (2 rows cols entries) this holds the offset tables
-    and a product buffer (3 block cols) and two anchor rows (2 cols).
+    This is ``phase_matrix``'s anchoring with the opposite sign: per chunk
+    of x, the offset table exp(i c x (y_p - y_0)), p < ``block``, is built
+    once, each anchor y_qB adds one row exp(i c x y_qB), and each entry is
+    the angle sum as one complex product, (cos a + i sin a)(cos b + i sin b)
+    = cos(a + b) + i sin(a + b), whose real and imaginary parts are copied
+    into the two planes. ``rows`` must be a multiple of ``block`` unless
+    it covers y, so every block starts at an anchor. Evenness is checked
+    once, on all of y, to _EVEN_ULPS ulps of ``scale``. Besides the planes
+    (2 rows cols entries) this holds the complex offset table and product
+    buffer (4 block cols) and the anchor row with its angles (3 cols).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -215,30 +219,28 @@ def phase_planes(
         raise ValueError(f"phase_planes needs rows a multiple of block, got {rows} and {block}")
     anchors, offsets = _anchoring(y, block, scale)
     cols = min(cols, x.size)
-    tables = np.empty(3 * block * cols)
+    tables = np.empty((2 * block + 1) * cols, dtype=complex)
+    angles = np.empty(cols)
     buffer = np.empty(2 * min(rows, n) * cols)
     for j in range(0, x.size, cols):
         xs = x[j : j + cols]
-        cos_off, sin_off, spare = tables[: 3 * block * xs.size].reshape(3, block, xs.size)
-        np.multiply.outer(offsets, xs, out=cos_off)
-        cos_off *= c
-        np.sin(cos_off, out=sin_off)
-        np.cos(cos_off, out=cos_off)
+        k = xs.size
+        offset, product = tables[: 2 * block * k].reshape(2, block, k)
+        anchor, ang = tables[2 * block * k : (2 * block + 1) * k], angles[:k]
+        np.multiply.outer(offsets, xs, out=offset.imag)
+        offset.imag *= c
+        np.cos(offset.imag, out=offset.real)
+        np.sin(offset.imag, out=offset.imag)
         for lo in range(0, n, rows):
             hi = min(lo + rows, n)
-            planes = buffer[: 2 * (hi - lo) * xs.size].reshape(2, hi - lo, xs.size)
+            planes = buffer[: 2 * (hi - lo) * k].reshape(2, hi - lo, k)
             for start in range(lo, hi, block):
                 m = min(block, hi - start)
-                ang = np.multiply(xs, anchors[start // block])
+                np.multiply(xs, anchors[start // block], out=ang)
                 ang *= c
-                cos_a = np.cos(ang)
-                sin_a = np.sin(ang, out=ang)
-                cos_p, sin_p = planes[:, start - lo : start - lo + m]
-                co, so, tmp = cos_off[:m], sin_off[:m], spare[:m]
-                np.multiply(co, cos_a, out=cos_p)
-                np.multiply(so, sin_a, out=tmp)
-                cos_p -= tmp
-                np.multiply(so, cos_a, out=sin_p)
-                np.multiply(co, sin_a, out=tmp)
-                sin_p += tmp
-            yield slice(lo, hi), slice(j, j + xs.size), planes
+                np.cos(ang, out=anchor.real)
+                np.sin(ang, out=anchor.imag)
+                np.multiply(offset[:m], anchor, out=product[:m])
+                planes[0, start - lo : start - lo + m] = product[:m].real
+                planes[1, start - lo : start - lo + m] = product[:m].imag
+            yield slice(lo, hi), slice(j, j + k), planes

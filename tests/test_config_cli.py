@@ -718,16 +718,20 @@ class TestCli:
         assert not out.exists()
 
     def test_working_set_estimate_is_pinned_at_the_limit(self, monkeypatch):
-        # T + V (n_source x (n_a + n_b)), W_b (n_object x n_b) and the output
-        # grid (n_a x n_b), 16 bytes each; one object_transfer block, 8 bytes
-        # an entry: 2**20 entries at 5 x 916 + 4 x 64 = 4836 a row (less two
-        # anchor rows of 916) give 216 rows, rounded down to 188, a multiple
-        # of the anchor spacing ceil(sqrt(2190)) = 47 of the ceil(4379 / 2)
-        # = 2190 source rows; the block holds the two planes (2 x 188 rows of
-        # 916), the two offset tables and a product buffer (3 x 47 rows), two
-        # anchor rows and the two real products (2 x 188 rows of 2 x 64)
+        # T + K_a (n_source x (n_a + n_b)), W_b (n_object x n_b) and the
+        # output grid (n_a x n_b), 16 bytes each; one object half-products
+        # block, 8 bytes an entry: 2**20 entries at 6 x 916 + 4 x 64 = 5752 a
+        # row (less three anchor entries per column of 916) give 181 rows,
+        # rounded down to 141, a multiple of the anchor spacing
+        # ceil(sqrt(2190)) = 47 of the ceil(4379 / 2) = 2190 source rows; the
+        # block holds the two planes (2 x 141 rows of 916), the complex
+        # offset table and product buffer (4 x 47 rows), the complex anchor
+        # row and its angles (3 rows) and the two real products (2 x 141 rows
+        # of 2 x 64). Gamma's source-side block (1034 rows of 160, 402400
+        # entries) is smaller.
         config = parse_config(DEMOS["refocus"])
-        block = 916 * (2 * 188 + 3 * 47 + 2) + 4 * 188 * 64
+        block = 916 * (2 * 141 + 4 * 47 + 3) + 4 * 141 * 64
+        assert cpi_sim.correlator.transfer_block(2190, 160, 64, True)[3] == 402400 < block
         need = 16 * (4379 * (160 + 64) + 916 * 64 + 160 * 64) + 8 * block
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         assert config.resolve().quad.n_source == 4379
@@ -737,19 +741,20 @@ class TestCli:
 
     def test_monte_carlo_estimate_is_pinned_at_the_limit(self, monkeypatch):
         # the arm kernels K_a, K_b (1352 cells x (n_a + n_b)), W_b and the
-        # grid, 16 bytes each, one object_transfer block, 8 bytes an entry:
-        # 2**20 entries allow (2**20 - 2 x 65) // (5 x 65 + 4 x 64) = 1804
-        # rows, so the block is all ceil(1352 / 2) = 676 rows of the half,
-        # anchored every ceil(sqrt(676)) = 26: two planes (2 x 676 rows of
-        # 65), two offset tables and a product buffer (3 x 26 rows), two
-        # anchor rows and the two real products (2 x 676 rows of 2 x 64);
+        # grid, 16 bytes each, one object half-products block, 8 bytes an
+        # entry: 2**20 entries allow (2**20 - 3 x 65) // (6 x 65 + 4 x 64) =
+        # 1622 rows, so the block is all ceil(1352 / 2) = 676 rows of the
+        # half, anchored every ceil(sqrt(676)) = 26: two planes (2 x 676 rows
+        # of 65), the complex offset table and product buffer (4 x 26 rows),
+        # the complex anchor row and its angles (3 rows) and the two real
+        # products (2 x 676 rows of 2 x 64);
         # then sampling: per thread one propagation block of 4 MiB // (16 x
         # 1352) = 193 rows, each 8 x 169 bytes of padded indices, 16 x 1352
         # of phasors and 32 x (64 + 64) of propagated rows, plus a 16-row
         # intp slice of 8 x 1352 bytes a row; and two 8-byte n_a x n_b
         # grids per batch
         config = parse_config(DEMOS["montecarlo"])
-        block = 65 * (2 * 676 + 3 * 26 + 2) + 4 * 676 * 64
+        block = 65 * (2 * 676 + 4 * 26 + 3) + 4 * 676 * 64
         kernels = 16 * (1352 * (64 + 64) + 65 * 64 + 64 * 64) + 8 * block
         sampling = 193 * (8 * 169 + 16 * 1352 + 32 * 128) + 16 * 8 * 1352
         need = kernels + sampling + 2 * 8 * 64 * 64 * 20
@@ -771,9 +776,10 @@ class TestCli:
         # no host can hold (3.3 TiB) fails in resolve()
         pages = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert cpi_sim.correlator.MAX_WORKING_SET == cpi_sim.correlator._memory_limit() <= pages
-        # one object_transfer block: 216 rows (see the pinned estimate above),
-        # anchored every 216 rows too, since ceil(sqrt(175000)) = 419 is more
-        block = 916 * (2 * 216 + 3 * 216 + 2) + 4 * 216 * 64
+        # one object half-products block: 181 rows (see the pinned estimate
+        # above), anchored every 181 rows too, since ceil(sqrt(175000)) = 419
+        # is more
+        block = 916 * (2 * 181 + 4 * 181 + 3) + 4 * 181 * 64
         need = 16 * (350_000 * (160 + 64) + 916 * 64 + 160 * 64) + 8 * block
         assert need > 2**30
         if need > cpi_sim.correlator.MAX_WORKING_SET:

@@ -119,6 +119,16 @@ class TestIntensityB:
         assert np.all(np.isfinite(img.values)) and img.values.max() > 0.0
 
 
+class _StubSource:
+    """A source with its own quadrature interval and intensity profile."""
+
+    def __init__(self, interval, intensity):
+        self.interval, self.intensity = interval, intensity
+
+    def quadrature_interval(self, half_width=None):
+        return self.interval
+
+
 class TestGammaQuadrature:
     def test_focused_ghost_peaks_at_slit_positions(self, grid_focused, axis_a):
         summed = grid_focused.values.sum(axis=1)
@@ -168,19 +178,51 @@ class TestGammaQuadrature:
             assert normalized_l2(col, expected) < 1e-2
             assert abs(axis_a.coordinates[np.argmax(col)]) <= axis_a.step
 
-    @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
-    def test_matches_per_pixel_double_sum(self, request, geom_name, source, slits):
+    @pytest.mark.parametrize(
+        "geom_name, variant",
+        [
+            pytest.param(g, v, id=g if v == "auto" else f"{g}-{v}")
+            for g in ("geom_focused", "geom_defocused")
+            for v in ("auto", "odd", "even", "tophat", "off-centre", "chunked")
+        ],
+    )
+    def test_matches_per_pixel_double_sum(
+        self, request, monkeypatch, geom_name, variant, source, slits
+    ):
+        # the half contraction pairs the source nodes d and -d; an odd
+        # n_source has a d = 0 row, its own mirror, that must count once. A
+        # uniform source on an off-centre interval moves the midpoint c off
+        # 0, which shifts the V planes' rho_a when the chirp does not
+        # vanish (geom_defocused). "chunked" shrinks the block budget so
+        # that the object half products add up over chunks of object
+        # nodes and G over blocks of source rows.
         g = request.getfixturevalue(geom_name)
         axis_a = Axis.from_half_width(7, 150e-6, center=20e-6)
         axis_b = Axis.from_half_width(9, 400e-6, center=-60e-6)
+        if variant == "tophat":
+            source = SourceProfile.tophat(1.5e-3)
+        elif variant == "off-centre":
+            source = _StubSource((0.2e-3, 2.2e-3), lambda rho: np.full(np.shape(rho), 500.0))
         quad = QuadratureSpec.auto(g, source, slits, axis_a, axis_b)
+        if variant in ("odd", "even"):
+            quad = replace(quad, n_source=quad.n_source + (quad.n_source % 2 != (variant == "odd")))
+            assert quad.n_source % 2 == (variant == "odd")
+        streams, complex_built = _spy_planes(monkeypatch)
+        if variant == "chunked":
+            monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 40 * 40)
         grid = gamma_quadrature(g, source, slits, axis_a, axis_b, quad)
+        # the only complex phase matrix is the object factor's, at c1 / M
+        w = g.omega0_over_c
+        assert list(complex_built) == [w / g.z_b / g.M]
+        rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
+        rho_o, w_o, _ = object_quadrature(slits, quad.n_object)
+        object_blocks, v_blocks = streams
+        if variant == "chunked":
+            assert max(cols for _, cols in object_blocks) < rho_o.size
+            assert len(v_blocks) > 1 and {cols for _, cols in v_blocks} == {axis_a.n}
 
         # direct evaluation: the (rho_o, rho_s) double sum of the integrand,
         # one full exponential per node pair and detector pixel pair
-        w = g.omega0_over_c
-        rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
-        rho_o, w_o, _ = object_quadrature(slits, quad.n_object)
         weight = np.outer(slits.transmission(rho_o) * w_o, source.intensity(rho_s) * w_s)
         chirp = 0.5 * w * (1.0 / g.z_b - 1.0 / g.z_a) * rho_s**2
         direct = np.empty((axis_a.n, axis_b.n))
@@ -193,6 +235,16 @@ class TestGammaQuadrature:
         direct *= intensity_prefactor_a(g) * intensity_prefactor_b(g)
         # dark-fringe entries sit near zero, so they are held to the peak
         np.testing.assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-12 * direct.max())
+
+    def test_an_asymmetric_source_factor_is_refused(self, geom_defocused, slits, axis_a, axis_b):
+        # the source sum pairs each node with its mirror about the midpoint
+        # of rho_s, so F w_s must be the same at both; a Gaussian moved off
+        # the centre of its interval is not
+        gaussian = SourceProfile.gaussian(SIGMA)
+        moved = _StubSource((-5 * SIGMA, 5 * SIGMA), lambda rho: gaussian.intensity(rho - 0.1 * SIGMA))
+        quad = QuadratureSpec.auto(geom_defocused, gaussian, slits, axis_a, axis_b)
+        with pytest.raises(ValueError, match="mirror-symmetric about the midpoint"):
+            gamma_quadrature(geom_defocused, moved, slits, axis_a, axis_b, quad)
 
     def test_nonnegative_and_finite_for_random_configs(self):
         rng = np.random.default_rng(7)
@@ -590,14 +642,15 @@ class TestObjectTransferGuard:
 
 def _spy_planes(monkeypatch):
     """Record the (rows, columns) of every block ``phase.phase_planes``
-    yields, and the entries of every complex phase matrix, keyed by its
-    coupling constant."""
-    planes_built, complex_built = [], {}
+    yields, one list per stream, and the entries of every complex phase
+    matrix, keyed by its coupling constant."""
+    streams, complex_built = [], {}
     planes, matrix = phase.phase_planes, phase.phase_matrix
 
     def planes_spy(c, x, y, *args):
+        streams.append([])
         for ys, xs, block in planes(c, x, y, *args):
-            planes_built.append(block.shape[1:])
+            streams[-1].append(block.shape[1:])
             yield ys, xs, block
 
     def matrix_spy(c, x, y):
@@ -606,7 +659,7 @@ def _spy_planes(monkeypatch):
 
     monkeypatch.setattr(phase, "phase_planes", planes_spy)
     monkeypatch.setattr(phase, "phase_matrix", matrix_spy)
-    return planes_built, complex_built
+    return streams, complex_built
 
 
 class TestObjectTransferDirectSum:
@@ -643,11 +696,12 @@ class TestObjectTransferDirectSum:
         n_object = 128
         c1 = geom_focused.omega0_over_c / geom_focused.z_b
         n_o = object_quadrature(mask, n_object)[0].size
-        planes_built, complex_built = _spy_planes(monkeypatch)
+        streams, complex_built = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
         # phase entries for the ceil(n/2) nodes of the non-negative half
         # only, all as cos/sin planes: no complex matrix at c1
-        assert sum(rows * cols for rows, cols in planes_built) == n_o * ((rho_s.size + 1) // 2)
+        (blocks,) = streams
+        assert sum(rows * cols for rows, cols in blocks) == n_o * ((rho_s.size + 1) // 2)
         assert c1 not in complex_built
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
@@ -668,12 +722,13 @@ class TestObjectTransferDirectSum:
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
         n_o = object_quadrature(mask, n_object)[0].size
-        # the budget of 90 rows: 5 n_o + 4 n_b entries a row, two anchor rows
-        monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 90 * (5 * n_o + 4 * rho_b.size) + 2 * n_o)
+        # the budget of 90 rows: 6 n_o + 4 n_b entries a row, three anchor
+        # entries a column
+        monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 90 * (6 * n_o + 4 * rho_b.size) + 3 * n_o)
         assert correlator.transfer_block(2001, n_o, rho_b.size)[:3] == (90, n_o, 45)
-        planes_built, _ = _spy_planes(monkeypatch)
+        streams, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        assert planes_built == [(90, n_o)] * 22 + [(21, n_o)]
+        assert streams == [[(90, n_o)] * 22 + [(21, n_o)]]
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
@@ -692,9 +747,9 @@ class TestObjectTransferDirectSum:
         monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 50 * 50)
         rows, cols, block, entries = correlator.transfer_block(17, 128, 12)
         assert (rows, cols, block) == (5, 50, 5) and entries <= 50 * 50
-        planes_built, _ = _spy_planes(monkeypatch)
+        streams, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        assert planes_built == [(r, k) for k in (50, 50, 28) for r in (5, 5, 5, 2)]
+        assert streams == [[(r, k) for k in (50, 50, 28) for r in (5, 5, 5, 2)]]
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
@@ -705,25 +760,33 @@ class TestObjectTransferBlocks:
     one-block result."""
 
     @staticmethod
-    def _blocked(monkeypatch, n_o, n_b, n_s, call):
+    def _blocked(monkeypatch, n_o, n_b, n_s, call, n_a=None):
         # the default budget holds the whole half in one block; then at
         # least four full blocks of the non-negative rho_s half, each a
         # multiple of the anchor spacing ceil(sqrt(half)), and a ragged one;
-        # the half holds ceil(n_s / 2) nodes
+        # the half holds ceil(n_s / 2) nodes. gamma_quadrature (n_a given)
+        # streams the half twice: first the object half products over the
+        # n_o object nodes, then its source side over the n_a pixels of
+        # detector a, in the blocks transfer_block sizes for that side
         half = (n_s + 1) // 2
         block = phase.anchor_block(half)
         chunk = block * ((half - 1) // (4 * block))
         with monkeypatch.context() as m:
-            built, _ = _spy_planes(m)
+            streams, _ = _spy_planes(m)
             one = call()
-            assert built == [(half, n_o)]
-            built.clear()
-            # the budget of chunk rows: 5 n_o + 4 n_b entries a row, two anchor rows
-            m.setattr(correlator, "_BLOCK_ENTRIES", chunk * (5 * n_o + 4 * n_b) + 2 * n_o)
+            assert streams == [[(half, n_o)]] + ([[(half, n_a)]] if n_a else [])
+            streams.clear()
+            # the budget of chunk rows: 6 n_o + 4 n_b entries a row, three
+            # anchor entries a column
+            m.setattr(correlator, "_BLOCK_ENTRIES", chunk * (6 * n_o + 4 * n_b) + 3 * n_o)
             blocked = call()
-        sizes = [rows for rows, _ in built]
+            if n_a:
+                rows = correlator.transfer_block(half, n_a, n_b, sums_half=True)[0]
+                assert streams[1] == [(min(rows, half - lo), n_a) for lo in range(0, half, rows)]
+        sizes = [rows for rows, _ in streams[0]]
         assert len(sizes) >= 5 and sum(sizes) == half
         assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] < chunk
+        assert len(streams) == (2 if n_a else 1)
         return one, blocked
 
     @staticmethod
@@ -740,7 +803,7 @@ class TestObjectTransferBlocks:
         n_o = object_quadrature(slits, quad.n_object)[0].size
         gamma, blocked = self._blocked(
             monkeypatch, n_o, axis_b.n, quad.n_source,
-            lambda: gamma_quadrature(g, source, slits, axis_a, axis_b, quad),
+            lambda: gamma_quadrature(g, source, slits, axis_a, axis_b, quad), axis_a.n,
         )
         self._assert_close(blocked.values, gamma.values)
         i_b, blocked = self._blocked(
@@ -766,16 +829,26 @@ class TestObjectTransferBlocks:
 
 class TestObjectTransferMemory:
     def test_gamma_quadrature_peak_on_the_refocus_demo(self):
-        # T (4379 x 64) and V (4379 x 160) are 15.0 MiB of complex entries;
-        # the object transfer's block adds at most 8 MiB (_BLOCK_ENTRIES),
-        # freed before V is built. A complex phase block of the whole source
-        # half, with its two real copies, peaked at 55.5 MiB.
+        # gamma_quadrature holds the half products CW and SW (2 x 2190 x 64
+        # complex, 4.3 MiB), one phase_planes block of at most _BLOCK_ENTRIES
+        # float64 entries (8 MiB), the object factor W_b with the phase
+        # matrix it is built from (2 x 916 x 64 complex), the grid (complex
+        # G, then |G| and Gamma) and a few vectors over the source nodes
         exp = cpi_sim.parse_config(cpi_sim.DEMOS["refocus"]).resolve()
         assert (exp.quad.n_source, exp.quad.n_object) == (4379, 916)
+        n_half, n_o, n_a, n_b = 2190, 916, exp.axis_a.n, exp.axis_b.n
+        assert (n_a, n_b) == (160, 64)
+        bound = (
+            16 * 2 * n_half * n_b
+            + 8 * correlator._BLOCK_ENTRIES
+            + 16 * 2 * n_o * n_b
+            + (16 + 2 * 8) * n_a * n_b
+            + 8 * 8 * exp.quad.n_source
+        )
         tracemalloc.start()
         try:
             gamma_quadrature(exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < bound < 15 * 2**20
