@@ -137,32 +137,28 @@ class QuadratureSpec:
         return cls(n_source=n_source, n_object=n_object, source_span=source_span)
 
 
-def transfer_block(
-    n_half: int, n_x: int, n_b: int, sums_half: bool = False
-) -> tuple[int, int, int, int]:
+def transfer_block(n_half: int, n_x: int, n_b: int) -> tuple[int, int, int, int]:
     """Rows R, columns K and anchor spacing B of one ``phase.phase_planes``
-    block over ``n_half`` source-half rows and ``n_x`` columns, and the
-    float64 entries it holds: K (2R + 4B + 3) for the planes and their
-    tables, and the two real products, 4 R n_b where the block sums over
-    its columns (the object half products, one output row per source row)
-    or 4 K n_b where it sums over its rows (``sums_half``: Gamma's source
-    side, one output row per detector-a column).
+    block of the object half products over ``n_half`` source-half rows and
+    ``n_x`` object nodes, and the float64 entries it holds: K (2R + 4B + 3)
+    for the planes and their tables, and 4 R n_b for the two real products.
 
     K is n_x up to sqrt(_BLOCK_ENTRIES) = 1024, so the matmuls keep a few
     hundred rows whatever n_x. R is the most rows that fit
-    ``_BLOCK_ENTRIES`` were B as large as R, at least one, rounded down to
-    a multiple of B = min(ceil(sqrt(n_half)), R) unless it covers the half.
+    ``_BLOCK_ENTRIES`` were B as large as R (``_anchored_rows``).
     """
     cols = min(n_x, math.isqrt(_BLOCK_ENTRIES))
-    if sums_half:
-        rows = (_BLOCK_ENTRIES - cols * (3 + 4 * n_b)) // (6 * cols)
-    else:
-        rows = (_BLOCK_ENTRIES - 3 * cols) // (6 * cols + 4 * n_b)
+    rows, block = _anchored_rows(n_half, (_BLOCK_ENTRIES - 3 * cols) // (6 * cols + 4 * n_b))
+    return rows, cols, block, cols * (2 * rows + 4 * block + 3) + 4 * n_b * rows
+
+
+def _anchored_rows(n_half: int, rows: int) -> tuple[int, int]:
+    """``rows``, at least one, rounded down to a multiple of the anchor
+    spacing B = min(ceil(sqrt(n_half)), rows) unless it covers the half;
+    and B."""
     rows = max(1, rows)
     block = min(phase.anchor_block(n_half), rows)
-    rows = n_half if rows >= n_half else rows - rows % block
-    products = 4 * n_b * (cols if sums_half else rows)
-    return rows, cols, block, cols * (2 * rows + 4 * block + 3) + products
+    return (n_half if rows >= n_half else rows - rows % block), block
 
 
 def check_working_set(
@@ -174,21 +170,21 @@ def check_working_set(
     The estimate counts the complex arrays of ``arm_kernels``: T
     (n_source x n_b), K_a (n_source x n_a), the object factor W_b
     (n_object x n_b) and the n_a x n_b output grid; and the larger of the
-    two ``phase.phase_planes`` blocks (``transfer_block``), the object
-    half products' and Gamma's source side's. ``gamma_quadrature`` holds
-    no V and no T, only the half products CW and SW (ceil(n_source / 2) x
-    n_b each), so through K_a's term the estimate stays an upper bound for
-    it too. With ``n_source = 0`` it bounds the output grid alone.
+    two ``phase.phase_planes`` blocks, the object half products'
+    (``transfer_block``) and Gamma's source side's (``gamma_block``). The
+    half products CW and SW (ceil(n_source / 2) x n_b each) share one
+    buffer, in which ``object_transfer`` assembles T. ``gamma_quadrature``
+    holds no V and no T, only that buffer, so through K_a's term the
+    estimate stays an upper bound for it too. With ``n_source = 0`` it
+    bounds the output grid alone.
     ``extra`` adds the bytes the caller holds beside them: Monte Carlo
     sampling's, from ``SpeckleRun.sampling_bytes``.
     """
     need = 16 * (n_source * (n_a + n_b) + n_object * n_b + n_a * n_b) + extra
     if n_source:
         half = (n_source + 1) // 2
-        need += 8 * max(
-            transfer_block(half, n_object, n_b)[3],
-            transfer_block(half, n_a, n_b, sums_half=True)[3],
-        )
+        blocks = transfer_block(half, n_object, n_b)[3], gamma_block(half, n_a, n_b)[3]
+        need += 8 * max(blocks)
     check_bytes(
         what, need, f"{n_source} source nodes, {n_object} object nodes, n_a = {n_a}, n_b = {n_b}"
     )
@@ -286,17 +282,35 @@ def object_transfer(
     ``object_quadrature`` nodes of ``mask``, shape (n_s, n_b).
     ``intensity_b`` and the arm-b kernel use it. It is assembled from the
     half products of ``_half_products``: since P(-d) = conj P(d) for
-    P = exp(-i c1 rho_o d), every row is T(c +- d) = CW -+ i SW.
+    P = exp(-i c1 rho_o d), every row is T(c +- d) = CW -+ i SW. T is
+    built in the buffer of CW and SW, whose 2 ceil(n_s / 2) rows hold its
+    n_s, with temporaries of at most ``n_object`` rows, smaller than W_b,
+    which is freed by then; so a call holds no second full-size array.
     """
     n = rho_s.size
-    cw, sw = _half_products(geom, mask, n_object, rho_s, rho_b)[1]
+    cs = _half_products(geom, mask, n_object, rho_s, rho_b)[1]
+    h = cs.shape[1]
+    first = 2 * h - n  # 1 when n is odd: the d = 0 row is its own mirror
+    # CW's rows, reversed, become T(c - d) and SW's become T(c + d); for an
+    # odd n, CW's d = 0 row is left out and T(c) = CW(0) fills SW's, SW(0)
+    # being zero
+    cw, sw = cs[0, first:], cs[1, first:]
+    m = cw.shape[0]
+    for lo in range(0, m // 2, n_object):  # reverse CW's rows in place
+        hi = min(lo + n_object, m // 2)
+        swap = cw[lo:hi].copy()
+        cw[lo:hi] = cw[m - hi : m - lo][::-1]
+        cw[m - hi : m - lo] = swap[::-1]
+    cw = cw[::-1]
     sw *= 1j
-    t = np.empty((n, rho_b.size), dtype=complex)
-    # down[k] is the mirror row of up[k]; where d = 0 they are one row, SW = 0
-    up, down = t[n // 2 :], t[::-1][n // 2 :]
-    np.subtract(cw, sw, out=up)
-    np.add(cw, sw, out=down)
-    return t
+    for lo in range(0, m, n_object):
+        rows = slice(lo, lo + n_object)
+        up = cw[rows] - sw[rows]
+        cw[rows] += sw[rows]
+        sw[rows] = up
+    if first:
+        cs[1, 0] = cs[0, 0]
+    return cs.reshape(2 * h, rho_b.size)[first:]
 
 
 def arm_kernels(
@@ -372,6 +386,22 @@ def intensity_b(
     )
 
 
+def gamma_block(n_half: int, n_a: int, n_b: int) -> tuple[int, int, int, int]:
+    """Rows R, columns K and anchor spacing B of one ``phase.phase_planes``
+    block of Gamma's source side over ``n_half`` source-half rows and
+    ``n_a`` pixels of detector a, and the float64 entries it holds:
+    K (2R + 4B + 3) for the planes and their tables, and 4 K n_b for the
+    two real products, one output row per column.
+
+    K is n_a up to sqrt(_BLOCK_ENTRIES) = 1024, and small enough that the
+    products take at most half the budget, so R, the most rows the rest
+    fits (``_anchored_rows``), stays near a hundred or more whatever n_b.
+    """
+    cols = min(n_a, math.isqrt(_BLOCK_ENTRIES), max(1, _BLOCK_ENTRIES // (8 * n_b)))
+    rows, block = _anchored_rows(n_half, (_BLOCK_ENTRIES - cols * (3 + 4 * n_b)) // (6 * cols))
+    return rows, cols, block, cols * (2 * rows + 4 * block + 3 + 4 * n_b)
+
+
 def gamma_quadrature(
     geom: SetupGeometry,
     source: SourceProfile,
@@ -387,20 +417,19 @@ def gamma_quadrature(
             exp[-i (w/z_b)((rho_o - (z_b/z_a) rho_a) rho_s + rho_o rho_b / M)]|^2
 
     with w = omega0/c. The rho_o sum is the object transfer, kept as its
-    half products CW, SW on the nodes d >= 0 of rho_s = c + d
-    (``_half_products``): T(c +- d) = CW -+ i SW. With beta = w (1/z_b -
+    half products CW, SW on the nodes d >= 0 of rho_s
+    (``_half_products``): T(+-d) = CW -+ i SW. With beta = w (1/z_b -
     1/z_a), c_a = w/z_a and f(d) = F w_s exp(i beta d^2 / 2), the rho_s sum
-    pairs d with -d, which needs F w_s mirror-symmetric about c (else
-    ValueError), and leaves
+    pairs d with -d, which needs rho_s centred on 0 and F w_s
+    mirror-symmetric about it (else ValueError), and leaves
 
         G = 2 cos^T (f CW) + 2 sin^T (f SW),  Gamma = K_a K_b |G|^2,
 
-    with cos and sin of c_a d x_a, x_a = rho_a + (beta / c_a) c, and the
-    d = 0 row, present when n_source is odd, counted once. The phases
-    constant in rho_s drop out of |G|^2. The cos/sin planes stream from
-    ``phase.phase_planes`` under the ``transfer_block`` budget, each block
-    adding two real matmuls on the float view of CW, SW; no complex V and
-    no full T is built.
+    with cos and sin of c_a d rho_a, and the d = 0 row, present when
+    n_source is odd, counted once. The phases constant in rho_s drop out of
+    |G|^2. The cos/sin planes stream from ``phase.phase_planes`` in
+    ``gamma_block``'s blocks, each adding two real matmuls on the float
+    view of CW, SW; no complex V and no full T is built.
     """
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
@@ -410,16 +439,16 @@ def gamma_quadrature(
     r = phase.rates(geom, rho_s, mask.support_half_width, rho_a, rho_b)
     phase.check_step("source", _max_step(rho_s), r.gamma_s)
 
-    # F w_s at c + d and at its mirror c - d, to _EVEN_ULPS ulps of its peak
+    # F w_s at d and at its mirror -d, to _EVEN_ULPS ulps of its peak
     n = rho_s.size
-    c = 0.5 * (rho_s[0] + rho_s[-1])
-    d = rho_s[n // 2 :] - c
-    fw = source.intensity(c + d) * w_s[n // 2 :]
-    mirror = source.intensity(c - d) * w_s[::-1][n // 2 :]
+    if rho_s[0] + rho_s[-1] != 0.0:
+        raise ValueError("gamma_quadrature needs source nodes centred on rho_s = 0")
+    d = rho_s[n // 2 :]
+    fw = source.intensity(d) * w_s[n // 2 :]
+    mirror = source.intensity(-d) * w_s[::-1][n // 2 :]
     if np.any(np.abs(fw - mirror) > phase._EVEN_ULPS * np.spacing(max(fw.max(), mirror.max()))):
         raise ValueError(
-            "gamma_quadrature needs a source factor F w_s mirror-symmetric about the "
-            "midpoint of rho_s"
+            "gamma_quadrature needs a source factor F w_s mirror-symmetric about rho_s = 0"
         )
 
     half, cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b)
@@ -429,14 +458,13 @@ def gamma_quadrature(
     if n % 2:
         f[0] *= 0.5  # d = 0 is its own mirror
     cs *= f[:, None]
-    x_a = rho_a + (beta / c_a) * c
 
     g = np.empty((rho_a.size, rho_b.size), dtype=complex)
     g_f, cs_f = g.view(float), cs.view(float)
-    rows, cols, block, _ = transfer_block(half.size, rho_a.size, rho_b.size, sums_half=True)
+    rows, cols, block, _ = gamma_block(half.size, rho_a.size, rho_b.size)
     products = np.empty((2, cols, cs_f.shape[2]))
     scale = np.max(np.abs(rho_s))
-    for s_rows, a_cols, planes in phase.phase_planes(c_a, x_a, half, rows, cols, block, scale):
+    for s_rows, a_cols, planes in phase.phase_planes(c_a, rho_a, half, rows, cols, block, scale):
         cos_g, sin_g = np.matmul(
             planes.transpose(0, 2, 1), cs_f[:, s_rows], out=products[:, : planes.shape[2]]
         )

@@ -731,7 +731,7 @@ class TestCli:
         # entries) is smaller.
         config = parse_config(DEMOS["refocus"])
         block = 916 * (2 * 141 + 4 * 47 + 3) + 4 * 141 * 64
-        assert cpi_sim.correlator.transfer_block(2190, 160, 64, True)[3] == 402400 < block
+        assert cpi_sim.correlator.gamma_block(2190, 160, 64)[3] == 402400 < block
         need = 16 * (4379 * (160 + 64) + 916 * 64 + 160 * 64) + 8 * block
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         assert config.resolve().quad.n_source == 4379

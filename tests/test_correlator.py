@@ -183,26 +183,22 @@ class TestGammaQuadrature:
         [
             pytest.param(g, v, id=g if v == "auto" else f"{g}-{v}")
             for g in ("geom_focused", "geom_defocused")
-            for v in ("auto", "odd", "even", "tophat", "off-centre", "chunked")
+            for v in ("auto", "odd", "even", "tophat", "chunked")
         ],
     )
     def test_matches_per_pixel_double_sum(
         self, request, monkeypatch, geom_name, variant, source, slits
     ):
         # the half contraction pairs the source nodes d and -d; an odd
-        # n_source has a d = 0 row, its own mirror, that must count once. A
-        # uniform source on an off-centre interval moves the midpoint c off
-        # 0, which shifts the V planes' rho_a when the chirp does not
-        # vanish (geom_defocused). "chunked" shrinks the block budget so
-        # that the object half products add up over chunks of object
-        # nodes and G over blocks of source rows.
+        # n_source has a d = 0 row, its own mirror, that must count once.
+        # "chunked" shrinks the block budget so that the object half
+        # products add up over chunks of object nodes and G over blocks of
+        # source rows.
         g = request.getfixturevalue(geom_name)
         axis_a = Axis.from_half_width(7, 150e-6, center=20e-6)
         axis_b = Axis.from_half_width(9, 400e-6, center=-60e-6)
         if variant == "tophat":
             source = SourceProfile.tophat(1.5e-3)
-        elif variant == "off-centre":
-            source = _StubSource((0.2e-3, 2.2e-3), lambda rho: np.full(np.shape(rho), 500.0))
         quad = QuadratureSpec.auto(g, source, slits, axis_a, axis_b)
         if variant in ("odd", "even"):
             quad = replace(quad, n_source=quad.n_source + (quad.n_source % 2 != (variant == "odd")))
@@ -237,14 +233,22 @@ class TestGammaQuadrature:
         np.testing.assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-12 * direct.max())
 
     def test_an_asymmetric_source_factor_is_refused(self, geom_defocused, slits, axis_a, axis_b):
-        # the source sum pairs each node with its mirror about the midpoint
-        # of rho_s, so F w_s must be the same at both; a Gaussian moved off
-        # the centre of its interval is not
+        # the source sum pairs each node with its mirror about rho_s = 0, so
+        # F w_s must be the same at both; a Gaussian moved off the centre
+        # of its interval is not
         gaussian = SourceProfile.gaussian(SIGMA)
         moved = _StubSource((-5 * SIGMA, 5 * SIGMA), lambda rho: gaussian.intensity(rho - 0.1 * SIGMA))
         quad = QuadratureSpec.auto(geom_defocused, gaussian, slits, axis_a, axis_b)
-        with pytest.raises(ValueError, match="mirror-symmetric about the midpoint"):
+        with pytest.raises(ValueError, match="mirror-symmetric about rho_s = 0"):
             gamma_quadrature(geom_defocused, moved, slits, axis_a, axis_b, quad)
+
+    def test_an_off_centre_source_interval_is_refused(self, geom_defocused, slits, axis_a, axis_b):
+        # the mirror of d is -d only for nodes centred on 0, as every
+        # built-in source's are; a uniform source on (0.2, 2.2) mm is not
+        uniform = _StubSource((0.2e-3, 2.2e-3), lambda rho: np.full(np.shape(rho), 500.0))
+        quad = QuadratureSpec(n_source=401, n_object=256, source_span=1e-3)
+        with pytest.raises(ValueError, match="centred on rho_s = 0"):
+            gamma_quadrature(geom_defocused, uniform, slits, axis_a, axis_b, quad)
 
     def test_nonnegative_and_finite_for_random_configs(self):
         rng = np.random.default_rng(7)
@@ -767,7 +771,7 @@ class TestObjectTransferBlocks:
         # the half holds ceil(n_s / 2) nodes. gamma_quadrature (n_a given)
         # streams the half twice: first the object half products over the
         # n_o object nodes, then its source side over the n_a pixels of
-        # detector a, in the blocks transfer_block sizes for that side
+        # detector a, in the blocks gamma_block sizes
         half = (n_s + 1) // 2
         block = phase.anchor_block(half)
         chunk = block * ((half - 1) // (4 * block))
@@ -781,7 +785,7 @@ class TestObjectTransferBlocks:
             m.setattr(correlator, "_BLOCK_ENTRIES", chunk * (6 * n_o + 4 * n_b) + 3 * n_o)
             blocked = call()
             if n_a:
-                rows = correlator.transfer_block(half, n_a, n_b, sums_half=True)[0]
+                rows = correlator.gamma_block(half, n_a, n_b)[0]
                 assert streams[1] == [(min(rows, half - lo), n_a) for lo in range(0, half, rows)]
         sizes = [rows for rows, _ in streams[0]]
         assert len(sizes) >= 5 and sum(sizes) == half
@@ -828,6 +832,44 @@ class TestObjectTransferBlocks:
 
 
 class TestObjectTransferMemory:
+    def test_gamma_block_fits_its_budget_on_wide_grids(self):
+        # the products take 4 K n_b entries whatever the rows, so K is held
+        # to 2**20 // (8 n_b): at n_a = n_b = 512 that is 256 columns, whose
+        # products (524288 entries) leave (2**20 - 256 x 2051) // (6 x 256)
+        # = 340 rows, rounded down to 329, a multiple of ceil(sqrt(2190))
+        # = 47; a K of all 512 columns would leave none
+        rows, cols, block, entries = correlator.gamma_block(2190, 512, 512)
+        assert (rows, cols, block) == (329, 256, 47)
+        assert entries == 256 * (2 * 329 + 4 * 47 + 3 + 4 * 512) <= correlator._BLOCK_ENTRIES
+        for n_a, n_b in itertools.product((2, 160, 512, 1024, 4096), (2, 64, 512, 1024, 4096)):
+            rows, cols, block, entries = correlator.gamma_block(2190, n_a, n_b)
+            assert rows >= block == 47 and entries <= correlator._BLOCK_ENTRIES
+
+    def test_arm_kernels_peak_is_within_the_working_set_estimate(
+        self, monkeypatch, geom_defocused, source, slits
+    ):
+        # check_working_set counts T once, beside K_a, W_b, the grid and one
+        # block; object_transfer builds T in the buffer of its half
+        # products, so with n_b = 512 well above n_a = 8 the peak stays
+        # below the estimate, which is less than two arrays of T's size
+        # (16 x 1626 x 512 bytes each)
+        axis_a = Axis.from_half_width(8, 200e-6)
+        axis_b = Axis.from_half_width(512, 500e-6)
+        axis_s, n_object = default_sampling(geom_defocused, source, slits, axis_a, axis_b)
+        assert (axis_s.n, n_object) == (1626, 81)
+        needs = []
+        monkeypatch.setattr(correlator, "check_bytes", lambda what, need, counts: needs.append(need))
+        correlator.check_working_set("arm kernels", axis_s.n, n_object, axis_a.n, axis_b.n)
+        (need,) = needs
+        assert need < 2 * 16 * axis_s.n * axis_b.n
+        tracemalloc.start()
+        try:
+            arm_kernels(geom_defocused, slits, axis_s, axis_a, axis_b, n_object)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need
+
     def test_gamma_quadrature_peak_on_the_refocus_demo(self):
         # gamma_quadrature holds the half products CW and SW (2 x 2190 x 64
         # complex, 4.3 MiB), one phase_planes block of at most _BLOCK_ENTRIES
