@@ -77,7 +77,7 @@ _KEYS: dict[str, tuple[type, Any, tuple | None]] = {
         int, 0, (lambda v: 0 <= v < 2**64, "must be nonnegative and below 2**64, got {}")
     ),
     "run.n_realizations": (int, 1000, _POSITIVE),
-    "run.n_batches": (int, 20, _POSITIVE),
+    "run.n_batches": (int, SpeckleRun.n_batches, _POSITIVE),
     "run.threads": (int, 1, _POSITIVE),
     "run.out_dir": (str, "out", None),
     "budget.n_tot": (int, None, (lambda v: v >= 2, "must be >= 2")),

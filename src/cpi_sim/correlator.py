@@ -13,9 +13,10 @@ Every propagator is built here: ``arm_kernels`` and ``object_transfer``.
 Both sums over the mirror-symmetric source axis run on its non-negative
 half only, about the axis midpoint, streamed through two small real
 cos/sin planes: the object sum gives the half products CW and SW (two
-real matmuls per block), from which the object transfer T[s, b] forms
-both mirror rows, and Gamma contracts them against the cos/sin planes of
-its source phase (two more), so it builds no complex V and no full T.
+real matmuls per block), from which the arm-b kernel's object transfer
+T[s, b] forms both mirror rows. Gamma contracts them against the cos/sin
+planes of its source phase (two more) and I_b sums their squared moduli,
+so neither builds a complex V or a full T.
 Also provided: the detector intensities (flat in arm a, object-Fourier
 modulated in arm b), the geometric-optics limit of Gamma, and the closed
 Gaussian-source point-spread functions before and after angular
@@ -46,9 +47,6 @@ from .optics import (
     source_quadrature,
 )
 
-# float64 entries one phase_planes block may hold (8 MiB): its cos/sin
-# planes, their tables and the two real products (``transfer_block``)
-_BLOCK_ENTRIES = 2**20
 MIN_NODES = 16  # floor on every quadrature and source-cell node count
 
 
@@ -137,30 +135,6 @@ class QuadratureSpec:
         return cls(n_source=n_source, n_object=n_object, source_span=source_span)
 
 
-def transfer_block(n_half: int, n_x: int, n_b: int) -> tuple[int, int, int, int]:
-    """Rows R, columns K and anchor spacing B of one ``phase.phase_planes``
-    block of the object half products over ``n_half`` source-half rows and
-    ``n_x`` object nodes, and the float64 entries it holds: K (2R + 4B + 3)
-    for the planes and their tables, and 4 R n_b for the two real products.
-
-    K is n_x up to sqrt(_BLOCK_ENTRIES) = 1024, so the matmuls keep a few
-    hundred rows whatever n_x. R is the most rows that fit
-    ``_BLOCK_ENTRIES`` were B as large as R (``_anchored_rows``).
-    """
-    cols = min(n_x, math.isqrt(_BLOCK_ENTRIES))
-    rows, block = _anchored_rows(n_half, (_BLOCK_ENTRIES - 3 * cols) // (6 * cols + 4 * n_b))
-    return rows, cols, block, cols * (2 * rows + 4 * block + 3) + 4 * n_b * rows
-
-
-def _anchored_rows(n_half: int, rows: int) -> tuple[int, int]:
-    """``rows``, at least one, rounded down to a multiple of the anchor
-    spacing B = min(ceil(sqrt(n_half)), rows) unless it covers the half;
-    and B."""
-    rows = max(1, rows)
-    block = min(phase.anchor_block(n_half), rows)
-    return (n_half if rows >= n_half else rows - rows % block), block
-
-
 def check_working_set(
     what: str, n_source: int, n_object: int, n_a: int, n_b: int, extra: int = 0
 ) -> None:
@@ -170,21 +144,22 @@ def check_working_set(
     The estimate counts the complex arrays of ``arm_kernels``: T
     (n_source x n_b), K_a (n_source x n_a), the object factor W_b
     (n_object x n_b) and the n_a x n_b output grid; and the larger of the
-    two ``phase.phase_planes`` blocks, the object half products'
-    (``transfer_block``) and Gamma's source side's (``gamma_block``). The
-    half products CW and SW (ceil(n_source / 2) x n_b each) share one
-    buffer, in which ``object_transfer`` assembles T. ``gamma_quadrature``
-    holds no V and no T, only that buffer, so through K_a's term the
-    estimate stays an upper bound for it too. With ``n_source = 0`` it
-    bounds the output grid alone.
+    two ``phase.plane_block`` plans, the object half products' and Gamma's
+    source side's. The half products CW and SW (ceil(n_source / 2) x n_b
+    each) share one buffer, in which ``object_transfer`` assembles T.
+    ``gamma_quadrature`` and ``intensity_b`` hold no V and no T, only that
+    buffer, so through K_a's term the estimate stays an upper bound for
+    them too. With ``n_source = 0`` it bounds the output grid alone.
     ``extra`` adds the bytes the caller holds beside them: Monte Carlo
     sampling's, from ``SpeckleRun.sampling_bytes``.
     """
     need = 16 * (n_source * (n_a + n_b) + n_object * n_b + n_a * n_b) + extra
     if n_source:
         half = (n_source + 1) // 2
-        blocks = transfer_block(half, n_object, n_b)[3], gamma_block(half, n_a, n_b)[3]
-        need += 8 * max(blocks)
+        need += 8 * max(
+            phase.plane_block(half, n_object, 4 * n_b, 0)[3],
+            phase.plane_block(half, n_a, 0, 4 * n_b)[3],
+        )
     check_bytes(
         what, need, f"{n_source} source nodes, {n_object} object nodes, n_a = {n_a}, n_b = {n_b}"
     )
@@ -234,13 +209,16 @@ def _half_products(
     ceil(n_s / 2) nodes d >= 0 and cs = (CW, SW), shape
     (2, n_half, n_b), with CW = cos^T W_b and SW = sin^T W_b, two real
     matmuls on the float view of W_b. The half streams through the planes
-    in blocks of source rows by object columns sized by ``transfer_block``,
+    in ``phase.plane_block``'s blocks of source rows by object columns,
     each chunk of object nodes adding its share to every row, so besides
-    CW, SW and W_b a call holds at most ``_BLOCK_ENTRIES`` float64
-    entries, whatever ``n_object``. It checks its object step against the
-    rate on its nodes before it builds anything, and the evenness of the
-    half once, at the scale of max|rho_s|, where its nodes were rounded.
+    CW, SW and W_b a call holds at most one 8 MiB block, whatever
+    ``n_object``. Before it builds anything it refuses fewer than
+    ``MIN_NODES`` object nodes (ValueError) and checks its object step
+    against the rate on its nodes; it checks the evenness of the half once,
+    at the scale of max|rho_s|, where its nodes were rounded.
     """
+    if n_object < MIN_NODES:
+        raise ValueError(f"n_object: need at least {MIN_NODES} object nodes, got {n_object}")
     rho_o, w_o, step_o = object_quadrature(mask, n_object)
     r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # only r.object is read
     phase.check_step(f"object quadrature (n_object = {n_object})", step_o, r.object)
@@ -262,7 +240,7 @@ def _half_products(
     half = d_odd[n // 2 :]
     cs = np.empty((2, half.size, rho_b.size), dtype=complex)
     out = cs.view(float)
-    rows, cols, block, _ = transfer_block(half.size, rho_o.size, rho_b.size)
+    rows, cols, block, _ = phase.plane_block(half.size, rho_o.size, 4 * rho_b.size, 0)
     # needed only where the object nodes come in several chunks
     products = np.empty((2, rows, W_b.shape[1])) if cols < rho_o.size else None
     for s_rows, o_cols, planes in phase.phase_planes(c1, rho_o, half, rows, cols, block, scale):
@@ -279,9 +257,9 @@ def object_transfer(
     """Arm-b object transfer T[s, b] = A~[c1 (rho_s + rho_b/M)], c1 = w/z_b.
 
     T = sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b / M)) over the
-    ``object_quadrature`` nodes of ``mask``, shape (n_s, n_b).
-    ``intensity_b`` and the arm-b kernel use it. It is assembled from the
-    half products of ``_half_products``: since P(-d) = conj P(d) for
+    ``object_quadrature`` nodes of ``mask``, shape (n_s, n_b), for the
+    arm-b kernel. It is assembled from the half products of
+    ``_half_products``: since P(-d) = conj P(d) for
     P = exp(-i c1 rho_o d), every row is T(c +- d) = CW -+ i SW. T is
     built in the buffer of CW and SW, whose 2 ceil(n_s / 2) rows hold its
     n_s, with temporaries of at most ``n_object`` rows, smaller than W_b,
@@ -319,7 +297,7 @@ def arm_kernels(
     axis_s: Axis,
     axis_a: Axis,
     axis_b: Axis,
-    n_object: int = 256,
+    n_object: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete propagation kernels from source cells to both detectors.
 
@@ -362,6 +340,26 @@ def intensity_a(geom: SetupGeometry, axis_a: Axis) -> SampledImage:
     )
 
 
+def _source_half_weights(source: SourceProfile, rho_s, w_s) -> np.ndarray:
+    """Weights 2 F w_s of the source sum on the nodes d >= 0 of ``rho_s``,
+    each standing for d and its mirror -d; the d = 0 row of an odd
+    n_source counts once. The pairing needs nodes centred on rho_s = 0 and
+    F w_s mirror-symmetric about it, to _EVEN_ULPS ulps of its peak; else
+    ValueError (every built-in source passes)."""
+    n = rho_s.size
+    if rho_s[0] + rho_s[-1] != 0.0:
+        raise ValueError("the source sum needs source nodes centred on rho_s = 0")
+    d = rho_s[n // 2 :]
+    fw = source.intensity(d) * w_s[n // 2 :]
+    mirror = source.intensity(-d) * w_s[::-1][n // 2 :]
+    if np.any(np.abs(fw - mirror) > phase._EVEN_ULPS * np.spacing(max(fw.max(), mirror.max()))):
+        raise ValueError("the source sum needs F w_s mirror-symmetric about rho_s = 0")
+    weights = 2.0 * fw
+    if n % 2:
+        weights[0] = fw[0]  # d = 0 is its own mirror
+    return weights
+
+
 def intensity_b(
     geom: SetupGeometry,
     source: SourceProfile,
@@ -372,6 +370,10 @@ def intensity_b(
     """Detector-b intensity: source-averaged squared object Fourier transform.
 
     I_b(rho_b) = K_b * int drho_s F(rho_s) |A~[(w/z_b)(rho_s + rho_b/M)]|^2.
+
+    The rho_s sum pairs d with -d (``_source_half_weights``) on the half
+    products of ``_half_products``, |T(c - d)|^2 + |T(c + d)|^2 =
+    2 (|CW|^2 + |SW|^2), so I_b = K_b sum_d 2 F w_s (|CW|^2 + |SW|^2).
     """
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
     rho_b = axis_b.coordinates
@@ -379,27 +381,12 @@ def intensity_b(
     r = phase.rates(geom, rho_s, mask.support_half_width, 0.0, rho_b)  # no arm a here
     phase.check_step("source", _max_step(rho_s), r.intensity_b_s)
 
-    t = object_transfer(geom, mask, quad.n_object, rho_s, rho_b)
-    out = (source.intensity(rho_s) * w_s) @ np.abs(t) ** 2
+    weights = _source_half_weights(source, rho_s, w_s)
+    cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b)[1]
+    out = weights @ (np.abs(cs) ** 2).sum(axis=0)
     return SampledImage(
         axis=axis_b, values=intensity_prefactor_b(geom) * out, label="intensity_b"
     )
-
-
-def gamma_block(n_half: int, n_a: int, n_b: int) -> tuple[int, int, int, int]:
-    """Rows R, columns K and anchor spacing B of one ``phase.phase_planes``
-    block of Gamma's source side over ``n_half`` source-half rows and
-    ``n_a`` pixels of detector a, and the float64 entries it holds:
-    K (2R + 4B + 3) for the planes and their tables, and 4 K n_b for the
-    two real products, one output row per column.
-
-    K is n_a up to sqrt(_BLOCK_ENTRIES) = 1024, and small enough that the
-    products take at most half the budget, so R, the most rows the rest
-    fits (``_anchored_rows``), stays near a hundred or more whatever n_b.
-    """
-    cols = min(n_a, math.isqrt(_BLOCK_ENTRIES), max(1, _BLOCK_ENTRIES // (8 * n_b)))
-    rows, block = _anchored_rows(n_half, (_BLOCK_ENTRIES - cols * (3 + 4 * n_b)) // (6 * cols))
-    return rows, cols, block, cols * (2 * rows + 4 * block + 3 + 4 * n_b)
 
 
 def gamma_quadrature(
@@ -420,16 +407,15 @@ def gamma_quadrature(
     half products CW, SW on the nodes d >= 0 of rho_s
     (``_half_products``): T(+-d) = CW -+ i SW. With beta = w (1/z_b -
     1/z_a), c_a = w/z_a and f(d) = F w_s exp(i beta d^2 / 2), the rho_s sum
-    pairs d with -d, which needs rho_s centred on 0 and F w_s
-    mirror-symmetric about it (else ValueError), and leaves
+    pairs d with -d (``_source_half_weights``, which refuses a source it
+    cannot pair and counts d = 0 once) and leaves
 
         G = 2 cos^T (f CW) + 2 sin^T (f SW),  Gamma = K_a K_b |G|^2,
 
-    with cos and sin of c_a d rho_a, and the d = 0 row, present when
-    n_source is odd, counted once. The phases constant in rho_s drop out of
-    |G|^2. The cos/sin planes stream from ``phase.phase_planes`` in
-    ``gamma_block``'s blocks, each adding two real matmuls on the float
-    view of CW, SW; no complex V and no full T is built.
+    with cos and sin of c_a d rho_a. The phases constant in rho_s drop out
+    of |G|^2. The cos/sin planes stream from ``phase.phase_planes`` in
+    ``phase.plane_block``'s blocks, each adding two real matmuls on the
+    float view of CW, SW; no complex V and no full T is built.
     """
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
@@ -439,29 +425,15 @@ def gamma_quadrature(
     r = phase.rates(geom, rho_s, mask.support_half_width, rho_a, rho_b)
     phase.check_step("source", _max_step(rho_s), r.gamma_s)
 
-    # F w_s at d and at its mirror -d, to _EVEN_ULPS ulps of its peak
-    n = rho_s.size
-    if rho_s[0] + rho_s[-1] != 0.0:
-        raise ValueError("gamma_quadrature needs source nodes centred on rho_s = 0")
-    d = rho_s[n // 2 :]
-    fw = source.intensity(d) * w_s[n // 2 :]
-    mirror = source.intensity(-d) * w_s[::-1][n // 2 :]
-    if np.any(np.abs(fw - mirror) > phase._EVEN_ULPS * np.spacing(max(fw.max(), mirror.max()))):
-        raise ValueError(
-            "gamma_quadrature needs a source factor F w_s mirror-symmetric about rho_s = 0"
-        )
-
+    weights = _source_half_weights(source, rho_s, w_s)
     half, cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b)
     c_a = w / geom.z_a
     beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
-    f = 2.0 * fw * gaussian_phase(half, beta)
-    if n % 2:
-        f[0] *= 0.5  # d = 0 is its own mirror
-    cs *= f[:, None]
+    cs *= (weights * gaussian_phase(half, beta))[:, None]
 
     g = np.empty((rho_a.size, rho_b.size), dtype=complex)
     g_f, cs_f = g.view(float), cs.view(float)
-    rows, cols, block, _ = gamma_block(half.size, rho_a.size, rho_b.size)
+    rows, cols, block, _ = phase.plane_block(half.size, rho_a.size, 0, 4 * rho_b.size)
     products = np.empty((2, cols, cs_f.shape[2]))
     scale = np.max(np.abs(rho_s))
     for s_rows, a_cols, planes in phase.phase_planes(c_a, rho_a, half, rows, cols, block, scale):

@@ -70,7 +70,7 @@ class SpeckleRun:
     ``n_object`` controls the object-plane quadrature inside the arm-b
     kernel. Realizations are split into ``n_batches`` equal-as-possible
     batches of at least two, whose spread yields the error bars. Only here
-    are counts checked.
+    are these two counts checked; the object sum checks ``n_object``.
     """
 
     seed: int
@@ -78,8 +78,8 @@ class SpeckleRun:
     axis_s: Axis
     axis_a: Axis
     axis_b: Axis
-    n_object: int = 256
-    n_batches: int = 20
+    n_object: int
+    n_batches: int = 20  # also the default of config's run.n_batches
 
     def __post_init__(self):
         n_real, n_batches = self.n_realizations, self.n_batches

@@ -21,11 +21,13 @@ product and no recurrence, so nothing drifts along y. One anchoring
 and its cosine and sine as two real planes, streamed in small blocks
 (``phase_planes``) for real matmuls; there each entry's complex product
 is split into the two planes. Both sums over the source half (the object
-half products and Gamma's source side) stream their planes from here.
+half products and Gamma's source side) stream their planes from here, in
+the blocks of ``plane_block``, the one home of their layout and budget.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -37,6 +39,10 @@ from .optics import Axis, ObjectMask, SetupGeometry, SourceProfile
 # Hard anti-aliasing limit on the per-step phase increment of any
 # oscillatory factor sampled by the simulator.
 MAX_PHASE_STEP = np.pi / 2.0
+
+# float64 entries one phase_planes block may hold (8 MiB): its cos/sin
+# planes, their tables and the caller's products (``plane_block``)
+_BLOCK_ENTRIES = 2**20
 
 # evenness tolerance, in ulps of the axis scale (max|y|, or max|rho_s| for
 # the object transfer's source half): on a node's distance from its block
@@ -187,6 +193,27 @@ def phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         hi = min(lo + block, n)
         np.multiply(a[q], e[: hi - lo], out=out[lo:hi])
     return out.T
+
+
+def plane_block(
+    n_y: int, n_x: int, row_entries: int, col_entries: int
+) -> tuple[int, int, int, int]:
+    """Rows R, columns K and anchor spacing B of one ``phase_planes`` block
+    over ``n_y`` nodes of y by ``n_x`` of x, and the float64 entries it
+    holds: K (2R + 4B + 3) of planes and tables, and the caller's products,
+    ``row_entries`` a row of y and ``col_entries`` a column of x.
+
+    K is n_x up to sqrt(_BLOCK_ENTRIES) = 1024, and small enough that the
+    column products take at most half the budget, so the matmuls keep a
+    hundred rows or more. R is the most rows the rest fits were B as large
+    as R, at least one, rounded down to a multiple of
+    B = min(ceil(sqrt(n_y)), R) unless it covers y.
+    """
+    cols = min(n_x, math.isqrt(_BLOCK_ENTRIES), max(1, _BLOCK_ENTRIES // max(1, 2 * col_entries)))
+    rows = max(1, (_BLOCK_ENTRIES - cols * (3 + col_entries)) // (6 * cols + row_entries))
+    block = min(anchor_block(n_y), rows)
+    rows = n_y if rows >= n_y else rows - rows % block
+    return rows, cols, block, cols * (2 * rows + 4 * block + 3 + col_entries) + row_entries * rows
 
 
 def phase_planes(

@@ -89,21 +89,24 @@ class TestIntensityB:
     def test_matches_per_pixel_quadrature(self, request, geom_name, source, slits):
         g = request.getfixturevalue(geom_name)
         axis_b = Axis.from_half_width(9, 500e-6)
-        quad = QuadratureSpec.auto(g, source, slits, Axis.from_half_width(8, 200e-6), axis_b)
-        img = intensity_b(g, source, slits, axis_b, quad)
+        auto = QuadratureSpec.auto(g, source, slits, Axis.from_half_width(8, 200e-6), axis_b)
+        # both parities: the half sum pairs d with -d, and an odd n_source
+        # has a d = 0 row, its own mirror, that must count once
+        for quad in (auto, replace(auto, n_source=auto.n_source + 1)):
+            img = intensity_b(g, source, slits, axis_b, quad)
 
-        # direct evaluation: one source-averaged object transform per pixel
-        rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
-        rho_o, w_o, _ = object_quadrature(slits, quad.n_object)
-        amp = slits.transmission(rho_o) * w_o
-        f_s = source.intensity(rho_s) * w_s
-        direct = []
-        for rb in axis_b.coordinates:
-            kappa = (g.omega0_over_c / g.z_b) * (rho_s + rb / g.M)
-            ft = np.exp(-1j * np.outer(kappa, rho_o)) @ amp
-            direct.append(f_s @ np.abs(ft) ** 2)
-        expected = intensity_prefactor_b(g) * np.array(direct)
-        np.testing.assert_allclose(img.values, expected, rtol=1e-12)
+            # direct evaluation: one source-averaged object transform per pixel
+            rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
+            rho_o, w_o, _ = object_quadrature(slits, quad.n_object)
+            amp = slits.transmission(rho_o) * w_o
+            f_s = source.intensity(rho_s) * w_s
+            direct = []
+            for rb in axis_b.coordinates:
+                kappa = (g.omega0_over_c / g.z_b) * (rho_s + rb / g.M)
+                ft = np.exp(-1j * np.outer(kappa, rho_o)) @ amp
+                direct.append(f_s @ np.abs(ft) ** 2)
+            expected = intensity_prefactor_b(g) * np.array(direct)
+            np.testing.assert_allclose(img.values, expected, rtol=1e-12)
 
     def test_underresolved_guard(self, geom_focused, source, slits, axis_b):
         quad = QuadratureSpec(n_source=16, n_object=16, source_span=2.5e-3)
@@ -205,7 +208,7 @@ class TestGammaQuadrature:
             assert quad.n_source % 2 == (variant == "odd")
         streams, complex_built = _spy_planes(monkeypatch)
         if variant == "chunked":
-            monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 40 * 40)
+            monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 40 * 40)
         grid = gamma_quadrature(g, source, slits, axis_a, axis_b, quad)
         # the only complex phase matrix is the object factor's, at c1 / M
         w = g.omega0_over_c
@@ -233,14 +236,16 @@ class TestGammaQuadrature:
         np.testing.assert_allclose(grid.values, direct, rtol=1e-12, atol=1e-12 * direct.max())
 
     def test_an_asymmetric_source_factor_is_refused(self, geom_defocused, slits, axis_a, axis_b):
-        # the source sum pairs each node with its mirror about rho_s = 0, so
-        # F w_s must be the same at both; a Gaussian moved off the centre
-        # of its interval is not
+        # the source sums of Gamma and I_b pair each node with its mirror
+        # about rho_s = 0, so F w_s must be the same at both; a Gaussian
+        # moved off the centre of its interval is not
         gaussian = SourceProfile.gaussian(SIGMA)
         moved = _StubSource((-5 * SIGMA, 5 * SIGMA), lambda rho: gaussian.intensity(rho - 0.1 * SIGMA))
         quad = QuadratureSpec.auto(geom_defocused, gaussian, slits, axis_a, axis_b)
         with pytest.raises(ValueError, match="mirror-symmetric about rho_s = 0"):
             gamma_quadrature(geom_defocused, moved, slits, axis_a, axis_b, quad)
+        with pytest.raises(ValueError, match="mirror-symmetric about rho_s = 0"):
+            intensity_b(geom_defocused, moved, slits, axis_b, quad)
 
     def test_an_off_centre_source_interval_is_refused(self, geom_defocused, slits, axis_a, axis_b):
         # the mirror of d is -d only for nodes centred on 0, as every
@@ -249,6 +254,8 @@ class TestGammaQuadrature:
         quad = QuadratureSpec(n_source=401, n_object=256, source_span=1e-3)
         with pytest.raises(ValueError, match="centred on rho_s = 0"):
             gamma_quadrature(geom_defocused, uniform, slits, axis_a, axis_b, quad)
+        with pytest.raises(ValueError, match="centred on rho_s = 0"):
+            intensity_b(geom_defocused, uniform, slits, axis_b, quad)
 
     def test_nonnegative_and_finite_for_random_configs(self):
         rng = np.random.default_rng(7)
@@ -482,6 +489,18 @@ class TestPhasePolicy:
         }
         assert owners == {"phase.py"}
 
+    def test_only_phase_module_plans_plane_blocks(self):
+        # The block budget and the plane layout K (2R + 4B + 3) are written
+        # in phase.py alone; every stream of planes asks phase.plane_block
+        package = Path(cpi_sim.__file__).parent
+        layout = re.compile(r"_BLOCK_ENTRIES|isqrt|4 \* block|4B \+ 3")
+        owners = {
+            path.name
+            for path in package.glob("*.py")
+            if layout.search(path.read_text(encoding="utf-8"))
+        }
+        assert owners == {"phase.py"}
+
     def test_one_arm_b_model(self):
         # correlator.object_transfer builds every arm-b phase matrix and
         # correlator.arm_b_prefactor holds the arm-b prefactor formula
@@ -636,6 +655,19 @@ class TestObjectTransferGuard:
         t = correlator.object_transfer(geom_focused, slits, 64, rho_s, rho_b)
         assert t.shape == (rho_s.size, rho_b.size)
 
+    @pytest.mark.parametrize("n_object", [0, -5])
+    def test_too_few_object_nodes_are_refused(self, geom_focused, source, slits, axis_b, n_object):
+        # the count used to pass unchecked: 0 crashed the assembly of T and
+        # -5 returned its unassembled half products
+        rho_s = source_quadrature(source, 64)[0]
+        message = rf"^n_object: need at least 16 object nodes, got {n_object}$"
+        with pytest.raises(ValueError, match=message):
+            correlator.object_transfer(geom_focused, slits, n_object, rho_s, axis_b.coordinates)
+        axis_a = Axis.from_half_width(8, 150e-6)
+        axis_s, _ = default_sampling(geom_focused, source, slits, axis_a, axis_b)
+        with pytest.raises(ValueError, match=message):
+            arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
+
     def test_uneven_source_nodes_are_refused(self, geom_focused, slits, axis_b):
         # the mirror rows come from the odd part of rho_s - c, which equals
         # rho_s - c only on an evenly spaced axis
@@ -728,8 +760,8 @@ class TestObjectTransferDirectSum:
         n_o = object_quadrature(mask, n_object)[0].size
         # the budget of 90 rows: 6 n_o + 4 n_b entries a row, three anchor
         # entries a column
-        monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 90 * (6 * n_o + 4 * rho_b.size) + 3 * n_o)
-        assert correlator.transfer_block(2001, n_o, rho_b.size)[:3] == (90, n_o, 45)
+        monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 90 * (6 * n_o + 4 * rho_b.size) + 3 * n_o)
+        assert phase.plane_block(2001, n_o, 4 * rho_b.size, 0)[:3] == (90, n_o, 45)
         streams, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
         assert streams == [[(90, n_o)] * 22 + [(21, n_o)]]
@@ -748,8 +780,8 @@ class TestObjectTransferDirectSum:
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
         assert object_quadrature(mask, n_object)[0].size == 128
-        monkeypatch.setattr(correlator, "_BLOCK_ENTRIES", 50 * 50)
-        rows, cols, block, entries = correlator.transfer_block(17, 128, 12)
+        monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 50 * 50)
+        rows, cols, block, entries = phase.plane_block(17, 128, 4 * 12, 0)
         assert (rows, cols, block) == (5, 50, 5) and entries <= 50 * 50
         streams, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
@@ -771,7 +803,7 @@ class TestObjectTransferBlocks:
         # the half holds ceil(n_s / 2) nodes. gamma_quadrature (n_a given)
         # streams the half twice: first the object half products over the
         # n_o object nodes, then its source side over the n_a pixels of
-        # detector a, in the blocks gamma_block sizes
+        # detector a, in the blocks phase.plane_block sizes
         half = (n_s + 1) // 2
         block = phase.anchor_block(half)
         chunk = block * ((half - 1) // (4 * block))
@@ -782,10 +814,10 @@ class TestObjectTransferBlocks:
             streams.clear()
             # the budget of chunk rows: 6 n_o + 4 n_b entries a row, three
             # anchor entries a column
-            m.setattr(correlator, "_BLOCK_ENTRIES", chunk * (6 * n_o + 4 * n_b) + 3 * n_o)
+            m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * n_o + 4 * n_b) + 3 * n_o)
             blocked = call()
             if n_a:
-                rows = correlator.gamma_block(half, n_a, n_b)[0]
+                rows = phase.plane_block(half, n_a, 0, 4 * n_b)[0]
                 assert streams[1] == [(min(rows, half - lo), n_a) for lo in range(0, half, rows)]
         sizes = [rows for rows, _ in streams[0]]
         assert len(sizes) >= 5 and sum(sizes) == half
@@ -838,12 +870,12 @@ class TestObjectTransferMemory:
         # products (524288 entries) leave (2**20 - 256 x 2051) // (6 x 256)
         # = 340 rows, rounded down to 329, a multiple of ceil(sqrt(2190))
         # = 47; a K of all 512 columns would leave none
-        rows, cols, block, entries = correlator.gamma_block(2190, 512, 512)
+        rows, cols, block, entries = phase.plane_block(2190, 512, 0, 4 * 512)
         assert (rows, cols, block) == (329, 256, 47)
-        assert entries == 256 * (2 * 329 + 4 * 47 + 3 + 4 * 512) <= correlator._BLOCK_ENTRIES
+        assert entries == 256 * (2 * 329 + 4 * 47 + 3 + 4 * 512) <= phase._BLOCK_ENTRIES
         for n_a, n_b in itertools.product((2, 160, 512, 1024, 4096), (2, 64, 512, 1024, 4096)):
-            rows, cols, block, entries = correlator.gamma_block(2190, n_a, n_b)
-            assert rows >= block == 47 and entries <= correlator._BLOCK_ENTRIES
+            rows, cols, block, entries = phase.plane_block(2190, n_a, 0, 4 * n_b)
+            assert rows >= block == 47 and entries <= phase._BLOCK_ENTRIES
 
     def test_arm_kernels_peak_is_within_the_working_set_estimate(
         self, monkeypatch, geom_defocused, source, slits
@@ -882,7 +914,7 @@ class TestObjectTransferMemory:
         assert (n_a, n_b) == (160, 64)
         bound = (
             16 * 2 * n_half * n_b
-            + 8 * correlator._BLOCK_ENTRIES
+            + 8 * phase._BLOCK_ENTRIES
             + 16 * 2 * n_o * n_b
             + (16 + 2 * 8) * n_a * n_b
             + 8 * 8 * exp.quad.n_source

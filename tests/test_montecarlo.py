@@ -153,7 +153,7 @@ class TestPropagateArms:
         axis_b = Axis.from_half_width(24, 400e-6)
         coarse = Axis.from_half_width(32, 2.5e-3)  # cells far too wide
         with pytest.raises(UnderResolved):
-            arm_kernels(geom_focused, slits, coarse, axis_a, axis_b)
+            arm_kernels(geom_focused, slits, coarse, axis_a, axis_b, 256)
 
 
 class TestArmKernels:

@@ -1,4 +1,7 @@
-"""The block-anchored phase-matrix builder against the direct exponential."""
+"""The block-anchored phase-matrix builder against the direct exponential,
+and the plan of its cos/sin plane blocks."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -74,3 +77,38 @@ class TestRates:
         geom = parse_config(DEMOS["refocus"]).build_geometry()
         with pytest.raises(OverflowError, match=r"^phase rate gamma_s, arm_a, cell overflows at"):
             phase.rates(geom, 2.4e-3, 4e-4, 1e307, 1.1e-3)
+
+
+class TestPlaneBlock:
+    def test_every_plan_fits_its_budget(self):
+        # both streams: the object half products (4 n_b entries a row of
+        # the source half) and Gamma's source side (4 n_b a column of
+        # detector a); wherever a block of one row fits the budget, the
+        # planned block does
+        budget = phase._BLOCK_ENTRIES
+        fitting = 0
+        for n_y, n_x, n_b in itertools.product(
+            (1, 2, 3, 17, 90, 676, 2190, 175000),
+            (1, 2, 65, 916, 1024, 1025, 40000),
+            (1, 12, 64, 512, 4096, 2**17, 2**19),
+        ):
+            for row_entries, col_entries in ((4 * n_b, 0), (0, 4 * n_b)):
+                rows, cols, block, entries = phase.plane_block(n_y, n_x, row_entries, col_entries)
+                assert 1 <= cols <= min(n_x, 1024)
+                assert 1 <= block <= min(rows, phase.anchor_block(n_y)) and rows <= n_y
+                assert rows == n_y or rows % block == 0
+                layout = cols * (2 * rows + 4 * block + 3 + col_entries) + row_entries * rows
+                assert entries == layout
+                if cols * (9 + col_entries) + row_entries <= budget:
+                    fitting += 1
+                    assert entries <= budget
+                if 0 < 8 * col_entries <= budget:  # column products: half the budget at most
+                    assert cols * col_entries <= budget // 2
+        assert fitting > 600
+
+    def test_refocus_demo_plans(self):
+        # 2190 source-half rows, 916 object nodes, n_a = 160 and n_b = 64
+        # pixels: the object half products, then Gamma's source side (the
+        # 512 x 512 plan is pinned with the correlator's memory tests)
+        assert phase.plane_block(2190, 916, 4 * 64, 0) == (141, 916, 47, 469364)
+        assert phase.plane_block(2190, 160, 0, 4 * 64) == (1034, 160, 47, 402400)
