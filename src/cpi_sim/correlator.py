@@ -14,9 +14,11 @@ Both sums over the mirror-symmetric source axis run on its non-negative
 half only, about the axis midpoint, streamed through two small real
 cos/sin planes: the object sum gives the half products CW and SW (two
 real matmuls per block), from which the arm-b kernel's object transfer
-T[s, b] forms both mirror rows. Gamma contracts them against the cos/sin
-planes of its source phase (two more) and I_b sums their squared moduli,
-so neither builds a complex V or a full T.
+T[s, b] forms both mirror rows. The object sum pairs mirrored object
+nodes as well, so its planes and matmuls run over half the object nodes
+too. Gamma contracts the half products against the cos/sin planes of its
+source phase (two more) and I_b sums their squared moduli, so neither
+builds a complex V or a full T.
 Also provided: the detector intensities (flat in arm a, object-Fourier
 modulated in arm b), the geometric-optics limit of Gamma, and the closed
 Gaussian-source point-spread functions before and after angular
@@ -141,23 +143,23 @@ def check_working_set(
     """Raise ResourceLimit before a run from ``n_source`` source nodes would
     hold more than ``MAX_WORKING_SET`` bytes.
 
-    The estimate counts the complex arrays of ``arm_kernels``: T
-    (n_source x n_b), K_a (n_source x n_a), the object factor W_b
-    (n_object x n_b) and the n_a x n_b output grid; and the larger of the
-    two ``phase.plane_block`` plans, the object half products' and Gamma's
-    source side's. The half products CW and SW (ceil(n_source / 2) x n_b
-    each) share one buffer, in which ``object_transfer`` assembles T.
-    ``gamma_quadrature`` and ``intensity_b`` hold no V and no T, only that
-    buffer, so through K_a's term the estimate stays an upper bound for
-    them too. With ``n_source = 0`` it bounds the output grid alone.
-    ``extra`` adds the bytes the caller holds beside them: Monte Carlo
-    sampling's, from ``SpeckleRun.sampling_bytes``.
+    The estimate counts the complex arrays of the object sum and of Gamma:
+    the half products CW and SW (2 ceil(n_source / 2) x n_b, the buffer in
+    which ``object_transfer`` assembles T), the folded object factor W_b
+    (2 ceil(n_object / 2) x n_b) twice, for the phase matrix it is built
+    from, and the n_a x n_b grid twice, for G and then |G|^2 and Gamma; and
+    the larger of the two ``phase.plane_block`` plans, the object half
+    products' over the ceil(n_object / 2) mirror pairs and Gamma's source
+    side's. ``intensity_b`` holds less. With ``n_source = 0`` it bounds the
+    output grid alone. ``extra`` adds the bytes the caller holds beside
+    them: a Monte Carlo run's arm-a kernel K_a and its sampling's, from
+    ``SpeckleRun.sampling_bytes``.
     """
-    need = 16 * (n_source * (n_a + n_b) + n_object * n_b + n_a * n_b) + extra
+    need = 16 * n_a * n_b + extra
     if n_source:
-        half = (n_source + 1) // 2
-        need += 8 * max(
-            phase.plane_block(half, n_object, 4 * n_b, 0)[3],
+        half, pairs = (n_source + 1) // 2, (n_object + 1) // 2
+        need += 16 * (2 * half * n_b + 4 * pairs * n_b + n_a * n_b) + 8 * max(
+            phase.plane_block(half, pairs, 4 * n_b, 0)[3],
             phase.plane_block(half, n_a, 0, 4 * n_b)[3],
         )
     check_bytes(
@@ -195,59 +197,113 @@ def intensity_prefactor_b(geom: SetupGeometry) -> float:
     return float(np.abs(2.0 * np.pi * arm_b_prefactor(geom)) ** 2)
 
 
+def _mirror_split(x: np.ndarray, what: str) -> tuple[float, np.ndarray]:
+    """Midpoint c of the nodes ``x`` and the exact odd part of x - c.
+
+    Each node moves by at most a few ulps. Raises ValueError, ``what`` and
+    the worst node, unless every node matches its mirror image about c to
+    within _EVEN_ULPS ulps of max|x|, the scale at which it was rounded.
+    """
+    c = 0.5 * (x[0] + x[-1])
+    d = x - c
+    odd = 0.5 * (d - d[::-1])
+    drift = np.abs(odd - d)
+    if np.any(drift > phase._EVEN_ULPS * np.spacing(np.max(np.abs(x)))):
+        raise ValueError(
+            f"{what}; node {int(np.argmax(drift))} is {float(np.max(drift)):.3e} m "
+            f"off the mirror image of its partner about the midpoint {c:.6e} m"
+        )
+    return c, odd
+
+
 def _half_products(
     geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The object sum on the non-negative half of the source axis.
+    """The object sum on the non-negative half of the source axis, over
+    mirror pairs of object nodes.
 
     The evenly spaced rho_s is written as c + d with c its midpoint and d
-    the exact odd part of rho_s - c (each node moves by at most an ulp).
-    The factor exp(-i c1 rho_o c), c1 = w/z_b, goes into the object factor
+    the exact odd part of rho_s - c (``_mirror_split``). The factor
+    exp(-i c1 rho_o c), c1 = w/z_b, goes into the object factor
     W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)), and the d >= 0 half of the
-    phase exp(-i c1 rho_o d) into the two real planes cos(c1 rho_o d) and
-    sin(c1 rho_o d) of ``phase.phase_planes``. Returns (half, cs): the
-    ceil(n_s / 2) nodes d >= 0 and cs = (CW, SW), shape
-    (2, n_half, n_b), with CW = cos^T W_b and SW = sin^T W_b, two real
-    matmuls on the float view of W_b. The half streams through the planes
-    in ``phase.plane_block``'s blocks of source rows by object columns,
-    each chunk of object nodes adding its share to every row, so besides
-    CW, SW and W_b a call holds at most one 8 MiB block, whatever
-    ``n_object``. Before it builds anything it refuses fewer than
-    ``MIN_NODES`` object nodes (ValueError) and checks its object step
-    against the rate on its nodes; it checks the evenness of the half once,
-    at the scale of max|rho_s|, where its nodes were rounded.
+    phase exp(-i c1 rho_o d) into two real planes. The object nodes split
+    the same way, rho_o = m + e, and cos(c1 e d) is even in e while
+    sin(c1 e d) is odd, so W_b's rows fold into P = W(e) + W(-e) and
+    Q = W(e) - W(-e) on the e >= 0 half (the e = 0 node of an odd count,
+    its own mirror, counted once), in W_b's own buffer. The planes
+    cos(c1 e d) and sin(c1 e d) of ``phase.phase_planes`` then run over
+    ceil(n_o / 2) object columns: CW' = cos^T P and SW' = sin^T Q, two real
+    matmuls on the float views of P and Q, and each row turns by
+    phi = c1 m d, CW = cos(phi) CW' - sin(phi) SW' and
+    SW = sin(phi) CW' + cos(phi) SW' (no turn for m = 0, as for every
+    slit). Returns (half, cs): the ceil(n_s / 2) nodes d >= 0 and
+    cs = (CW, SW), shape (2, n_half, n_b), with CW = cos^T W_b and
+    SW = sin^T W_b for cos(c1 rho_o d) and sin(c1 rho_o d).
+
+    The half streams through the planes in ``phase.plane_block``'s blocks
+    of source rows by object columns, each chunk of object columns adding
+    its share to every row, so besides CW, SW and W_b a call holds at most
+    one 8 MiB block, whatever ``n_object``. Before it builds anything it
+    refuses fewer than ``MIN_NODES`` object nodes (ValueError), checks its
+    object step against the rate on its nodes, and checks that rho_s and
+    the object nodes are mirror-symmetric about their midpoints
+    (ValueError), each once, at the scale of its max|x|.
     """
     if n_object < MIN_NODES:
         raise ValueError(f"n_object: need at least {MIN_NODES} object nodes, got {n_object}")
     rho_o, w_o, step_o = object_quadrature(mask, n_object)
     r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # only r.object is read
     phase.check_step(f"object quadrature (n_object = {n_object})", step_o, r.object)
-
-    n = rho_s.size
-    c = 0.5 * (rho_s[0] + rho_s[-1])
-    d = rho_s - c
-    d_odd = 0.5 * (d - d[::-1])
-    scale = np.max(np.abs(rho_s))
-    tol = phase._EVEN_ULPS * np.spacing(scale)
-    if np.any(np.abs(d_odd - d) > tol):  # rho_s is not mirror-symmetric about c
-        raise ValueError("the object transfer needs evenly spaced rho_s")
+    c, d = _mirror_split(rho_s, "the object transfer needs evenly spaced rho_s")
+    m, e = _mirror_split(
+        rho_o, "the object sum needs object nodes mirror-symmetric about their midpoint"
+    )
 
     c1 = geom.omega0_over_c / geom.z_b
+    n_o = rho_o.size
+    h = (n_o + 1) // 2
     amp_o = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * c) * rho_o)
+    if n_o % 2:  # e = 0 is its own mirror: P counts its two half-weight rows once
+        amp_o[h - 1] *= 0.5
+    # the nodes e >= 0, ascending, then their mirrors -e in the same order,
+    # so row j of W_b pairs with row h + j
+    upper = np.arange(n_o // 2, n_o)
+    order = np.concatenate((upper, n_o - 1 - upper))
     W_b = np.multiply(
-        amp_o[:, None], phase.phase_matrix(c1 / geom.M, rho_o, rho_b), order="C"
+        amp_o[order, None], phase.phase_matrix(c1 / geom.M, rho_o[order], rho_b), order="C"
     ).view(float)
-    half = d_odd[n // 2 :]
+    pq = W_b.reshape(2, h, W_b.shape[1])
+    q = pq[0] - pq[1]
+    pq[0] += pq[1]
+    pq[1] = q
+    del q  # freed before the planes are built
+
+    half = d[rho_s.size // 2 :]
     cs = np.empty((2, half.size, rho_b.size), dtype=complex)
     out = cs.view(float)
-    rows, cols, block, _ = phase.plane_block(half.size, rho_o.size, 4 * rho_b.size, 0)
-    # needed only where the object nodes come in several chunks
-    products = np.empty((2, rows, W_b.shape[1])) if cols < rho_o.size else None
-    for s_rows, o_cols, planes in phase.phase_planes(c1, rho_o, half, rows, cols, block, scale):
-        if o_cols.start:  # a later chunk of object nodes adds to its rows
-            out[:, s_rows] += np.matmul(planes, W_b[o_cols], out=products[:, : planes.shape[1]])
+    rows, cols, block, _ = phase.plane_block(half.size, h, 4 * rho_b.size, 0)
+    turn = m != 0.0
+    if turn:
+        phi = (c1 * m) * half
+        cos_phi, sin_phi = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    # needed where the object columns come in several chunks, or to turn the rows
+    products = np.empty((2, rows, W_b.shape[1])) if cols < h or turn else None
+    scale = np.max(np.abs(rho_s))
+    e_half = e[n_o // 2 :]
+    for s_rows, o_cols, planes in phase.phase_planes(c1, e_half, half, rows, cols, block, scale):
+        if o_cols.start:  # a later chunk of object columns adds to its rows
+            out[:, s_rows] += np.matmul(planes, pq[:, o_cols], out=products[:, : planes.shape[1]])
         else:
-            np.matmul(planes, W_b[o_cols], out=out[:, s_rows])
+            np.matmul(planes, pq[:, o_cols], out=out[:, s_rows])
+        if turn and o_cols.stop == h:  # the rows are complete: turn them by phi
+            cw, sw = out[:, s_rows]
+            sin_cw, sin_sw = products[:, : cw.shape[0]]
+            np.multiply(cw, sin_phi[s_rows], out=sin_cw)
+            np.multiply(sw, sin_phi[s_rows], out=sin_sw)
+            cw *= cos_phi[s_rows]
+            cw -= sin_sw
+            sw *= cos_phi[s_rows]
+            sw += sin_cw
     return half, cs
 
 

@@ -22,7 +22,10 @@ and its cosine and sine as two real planes, streamed in small blocks
 (``phase_planes``) for real matmuls; there each entry's complex product
 is split into the two planes. Both sums over the source half (the object
 half products and Gamma's source side) stream their planes from here, in
-the blocks of ``plane_block``, the one home of their layout and budget.
+the blocks of ``plane_block``, the one home of their layout and budget;
+the object half products pass the non-negative half e of the object
+nodes about their midpoint as x, so their planes span ceil(n_o / 2)
+columns, one per mirror pair.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ _BLOCK_ENTRIES = 2**20
 # the object transfer's source half): on a node's distance from its block
 # anchor plus block-0 offset (_anchoring; linspace and Axis nodes stay
 # within 2.5) and from its mirror image about the midpoint (the object half
-# products of correlator; within 1); Gamma's source factor F w_s must match
-# its mirror to as many ulps of its peak.
+# products of correlator, for rho_s within 1 and, at the scale max|rho_o|,
+# for every built-in mask's object nodes within 2); Gamma's source factor
+# F w_s must match its mirror to as many ulps of its peak.
 _EVEN_ULPS = 8
 
 

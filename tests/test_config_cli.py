@@ -611,8 +611,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "mode, message",
         [
-            ("analytic", "quadrature needs 5.14 GiB (1537691 source nodes, 916 object nodes"),
-            ("refocus", "quadrature needs 5.14 GiB (1537691 source nodes"),
+            ("analytic", "quadrature needs 1.48 GiB (1537691 source nodes, 916 object nodes"),
+            ("refocus", "quadrature needs 1.48 GiB (1537691 source nodes"),
             # a 600001-cell phasor row is more than the 4 MiB block budget,
             # so sampling counts a block of one row, not one 50-row batch
             ("montecarlo", "Monte Carlo run needs 2.03 GiB (600001 source nodes, 458 object"),
@@ -718,21 +718,24 @@ class TestCli:
         assert not out.exists()
 
     def test_working_set_estimate_is_pinned_at_the_limit(self, monkeypatch):
-        # T + K_a (n_source x (n_a + n_b)), W_b (n_object x n_b) and the
-        # output grid (n_a x n_b), 16 bytes each; one object half-products
-        # block, 8 bytes an entry: 2**20 entries at 6 x 916 + 4 x 64 = 5752 a
-        # row (less three anchor entries per column of 916) give 181 rows,
-        # rounded down to 141, a multiple of the anchor spacing
-        # ceil(sqrt(2190)) = 47 of the ceil(4379 / 2) = 2190 source rows; the
-        # block holds the two planes (2 x 141 rows of 916), the complex
-        # offset table and product buffer (4 x 47 rows), the complex anchor
-        # row and its angles (3 rows) and the two real products (2 x 141 rows
-        # of 2 x 64). Gamma's source-side block (1034 rows of 160, 402400
-        # entries) is smaller.
+        # the half products CW, SW (2 x 2190 rows of n_b = 64), the folded
+        # object factor W_b (2 x 458 rows of 64) twice and the output grid
+        # (160 x 64) twice, 16 bytes each; one object half-products block,
+        # 8 bytes an entry: 2**20 entries at 6 x 458 + 4 x 64 = 3004 a row
+        # (less three anchor entries per column of the 458 mirror pairs of
+        # object nodes) give 348 rows, rounded down to 329, a multiple of
+        # the anchor spacing ceil(sqrt(2190)) = 47 of the ceil(4379 / 2) =
+        # 2190 source rows; the block holds the two planes (2 x 329 rows of
+        # 458), the complex offset table and product buffer (4 x 47 rows),
+        # the complex anchor row and its angles (3 rows) and the two real
+        # products (2 x 329 rows of 2 x 64). Gamma's source-side block (1034
+        # rows of 160, 402400 entries) is smaller. In all 9.99 MiB, where
+        # tracemalloc puts the peak of gamma_quadrature at 8.4 MiB.
         config = parse_config(DEMOS["refocus"])
-        block = 916 * (2 * 141 + 4 * 47 + 3) + 4 * 141 * 64
+        block = 458 * (2 * 329 + 4 * 47 + 3) + 4 * 329 * 64
         assert cpi_sim.phase.plane_block(2190, 160, 0, 4 * 64)[3] == 402400 < block
-        need = 16 * (4379 * (160 + 64) + 916 * 64 + 160 * 64) + 8 * block
+        need = 16 * (2 * 2190 * 64 + 2 * 2 * 458 * 64 + 2 * 160 * 64) + 8 * block
+        assert need == 10473296
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         assert config.resolve().quad.n_source == 4379
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
@@ -740,22 +743,24 @@ class TestCli:
             config.resolve()
 
     def test_monte_carlo_estimate_is_pinned_at_the_limit(self, monkeypatch):
-        # the arm kernels K_a, K_b (1352 cells x (n_a + n_b)), W_b and the
-        # grid, 16 bytes each, one object half-products block, 8 bytes an
-        # entry: 2**20 entries allow (2**20 - 3 x 65) // (6 x 65 + 4 x 64) =
-        # 1622 rows, so the block is all ceil(1352 / 2) = 676 rows of the
-        # half, anchored every ceil(sqrt(676)) = 26: two planes (2 x 676 rows
-        # of 65), the complex offset table and product buffer (4 x 26 rows),
-        # the complex anchor row and its angles (3 rows) and the two real
-        # products (2 x 676 rows of 2 x 64);
+        # the arm-a kernel K_a (1352 cells x n_a), the half products CW, SW
+        # (2 x 676 rows of n_b), in whose buffer K_b is assembled, the folded
+        # W_b (2 x 33 rows of n_b) twice and the grid twice, 16 bytes each,
+        # one object half-products block, 8 bytes an entry: 2**20 entries
+        # allow (2**20 - 3 x 33) // (6 x 33 + 4 x 64) = 2309 rows, so the
+        # block is all ceil(1352 / 2) = 676 rows of the half, anchored every
+        # ceil(sqrt(676)) = 26: two planes (2 x 676 rows of the 33 mirror
+        # pairs of the 65 object nodes), the complex offset table and
+        # product buffer (4 x 26 rows), the complex anchor row and its
+        # angles (3 rows) and the two real products (2 x 676 rows of 2 x 64);
         # then sampling: per thread one propagation block of 4 MiB // (16 x
         # 1352) = 193 rows, each 8 x 169 bytes of padded indices, 16 x 1352
         # of phasors and 32 x (64 + 64) of propagated rows, plus a 16-row
         # intp slice of 8 x 1352 bytes a row; and two 8-byte n_a x n_b
         # grids per batch
         config = parse_config(DEMOS["montecarlo"])
-        block = 65 * (2 * 676 + 4 * 26 + 3) + 4 * 676 * 64
-        kernels = 16 * (1352 * (64 + 64) + 65 * 64 + 64 * 64) + 8 * block
+        block = 33 * (2 * 676 + 4 * 26 + 3) + 4 * 676 * 64
+        kernels = 16 * (1352 * 64 + 2 * 676 * 64 + 2 * 2 * 33 * 64 + 2 * 64 * 64) + 8 * block
         sampling = 193 * (8 * 169 + 16 * 1352 + 32 * 128) + 16 * 8 * 1352
         need = kernels + sampling + 2 * 8 * 64 * 64 * 20
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
@@ -776,19 +781,19 @@ class TestCli:
         # no host can hold (3.3 TiB) fails in resolve()
         pages = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert cpi_sim.correlator.MAX_WORKING_SET == cpi_sim.correlator._memory_limit() <= pages
-        # one object half-products block: 181 rows (see the pinned estimate
-        # above), anchored every 181 rows too, since ceil(sqrt(175000)) = 419
+        # one object half-products block: 348 rows (see the pinned estimate
+        # above), anchored every 348 rows too, since ceil(sqrt(600000)) = 775
         # is more
-        block = 916 * (2 * 181 + 4 * 181 + 3) + 4 * 181 * 64
-        need = 16 * (350_000 * (160 + 64) + 916 * 64 + 160 * 64) + 8 * block
+        block = 458 * (2 * 348 + 4 * 348 + 3) + 4 * 348 * 64
+        need = 16 * (2 * 600_000 * 64 + 2 * 2 * 458 * 64 + 2 * 160 * 64) + 8 * block
         assert need > 2**30
         if need > cpi_sim.correlator.MAX_WORKING_SET:
             limit = cpi_sim.correlator.MAX_WORKING_SET
             pytest.skip(f"the run needs {need} bytes, the limit here is {limit}")
-        config = parse_config(DEMOS["refocus"] + "grids.n_source = 350000\n")
-        assert config.resolve().quad.n_source == 350_000
+        config = parse_config(DEMOS["refocus"] + "grids.n_source = 1200000\n")
+        assert config.resolve().quad.n_source == 1_200_000
         config = parse_config(DEMOS["refocus"] + "grids.n_source = 1000000000\n")
-        with pytest.raises(ResourceLimit, match="quadrature needs 3.34e\\+03 GiB"):
+        with pytest.raises(ResourceLimit, match="quadrature needs 954 GiB"):
             config.resolve()
 
     @pytest.mark.parametrize(

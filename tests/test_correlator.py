@@ -735,9 +735,11 @@ class TestObjectTransferDirectSum:
         streams, complex_built = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
         # phase entries for the ceil(n/2) nodes of the non-negative half
-        # only, all as cos/sin planes: no complex matrix at c1
+        # by the ceil(n_o/2) mirror pairs of object nodes only, all as
+        # cos/sin planes: no complex matrix at c1
         (blocks,) = streams
-        assert sum(rows * cols for rows, cols in blocks) == n_o * ((rho_s.size + 1) // 2)
+        pairs = (n_o + 1) // 2
+        assert sum(rows * cols for rows, cols in blocks) == pairs * ((rho_s.size + 1) // 2)
         assert c1 not in complex_built
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
@@ -757,38 +759,127 @@ class TestObjectTransferDirectSum:
         rho_s = np.linspace(-1e-3, 1e-3, 4001)
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
-        n_o = object_quadrature(mask, n_object)[0].size
-        # the budget of 90 rows: 6 n_o + 4 n_b entries a row, three anchor
-        # entries a column
-        monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 90 * (6 * n_o + 4 * rho_b.size) + 3 * n_o)
-        assert phase.plane_block(2001, n_o, 4 * rho_b.size, 0)[:3] == (90, n_o, 45)
+        pairs = (object_quadrature(mask, n_object)[0].size + 1) // 2
+        # the budget of 90 rows: 6 K + 4 n_b entries a row, three anchor
+        # entries a column, for the K = 64 mirror pairs of object nodes
+        monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 90 * (6 * pairs + 4 * rho_b.size) + 3 * pairs)
+        assert phase.plane_block(2001, pairs, 4 * rho_b.size, 0)[:3] == (90, pairs, 45)
         streams, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        assert streams == [[(90, n_o)] * 22 + [(21, n_o)]]
+        assert streams == [[(90, pairs)] * 22 + [(21, pairs)]]
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
 
     @pytest.mark.parametrize("n", [33, 34])
     def test_chunks_of_object_nodes_add_up(self, monkeypatch, geom_focused, n):
-        # a budget of 50 x 50 entries splits the 128 object nodes into
-        # chunks of 50, 50 and 28 columns; each chunk adds its share to
-        # every row, and the d = 0 row of the odd axis, its own mirror, is
-        # counted once
+        # a budget of 50 x 50 entries splits the 64 mirror pairs of the 128
+        # object nodes into chunks of 50 and 14 columns; each chunk adds
+        # its share to every row, and the d = 0 row of the odd axis, its
+        # own mirror, is counted once
         mask = self._mask()
         rho_s = Axis(n=n, center=0.5e-6, step=13e-6).coordinates
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
         assert object_quadrature(mask, n_object)[0].size == 128
         monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 50 * 50)
-        rows, cols, block, entries = phase.plane_block(17, 128, 4 * 12, 0)
+        rows, cols, block, entries = phase.plane_block(17, 64, 4 * 12, 0)
         assert (rows, cols, block) == (5, 50, 5) and entries <= 50 * 50
         streams, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        assert streams == [[(r, k) for k in (50, 50, 28) for r in (5, 5, 5, 2)]]
+        assert streams == [[(r, k) for k in (50, 14) for r in (5, 5, 5, 2)]]
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("budget", [None, 50 * 50], ids=["one-chunk", "chunked"])
+    @pytest.mark.parametrize("n", [33, 34])
+    @pytest.mark.parametrize(
+        "mask_name, n_object",
+        [("off-centre", 127), ("off-centre", 128), ("double-slit", 128), ("single-slit", 127)],
+    )
+    def test_mirror_pairs_match_the_direct_sum(
+        self, monkeypatch, geom_focused, mask_name, n_object, n, budget
+    ):
+        # the object nodes are rho_o = m + e, summed over the 64 mirror
+        # pairs (e, -e): the off-centre mask has m != 0, so every row is
+        # turned by c1 m d, and the slits are centred (m = 0); an odd node
+        # count has an e = 0 node, its own mirror, counted once. A budget of
+        # 50 x 50 entries streams the 64 pairs in chunks of 50 and 14.
+        mask = {
+            "off-centre": self._mask(),
+            "double-slit": ObjectMask.double_slit(separation=150e-6, slit_width=50e-6),
+            "single-slit": ObjectMask.single_slit(120e-6),
+        }[mask_name]
+        rho_o = object_quadrature(mask, n_object)[0]
+        assert rho_o.size == n_object
+        assert (rho_o[0] + rho_o[-1] == 0.0) == (mask_name != "off-centre")
+        rho_s = Axis(n=n, center=0.5e-6, step=13e-6).coordinates
+        rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
+        if budget:
+            monkeypatch.setattr(phase, "_BLOCK_ENTRIES", budget)
+        streams, _ = _spy_planes(monkeypatch)
+        t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
+        (blocks,) = streams
+        assert sorted({cols for _, cols in blocks}) == ([14, 50] if budget else [64])
+
+        direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
+        assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+class TestObjectNodeSymmetry:
+    """The object sum pairs each node m + e with m - e, so every built-in
+    mask's object_quadrature nodes must be mirror-symmetric about their
+    midpoint m."""
+
+    def test_built_in_masks_have_mirror_symmetric_nodes(self):
+        rng = np.random.default_rng(20261019)
+        masks = []
+        for _ in range(300):
+            width = rng.uniform(1e-6, 2e-3)
+            masks.append(ObjectMask.single_slit(width))
+            masks.append(
+                ObjectMask.double_slit(separation=width * rng.uniform(1.01, 20.0), slit_width=width)
+            )
+        for _ in range(100):  # off-centre sampled masks: one linspace over the samples' span
+            lo = rng.uniform(-3e-3, 3e-3)
+            c = np.linspace(lo, lo + rng.uniform(1e-6, 3e-3), int(rng.integers(2, 400)))
+            masks.append(ObjectMask.from_samples(c, np.full(c.size, 0.5)))
+        worst = 0.0
+        for mask in masks:
+            for n_object in rng.integers(16, 3000, size=3):
+                rho_o = object_quadrature(mask, int(n_object))[0]
+                m = 0.5 * (rho_o[0] + rho_o[-1])
+                d = rho_o - m
+                drift = np.abs(0.5 * (d + d[::-1])) / np.spacing(np.max(np.abs(rho_o)))
+                worst = max(worst, float(drift.max()))
+                correlator._mirror_split(rho_o, "built-in nodes")  # the rule the object sum applies
+        assert worst <= phase._EVEN_ULPS
+
+    def test_asymmetric_nodes_are_refused_before_any_plane(
+        self, monkeypatch, geom_focused, source, slits, axis_a, axis_b
+    ):
+        # one node moved by 1 nm: no longer the mirror image of node 56
+        nodes = np.linspace(-100e-6, 100e-6, 64)
+        nodes[7] += 1e-9
+        weights = np.full(64, nodes[1] - nodes[0])
+        monkeypatch.setattr(
+            correlator, "object_quadrature", lambda mask, n: (nodes, weights, 1e-9)
+        )
+        streams, complex_built = _spy_planes(monkeypatch)
+        message = (
+            r"^the object sum needs object nodes mirror-symmetric about their midpoint; "
+            r"node 7 is 5\.000e-10 m off the mirror image of its partner"
+        )
+        rho_s = source_quadrature(source, 64)[0]
+        with pytest.raises(ValueError, match=message):
+            correlator.object_transfer(geom_focused, slits, 64, rho_s, axis_b.coordinates)
+        quad = QuadratureSpec.auto(geom_focused, source, slits, axis_a, axis_b)
+        with pytest.raises(ValueError, match=message):
+            gamma_quadrature(geom_focused, source, slits, axis_a, axis_b, quad)
+        with pytest.raises(ValueError, match=message):
+            intensity_b(geom_focused, source, slits, axis_b, quad)
+        assert streams == [] and complex_built == {}
 
 
 class TestObjectTransferBlocks:
@@ -802,19 +893,20 @@ class TestObjectTransferBlocks:
         # multiple of the anchor spacing ceil(sqrt(half)), and a ragged one;
         # the half holds ceil(n_s / 2) nodes. gamma_quadrature (n_a given)
         # streams the half twice: first the object half products over the
-        # n_o object nodes, then its source side over the n_a pixels of
-        # detector a, in the blocks phase.plane_block sizes
-        half = (n_s + 1) // 2
+        # ceil(n_o / 2) mirror pairs of object nodes, then its source side
+        # over the n_a pixels of detector a, in the blocks phase.plane_block
+        # sizes
+        half, pairs = (n_s + 1) // 2, (n_o + 1) // 2
         block = phase.anchor_block(half)
         chunk = block * ((half - 1) // (4 * block))
         with monkeypatch.context() as m:
             streams, _ = _spy_planes(m)
             one = call()
-            assert streams == [[(half, n_o)]] + ([[(half, n_a)]] if n_a else [])
+            assert streams == [[(half, pairs)]] + ([[(half, n_a)]] if n_a else [])
             streams.clear()
-            # the budget of chunk rows: 6 n_o + 4 n_b entries a row, three
-            # anchor entries a column
-            m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * n_o + 4 * n_b) + 3 * n_o)
+            # the budget of chunk rows: 6 K + 4 n_b entries a row, three
+            # anchor entries a column, for K = ceil(n_o / 2) columns
+            m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * pairs + 4 * n_b) + 3 * pairs)
             blocked = call()
             if n_a:
                 rows = phase.plane_block(half, n_a, 0, 4 * n_b)[0]
@@ -880,18 +972,20 @@ class TestObjectTransferMemory:
     def test_arm_kernels_peak_is_within_the_working_set_estimate(
         self, monkeypatch, geom_defocused, source, slits
     ):
-        # check_working_set counts T once, beside K_a, W_b, the grid and one
-        # block; object_transfer builds T in the buffer of its half
-        # products, so with n_b = 512 well above n_a = 8 the peak stays
-        # below the estimate, which is less than two arrays of T's size
-        # (16 x 1626 x 512 bytes each)
+        # check_working_set counts T once, as the buffer of the half
+        # products in which object_transfer builds it, beside W_b, the grid
+        # and one block; the Monte Carlo caller adds K_a (16 n_s n_a bytes).
+        # With n_b = 512 well above n_a = 8 the peak stays below the
+        # estimate, which is less than two arrays of T's size (16 x 1626 x
+        # 512 bytes each)
         axis_a = Axis.from_half_width(8, 200e-6)
         axis_b = Axis.from_half_width(512, 500e-6)
         axis_s, n_object = default_sampling(geom_defocused, source, slits, axis_a, axis_b)
         assert (axis_s.n, n_object) == (1626, 81)
         needs = []
         monkeypatch.setattr(correlator, "check_bytes", lambda what, need, counts: needs.append(need))
-        correlator.check_working_set("arm kernels", axis_s.n, n_object, axis_a.n, axis_b.n)
+        k_a = 16 * axis_s.n * axis_a.n
+        correlator.check_working_set("arm kernels", axis_s.n, n_object, axis_a.n, axis_b.n, k_a)
         (need,) = needs
         assert need < 2 * 16 * axis_s.n * axis_b.n
         tracemalloc.start()
@@ -901,6 +995,29 @@ class TestObjectTransferMemory:
         finally:
             tracemalloc.stop()
         assert peak < need
+
+    @pytest.mark.parametrize("demo", ["refocus", "montecarlo"])
+    def test_quadrature_peaks_are_within_the_working_set_estimate(self, monkeypatch, demo):
+        # the quadrature estimate counts no arm kernel: gamma_quadrature and
+        # intensity_b hold the half products, W_b, the grid and one block
+        exp = cpi_sim.parse_config(cpi_sim.DEMOS[demo]).resolve()
+        needs = []
+        monkeypatch.setattr(correlator, "check_bytes", lambda what, need, counts: needs.append(need))
+        correlator.check_working_set(
+            "quadrature", exp.quad.n_source, exp.quad.n_object, exp.axis_a.n, exp.axis_b.n
+        )
+        (need,) = needs
+        for call in (
+            lambda: gamma_quadrature(exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad),
+            lambda: intensity_b(exp.geom, exp.source, exp.mask, exp.axis_b, exp.quad),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < need
 
     def test_gamma_quadrature_peak_on_the_refocus_demo(self):
         # gamma_quadrature holds the half products CW and SW (2 x 2190 x 64
@@ -926,3 +1043,4 @@ class TestObjectTransferMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound < 15 * 2**20
+        assert peak <= 8.8 * 2**20  # 8.78 MiB before the object sum paired mirrored nodes
