@@ -143,24 +143,27 @@ def check_working_set(
     """Raise ResourceLimit before a run from ``n_source`` source nodes would
     hold more than ``MAX_WORKING_SET`` bytes.
 
-    The estimate counts the complex arrays of the object sum and of Gamma:
-    the half products CW and SW (2 ceil(n_source / 2) x n_b, the buffer in
-    which ``object_transfer`` assembles T), the folded object factor W_b
-    (2 ceil(n_object / 2) x n_b) twice, for the phase matrix it is built
-    from, and the n_a x n_b grid twice, for G and then |G|^2 and Gamma; and
-    the larger of the two ``phase.plane_block`` plans, the object half
-    products' over the ceil(n_object / 2) mirror pairs and Gamma's source
-    side's. ``intensity_b`` holds less. With ``n_source = 0`` it bounds the
-    output grid alone. ``extra`` adds the bytes the caller holds beside
-    them: a Monte Carlo run's arm-a kernel K_a and its sampling's, from
-    ``SpeckleRun.sampling_bytes``.
+    The estimate counts the arrays of the object sum and of Gamma: the
+    half products CW and SW (2 ceil(n_source / 2) x n_b complex, the
+    buffer in which ``object_transfer`` assembles T), the column tables of
+    the object sum (2 ceil(n_object / 2) x 4 ceil(n_b / 2) floats, all
+    four parity blocks kept) and the n_a x n_b grid twice, for G and then
+    |G|^2 and Gamma; and the largest ``phase.plane_block`` plan of the
+    three streams: the column tables' (ceil(n_b / 2) rows by the
+    ceil(n_object / 2) mirror pairs), the object sum's (its part products
+    and row turn, 8 ceil(n_b / 2) floats a source row) and Gamma's source
+    side's (ceil(n_a / 2) columns). ``intensity_b`` holds less. With
+    ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
+    bytes the caller holds beside them: a Monte Carlo run's arm-a kernel
+    K_a and its sampling's, from ``SpeckleRun.sampling_bytes``.
     """
     need = 16 * n_a * n_b + extra
     if n_source:
-        half, pairs = (n_source + 1) // 2, (n_object + 1) // 2
-        need += 16 * (2 * half * n_b + 4 * pairs * n_b + n_a * n_b) + 8 * max(
-            phase.plane_block(half, pairs, 4 * n_b, 0)[3],
-            phase.plane_block(half, n_a, 0, 4 * n_b)[3],
+        half, pairs, k = (n_source + 1) // 2, (n_object + 1) // 2, (n_b + 1) // 2
+        need += 16 * (2 * half * n_b + n_a * n_b) + 8 * 8 * pairs * k + 8 * max(
+            phase.plane_block(k, pairs, 0, 0)[3],
+            phase.plane_block(half, pairs, 8 * k, 0)[3],
+            phase.plane_block(half, (n_a + 1) // 2, 0, 4 * n_b)[3],
         )
     check_bytes(
         what, need, f"{n_source} source nodes, {n_object} object nodes, n_a = {n_a}, n_b = {n_b}"
@@ -216,38 +219,81 @@ def _mirror_split(x: np.ndarray, what: str) -> tuple[float, np.ndarray]:
     return c, odd
 
 
+def _mirror_halves(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Views of ``x`` along ``axis``, whose n entries sit on nodes mirrored
+    about their midpoint mu: the entries at mu + eps_j and at mu - eps_j,
+    for the nodes eps_j >= 0 in ascending order. The second view starts at
+    j = n % 2, so the eps = 0 entry of an odd n, its own mirror, is in the
+    first alone."""
+    x = np.moveaxis(x, axis, 0)
+    n = x.shape[0]
+    return np.moveaxis(x[n // 2 :], 0, axis), np.moveaxis(x[::-1][n - n // 2 :], 0, axis)
+
+
+def _fold(out: np.ndarray, a, b, sign: int, add: bool) -> None:
+    """out = a + sign b, or out += a + sign b if ``add``. A term that is
+    None is a block of products left out as exactly zero; with both None
+    ``out`` is left as it is, so it must start at zero."""
+    op = np.add if sign > 0 else np.subtract
+    if add:
+        if a is not None:
+            out += a
+        if b is not None:
+            op(out, b, out=out)
+    elif a is not None and b is not None:
+        op(a, b, out=out)
+    elif a is not None:
+        out[...] = a
+    elif b is not None:
+        np.multiply(b, float(sign), out=out)
+
+
 def _half_products(
     geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b
 ) -> tuple[np.ndarray, np.ndarray]:
     """The object sum on the non-negative half of the source axis, over
-    mirror pairs of object nodes.
+    mirror pairs of object nodes and of detector-b pixels.
 
-    The evenly spaced rho_s is written as c + d with c its midpoint and d
-    the exact odd part of rho_s - c (``_mirror_split``). The factor
-    exp(-i c1 rho_o c), c1 = w/z_b, goes into the object factor
-    W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)), and the d >= 0 half of the
-    phase exp(-i c1 rho_o d) into two real planes. The object nodes split
-    the same way, rho_o = m + e, and cos(c1 e d) is even in e while
-    sin(c1 e d) is odd, so W_b's rows fold into P = W(e) + W(-e) and
-    Q = W(e) - W(-e) on the e >= 0 half (the e = 0 node of an odd count,
-    its own mirror, counted once), in W_b's own buffer. The planes
-    cos(c1 e d) and sin(c1 e d) of ``phase.phase_planes`` then run over
-    ceil(n_o / 2) object columns: CW' = cos^T P and SW' = sin^T Q, two real
-    matmuls on the float views of P and Q, and each row turns by
-    phi = c1 m d, CW = cos(phi) CW' - sin(phi) SW' and
-    SW = sin(phi) CW' + cos(phi) SW' (no turn for m = 0, as for every
-    slit). Returns (half, cs): the ceil(n_s / 2) nodes d >= 0 and
-    cs = (CW, SW), shape (2, n_half, n_b), with CW = cos^T W_b and
-    SW = sin^T W_b for cos(c1 rho_o d) and sin(c1 rho_o d).
+    Each of the three axes splits about its midpoint (``_mirror_split``):
+    rho_s = c + d, rho_o = m + e and rho_b = mu_b + eps. With c1 = w/z_b
+    and kappa = c + mu_b/M, the phase exp(-i c1 rho_o (rho_s + rho_b/M))
+    leaves the object factor r(e) = A w_o exp(-i c1 (m + e) kappa), the
+    row turn by phi = c1 m d, the column turn by theta = c1 m eps / M and
+    the cosines and sines of c1 e d and c1 e eps / M, even and odd in e.
+    So r folds into its parity parts r+- = r(e) +- r(-e) on the e >= 0
+    half (the e = 0 node of an odd count, its own mirror, counted once),
+    and on the eps >= 0 half of rho_b, with c_eps and s_eps the cosine and
+    sine of c1 e eps / M,
 
-    The half streams through the planes in ``phase.plane_block``'s blocks
-    of source rows by object columns, each chunk of object columns adding
-    its share to every row, so besides CW, SW and W_b a call holds at most
-    one 8 MiB block, whatever ``n_object``. Before it builds anything it
-    refuses fewer than ``MIN_NODES`` object nodes (ValueError), checks its
-    object step against the rate on its nodes, and checks that rho_s and
-    the object nodes are mirror-symmetric about their midpoints
-    (ValueError), each once, at the scale of its max|x|.
+        X1 = cos^T (r+ c_eps), X2 = sin^T (r+ s_eps),
+        X3 = sin^T (r- c_eps), X4 = cos^T (r- s_eps),
+        CW'(d, mu_b +- eps) = exp(-+i theta) (X1 -+ i X4),
+        SW'(d, mu_b +- eps) = exp(-+i theta) (X3 -+ i X2),
+
+    for the planes cos(c1 e d) and sin(c1 e d) of ``phase.phase_planes``
+    over ceil(n_o / 2) object columns. Each plane multiplies the real and
+    imaginary parts of its two column tables, four blocks of
+    ceil(n_b / 2) float columns, of which a block that is exactly zero on
+    every node is left out: the imaginary parts of a real mask at
+    kappa = 0, and r- of a mirror-symmetric one (r+ of an odd one). A slit
+    on centred axes runs one block per plane. Each row then turns by phi,
+    CW = cos(phi) CW' - sin(phi) SW' and SW = sin(phi) CW' + cos(phi) SW',
+    and each column by theta (neither for m = 0, as for every slit).
+    Returns (half, cs): the ceil(n_s / 2) nodes d >= 0 and cs = (CW, SW),
+    shape (2, n_half, n_b), with CW = cos^T W_b and SW = sin^T W_b for
+    W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)) and cos(c1 rho_o d),
+    sin(c1 rho_o d).
+
+    The column tables stream once from ``phase.phase_planes`` at c1 / M
+    (rows eps, columns e); the half streams through the planes at c1 in
+    ``phase.plane_block``'s blocks of source rows by object columns, each
+    chunk of object columns adding its share to every row of cs, so
+    besides cs and the tables a call holds at most one 8 MiB block,
+    whatever ``n_object``. Before it builds anything it refuses fewer than
+    ``MIN_NODES`` object nodes (ValueError), checks its object step
+    against the rate on its nodes, and checks that rho_s, the object nodes
+    and rho_b are mirror-symmetric about their midpoints (ValueError),
+    each once, at the scale of its max|x|.
     """
     if n_object < MIN_NODES:
         raise ValueError(f"n_object: need at least {MIN_NODES} object nodes, got {n_object}")
@@ -258,52 +304,82 @@ def _half_products(
     m, e = _mirror_split(
         rho_o, "the object sum needs object nodes mirror-symmetric about their midpoint"
     )
+    mu_b, eps = _mirror_split(rho_b, "the object transfer needs evenly spaced rho_b")
 
     c1 = geom.omega0_over_c / geom.z_b
-    n_o = rho_o.size
-    h = (n_o + 1) // 2
-    amp_o = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * c) * rho_o)
-    if n_o % 2:  # e = 0 is its own mirror: P counts its two half-weight rows once
-        amp_o[h - 1] *= 0.5
-    # the nodes e >= 0, ascending, then their mirrors -e in the same order,
-    # so row j of W_b pairs with row h + j
-    upper = np.arange(n_o // 2, n_o)
-    order = np.concatenate((upper, n_o - 1 - upper))
-    W_b = np.multiply(
-        amp_o[order, None], phase.phase_matrix(c1 / geom.M, rho_o[order], rho_b), order="C"
-    ).view(float)
-    pq = W_b.reshape(2, h, W_b.shape[1])
-    q = pq[0] - pq[1]
-    pq[0] += pq[1]
-    pq[1] = q
-    del q  # freed before the planes are built
+    n_o, n_b = rho_o.size, rho_b.size
+    h, k = (n_o + 1) // 2, (n_b + 1) // 2
+    amp = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * (c + mu_b / geom.M)) * rho_o)
+    if n_o % 2:  # e = 0 is its own mirror: r+ counts its two half-weight terms once
+        amp[h - 1] *= 0.5
+    upper, lower = amp[n_o // 2 :], amp[(n_o - 1) // 2 :: -1]  # row j pairs e_j with -e_j
+    r_plus, r_minus = upper + lower, upper - lower
+    # the cosine plane multiplies U = r+ c_eps and V = r- s_eps, the sine
+    # plane U = r- c_eps and V = r+ s_eps, each as the float blocks Re U,
+    # Im U, Re V, Im V; a block that is exactly zero is left out (None),
+    # and slots holds where each kept block's k columns start
+    parts = [
+        [v if np.any(v) else None for v in (x.real, x.imag, y.real, y.imag)]
+        for x, y in ((r_plus, r_minus), (r_minus, r_plus))
+    ]
+    n_cols = k * sum(v is not None for v in parts[0])  # each plane holds every nonzero part once
+    slots = []
+    for plane in parts:
+        starts = iter(range(0, n_cols, k))
+        slots.append([None if v is None else next(starts) for v in plane])
+    columns = np.empty((2, h, n_cols))
+    e_half = e[n_o // 2 :]
+    rows, cols, block, _ = phase.plane_block(k, h, 0, 0)
+    scale_b = np.max(np.abs(rho_b))
+    for b_rows, o_cols, trig in phase.phase_planes(
+        c1 / geom.M, e_half, eps[n_b // 2 :], rows, cols, block, scale_b
+    ):
+        for p in (0, 1):
+            for v, j, t in zip(parts[p], slots[p], (0, 0, 1, 1)):
+                if v is not None:
+                    np.multiply(
+                        v[o_cols, None], trig[t].T,
+                        out=columns[p, o_cols, j + b_rows.start : j + b_rows.stop],
+                    )
+    del parts, r_plus, r_minus
 
     half = d[rho_s.size // 2 :]
-    cs = np.empty((2, half.size, rho_b.size), dtype=complex)
-    out = cs.view(float)
-    rows, cols, block, _ = phase.plane_block(half.size, h, 4 * rho_b.size, 0)
+    cs = np.zeros((2, half.size, n_b), dtype=complex)  # a block left out stays zero
+    # the float parts of CW and SW at mu_b + eps and at mu_b - eps
+    halves = [_mirror_halves(plane, axis=1) for plane in cs.view(float).reshape(2, half.size, n_b, 2)]
     turn = m != 0.0
+    rows, cols, block, _ = phase.plane_block(
+        half.size, h, 2 * max(n_cols, 2 * n_b if turn else 0), 0
+    )
+    products = np.empty((2, rows, max(n_cols, 2 * n_b if turn else 0)))
     if turn:
         phi = (c1 * m) * half
         cos_phi, sin_phi = np.cos(phi)[:, None], np.sin(phi)[:, None]
-    # needed where the object columns come in several chunks, or to turn the rows
-    products = np.empty((2, rows, W_b.shape[1])) if cols < h or turn else None
+        theta = np.exp((-1j * c1 * m / geom.M) * eps)
+    odd = n_b % 2
     scale = np.max(np.abs(rho_s))
-    e_half = e[n_o // 2 :]
     for s_rows, o_cols, planes in phase.phase_planes(c1, e_half, half, rows, cols, block, scale):
-        if o_cols.start:  # a later chunk of object columns adds to its rows
-            out[:, s_rows] += np.matmul(planes, pq[:, o_cols], out=products[:, : planes.shape[1]])
-        else:
-            np.matmul(planes, pq[:, o_cols], out=out[:, s_rows])
-        if turn and o_cols.stop == h:  # the rows are complete: turn them by phi
-            cw, sw = out[:, s_rows]
-            sin_cw, sin_sw = products[:, : cw.shape[0]]
+        n_rows = planes.shape[1]
+        x = np.matmul(planes, columns[:, o_cols], out=products[:, :n_rows, :n_cols])
+        add = o_cols.start > 0  # a later chunk of object columns adds to its rows
+        for p in (0, 1):
+            ur, ui, vr, vi = (None if j is None else x[p, :, j : j + k] for j in slots[p])
+            plus, minus = (x[s_rows] for x in halves[p])
+            tail = [None if x is None else x[:, odd:] for x in (ur, ui, vr, vi)]
+            _fold(plus[..., 0], ur, vi, 1, add)  # Re (U - i V) at mu_b + eps
+            _fold(plus[..., 1], ui, vr, -1, add)
+            _fold(minus[..., 0], tail[0], tail[3], -1, add)  # Re (U + i V) at mu_b - eps
+            _fold(minus[..., 1], tail[1], tail[2], 1, add)
+        if turn and o_cols.stop == h:  # the rows are complete: turn them by phi and theta
+            cw, sw = cs.view(float)[:, s_rows]
+            sin_cw, sin_sw = products[:, :n_rows, : 2 * n_b]
             np.multiply(cw, sin_phi[s_rows], out=sin_cw)
             np.multiply(sw, sin_phi[s_rows], out=sin_sw)
             cw *= cos_phi[s_rows]
             cw -= sin_sw
             sw *= cos_phi[s_rows]
             sw += sin_cw
+            cs[:, s_rows] *= theta
     return half, cs
 
 
@@ -482,25 +558,48 @@ def gamma_quadrature(
     phase.check_step("source", _max_step(rho_s), r.gamma_s)
 
     weights = _source_half_weights(source, rho_s, w_s)
+    mu_a, eps_a = _mirror_split(rho_a, "gamma_quadrature needs evenly spaced rho_a")
     half, cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b)
     c_a = w / geom.z_a
     beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
-    cs *= (weights * gaussian_phase(half, beta))[:, None]
+    f = weights * gaussian_phase(half, beta)
 
-    g = np.empty((rho_a.size, rho_b.size), dtype=complex)
-    g_f, cs_f = g.view(float), cs.view(float)
-    rows, cols, block, _ = phase.plane_block(half.size, rho_a.size, 0, 4 * rho_b.size)
-    products = np.empty((2, cols, cs_f.shape[2]))
+    n_a, n_b = rho_a.size, rho_b.size
+    k = (n_a + 1) // 2
+    g = np.empty((n_a, n_b), dtype=complex)
+    cs_f = cs.view(float)
+    rows, cols, block, _ = phase.plane_block(half.size, k, 0, 4 * n_b)
+    products = np.empty((2, cols, 2 * n_b))
+    if mu_a:  # turn the rows by psi = c_a d mu_a: X = a CW + b SW, Y = a SW - b CW
+        psi = (c_a * mu_a) * half
+        a, b = (f * np.cos(psi))[:, None], (f * np.sin(psi))[:, None]
+        b_sw, b_cw = products.view(complex)
+        for lo in range(0, half.size, cols):
+            s_rows = slice(lo, lo + cols)
+            cw, sw = cs[:, s_rows]
+            n_rows = cw.shape[0]
+            np.multiply(sw, b[s_rows], out=b_sw[:n_rows])
+            np.multiply(cw, b[s_rows], out=b_cw[:n_rows])
+            cw *= a[s_rows]
+            cw += b_sw[:n_rows]
+            sw *= a[s_rows]
+            sw -= b_cw[:n_rows]
+    else:
+        cs *= f[:, None]
+
+    plus, minus = _mirror_halves(g.view(float))
+    odd = n_a % 2
     scale = np.max(np.abs(rho_s))
-    for s_rows, a_cols, planes in phase.phase_planes(c_a, rho_a, half, rows, cols, block, scale):
-        cos_g, sin_g = np.matmul(
+    for s_rows, a_cols, planes in phase.phase_planes(
+        c_a, eps_a[n_a // 2 :], half, rows, cols, block, scale
+    ):
+        cx, sy = np.matmul(
             planes.transpose(0, 2, 1), cs_f[:, s_rows], out=products[:, : planes.shape[2]]
         )
-        if s_rows.start:  # a later block of source rows adds to the sum
-            g_f[a_cols] += cos_g
-            g_f[a_cols] += sin_g
-        else:
-            np.add(cos_g, sin_g, out=g_f[a_cols])
+        add = s_rows.start > 0  # a later block of source rows adds to the sum
+        lo = max(a_cols.start, odd)  # the eps_a = 0 row of an odd n_a is in plus alone
+        _fold(plus[a_cols], cx, sy, 1, add)
+        _fold(minus[lo - odd : a_cols.stop - odd], cx[lo - a_cols.start :], sy[lo - a_cols.start :], -1, add)
 
     values = intensity_prefactor_a(geom) * intensity_prefactor_b(geom) * np.abs(g) ** 2
     return CorrelationGrid(

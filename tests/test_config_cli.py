@@ -718,24 +718,29 @@ class TestCli:
         assert not out.exists()
 
     def test_working_set_estimate_is_pinned_at_the_limit(self, monkeypatch):
-        # the half products CW, SW (2 x 2190 rows of n_b = 64), the folded
-        # object factor W_b (2 x 458 rows of 64) twice and the output grid
-        # (160 x 64) twice, 16 bytes each; one object half-products block,
-        # 8 bytes an entry: 2**20 entries at 6 x 458 + 4 x 64 = 3004 a row
-        # (less three anchor entries per column of the 458 mirror pairs of
-        # object nodes) give 348 rows, rounded down to 329, a multiple of
-        # the anchor spacing ceil(sqrt(2190)) = 47 of the ceil(4379 / 2) =
-        # 2190 source rows; the block holds the two planes (2 x 329 rows of
-        # 458), the complex offset table and product buffer (4 x 47 rows),
-        # the complex anchor row and its angles (3 rows) and the two real
-        # products (2 x 329 rows of 2 x 64). Gamma's source-side block (1034
-        # rows of 160, 402400 entries) is smaller. In all 9.99 MiB, where
-        # tracemalloc puts the peak of gamma_quadrature at 8.4 MiB.
+        # the half products CW, SW (2 x 2190 rows of n_b = 64) and the
+        # output grid (160 x 64) twice, 16 bytes each; the object sum's
+        # column tables, 8 bytes each, for all four parity blocks: 2 planes
+        # x 458 mirror pairs of object nodes x 4 x 32 pixels of the
+        # eps_b >= 0 half; one object half-products block, 8 bytes an
+        # entry: 2**20 entries at 6 x 458 + 8 x 32 = 3004 a row (less three
+        # anchor entries per column of the 458 mirror pairs) give 348 rows,
+        # rounded down to 329, a multiple of the anchor spacing
+        # ceil(sqrt(2190)) = 47 of the ceil(4379 / 2) = 2190 source rows;
+        # the block holds the two planes (2 x 329 rows of 458), the complex
+        # offset table and product buffer (4 x 47 rows), the complex anchor
+        # row and its angles (3 rows) and the part products (2 x 329 rows
+        # of 4 x 32). Gamma's source-side block (2115 rows of the 80 pixels
+        # of the eps_a >= 0 half, 374160 entries) and the column tables'
+        # block (32 rows of 458, 41678 entries) are smaller. In all
+        # 9.09 MiB, where tracemalloc puts the peak of gamma_quadrature at
+        # MEASURED MiB.
         config = parse_config(DEMOS["refocus"])
-        block = 458 * (2 * 329 + 4 * 47 + 3) + 4 * 329 * 64
-        assert cpi_sim.phase.plane_block(2190, 160, 0, 4 * 64)[3] == 402400 < block
-        need = 16 * (2 * 2190 * 64 + 2 * 2 * 458 * 64 + 2 * 160 * 64) + 8 * block
-        assert need == 10473296
+        block = 458 * (2 * 329 + 4 * 47 + 3) + 2 * 329 * 4 * 32
+        assert cpi_sim.phase.plane_block(2190, 80, 0, 4 * 64)[3] == 374160 < block
+        assert cpi_sim.phase.plane_block(32, 458, 0, 0)[3] == 41678 < block
+        need = 16 * (2 * 2190 * 64 + 2 * 160 * 64) + 8 * 2 * 458 * 4 * 32 + 8 * block
+        assert need == 9535312
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         assert config.resolve().quad.n_source == 4379
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
@@ -744,23 +749,27 @@ class TestCli:
 
     def test_monte_carlo_estimate_is_pinned_at_the_limit(self, monkeypatch):
         # the arm-a kernel K_a (1352 cells x n_a), the half products CW, SW
-        # (2 x 676 rows of n_b), in whose buffer K_b is assembled, the folded
-        # W_b (2 x 33 rows of n_b) twice and the grid twice, 16 bytes each,
-        # one object half-products block, 8 bytes an entry: 2**20 entries
-        # allow (2**20 - 3 x 33) // (6 x 33 + 4 x 64) = 2309 rows, so the
-        # block is all ceil(1352 / 2) = 676 rows of the half, anchored every
+        # (2 x 676 rows of n_b), in whose buffer K_b is assembled, and the
+        # grid twice, 16 bytes each; the column tables of the object sum
+        # (2 planes x 33 mirror pairs of the 66 object nodes x 4 x 32
+        # pixels of the eps_b >= 0 half), 8 bytes each; one object
+        # half-products block, 8 bytes an entry: 2**20 entries allow
+        # (2**20 - 3 x 33) // (6 x 33 + 8 x 32) = 2309 rows, so the block is
+        # all ceil(1352 / 2) = 676 rows of the half, anchored every
         # ceil(sqrt(676)) = 26: two planes (2 x 676 rows of the 33 mirror
-        # pairs of the 65 object nodes), the complex offset table and
-        # product buffer (4 x 26 rows), the complex anchor row and its
-        # angles (3 rows) and the two real products (2 x 676 rows of 2 x 64);
+        # pairs), the complex offset table and product buffer (4 x 26
+        # rows), the complex anchor row and its angles (3 rows) and the
+        # part products (2 x 676 rows of 4 x 32);
         # then sampling: per thread one propagation block of 4 MiB // (16 x
         # 1352) = 193 rows, each 8 x 169 bytes of padded indices, 16 x 1352
         # of phasors and 32 x (64 + 64) of propagated rows, plus a 16-row
         # intp slice of 8 x 1352 bytes a row; and two 8-byte n_a x n_b
         # grids per batch
         config = parse_config(DEMOS["montecarlo"])
-        block = 33 * (2 * 676 + 4 * 26 + 3) + 4 * 676 * 64
-        kernels = 16 * (1352 * 64 + 2 * 676 * 64 + 2 * 2 * 33 * 64 + 2 * 64 * 64) + 8 * block
+        block = 33 * (2 * 676 + 4 * 26 + 3) + 2 * 676 * 4 * 32
+        kernels = (
+            16 * (1352 * 64 + 2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
+        )
         sampling = 193 * (8 * 169 + 16 * 1352 + 32 * 128) + 16 * 8 * 1352
         need = kernels + sampling + 2 * 8 * 64 * 64 * 20
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)

@@ -122,6 +122,35 @@ class TestIntensityB:
         assert np.all(np.isfinite(img.values)) and img.values.max() > 0.0
 
 
+def _complex_mask():
+    # complex and off-centre, so T has no symmetry in rho_o or rho_b
+    c = np.linspace(-140e-6, 90e-6, 461)
+    values = 0.9 * np.exp(-((c - 20e-6) ** 2) / (2 * (45e-6) ** 2) + 1j * c / 30e-6)
+    return ObjectMask.from_samples(c, values)
+
+
+def _real_mask():
+    # real and off-centre: both parity parts r+ and r- of the object
+    # factor are nonzero, and real on centred axes
+    c = np.linspace(-140e-6, 90e-6, 461)
+    return ObjectMask.from_samples(c, 0.9 * np.exp(-((c - 20e-6) ** 2) / (2 * (45e-6) ** 2)))
+
+
+def _odd_mask(n):
+    # real and odd about 0, sampled on the n nodes object_quadrature places
+    # for n_object = n, so each node reads its sample and r+ = 0 exactly
+    c = np.linspace(-60e-6, 60e-6, n)
+    g = 0.9 * np.sin(c / 25e-6) * np.exp(-((c - 10e-6) / 40e-6) ** 2)
+    return ObjectMask.from_samples(c, 0.5 * (g - g[::-1]))
+
+
+# float-column blocks of the object sum per plane on centred axes, where
+# the object factor is real: a mirror-symmetric mask keeps r+ alone, an
+# odd one r- alone, a real off-centre one both, and a complex one the real
+# and imaginary parts of both
+_CENTRED_BLOCKS = {"slits": 1, "odd": 1, "real": 2, "complex": 4}
+
+
 class _StubSource:
     """A source with its own quadrature interval and intensity profile."""
 
@@ -182,47 +211,73 @@ class TestGammaQuadrature:
             assert abs(axis_a.coordinates[np.argmax(col)]) <= axis_a.step
 
     @pytest.mark.parametrize(
-        "geom_name, variant",
+        "geom_name, variant, mask_name",
         [
-            pytest.param(g, v, id=g if v == "auto" else f"{g}-{v}")
+            pytest.param(g, v, "slits", id=g if v == "auto" else f"{g}-{v}")
             for g in ("geom_focused", "geom_defocused")
             for v in ("auto", "odd", "even", "tophat", "chunked")
+        ]
+        + [
+            pytest.param("geom_defocused", v, m, id=f"geom_defocused-{v}-{m}")
+            for v in ("centred-odd", "centred-even")
+            for m in _CENTRED_BLOCKS
         ],
     )
     def test_matches_per_pixel_double_sum(
-        self, request, monkeypatch, geom_name, variant, source, slits
+        self, request, monkeypatch, geom_name, variant, mask_name, source, slits
     ):
         # the half contraction pairs the source nodes d and -d; an odd
         # n_source has a d = 0 row, its own mirror, that must count once.
         # "chunked" shrinks the block budget so that the object half
         # products add up over chunks of object nodes and G over blocks of
-        # source rows.
+        # source rows. The centred variants put rho_a and rho_b about 0
+        # with odd and even pixel counts, where the object factor is real
+        # and the object sum leaves its zero parity blocks out
         g = request.getfixturevalue(geom_name)
-        axis_a = Axis.from_half_width(7, 150e-6, center=20e-6)
-        axis_b = Axis.from_half_width(9, 400e-6, center=-60e-6)
+        if variant.startswith("centred"):
+            n_a, n_b = (7, 9) if variant == "centred-odd" else (8, 10)
+            axis_a = Axis.from_half_width(n_a, 150e-6)
+            axis_b = Axis.from_half_width(n_b, 400e-6)
+        else:
+            axis_a = Axis.from_half_width(7, 150e-6, center=20e-6)
+            axis_b = Axis.from_half_width(9, 400e-6, center=-60e-6)
+        mask = {"slits": slits, "odd": _odd_mask(16), "real": _real_mask(), "complex": _complex_mask()}[
+            mask_name
+        ]
         if variant == "tophat":
             source = SourceProfile.tophat(1.5e-3)
-        quad = QuadratureSpec.auto(g, source, slits, axis_a, axis_b)
+        quad = QuadratureSpec.auto(g, source, mask, axis_a, axis_b)
+        if mask_name == "odd":  # the nodes on the samples
+            mask = _odd_mask(quad.n_object)
         if variant in ("odd", "even"):
             quad = replace(quad, n_source=quad.n_source + (quad.n_source % 2 != (variant == "odd")))
             assert quad.n_source % 2 == (variant == "odd")
-        streams, complex_built = _spy_planes(monkeypatch)
+        streams, complex_built, columns = _spy_planes(monkeypatch)
         if variant == "chunked":
             monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 40 * 40)
-        grid = gamma_quadrature(g, source, slits, axis_a, axis_b, quad)
-        # the only complex phase matrix is the object factor's, at c1 / M
+        grid = gamma_quadrature(g, source, mask, axis_a, axis_b, quad)
+        # no complex phase matrix: the column tables, the object sum and
+        # Gamma's source side each stream cos/sin planes
+        assert complex_built == {}
         w = g.omega0_over_c
-        assert list(complex_built) == [w / g.z_b / g.M]
         rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
-        rho_o, w_o, _ = object_quadrature(slits, quad.n_object)
-        object_blocks, v_blocks = streams
+        rho_o, w_o, _ = object_quadrature(mask, quad.n_object)
+        _, object_blocks, v_blocks = streams
+        # Gamma's source planes span the ceil(n_a / 2) pixels eps_a >= 0,
+        # and every object-stream matmul ceil(n_b / 2) columns a block
+        assert {cols for _, cols in v_blocks} == {(axis_a.n + 1) // 2}
+        k_b = (axis_b.n + 1) // 2
+        if variant.startswith("centred"):
+            assert set(columns[1]) == {_CENTRED_BLOCKS[mask_name] * k_b}
+        else:
+            assert set(columns[1]) <= {k_b * blocks for blocks in (1, 2, 3, 4)}
         if variant == "chunked":
             assert max(cols for _, cols in object_blocks) < rho_o.size
-            assert len(v_blocks) > 1 and {cols for _, cols in v_blocks} == {axis_a.n}
+            assert len(v_blocks) > 1
 
         # direct evaluation: the (rho_o, rho_s) double sum of the integrand,
         # one full exponential per node pair and detector pixel pair
-        weight = np.outer(slits.transmission(rho_o) * w_o, source.intensity(rho_s) * w_s)
+        weight = np.outer(mask.transmission(rho_o) * w_o, source.intensity(rho_s) * w_s)
         chirp = 0.5 * w * (1.0 / g.z_b - 1.0 / g.z_a) * rho_s**2
         direct = np.empty((axis_a.n, axis_b.n))
         for i, ra in enumerate(axis_a.coordinates):
@@ -391,7 +446,7 @@ class TestPsfForms:
 
 
 class _GuardsPassed(Exception):
-    """Raised in place of the first phase-matrix build, after every guard ran."""
+    """Raised in place of the first phase-plane stream, after every guard ran."""
 
 
 def _random_setup(rng):
@@ -420,11 +475,11 @@ class TestPhasePolicy:
     def test_auto_sizing_passes_its_own_guards(self, monkeypatch):
         # Random geometries, sources, masks and off-centre axes; each sized
         # grid is handed to the real guarded function, which must get past
-        # every check_step to its first phase-matrix build.
+        # every check_step to its first phase-plane stream.
         def stop(*args):
             raise _GuardsPassed
 
-        monkeypatch.setattr(phase, "phase_matrix", stop)
+        monkeypatch.setattr(phase, "phase_planes", stop)
         rng = np.random.default_rng(20261018)
         for _ in range(200):
             geom, source, mask, axis_a, axis_b = _random_setup(rng)
@@ -446,7 +501,7 @@ class TestPhasePolicy:
         def stop(*args):
             raise _GuardsPassed
 
-        monkeypatch.setattr(phase, "phase_matrix", stop)
+        monkeypatch.setattr(phase, "phase_planes", stop)
         source_axis = itertools.product(
             (0.05, 0.08, 0.1, 0.12), (25e-6, 50e-6), (100e-6, 150e-6, 200e-6),
             (100e-6, 200e-6), (0.5e-3, 1e-3),
@@ -568,7 +623,7 @@ class TestGuardsAtTheirRates:
         def stop(*args):
             raise _GuardsPassed
 
-        monkeypatch.setattr(phase, "phase_matrix", stop)
+        monkeypatch.setattr(phase, "phase_planes", stop)
         rng = np.random.default_rng(20261019)
         binding: dict[tuple[str, str], int] = {}
 
@@ -678,13 +733,16 @@ class TestObjectTransferGuard:
 
 def _spy_planes(monkeypatch):
     """Record the (rows, columns) of every block ``phase.phase_planes``
-    yields, one list per stream, and the entries of every complex phase
-    matrix, keyed by its coupling constant."""
-    streams, complex_built = [], {}
-    planes, matrix = phase.phase_planes, phase.phase_matrix
+    yields, one list per stream; the float columns of the right-hand
+    factor of every ``np.matmul``, one list per stream, the one streaming
+    at the time; and the entries of every complex phase matrix, keyed by
+    its coupling constant."""
+    streams, complex_built, columns = [], {}, []
+    planes, matrix, matmul = phase.phase_planes, phase.phase_matrix, np.matmul
 
     def planes_spy(c, x, y, *args):
         streams.append([])
+        columns.append([])
         for ys, xs, block in planes(c, x, y, *args):
             streams[-1].append(block.shape[1:])
             yield ys, xs, block
@@ -693,20 +751,19 @@ def _spy_planes(monkeypatch):
         complex_built.setdefault(c, []).append(len(x) * len(y))
         return matrix(c, x, y)
 
+    def matmul_spy(a, b, *args, **kwargs):
+        if columns:
+            columns[-1].append(b.shape[-1])
+        return matmul(a, b, *args, **kwargs)
+
     monkeypatch.setattr(phase, "phase_planes", planes_spy)
     monkeypatch.setattr(phase, "phase_matrix", matrix_spy)
-    return streams, complex_built
+    monkeypatch.setattr(np, "matmul", matmul_spy)
+    return streams, complex_built, columns
 
 
 class TestObjectTransferDirectSum:
     """object_transfer equals sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b/M))."""
-
-    @staticmethod
-    def _mask():
-        # complex and off-centre, so T has no symmetry in rho_o or rho_b
-        c = np.linspace(-140e-6, 90e-6, 461)
-        values = 0.9 * np.exp(-((c - 20e-6) ** 2) / (2 * (45e-6) ** 2) + 1j * c / 30e-6)
-        return ObjectMask.from_samples(c, values)
 
     @staticmethod
     def _direct(geom, mask, n_object, rho_s, rho_b):
@@ -726,21 +783,22 @@ class TestObjectTransferDirectSum:
         ids=["odd", "even", "two-cell-off-centre", "odd-off-centre"],
     )
     def test_matches_the_direct_sum(self, monkeypatch, geom_focused, axis_s):
-        mask = self._mask()
+        mask = _complex_mask()
         rho_s = axis_s.coordinates
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
-        c1 = geom_focused.omega0_over_c / geom_focused.z_b
         n_o = object_quadrature(mask, n_object)[0].size
-        streams, complex_built = _spy_planes(monkeypatch)
+        streams, complex_built, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        # phase entries for the ceil(n/2) nodes of the non-negative half
-        # by the ceil(n_o/2) mirror pairs of object nodes only, all as
-        # cos/sin planes: no complex matrix at c1
-        (blocks,) = streams
+        # phase entries for the ceil(n_b/2) pixels eps >= 0 and the
+        # ceil(n/2) nodes of the non-negative source half, each by the
+        # ceil(n_o/2) mirror pairs of object nodes only, all as cos/sin
+        # planes: no complex matrix
+        tables, blocks = streams
         pairs = (n_o + 1) // 2
+        assert sum(rows * cols for rows, cols in tables) == pairs * ((rho_b.size + 1) // 2)
         assert sum(rows * cols for rows, cols in blocks) == pairs * ((rho_s.size + 1) // 2)
-        assert c1 not in complex_built
+        assert complex_built == {}
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         peak = np.abs(direct).max()
@@ -755,18 +813,19 @@ class TestObjectTransferDirectSum:
         # by block at the scale of each block's own max|d| (8 ulps of
         # 44.5 um, 5.4e-20 m), a node was refused as uneven; checked once
         # at max|rho_s|, the half passes.
-        mask = self._mask()
+        mask = _complex_mask()
         rho_s = np.linspace(-1e-3, 1e-3, 4001)
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
         pairs = (object_quadrature(mask, n_object)[0].size + 1) // 2
-        # the budget of 90 rows: 6 K + 4 n_b entries a row, three anchor
+        # the budget of 90 rows: 6 K + 8 ceil(n_b / 2) entries a row (the
+        # four part-product blocks of the complex mask), three anchor
         # entries a column, for the K = 64 mirror pairs of object nodes
         monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 90 * (6 * pairs + 4 * rho_b.size) + 3 * pairs)
         assert phase.plane_block(2001, pairs, 4 * rho_b.size, 0)[:3] == (90, pairs, 45)
-        streams, _ = _spy_planes(monkeypatch)
+        streams, _, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        assert streams == [[(90, pairs)] * 22 + [(21, pairs)]]
+        assert streams == [[(6, pairs)], [(90, pairs)] * 22 + [(21, pairs)]]
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
@@ -774,10 +833,11 @@ class TestObjectTransferDirectSum:
     @pytest.mark.parametrize("n", [33, 34])
     def test_chunks_of_object_nodes_add_up(self, monkeypatch, geom_focused, n):
         # a budget of 50 x 50 entries splits the 64 mirror pairs of the 128
-        # object nodes into chunks of 50 and 14 columns; each chunk adds
-        # its share to every row, and the d = 0 row of the odd axis, its
-        # own mirror, is counted once
-        mask = self._mask()
+        # object nodes into chunks of 50 and 14 columns, in the column
+        # tables' stream (the 6 pixels eps >= 0 of rho_b) and in the object
+        # sum's; each chunk adds its share to every row, and the d = 0 row
+        # of the odd axis, its own mirror, is counted once
+        mask = _complex_mask()
         rho_s = Axis(n=n, center=0.5e-6, step=13e-6).coordinates
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
@@ -785,43 +845,66 @@ class TestObjectTransferDirectSum:
         monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 50 * 50)
         rows, cols, block, entries = phase.plane_block(17, 64, 4 * 12, 0)
         assert (rows, cols, block) == (5, 50, 5) and entries <= 50 * 50
-        streams, _ = _spy_planes(monkeypatch)
+        streams, _, _ = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        assert streams == [[(r, k) for k in (50, 14) for r in (5, 5, 5, 2)]]
+        assert streams == [[(6, 50), (6, 14)], [(r, k) for k in (50, 14) for r in (5, 5, 5, 2)]]
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
 
     @pytest.mark.parametrize("budget", [None, 50 * 50], ids=["one-chunk", "chunked"])
+    @pytest.mark.parametrize(
+        "axes", ["off-centre", "centred-12", "centred-13"]
+    )
     @pytest.mark.parametrize("n", [33, 34])
     @pytest.mark.parametrize(
         "mask_name, n_object",
-        [("off-centre", 127), ("off-centre", 128), ("double-slit", 128), ("single-slit", 127)],
+        [
+            ("complex", 127), ("complex", 128), ("double-slit", 128), ("single-slit", 127),
+            ("real", 128), ("odd", 127), ("odd", 128),
+        ],
     )
     def test_mirror_pairs_match_the_direct_sum(
-        self, monkeypatch, geom_focused, mask_name, n_object, n, budget
+        self, monkeypatch, geom_focused, mask_name, n_object, n, axes, budget
     ):
         # the object nodes are rho_o = m + e, summed over the 64 mirror
-        # pairs (e, -e): the off-centre mask has m != 0, so every row is
-        # turned by c1 m d, and the slits are centred (m = 0); an odd node
+        # pairs (e, -e): the complex and real masks are off-centre (m != 0),
+        # so every row is turned by c1 m d and every column by c1 m eps / M,
+        # and the slits and the odd mask are centred (m = 0); an odd node
         # count has an e = 0 node, its own mirror, counted once. A budget of
-        # 50 x 50 entries streams the 64 pairs in chunks of 50 and 14.
+        # 50 x 50 entries streams the 64 pairs in chunks of 50 and 14. The
+        # pixels pair about the centre of rho_b too, eps with -eps, and an
+        # odd n_b has an eps = 0 pixel, its own mirror. On centred rho_s and
+        # rho_b the object factor is real, so every object-stream matmul
+        # spans only the nonzero parity blocks of ceil(n_b / 2) columns
         mask = {
-            "off-centre": self._mask(),
+            "complex": _complex_mask(),
+            "real": _real_mask(),
+            "odd": _odd_mask(n_object),
             "double-slit": ObjectMask.double_slit(separation=150e-6, slit_width=50e-6),
             "single-slit": ObjectMask.single_slit(120e-6),
         }[mask_name]
         rho_o = object_quadrature(mask, n_object)[0]
         assert rho_o.size == n_object
-        assert (rho_o[0] + rho_o[-1] == 0.0) == (mask_name != "off-centre")
-        rho_s = Axis(n=n, center=0.5e-6, step=13e-6).coordinates
-        rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
+        assert (rho_o[0] + rho_o[-1] == 0.0) == (mask_name not in ("complex", "real"))
+        if axes == "off-centre":
+            rho_s = Axis(n=n, center=0.5e-6, step=13e-6).coordinates
+            rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
+        else:
+            rho_s = Axis(n=n, center=0.0, step=13e-6).coordinates
+            rho_b = Axis.from_half_width(int(axes[-2:]), 200e-6).coordinates
         if budget:
             monkeypatch.setattr(phase, "_BLOCK_ENTRIES", budget)
-        streams, _ = _spy_planes(monkeypatch)
+        streams, _, columns = _spy_planes(monkeypatch)
         t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
-        (blocks,) = streams
+        _, blocks = streams
         assert sorted({cols for _, cols in blocks}) == ([14, 50] if budget else [64])
+        k = (rho_b.size + 1) // 2
+        if axes == "off-centre":
+            assert set(columns[1]) <= {k * blocks for blocks in (1, 2, 3, 4)}
+        else:
+            name = {"double-slit": "slits", "single-slit": "slits"}.get(mask_name, mask_name)
+            assert set(columns[1]) == {_CENTRED_BLOCKS[name] * k}
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
@@ -866,7 +949,7 @@ class TestObjectNodeSymmetry:
         monkeypatch.setattr(
             correlator, "object_quadrature", lambda mask, n: (nodes, weights, 1e-9)
         )
-        streams, complex_built = _spy_planes(monkeypatch)
+        streams, complex_built, _ = _spy_planes(monkeypatch)
         message = (
             r"^the object sum needs object nodes mirror-symmetric about their midpoint; "
             r"node 7 is 5\.000e-10 m off the mirror image of its partner"
@@ -891,30 +974,37 @@ class TestObjectTransferBlocks:
         # the default budget holds the whole half in one block; then at
         # least four full blocks of the non-negative rho_s half, each a
         # multiple of the anchor spacing ceil(sqrt(half)), and a ragged one;
-        # the half holds ceil(n_s / 2) nodes. gamma_quadrature (n_a given)
-        # streams the half twice: first the object half products over the
-        # ceil(n_o / 2) mirror pairs of object nodes, then its source side
-        # over the n_a pixels of detector a, in the blocks phase.plane_block
-        # sizes
+        # the half holds ceil(n_s / 2) nodes. The object sum first streams
+        # its column tables (the ceil(n_b / 2) pixels eps_b >= 0 by the
+        # ceil(n_o / 2) mirror pairs of object nodes), then the half over
+        # those pairs; gamma_quadrature (n_a given) then streams the half a
+        # second time, its source side over the ceil(n_a / 2) pixels
+        # eps_a >= 0 of detector a, in the blocks phase.plane_block sizes
         half, pairs = (n_s + 1) // 2, (n_o + 1) // 2
+        k_a = (n_a + 1) // 2 if n_a else None
         block = phase.anchor_block(half)
         chunk = block * ((half - 1) // (4 * block))
         with monkeypatch.context() as m:
-            streams, _ = _spy_planes(m)
+            streams, _, columns = _spy_planes(m)
             one = call()
-            assert streams == [[(half, pairs)]] + ([[(half, n_a)]] if n_a else [])
+            assert streams == [[((n_b + 1) // 2, pairs)], [(half, pairs)]] + (
+                [[(half, k_a)]] if n_a else []
+            )
+            n_cols = columns[1][0]  # the float columns of the object sum's part products
             streams.clear()
-            # the budget of chunk rows: 6 K + 4 n_b entries a row, three
-            # anchor entries a column, for K = ceil(n_o / 2) columns
-            m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * pairs + 4 * n_b) + 3 * pairs)
+            columns.clear()
+            # the budget of chunk rows: 6 K + 2 n_cols entries a row (the
+            # slits are centred, so no row is turned), three anchor entries
+            # a column, for K = ceil(n_o / 2) columns
+            m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * pairs + 2 * n_cols) + 3 * pairs)
             blocked = call()
             if n_a:
-                rows = phase.plane_block(half, n_a, 0, 4 * n_b)[0]
-                assert streams[1] == [(min(rows, half - lo), n_a) for lo in range(0, half, rows)]
-        sizes = [rows for rows, _ in streams[0]]
+                rows = phase.plane_block(half, k_a, 0, 4 * n_b)[0]
+                assert streams[2] == [(min(rows, half - lo), k_a) for lo in range(0, half, rows)]
+        sizes = [rows for rows, _ in streams[1]]
         assert len(sizes) >= 5 and sum(sizes) == half
         assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] < chunk
-        assert len(streams) == (2 if n_a else 1)
+        assert len(streams) == (3 if n_a else 2)
         return one, blocked
 
     @staticmethod
