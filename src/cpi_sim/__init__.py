@@ -19,10 +19,8 @@ from .correlator import (
     PsfEval,
     QuadratureSpec,
     arm_kernels,
-    coherent_psf,
     gamma_geometric,
     gamma_quadrature,
-    incoherent_psf,
     intensity_a,
     intensity_b,
     psf_widths,

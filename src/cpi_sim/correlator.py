@@ -10,19 +10,20 @@ pi/2 between adjacent nodes, the evaluation refuses to run instead of
 silently returning an aliased surface.
 
 Every propagator is built here: ``arm_kernels`` and ``object_transfer``.
-Both sums over the mirror-symmetric source axis run on its non-negative
-half only, about the axis midpoint, streamed through two small real
-cos/sin planes: the object sum gives the half products CW and SW (two
-real matmuls per block), from which the arm-b kernel's object transfer
-T[s, b] forms both mirror rows. The object sum pairs mirrored object
-nodes as well, so its planes and matmuls run over half the object nodes
-too. Gamma contracts the half products against the cos/sin planes of its
-source phase (two more) and I_b sums their squared moduli, so neither
-builds a complex V or a full T.
+The sums run on mirror pairs of nodes on all four axes, each about its
+own midpoint, streamed through small real cos/sin planes. The object sum
+gives the half products CW and SW on the non-negative half of the source
+axis, from which the arm-b kernel's object transfer T[s, b] forms both
+mirror rows; it pairs mirrored object nodes, so its planes span half the
+object nodes, and mirrored detector-b pixels, so its column tables split
+the object factor into parity parts on half the pixels and leave out the
+parts that are exactly zero (three of four for a slit on centred axes).
+Gamma contracts the half products against the cos/sin planes of its
+source phase on the non-negative half of the detector-a axis and I_b sums
+their squared moduli, so neither builds a complex V or a full T.
 Also provided: the detector intensities (flat in arm a, object-Fourier
-modulated in arm b), the geometric-optics limit of Gamma, and the closed
-Gaussian-source point-spread functions before and after angular
-integration.
+modulated in arm b), the geometric-optics limit of Gamma, and the
+closed-form widths of the Gaussian-source point-spread functions.
 """
 
 from __future__ import annotations
@@ -627,29 +628,6 @@ def gamma_geometric(
     return CorrelationGrid(
         axis_a=axis_a, axis_b=axis_b, values=values, z_a=geom.z_a, z_b=geom.z_b, M=geom.M
     )
-
-
-def coherent_psf(geom: SetupGeometry, sigma: float, rho_o, rho_a):
-    """Gaussian-source coherent point-spread function (before angular
-    integration), normalized to 1 at rho_o = alpha * rho_a:
-
-    exp(-(1/2) (w sigma / z_b)^2 (rho_o - alpha rho_a)^2 / (1 - i (w sigma^2 / z_b)(1 - alpha)))
-    """
-    w = geom.omega0_over_c
-    alpha = geom.alpha
-    disp = np.asarray(rho_o, dtype=float) - alpha * np.asarray(rho_a, dtype=float)
-    denom = 1.0 - 1j * (w * sigma**2 / geom.z_b) * (1.0 - alpha)
-    return np.exp(-0.5 * (w * sigma / geom.z_b) ** 2 * np.square(disp) / denom)
-
-
-def incoherent_psf(geom: SetupGeometry, sigma: float, rho_o, rho_a):
-    """Point-spread function of the angular-integrated (ghost) image; equals
-    |coherent_psf|^2 pointwise and lies in (0, 1]."""
-    w = geom.omega0_over_c
-    alpha = geom.alpha
-    disp = np.asarray(rho_o, dtype=float) - alpha * np.asarray(rho_a, dtype=float)
-    denom = 1.0 + ((w * sigma**2 / geom.z_b) * (1.0 - alpha)) ** 2
-    return np.exp(-((w * sigma / geom.z_b) ** 2) * np.square(disp) / denom)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,14 @@ product and no recurrence, so nothing drifts along y. One anchoring
 (``_anchoring``) has two outputs: the complex matrix (``phase_matrix``)
 and its cosine and sine as two real planes, streamed in small blocks
 (``phase_planes``) for real matmuls; there each entry's complex product
-is split into the two planes. Both sums over the source half (the object
-half products and Gamma's source side) stream their planes from here, in
-the blocks of ``plane_block``, the one home of their layout and budget;
-the object half products pass the non-negative half e of the object
-nodes about their midpoint as x, so their planes span ceil(n_o / 2)
-columns, one per mirror pair.
+is split into the two planes. Every cos/sin table of the two-arm sums
+streams from here, in the blocks of ``plane_block``, the one home of their
+layout and budget, and each pairs mirrored nodes about their midpoint: the
+object sum's column tables (y the non-negative half eps of rho_b, x the
+non-negative half e of the object nodes) and its planes over the source
+half (y the half d >= 0 of rho_s, x that e, ceil(n_o / 2) columns, one per
+mirror pair), and Gamma's source side (y that d, x the non-negative half
+of rho_a, ceil(n_a / 2) columns).
 """
 
 from __future__ import annotations
@@ -48,12 +50,13 @@ MAX_PHASE_STEP = np.pi / 2.0
 _BLOCK_ENTRIES = 2**20
 
 # evenness tolerance, in ulps of the axis scale (max|y|, or max|rho_s| for
-# the object transfer's source half): on a node's distance from its block
-# anchor plus block-0 offset (_anchoring; linspace and Axis nodes stay
-# within 2.5) and from its mirror image about the midpoint (the object half
-# products of correlator, for rho_s within 1 and, at the scale max|rho_o|,
-# for every built-in mask's object nodes within 2); Gamma's source factor
-# F w_s must match its mirror to as many ulps of its peak.
+# the object transfer's source half, max|rho_b| for the object sum's column
+# tables): on a node's distance from its block anchor plus block-0 offset
+# (_anchoring; linspace and Axis nodes stay within 2.5) and from its mirror
+# image about the midpoint (correlator's sums, for rho_s and the detector
+# axes rho_a and rho_b within 1 and, at the scale max|rho_o|, for every
+# built-in mask's object nodes within 2); Gamma's source factor F w_s must
+# match its mirror to as many ulps of its peak.
 _EVEN_ULPS = 8
 
 

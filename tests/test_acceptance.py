@@ -18,13 +18,11 @@ from cpi_sim import (
     RefocusSpec,
     SourceProfile,
     SpeckleRun,
-    coherent_psf,
     default_sampling,
     estimate_gamma,
     gamma_geometric,
     gamma_quadrature,
     ghost_image,
-    incoherent_psf,
     make_geometry,
     ObjectMask,
     parse_config,
@@ -36,15 +34,19 @@ from cpi_sim import (
     DEMOS,
 )
 from cpi_sim.metrics import (
-    e2_full_width,
-    fit_gaussian_width,
     normalized_l1,
-    normalized_l2,
     normalized_linf,
     slit_contrast,
     two_sided_peaks,
 )
 from conftest import SEPARATION, SIGMA, smooth_two_lobe_mask
+from oracles import (
+    coherent_psf,
+    e2_full_width,
+    fit_gaussian_width,
+    incoherent_psf,
+    normalized_l2,
+)
 
 
 def _report(criterion: str, detail: str) -> None:

@@ -90,7 +90,7 @@ class TestResolutionLimits:
     def test_consistent_with_fitted_psf_width(self, geom_focused, source):
         # cross-module: budget formula vs the fitted ghost PSF (factor 1.5)
         from cpi_sim import Axis, QuadratureSpec, gamma_quadrature, ghost_image
-        from cpi_sim.metrics import e2_full_width, fit_gaussian_width
+        from oracles import e2_full_width, fit_gaussian_width
 
         point = ObjectMask.single_slit(5e-6)
         delta_a, _ = resolution_limits(geom_focused, source, point)

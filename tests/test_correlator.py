@@ -15,10 +15,8 @@ from cpi_sim import (
     QuadratureSpec,
     SourceProfile,
     UnderResolved,
-    coherent_psf,
     gamma_geometric,
     gamma_quadrature,
-    incoherent_psf,
     intensity_a,
     intensity_b,
     arm_kernels,
@@ -28,9 +26,10 @@ from cpi_sim import (
     psf_widths,
 )
 from cpi_sim.correlator import intensity_prefactor_a, intensity_prefactor_b
-from cpi_sim.metrics import normalized_l2, normalized_linf, two_sided_peaks
+from cpi_sim.metrics import normalized_linf, two_sided_peaks
 from cpi_sim.optics import object_quadrature, source_quadrature
 from conftest import SEPARATION, SIGMA, smooth_two_lobe_mask
+from oracles import coherent_psf, gaussian_gamma, incoherent_psf, normalized_l2
 
 
 class TestIntensityA:
@@ -349,6 +348,73 @@ class TestGammaQuadrature:
         quad = QuadratureSpec(n_source=512, n_object=128, source_span=1e-3)
         with pytest.raises(ValueError, match="5 sigma"):
             gamma_quadrature(geom_focused, source, slits, axis_a, axis_b, quad)
+
+
+class TestGaussianOracle:
+    """gamma_quadrature against the closed form of a Gaussian source and a
+    Gaussian object (``oracles.gaussian_gamma``), which pins the absolute
+    scale of Gamma: its prefactors, weights, chirp and coupling constants."""
+
+    @pytest.mark.parametrize("path", ["centred", "turned"])
+    @pytest.mark.parametrize("omega", [30e-6, 60e-6])
+    @pytest.mark.parametrize("z_b", [0.1, 0.08])
+    def test_matches_the_closed_form(self, monkeypatch, z_b, omega, path):
+        # The mask holds 36001 samples over +-9 omega, and its 1126 object
+        # nodes land on every 32nd of them, so no interpolation enters: the
+        # only error left is rounding (the Gaussian tails beyond 9 omega and
+        # the 10 sigma source span weigh below 1e-17). "centred" puts both
+        # detector axes and the object about 0, where the object factor is
+        # real and even (its samples symmetrized to the last bit), so the
+        # object sum runs one parity block a plane and no turn; "turned"
+        # moves rho_a, rho_b and the object off 0, so the rows of Gamma's
+        # source side turn by c_a d mu_a and the object sum's rows and
+        # columns by c1 m d and c1 m eps / M, over all four blocks.
+        sigma = 0.5e-3
+        g = make_geometry(z_a=0.1, z_b=z_b, S_o=0.2, F=0.05, lambda0=500e-9)
+        source = SourceProfile.gaussian(sigma)
+        mu_a, mu_b, center = (0.0, 0.0, 0.0) if path == "centred" else (30e-6, -60e-6, 20e-6)
+        c = np.linspace(center - 9 * omega, center + 9 * omega, 36001)
+        values = np.exp(-((c - center) ** 2) / (2 * omega**2))
+        if path == "centred":
+            values = 0.5 * (values + values[::-1])
+        mask = ObjectMask.from_samples(c, values)
+        axis_a = Axis.from_half_width(64, 200e-6, center=mu_a)
+        axis_b = Axis.from_half_width(64, 500e-6, center=mu_b)
+        quad = replace(
+            QuadratureSpec.auto(g, source, mask, axis_a, axis_b, source_span=10 * sigma),
+            n_object=1126,
+        )
+        rho_o, w_o, _ = object_quadrature(mask, quad.n_object)
+        assert np.array_equal(rho_o, c[::32])
+        _, _, columns = _spy_planes(monkeypatch)
+        grid = gamma_quadrature(g, source, mask, axis_a, axis_b, quad)
+        if path == "centred":
+            assert set(columns[1]) == {(axis_b.n + 1) // 2}
+        exact = gaussian_gamma(g, sigma, omega, axis_a.coordinates, axis_b.coordinates, center)
+
+        # The bound is a first-order forward error bound of the double sum
+        # G = sum F w_s A w_o exp(i phi) over n_s x n_o terms: every term is
+        # off by a few ulps of its largest phase Phi (4 u Phi: the phase is
+        # a product of rounded constants and coordinates, split in an angle
+        # sum), and a sum of L terms by L u of the sum of their moduli S,
+        # with L = n_s + n_o along the two nested sums. So
+        # |dG| <= u S (4 Phi + n_s + n_o), and |dGamma| <= (2 |dG| |G| +
+        # |dG|^2) K_a K_b of the peak K_a K_b |G|max^2.
+        rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
+        w = g.omega0_over_c
+        big_s, big_o = np.max(np.abs(rho_s)), np.max(np.abs(rho_o))
+        big_a, big_b = np.max(np.abs(axis_a.coordinates)), np.max(np.abs(axis_b.coordinates))
+        phi = (
+            0.5 * w * abs(1.0 / g.z_b - 1.0 / g.z_a) * big_s**2
+            + (w / g.z_b) * big_o * (big_s + big_b / g.M)
+            + (w / g.z_a) * big_a * big_s
+        )
+        moduli = np.sum(source.intensity(rho_s) * w_s) * np.sum(np.abs(mask.transmission(rho_o)) * w_o)
+        g_max = np.sqrt(exact.max() / (intensity_prefactor_a(g) * intensity_prefactor_b(g)))
+        dg = np.finfo(float).eps / 2 * moduli * (4 * phi + rho_s.size + rho_o.size) / g_max
+        bound = 2 * dg + dg**2
+        error = np.abs(grid.values - exact).max() / exact.max()
+        assert error <= bound < 1e-6, (error, bound)
 
 
 # Every consumer of a source span, called as (geom, source, quad, mask, axis_a, axis_b).
@@ -1063,8 +1129,9 @@ class TestObjectTransferMemory:
         self, monkeypatch, geom_defocused, source, slits
     ):
         # check_working_set counts T once, as the buffer of the half
-        # products in which object_transfer builds it, beside W_b, the grid
-        # and one block; the Monte Carlo caller adds K_a (16 n_s n_a bytes).
+        # products in which object_transfer builds it, beside the object
+        # sum's column tables, the grid and one block; the Monte Carlo
+        # caller adds K_a (16 n_s n_a bytes).
         # With n_b = 512 well above n_a = 8 the peak stays below the
         # estimate, which is less than two arrays of T's size (16 x 1626 x
         # 512 bytes each)
@@ -1089,7 +1156,8 @@ class TestObjectTransferMemory:
     @pytest.mark.parametrize("demo", ["refocus", "montecarlo"])
     def test_quadrature_peaks_are_within_the_working_set_estimate(self, monkeypatch, demo):
         # the quadrature estimate counts no arm kernel: gamma_quadrature and
-        # intensity_b hold the half products, W_b, the grid and one block
+        # intensity_b hold the half products, the object sum's column
+        # tables, the grid and one block
         exp = cpi_sim.parse_config(cpi_sim.DEMOS[demo]).resolve()
         needs = []
         monkeypatch.setattr(correlator, "check_bytes", lambda what, need, counts: needs.append(need))
@@ -1112,9 +1180,9 @@ class TestObjectTransferMemory:
     def test_gamma_quadrature_peak_on_the_refocus_demo(self):
         # gamma_quadrature holds the half products CW and SW (2 x 2190 x 64
         # complex, 4.3 MiB), one phase_planes block of at most _BLOCK_ENTRIES
-        # float64 entries (8 MiB), the object factor W_b with the phase
-        # matrix it is built from (2 x 916 x 64 complex), the grid (complex
-        # G, then |G| and Gamma) and a few vectors over the source nodes
+        # float64 entries (8 MiB), the object sum's column tables (2 planes
+        # x 458 mirror pairs x at most 4 x 32 floats), the grid (complex G,
+        # then |G| and Gamma) and a few vectors over the source nodes
         exp = cpi_sim.parse_config(cpi_sim.DEMOS["refocus"]).resolve()
         assert (exp.quad.n_source, exp.quad.n_object) == (4379, 916)
         n_half, n_o, n_a, n_b = 2190, 916, exp.axis_a.n, exp.axis_b.n
@@ -1122,7 +1190,7 @@ class TestObjectTransferMemory:
         bound = (
             16 * 2 * n_half * n_b
             + 8 * phase._BLOCK_ENTRIES
-            + 16 * 2 * n_o * n_b
+            + 8 * 2 * (n_o // 2) * 4 * (n_b // 2)
             + (16 + 2 * 8) * n_a * n_b
             + 8 * 8 * exp.quad.n_source
         )
@@ -1133,4 +1201,6 @@ class TestObjectTransferMemory:
         finally:
             tracemalloc.stop()
         assert peak < bound < 15 * 2**20
-        assert peak <= 8.8 * 2**20  # 8.78 MiB before the object sum paired mirrored nodes
+        # 8.78 MiB before the object sum paired mirrored nodes, 8.43 MiB
+        # before it paired detector pixels (8.15 MiB since)
+        assert peak <= 8.8 * 2**20

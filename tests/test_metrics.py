@@ -1,6 +1,6 @@
 import numpy as np
 
-from cpi_sim.metrics import fit_gaussian_width
+from oracles import fit_gaussian_width
 
 
 class TestFitGaussianWidth:

@@ -417,7 +417,7 @@ class TestEstimateGamma:
 
     def test_ghost_psf_width_matches_resolution_budget(self, geom_focused, source):
         # fitted width of the estimated point response vs lambda0 z_a / D_s
-        from cpi_sim.metrics import e2_full_width, fit_gaussian_width
+        from oracles import e2_full_width, fit_gaussian_width
 
         point = ObjectMask.single_slit(5e-6)
         axis_a = Axis.from_half_width(64, 120e-6)

@@ -18,8 +18,9 @@ from cpi_sim import (
     refocused_image,
     viewpoint_slice,
 )
-from cpi_sim.metrics import normalized_l2, slit_contrast, two_sided_peaks
+from cpi_sim.metrics import slit_contrast, two_sided_peaks
 from conftest import smooth_two_lobe_mask
+from oracles import normalized_l2
 
 SIGMA_F = 180e-6         # lobe RMS width of the smooth double slit
 HALF_SEP = 450e-6
