@@ -331,9 +331,9 @@ def _half_products(
     columns = np.empty((2, h, n_cols))
     e_half = e[n_o // 2 :]
     rows, cols, block, _ = phase.plane_block(k, h, 0, 0)
-    scale_b = np.max(np.abs(rho_b))
+    scale = np.max(np.abs(rho_b))
     for b_rows, o_cols, trig in phase.phase_planes(
-        c1 / geom.M, e_half, eps[n_b // 2 :], rows, cols, block, scale_b
+        c1 / geom.M, e_half, eps[n_b // 2 :], rows, cols, block, scale
     ):
         for p in (0, 1):
             for v, j, t in zip(parts[p], slots[p], (0, 0, 1, 1)):
@@ -342,17 +342,15 @@ def _half_products(
                         v[o_cols, None], trig[t].T,
                         out=columns[p, o_cols, j + b_rows.start : j + b_rows.stop],
                     )
-    del parts, r_plus, r_minus
 
     half = d[rho_s.size // 2 :]
     cs = np.zeros((2, half.size, n_b), dtype=complex)  # a block left out stays zero
     # the float parts of CW and SW at mu_b + eps and at mu_b - eps
     halves = [_mirror_halves(plane, axis=1) for plane in cs.view(float).reshape(2, half.size, n_b, 2)]
     turn = m != 0.0
-    rows, cols, block, _ = phase.plane_block(
-        half.size, h, 2 * max(n_cols, 2 * n_b if turn else 0), 0
-    )
-    products = np.empty((2, rows, max(n_cols, 2 * n_b if turn else 0)))
+    width = max(n_cols, 2 * n_b) if turn else n_cols  # the part products, or the turn's
+    rows, cols, block, _ = phase.plane_block(half.size, h, 2 * width, 0)
+    products = np.empty((2, rows, width))
     if turn:
         phi = (c1 * m) * half
         cos_phi, sin_phi = np.cos(phi)[:, None], np.sin(phi)[:, None]
@@ -361,16 +359,16 @@ def _half_products(
     scale = np.max(np.abs(rho_s))
     for s_rows, o_cols, planes in phase.phase_planes(c1, e_half, half, rows, cols, block, scale):
         n_rows = planes.shape[1]
-        x = np.matmul(planes, columns[:, o_cols], out=products[:, :n_rows, :n_cols])
+        prod = np.matmul(planes, columns[:, o_cols], out=products[:, :n_rows, :n_cols])
         add = o_cols.start > 0  # a later chunk of object columns adds to its rows
-        for p in (0, 1):
-            ur, ui, vr, vi = (None if j is None else x[p, :, j : j + k] for j in slots[p])
-            plus, minus = (x[s_rows] for x in halves[p])
-            tail = [None if x is None else x[:, odd:] for x in (ur, ui, vr, vi)]
-            _fold(plus[..., 0], ur, vi, 1, add)  # Re (U - i V) at mu_b + eps
+        for p, (plus, minus) in enumerate(halves):
+            ur, ui, vr, vi = (None if j is None else prod[p, :, j : j + k] for j in slots[p])
+            plus, minus = plus[s_rows], minus[s_rows]
+            _fold(plus[..., 0], ur, vi, 1, add)  # U - i V at mu_b + eps
             _fold(plus[..., 1], ui, vr, -1, add)
-            _fold(minus[..., 0], tail[0], tail[3], -1, add)  # Re (U + i V) at mu_b - eps
-            _fold(minus[..., 1], tail[1], tail[2], 1, add)
+            ur, ui, vr, vi = (None if b is None else b[:, odd:] for b in (ur, ui, vr, vi))
+            _fold(minus[..., 0], ur, vi, -1, add)  # U + i V at mu_b - eps
+            _fold(minus[..., 1], ui, vr, 1, add)
         if turn and o_cols.stop == h:  # the rows are complete: turn them by phi and theta
             cw, sw = cs.view(float)[:, s_rows]
             sin_cw, sin_sw = products[:, :n_rows, : 2 * n_b]
@@ -546,9 +544,18 @@ def gamma_quadrature(
         G = 2 cos^T (f CW) + 2 sin^T (f SW),  Gamma = K_a K_b |G|^2,
 
     with cos and sin of c_a d rho_a. The phases constant in rho_s drop out
-    of |G|^2. The cos/sin planes stream from ``phase.phase_planes`` in
-    ``phase.plane_block``'s blocks, each adding two real matmuls on the
-    float view of CW, SW; no complex V and no full T is built.
+    of |G|^2. The pixels pair about the centre of detector a too, rho_a =
+    mu_a + eps_a (``_mirror_split``): the rows of f CW and f SW turn by
+    psi = c_a d mu_a into X = cos(psi) f CW + sin(psi) f SW and
+    Y = cos(psi) f SW - sin(psi) f CW (no turn at mu_a = 0), and with C and
+    S the cosine and sine of c_a d eps_a on the eps_a >= 0 half,
+
+        G(mu_a +- eps_a) = C^T X +- S^T Y.
+
+    The cos/sin planes stream from ``phase.phase_planes`` in
+    ``phase.plane_block``'s blocks of ceil(n_a / 2) columns, each adding
+    two real matmuls on the float view of X, Y; no complex V and no full T
+    is built.
     """
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
