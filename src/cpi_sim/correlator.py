@@ -393,8 +393,8 @@ def object_transfer(
     ``_half_products``: since P(-d) = conj P(d) for
     P = exp(-i c1 rho_o d), every row is T(c +- d) = CW -+ i SW. T is
     built in the buffer of CW and SW, whose 2 ceil(n_s / 2) rows hold its
-    n_s, with temporaries of at most ``n_object`` rows, smaller than W_b,
-    which is freed by then; so a call holds no second full-size array.
+    n_s, with temporaries of at most ``n_object`` rows; so a call holds
+    no second full-size array.
     """
     n = rho_s.size
     cs = _half_products(geom, mask, n_object, rho_s, rho_b)[1]

@@ -787,14 +787,14 @@ class TestCli:
 
     def test_limit_is_the_hosts_memory(self):
         # a convergence-study run over 1 GiB that fits the host resolves; one
-        # no host can hold (3.3 TiB) fails in resolve()
+        # no host can hold (954 GiB) fails in resolve()
         pages = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert cpi_sim.correlator.MAX_WORKING_SET == cpi_sim.correlator._memory_limit() <= pages
         # one object half-products block: 348 rows (see the pinned estimate
         # above), anchored every 348 rows too, since ceil(sqrt(600000)) = 775
         # is more
-        block = 458 * (2 * 348 + 4 * 348 + 3) + 4 * 348 * 64
-        need = 16 * (2 * 600_000 * 64 + 2 * 2 * 458 * 64 + 2 * 160 * 64) + 8 * block
+        block = 458 * (2 * 348 + 4 * 348 + 3) + 2 * 348 * 4 * 32
+        need = 16 * (2 * 600_000 * 64 + 2 * 160 * 64) + 8 * 2 * 458 * 4 * 32 + 8 * block
         assert need > 2**30
         if need > cpi_sim.correlator.MAX_WORKING_SET:
             limit = cpi_sim.correlator.MAX_WORKING_SET
