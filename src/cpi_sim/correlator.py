@@ -277,7 +277,9 @@ def _half_products(
     ceil(n_b / 2) float columns, of which a block that is exactly zero on
     every node is left out: the imaginary parts of a real mask at
     kappa = 0, and r- of a mirror-symmetric one (r+ of an odd one). A slit
-    on centred axes runs one block per plane. Each row then turns by phi,
+    on centred axes runs one block per plane, and on moved axes two (Re r+
+    and Im r-): the phase is taken at m + e, so mirrored nodes get exactly
+    conjugate factors. Each row then turns by phi,
     CW = cos(phi) CW' - sin(phi) SW' and SW = sin(phi) CW' + cos(phi) SW',
     and each column by theta (neither for m = 0, as for every slit).
     Returns (half, cs): the ceil(n_s / 2) nodes d >= 0 and cs = (CW, SW),
@@ -310,7 +312,7 @@ def _half_products(
     c1 = geom.omega0_over_c / geom.z_b
     n_o, n_b = rho_o.size, rho_b.size
     h, k = (n_o + 1) // 2, (n_b + 1) // 2
-    amp = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * (c + mu_b / geom.M)) * rho_o)
+    amp = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * (c + mu_b / geom.M)) * (m + e))
     if n_o % 2:  # e = 0 is its own mirror: r+ counts its two half-weight terms once
         amp[h - 1] *= 0.5
     upper, lower = amp[n_o // 2 :], amp[(n_o - 1) // 2 :: -1]  # row j pairs e_j with -e_j
@@ -346,7 +348,7 @@ def _half_products(
     half = d[rho_s.size // 2 :]
     cs = np.zeros((2, half.size, n_b), dtype=complex)  # a block left out stays zero
     # the float parts of CW and SW at mu_b + eps and at mu_b - eps
-    halves = [_mirror_halves(plane, axis=1) for plane in cs.view(float).reshape(2, half.size, n_b, 2)]
+    halves = [_mirror_halves(plane, axis=1) for plane in cs.view(float).reshape(2, -1, n_b, 2)]
     turn = m != 0.0
     width = max(n_cols, 2 * n_b) if turn else n_cols  # the part products, or the turn's
     rows, cols, block, _ = phase.plane_block(half.size, h, 2 * width, 0)
@@ -605,9 +607,10 @@ def gamma_quadrature(
             planes.transpose(0, 2, 1), cs_f[:, s_rows], out=products[:, : planes.shape[2]]
         )
         add = s_rows.start > 0  # a later block of source rows adds to the sum
-        lo = max(a_cols.start, odd)  # the eps_a = 0 row of an odd n_a is in plus alone
         _fold(plus[a_cols], cx, sy, 1, add)
-        _fold(minus[lo - odd : a_cols.stop - odd], cx[lo - a_cols.start :], sy[lo - a_cols.start :], -1, add)
+        skip = odd if a_cols.start == 0 else 0  # the eps_a = 0 row of an odd n_a is in plus alone
+        rows_minus = slice(a_cols.start + skip - odd, a_cols.stop - odd)
+        _fold(minus[rows_minus], cx[skip:], sy[skip:], -1, add)
 
     values = intensity_prefactor_a(geom) * intensity_prefactor_b(geom) * np.abs(g) ** 2
     return CorrelationGrid(

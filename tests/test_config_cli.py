@@ -734,7 +734,7 @@ class TestCli:
         # of the eps_a >= 0 half, 374160 entries) and the column tables'
         # block (32 rows of 458, 41678 entries) are smaller. In all
         # 9.09 MiB, where tracemalloc puts the peak of gamma_quadrature at
-        # MEASURED MiB.
+        # 8.15 MiB.
         config = parse_config(DEMOS["refocus"])
         block = 458 * (2 * 329 + 4 * 47 + 3) + 2 * 329 * 4 * 32
         assert cpi_sim.phase.plane_block(2190, 80, 0, 4 * 64)[3] == 374160 < block

@@ -148,6 +148,10 @@ def _odd_mask(n):
 # odd one r- alone, a real off-centre one both, and a complex one the real
 # and imaginary parts of both
 _CENTRED_BLOCKS = {"slits": 1, "odd": 1, "real": 2, "complex": 4}
+# and on moved axes, kappa != 0: the factor exp(-i c1 e kappa) makes the
+# r+ of a real even mask real and its r- imaginary (the reverse for an odd
+# one), and an off-centre mask (m != 0) complex throughout
+_MOVED_BLOCKS = {"slits": 2, "odd": 2, "real": 4, "complex": 4}
 
 
 class _StubSource:
@@ -266,10 +270,8 @@ class TestGammaQuadrature:
         # and every object-stream matmul ceil(n_b / 2) columns a block
         assert {cols for _, cols in v_blocks} == {(axis_a.n + 1) // 2}
         k_b = (axis_b.n + 1) // 2
-        if variant.startswith("centred"):
-            assert set(columns[1]) == {_CENTRED_BLOCKS[mask_name] * k_b}
-        else:
-            assert set(columns[1]) <= {k_b * blocks for blocks in (1, 2, 3, 4)}
+        parity = _CENTRED_BLOCKS if variant.startswith("centred") else _MOVED_BLOCKS
+        assert set(columns[1]) == {parity[mask_name] * k_b}
         if variant == "chunked":
             assert max(cols for _, cols in object_blocks) < rho_o.size
             assert len(v_blocks) > 1
@@ -966,11 +968,9 @@ class TestObjectTransferDirectSum:
         _, blocks = streams
         assert sorted({cols for _, cols in blocks}) == ([14, 50] if budget else [64])
         k = (rho_b.size + 1) // 2
-        if axes == "off-centre":
-            assert set(columns[1]) <= {k * blocks for blocks in (1, 2, 3, 4)}
-        else:
-            name = {"double-slit": "slits", "single-slit": "slits"}.get(mask_name, mask_name)
-            assert set(columns[1]) == {_CENTRED_BLOCKS[name] * k}
+        name = {"double-slit": "slits", "single-slit": "slits"}.get(mask_name, mask_name)
+        parity = _MOVED_BLOCKS if axes == "off-centre" else _CENTRED_BLOCKS
+        assert set(columns[1]) == {parity[name] * k}
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
