@@ -18,9 +18,11 @@ mirror rows; it pairs mirrored object nodes, so its planes span half the
 object nodes, and mirrored detector-b pixels, so its column tables split
 the object factor into parity parts on half the pixels and leave out the
 parts that are exactly zero (three of four for a slit on centred axes).
-Gamma contracts the half products against the cos/sin planes of its
-source phase on the non-negative half of the detector-a axis and I_b sums
-their squared moduli, so neither builds a complex V or a full T.
+Each row turns once there, by (c1 m - c_a mu_a) d, Gamma's source-side
+turn included. Gamma contracts the half products against the cos/sin
+planes of its source phase on the non-negative half of the detector-a
+axis and I_b sums their squared moduli, so neither builds a complex V or
+a full T. Every paired sum adds into a zeroed buffer (``_fold``).
 Also provided: the detector intensities (flat in arm a, object-Fourier
 modulated in arm b), the geometric-optics limit of Gamma, and the
 closed-form widths of the Gaussian-source point-spread functions.
@@ -231,26 +233,18 @@ def _mirror_halves(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray
     return np.moveaxis(x[n // 2 :], 0, axis), np.moveaxis(x[::-1][n - n // 2 :], 0, axis)
 
 
-def _fold(out: np.ndarray, a, b, sign: int, add: bool) -> None:
-    """out = a + sign b, or out += a + sign b if ``add``. A term that is
-    None is a block of products left out as exactly zero; with both None
-    ``out`` is left as it is, so it must start at zero."""
-    op = np.add if sign > 0 else np.subtract
-    if add:
-        if a is not None:
-            out += a
-        if b is not None:
-            op(out, b, out=out)
-    elif a is not None and b is not None:
-        op(a, b, out=out)
-    elif a is not None:
-        out[...] = a
-    elif b is not None:
-        np.multiply(b, float(sign), out=out)
+def _fold(out: np.ndarray, a, b, sign: int) -> None:
+    """out += a + sign b, into a buffer that starts at zero, so each chunk
+    of a paired sum adds its share. A term that is None is a block of
+    products left out as exactly zero."""
+    if a is not None:
+        out += a
+    if b is not None:
+        (np.add if sign > 0 else np.subtract)(out, b, out=out)
 
 
 def _half_products(
-    geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b
+    geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b, turn: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """The object sum on the non-negative half of the source axis, over
     mirror pairs of object nodes and of detector-b pixels.
@@ -279,24 +273,26 @@ def _half_products(
     kappa = 0, and r- of a mirror-symmetric one (r+ of an odd one). A slit
     on centred axes runs one block per plane, and on moved axes two (Re r+
     and Im r-): the phase is taken at m + e, so mirrored nodes get exactly
-    conjugate factors. Each row then turns by phi,
-    CW = cos(phi) CW' - sin(phi) SW' and SW = sin(phi) CW' + cos(phi) SW',
-    and each column by theta (neither for m = 0, as for every slit).
-    Returns (half, cs): the ceil(n_s / 2) nodes d >= 0 and cs = (CW, SW),
-    shape (2, n_half, n_b), with CW = cos^T W_b and SW = sin^T W_b for
-    W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)) and cos(c1 rho_o d),
-    sin(c1 rho_o d).
+    conjugate factors. Each row then turns once, by phi = (c1 m - turn) d
+    (not at all at rate 0), CW = cos(phi) CW' - sin(phi) SW' and
+    SW = sin(phi) CW' + cos(phi) SW', and each column by theta (not for
+    m = 0, as for every slit). Returns (half, cs): the ceil(n_s / 2) nodes
+    d >= 0 and cs = (CW, SW), shape (2, n_half, n_b), with CW = cos^T W_b
+    and SW = sin^T W_b for W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)) and
+    cos(c1 rho_o d), sin(c1 rho_o d); a nonzero ``turn`` (Gamma passes
+    c_a mu_a) returns them turned back by turn d, cos(turn d) CW +
+    sin(turn d) SW and cos(turn d) SW - sin(turn d) CW.
 
     The column tables stream once from ``phase.phase_planes`` at c1 / M
     (rows eps, columns e); the half streams through the planes at c1 in
     ``phase.plane_block``'s blocks of source rows by object columns, each
-    chunk of object columns adding its share to every row of cs, so
-    besides cs and the tables a call holds at most one 8 MiB block,
-    whatever ``n_object``. Before it builds anything it refuses fewer than
-    ``MIN_NODES`` object nodes (ValueError), checks its object step
-    against the rate on its nodes, and checks that rho_s, the object nodes
-    and rho_b are mirror-symmetric about their midpoints (ValueError),
-    each once, at the scale of its max|x|.
+    chunk of object columns adding its share to every row of the zeroed cs
+    (``_fold``), so besides cs and the tables a call holds at most one
+    8 MiB block, whatever ``n_object``. Before it builds anything it
+    refuses fewer than ``MIN_NODES`` object nodes (ValueError), checks its
+    object step against the rate on its nodes, and checks that rho_s, the
+    object nodes and rho_b are mirror-symmetric about their midpoints
+    (ValueError), each once, at the scale of its max|x|.
     """
     if n_object < MIN_NODES:
         raise ValueError(f"n_object: need at least {MIN_NODES} object nodes, got {n_object}")
@@ -349,29 +345,27 @@ def _half_products(
     cs = np.zeros((2, half.size, n_b), dtype=complex)  # a block left out stays zero
     # the float parts of CW and SW at mu_b + eps and at mu_b - eps
     halves = [_mirror_halves(plane, axis=1) for plane in cs.view(float).reshape(2, -1, n_b, 2)]
-    turn = m != 0.0
-    width = max(n_cols, 2 * n_b) if turn else n_cols  # the part products, or the turn's
+    rate = c1 * m - turn
+    width = max(n_cols, 2 * n_b) if rate else n_cols  # the part products, or the turn's
     rows, cols, block, _ = phase.plane_block(half.size, h, 2 * width, 0)
     products = np.empty((2, rows, width))
-    if turn:
-        phi = (c1 * m) * half
+    if rate:
+        phi = rate * half
         cos_phi, sin_phi = np.cos(phi)[:, None], np.sin(phi)[:, None]
-        theta = np.exp((-1j * c1 * m / geom.M) * eps)
     odd = n_b % 2
     scale = np.max(np.abs(rho_s))
     for s_rows, o_cols, planes in phase.phase_planes(c1, e_half, half, rows, cols, block, scale):
         n_rows = planes.shape[1]
         prod = np.matmul(planes, columns[:, o_cols], out=products[:, :n_rows, :n_cols])
-        add = o_cols.start > 0  # a later chunk of object columns adds to its rows
         for p, (plus, minus) in enumerate(halves):
             ur, ui, vr, vi = (None if j is None else prod[p, :, j : j + k] for j in slots[p])
             plus, minus = plus[s_rows], minus[s_rows]
-            _fold(plus[..., 0], ur, vi, 1, add)  # U - i V at mu_b + eps
-            _fold(plus[..., 1], ui, vr, -1, add)
+            _fold(plus[..., 0], ur, vi, 1)  # U - i V at mu_b + eps
+            _fold(plus[..., 1], ui, vr, -1)
             ur, ui, vr, vi = (None if b is None else b[:, odd:] for b in (ur, ui, vr, vi))
-            _fold(minus[..., 0], ur, vi, -1, add)  # U + i V at mu_b - eps
-            _fold(minus[..., 1], ui, vr, 1, add)
-        if turn and o_cols.stop == h:  # the rows are complete: turn them by phi and theta
+            _fold(minus[..., 0], ur, vi, -1)  # U + i V at mu_b - eps
+            _fold(minus[..., 1], ui, vr, 1)
+        if rate and o_cols.stop == h:  # the rows are complete: turn them by phi
             cw, sw = cs.view(float)[:, s_rows]
             sin_cw, sin_sw = products[:, :n_rows, : 2 * n_b]
             np.multiply(cw, sin_phi[s_rows], out=sin_cw)
@@ -380,7 +374,8 @@ def _half_products(
             cw -= sin_sw
             sw *= cos_phi[s_rows]
             sw += sin_cw
-            cs[:, s_rows] *= theta
+    if m:  # turn each column by theta
+        cs *= np.exp((-1j * c1 * m / geom.M) * eps)
     return half, cs
 
 
@@ -547,17 +542,18 @@ def gamma_quadrature(
 
     with cos and sin of c_a d rho_a. The phases constant in rho_s drop out
     of |G|^2. The pixels pair about the centre of detector a too, rho_a =
-    mu_a + eps_a (``_mirror_split``): the rows of f CW and f SW turn by
-    psi = c_a d mu_a into X = cos(psi) f CW + sin(psi) f SW and
-    Y = cos(psi) f SW - sin(psi) f CW (no turn at mu_a = 0), and with C and
-    S the cosine and sine of c_a d eps_a on the eps_a >= 0 half,
+    mu_a + eps_a (``_mirror_split``): with the rows of CW and SW turned
+    back by psi = c_a d mu_a, X = f (cos(psi) CW + sin(psi) SW) and
+    Y = f (cos(psi) SW - sin(psi) CW), and C and S the cosine and sine of
+    c_a d eps_a on the eps_a >= 0 half,
 
         G(mu_a +- eps_a) = C^T X +- S^T Y.
 
-    The cos/sin planes stream from ``phase.phase_planes`` in
-    ``phase.plane_block``'s blocks of ceil(n_a / 2) columns, each adding
-    two real matmuls on the float view of X, Y; no complex V and no full T
-    is built.
+    ``_half_products`` turns by psi in its own row turn (turn = c_a mu_a),
+    so here the rows are only scaled by f. The cos/sin planes stream from
+    ``phase.phase_planes`` in ``phase.plane_block``'s blocks of
+    ceil(n_a / 2) columns, each adding two real matmuls on the float view
+    of X, Y to the zeroed G; no complex V and no full T is built.
     """
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
@@ -569,34 +565,17 @@ def gamma_quadrature(
 
     weights = _source_half_weights(source, rho_s, w_s)
     mu_a, eps_a = _mirror_split(rho_a, "gamma_quadrature needs evenly spaced rho_a")
-    half, cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b)
     c_a = w / geom.z_a
+    half, cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b, c_a * mu_a)
     beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
-    f = weights * gaussian_phase(half, beta)
+    cs *= (weights * gaussian_phase(half, beta))[:, None]  # f CW and f SW
 
     n_a, n_b = rho_a.size, rho_b.size
     k = (n_a + 1) // 2
-    g = np.empty((n_a, n_b), dtype=complex)
+    g = np.zeros((n_a, n_b), dtype=complex)
     cs_f = cs.view(float)
     rows, cols, block, _ = phase.plane_block(half.size, k, 0, 4 * n_b)
     products = np.empty((2, cols, 2 * n_b))
-    if mu_a:  # turn the rows by psi = c_a d mu_a: X = a CW + b SW, Y = a SW - b CW
-        psi = (c_a * mu_a) * half
-        a, b = (f * np.cos(psi))[:, None], (f * np.sin(psi))[:, None]
-        b_sw, b_cw = products.view(complex)
-        for lo in range(0, half.size, cols):
-            s_rows = slice(lo, lo + cols)
-            cw, sw = cs[:, s_rows]
-            n_rows = cw.shape[0]
-            np.multiply(sw, b[s_rows], out=b_sw[:n_rows])
-            np.multiply(cw, b[s_rows], out=b_cw[:n_rows])
-            cw *= a[s_rows]
-            cw += b_sw[:n_rows]
-            sw *= a[s_rows]
-            sw -= b_cw[:n_rows]
-    else:
-        cs *= f[:, None]
-
     plus, minus = _mirror_halves(g.view(float))
     odd = n_a % 2
     scale = np.max(np.abs(rho_s))
@@ -606,11 +585,10 @@ def gamma_quadrature(
         cx, sy = np.matmul(
             planes.transpose(0, 2, 1), cs_f[:, s_rows], out=products[:, : planes.shape[2]]
         )
-        add = s_rows.start > 0  # a later block of source rows adds to the sum
-        _fold(plus[a_cols], cx, sy, 1, add)
+        _fold(plus[a_cols], cx, sy, 1)
         skip = odd if a_cols.start == 0 else 0  # the eps_a = 0 row of an odd n_a is in plus alone
         rows_minus = slice(a_cols.start + skip - odd, a_cols.stop - odd)
-        _fold(minus[rows_minus], cx[skip:], sy[skip:], -1, add)
+        _fold(minus[rows_minus], cx[skip:], sy[skip:], -1)
 
     values = intensity_prefactor_a(geom) * intensity_prefactor_b(geom) * np.abs(g) ** 2
     return CorrelationGrid(

@@ -2,8 +2,8 @@
 
 None of these is used by a run: the Gaussian-source point-spread
 functions, the closed-form crossed correlation of a Gaussian source and a
-Gaussian object, and the width fits and distances of the acceptance
-criteria.
+Gaussian object, a rounding bound of the quadrature of Gamma, and the
+width fits and distances of the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from cpi_sim.correlator import intensity_prefactor_a, intensity_prefactor_b
 from cpi_sim.metrics import peak_normalize
-from cpi_sim.optics import SetupGeometry
+from cpi_sim.optics import SetupGeometry, object_quadrature, source_quadrature
 
 
 def coherent_psf(geom: SetupGeometry, sigma: float, rho_o, rho_a):
@@ -68,6 +68,34 @@ def gaussian_gamma(
     r = -0.5 * (c1 * omega) ** 2 * b**2 - 1j * c1 * center * b
     g = omega / sigma * np.sqrt(np.pi / p) * np.exp(q**2 / (4.0 * p) + r)
     return intensity_prefactor_a(geom) * intensity_prefactor_b(geom) * np.abs(g) ** 2
+
+
+def gamma_rounding_bound(geom, source, mask, axis_a, axis_b, quad, gamma_peak: float) -> float:
+    """First-order forward rounding bound of ``gamma_quadrature``, as a
+    fraction of the peak ``gamma_peak`` of Gamma.
+
+    The double sum G = sum F w_s A w_o exp(i phi) runs over n_s x n_o
+    terms: every term is off by a few ulps of its largest phase Phi (4 u
+    Phi: the phase is a product of rounded constants and coordinates, split
+    in an angle sum), and a sum of L terms by L u of the sum of their
+    moduli S, with L = n_s + n_o along the two nested sums. So
+    |dG| <= u S (4 Phi + n_s + n_o), and |dGamma| <= (2 |dG| |G| + |dG|^2)
+    K_a K_b of the peak K_a K_b |G|max^2.
+    """
+    rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
+    rho_o, w_o, _ = object_quadrature(mask, quad.n_object)
+    w = geom.omega0_over_c
+    big_s, big_o = np.max(np.abs(rho_s)), np.max(np.abs(rho_o))
+    big_a, big_b = np.max(np.abs(axis_a.coordinates)), np.max(np.abs(axis_b.coordinates))
+    phi = (
+        0.5 * w * abs(1.0 / geom.z_b - 1.0 / geom.z_a) * big_s**2
+        + (w / geom.z_b) * big_o * (big_s + big_b / geom.M)
+        + (w / geom.z_a) * big_a * big_s
+    )
+    moduli = np.sum(source.intensity(rho_s) * w_s) * np.sum(np.abs(mask.transmission(rho_o)) * w_o)
+    g_max = np.sqrt(gamma_peak / (intensity_prefactor_a(geom) * intensity_prefactor_b(geom)))
+    dg = np.finfo(float).eps / 2 * moduli * (4 * phi + rho_s.size + rho_o.size) / g_max
+    return float(2 * dg + dg**2)
 
 
 def normalized_l2(a: np.ndarray, b: np.ndarray) -> float:

@@ -29,7 +29,13 @@ from cpi_sim.correlator import intensity_prefactor_a, intensity_prefactor_b
 from cpi_sim.metrics import normalized_linf, two_sided_peaks
 from cpi_sim.optics import object_quadrature, source_quadrature
 from conftest import SEPARATION, SIGMA, smooth_two_lobe_mask
-from oracles import coherent_psf, gaussian_gamma, incoherent_psf, normalized_l2
+from oracles import (
+    coherent_psf,
+    gamma_rounding_bound,
+    gaussian_gamma,
+    incoherent_psf,
+    normalized_l2,
+)
 
 
 class TestIntensityA:
@@ -121,9 +127,9 @@ class TestIntensityB:
         assert np.all(np.isfinite(img.values)) and img.values.max() > 0.0
 
 
-def _complex_mask():
+def _complex_mask(lo=-140e-6, hi=90e-6):
     # complex and off-centre, so T has no symmetry in rho_o or rho_b
-    c = np.linspace(-140e-6, 90e-6, 461)
+    c = np.linspace(lo, hi, 461)
     values = 0.9 * np.exp(-((c - 20e-6) ** 2) / (2 * (45e-6) ** 2) + 1j * c / 30e-6)
     return ObjectMask.from_samples(c, values)
 
@@ -224,6 +230,10 @@ class TestGammaQuadrature:
             pytest.param("geom_defocused", v, m, id=f"geom_defocused-{v}-{m}")
             for v in ("centred-odd", "centred-even")
             for m in _CENTRED_BLOCKS
+        ]
+        + [
+            pytest.param("geom_defocused", "moved", "complex", id="geom_defocused-moved-complex"),
+            pytest.param("geom_focused", "cancelled", "complex", id="geom_focused-cancelled-complex"),
         ],
     )
     def test_matches_per_pixel_double_sum(
@@ -235,18 +245,34 @@ class TestGammaQuadrature:
         # products add up over chunks of object nodes and G over blocks of
         # source rows. The centred variants put rho_a and rho_b about 0
         # with odd and even pixel counts, where the object factor is real
-        # and the object sum leaves its zero parity blocks out
+        # and the object sum leaves its zero parity blocks out. The object
+        # sum turns its rows by (c1 m - c_a mu_a) d, for the midpoints m of
+        # the object nodes and mu_a of rho_a, and its columns by
+        # c1 m eps / M when m != 0: "moved" runs both turns (an off-centre
+        # mask on moved axes), and "cancelled" the column turn alone
+        # (z_a = z_b and mu_a = m, so the two row rates cancel exactly and
+        # no row turns; the column turn is a phase per rho_b, which drops
+        # out of |G|^2)
         g = request.getfixturevalue(geom_name)
+        mask = {"slits": slits, "odd": _odd_mask(16), "real": _real_mask(), "complex": _complex_mask()}[
+            mask_name
+        ]
         if variant.startswith("centred"):
             n_a, n_b = (7, 9) if variant == "centred-odd" else (8, 10)
             axis_a = Axis.from_half_width(n_a, 150e-6)
             axis_b = Axis.from_half_width(n_b, 400e-6)
+        elif variant == "moved":  # small grids: the direct sum is slow
+            axis_a = Axis.from_half_width(5, 150e-6, center=20e-6)
+            axis_b = Axis.from_half_width(6, 400e-6, center=-60e-6)
+        elif variant == "cancelled":
+            # dyadic nodes, so both midpoints are exactly -2^-15 m: the
+            # object support [-5, 3] 2^-15 m and rho_a = (-1 + 2 k) 2^-15 m
+            mask = _complex_mask(-5 * 2.0**-15, 3 * 2.0**-15)
+            axis_a = Axis.from_half_width(5, 2.0**-13, center=-(2.0**-15))
+            axis_b = Axis.from_half_width(6, 400e-6, center=-60e-6)
         else:
             axis_a = Axis.from_half_width(7, 150e-6, center=20e-6)
             axis_b = Axis.from_half_width(9, 400e-6, center=-60e-6)
-        mask = {"slits": slits, "odd": _odd_mask(16), "real": _real_mask(), "complex": _complex_mask()}[
-            mask_name
-        ]
         if variant == "tophat":
             source = SourceProfile.tophat(1.5e-3)
         quad = QuadratureSpec.auto(g, source, mask, axis_a, axis_b)
@@ -265,6 +291,14 @@ class TestGammaQuadrature:
         w = g.omega0_over_c
         rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
         rho_o, w_o, _ = object_quadrature(mask, quad.n_object)
+        if variant in ("moved", "cancelled"):  # the midpoints the object sum splits off
+            m = 0.5 * (rho_o[0] + rho_o[-1])
+            mu_a = 0.5 * (axis_a.coordinates[0] + axis_a.coordinates[-1])
+            assert m != 0.0
+            if variant == "cancelled":
+                assert g.z_a == g.z_b and mu_a == m
+            else:
+                assert (w / g.z_b) * m != (w / g.z_a) * mu_a
         _, object_blocks, v_blocks = streams
         # Gamma's source planes span the ceil(n_a / 2) pixels eps_a >= 0,
         # and every object-stream matmul ceil(n_b / 2) columns a block
@@ -386,34 +420,12 @@ class TestGaussianOracle:
             QuadratureSpec.auto(g, source, mask, axis_a, axis_b, source_span=10 * sigma),
             n_object=1126,
         )
-        rho_o, w_o, _ = object_quadrature(mask, quad.n_object)
-        assert np.array_equal(rho_o, c[::32])
+        assert np.array_equal(object_quadrature(mask, quad.n_object)[0], c[::32])
         _, _, columns = _spy_planes(monkeypatch)
         grid = gamma_quadrature(g, source, mask, axis_a, axis_b, quad)
         assert set(columns[1]) == {(1 if path == "centred" else 4) * ((axis_b.n + 1) // 2)}
         exact = gaussian_gamma(g, sigma, omega, axis_a.coordinates, axis_b.coordinates, center)
-
-        # The bound is a first-order forward error bound of the double sum
-        # G = sum F w_s A w_o exp(i phi) over n_s x n_o terms: every term is
-        # off by a few ulps of its largest phase Phi (4 u Phi: the phase is
-        # a product of rounded constants and coordinates, split in an angle
-        # sum), and a sum of L terms by L u of the sum of their moduli S,
-        # with L = n_s + n_o along the two nested sums. So
-        # |dG| <= u S (4 Phi + n_s + n_o), and |dGamma| <= (2 |dG| |G| +
-        # |dG|^2) K_a K_b of the peak K_a K_b |G|max^2.
-        rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
-        w = g.omega0_over_c
-        big_s, big_o = np.max(np.abs(rho_s)), np.max(np.abs(rho_o))
-        big_a, big_b = np.max(np.abs(axis_a.coordinates)), np.max(np.abs(axis_b.coordinates))
-        phi = (
-            0.5 * w * abs(1.0 / g.z_b - 1.0 / g.z_a) * big_s**2
-            + (w / g.z_b) * big_o * (big_s + big_b / g.M)
-            + (w / g.z_a) * big_a * big_s
-        )
-        moduli = np.sum(source.intensity(rho_s) * w_s) * np.sum(np.abs(mask.transmission(rho_o)) * w_o)
-        g_max = np.sqrt(exact.max() / (intensity_prefactor_a(g) * intensity_prefactor_b(g)))
-        dg = np.finfo(float).eps / 2 * moduli * (4 * phi + rho_s.size + rho_o.size) / g_max
-        bound = 2 * dg + dg**2
+        bound = gamma_rounding_bound(g, source, mask, axis_a, axis_b, quad, exact.max())
         error = np.abs(grid.values - exact).max() / exact.max()
         assert error <= bound < 1e-6, (error, bound)
 
@@ -1044,7 +1056,10 @@ class TestObjectTransferBlocks:
         # ceil(n_o / 2) mirror pairs of object nodes), then the half over
         # those pairs; gamma_quadrature (n_a given) then streams the half a
         # second time, its source side over the ceil(n_a / 2) pixels
-        # eps_a >= 0 of detector a, in the blocks phase.plane_block sizes
+        # eps_a >= 0 of detector a, in the blocks phase.plane_block sizes.
+        # Its detector a is off centre (mu_a != 0) and its slits centred
+        # (m = 0), so the object sum turns its rows by -c_a mu_a d, which
+        # the calls without detector a (turn 0) leave out
         half, pairs = (n_s + 1) // 2, (n_o + 1) // 2
         k_a = (n_a + 1) // 2 if n_a else None
         block = phase.anchor_block(half)
@@ -1058,10 +1073,12 @@ class TestObjectTransferBlocks:
             n_cols = columns[1][0]  # the float columns of the object sum's part products
             streams.clear()
             columns.clear()
-            # the budget of chunk rows: 6 K + 2 n_cols entries a row (the
-            # slits are centred, so no row is turned), three anchor entries
-            # a column, for K = ceil(n_o / 2) columns
-            m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * pairs + 2 * n_cols) + 3 * pairs)
+            # the budget of chunk rows: 6 K + 2 width entries a row, for the
+            # part products' n_cols floats, or the turn's 2 n_b if more,
+            # and three anchor entries a column, for K = ceil(n_o / 2)
+            # columns
+            width = max(n_cols, 2 * n_b) if n_a else n_cols
+            m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * pairs + 2 * width) + 3 * pairs)
             blocked = call()
             if n_a:
                 rows = phase.plane_block(half, k_a, 0, 4 * n_b)[0]
