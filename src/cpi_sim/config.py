@@ -231,9 +231,10 @@ class ExperimentConfig:
                 )
             except ValueError as exc:
                 raise ValidationError(f"run.{exc}") from None
-            check_working_set(  # K_a (n_a x n_s complex) beside T, and sampling
+            check_working_set(  # the paired K_a beside K_b, and sampling
                 "Monte Carlo run", axis_s.n, n_object, axis_a.n, axis_b.n,
-                16 * axis_a.n * axis_s.n + speckle.sampling_bytes(self.get("run.threads")),
+                16 * axis_a.n * 2 * ((axis_s.n + 1) // 2)
+                + speckle.sampling_bytes(self.get("run.threads")),
             )
         if self.mode in ("analytic", "refocus", "montecarlo"):  # the modes that integrate Gamma
             check_working_set("quadrature", quad.n_source, quad.n_object, axis_a.n, axis_b.n)

@@ -9,20 +9,20 @@ nodes actually integrated): if the integrand phase can advance by more than
 pi/2 between adjacent nodes, the evaluation refuses to run instead of
 silently returning an aliased surface.
 
-Every propagator is built here: ``arm_kernels`` and ``object_transfer``.
-The sums run on mirror pairs of nodes on all four axes, each about its
-own midpoint, streamed through small real cos/sin planes. The object sum
-gives the half products CW and SW on the non-negative half of the source
-axis, from which the arm-b kernel's object transfer T[s, b] forms both
-mirror rows; it pairs mirrored object nodes, so its planes span half the
-object nodes, and mirrored detector-b pixels, so its column tables split
-the object factor into parity parts on half the pixels and leave out the
-parts that are exactly zero (three of four for a slit on centred axes).
-Each row turns once there, by (c1 m - c_a mu_a) d, Gamma's source-side
-turn included. Gamma contracts the half products against the cos/sin
-planes of its source phase on the non-negative half of the detector-a
-axis and I_b sums their squared moduli, so neither builds a complex V or
-a full T. Every paired sum adds into a zeroed buffer (``_fold``).
+Every propagator is built here, in ``arm_kernels``. The sums run on
+mirror pairs of nodes on all four axes, each about its own midpoint,
+streamed through small real cos/sin planes. The object sum gives the
+half products CW and SW on the non-negative half of the source axis; it
+pairs mirrored object nodes, so its planes span half the object nodes,
+and mirrored detector-b pixels, so its column tables split the object
+factor into parity parts on half the pixels and leave out the parts that
+are exactly zero (three of four for a slit on centred axes). Each row
+turns once there, by (c1 m - c_a mu_a) d, Gamma's source-side turn
+included. Gamma contracts the half products against the cos/sin planes
+of its source phase on the non-negative half of the detector-a axis,
+I_b sums their squared moduli, and the arm-b kernel scales them into its
+mirror-pair columns, so no full T is built. Every paired sum adds into a
+zeroed buffer (``_fold``).
 Also provided: the detector intensities (flat in arm a, object-Fourier
 modulated in arm b), the geometric-optics limit of Gamma, and the
 closed-form widths of the Gaussian-source point-spread functions.
@@ -148,17 +148,18 @@ def check_working_set(
 
     The estimate counts the arrays of the object sum and of Gamma: the
     half products CW and SW (2 ceil(n_source / 2) x n_b complex, the
-    buffer in which ``object_transfer`` assembles T), the column tables of
-    the object sum (2 ceil(n_object / 2) x 4 ceil(n_b / 2) floats, all
-    four parity blocks kept) and the n_a x n_b grid twice, for G and then
+    buffer in which ``arm_kernels`` scales K_b), the column tables of the
+    object sum (2 ceil(n_object / 2) x 4 ceil(n_b / 2) floats, all four
+    parity blocks kept) and the n_a x n_b grid twice, for G and then
     |G|^2 and Gamma; and the largest ``phase.plane_block`` plan of the
-    three streams: the column tables' (ceil(n_b / 2) rows by the
+    four streams: the column tables' (ceil(n_b / 2) rows by the
     ceil(n_object / 2) mirror pairs), the object sum's (its part products
-    and row turn, 8 ceil(n_b / 2) floats a source row) and Gamma's source
-    side's (ceil(n_a / 2) columns). ``intensity_b`` holds less. With
-    ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
-    bytes the caller holds beside them: a Monte Carlo run's arm-a kernel
-    K_a and its sampling's, from ``SpeckleRun.sampling_bytes``.
+    and row turn, 8 ceil(n_b / 2) floats a source row), Gamma's source
+    side's (ceil(n_a / 2) columns) and the arm-a kernel's (n_a columns).
+    ``intensity_b`` holds less. With ``n_source = 0`` it bounds the output
+    grid alone. ``extra`` adds the bytes the caller holds beside them: a
+    Monte Carlo run's paired arm-a kernel K_a (n_a x 2 ceil(n_source / 2)
+    complex) and its sampling's, from ``SpeckleRun.sampling_bytes``.
     """
     need = 16 * n_a * n_b + extra
     if n_source:
@@ -167,6 +168,7 @@ def check_working_set(
             phase.plane_block(k, pairs, 0, 0)[3],
             phase.plane_block(half, pairs, 8 * k, 0)[3],
             phase.plane_block(half, (n_a + 1) // 2, 0, 4 * n_b)[3],
+            phase.plane_block(half, n_a, 0, 0)[3],
         )
     check_bytes(
         what, need, f"{n_source} source nodes, {n_object} object nodes, n_a = {n_a}, n_b = {n_b}"
@@ -253,8 +255,9 @@ def _half_products(
     rho_s = c + d, rho_o = m + e and rho_b = mu_b + eps. With c1 = w/z_b
     and kappa = c + mu_b/M, the phase exp(-i c1 rho_o (rho_s + rho_b/M))
     leaves the object factor r(e) = A w_o exp(-i c1 (m + e) kappa), the
-    row turn by phi = c1 m d, the column turn by theta = c1 m eps / M and
-    the cosines and sines of c1 e d and c1 e eps / M, even and odd in e.
+    row turn by phi = c1 m d, the column phase exp(-i theta),
+    theta = c1 m eps / M, and the cosines and sines of c1 e d and
+    c1 e eps / M, even and odd in e.
     So r folds into its parity parts r+- = r(e) +- r(-e) on the e >= 0
     half (the e = 0 node of an odd count, its own mirror, counted once),
     and on the eps >= 0 half of rho_b, with c_eps and s_eps the cosine and
@@ -263,7 +266,7 @@ def _half_products(
         X1 = cos^T (r+ c_eps), X2 = sin^T (r+ s_eps),
         X3 = sin^T (r- c_eps), X4 = cos^T (r- s_eps),
         CW'(d, mu_b +- eps) = exp(-+i theta) (X1 -+ i X4),
-        SW'(d, mu_b +- eps) = exp(-+i theta) (X3 -+ i X2),
+        SW'(d, mu_b +- eps) = exp(-+i theta) (X3 -+ i X2).
 
     for the planes cos(c1 e d) and sin(c1 e d) of ``phase.phase_planes``
     over ceil(n_o / 2) object columns. Each plane multiplies the real and
@@ -275,13 +278,16 @@ def _half_products(
     and Im r-): the phase is taken at m + e, so mirrored nodes get exactly
     conjugate factors. Each row then turns once, by phi = (c1 m - turn) d
     (not at all at rate 0), CW = cos(phi) CW' - sin(phi) SW' and
-    SW = sin(phi) CW' + cos(phi) SW', and each column by theta (not for
-    m = 0, as for every slit). Returns (half, cs): the ceil(n_s / 2) nodes
-    d >= 0 and cs = (CW, SW), shape (2, n_half, n_b), with CW = cos^T W_b
-    and SW = sin^T W_b for W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)) and
-    cos(c1 rho_o d), sin(c1 rho_o d); a nonzero ``turn`` (Gamma passes
-    c_a mu_a) returns them turned back by turn d, cos(turn d) CW +
-    sin(turn d) SW and cos(turn d) SW - sin(turn d) CW.
+    SW = sin(phi) CW' + cos(phi) SW'. The column phase exp(-+i theta) is
+    left out: a unit factor per pixel, it drops out of Gamma's |G|^2, of
+    I_b and of the arm-b intensity |E_b|^2 (and is 1 for m = 0, as for
+    every slit). Returns (half, cs): the ceil(n_s / 2) nodes d >= 0 and
+    cs = (CW, SW), shape (2, n_half, n_b), with CW = cos^T W_b and
+    SW = sin^T W_b, each column times exp(i theta), for
+    W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)) and cos(c1 rho_o d),
+    sin(c1 rho_o d); a nonzero ``turn`` (Gamma passes c_a mu_a) returns
+    them turned back by turn d, cos(turn d) CW + sin(turn d) SW and
+    cos(turn d) SW - sin(turn d) CW.
 
     The column tables stream once from ``phase.phase_planes`` at c1 / M
     (rows eps, columns e); the half streams through the planes at c1 in
@@ -374,49 +380,7 @@ def _half_products(
             cw -= sin_sw
             sw *= cos_phi[s_rows]
             sw += sin_cw
-    if m:  # turn each column by theta
-        cs *= np.exp((-1j * c1 * m / geom.M) * eps)
     return half, cs
-
-
-def object_transfer(
-    geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b
-) -> np.ndarray:
-    """Arm-b object transfer T[s, b] = A~[c1 (rho_s + rho_b/M)], c1 = w/z_b.
-
-    T = sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b / M)) over the
-    ``object_quadrature`` nodes of ``mask``, shape (n_s, n_b), for the
-    arm-b kernel. It is assembled from the half products of
-    ``_half_products``: since P(-d) = conj P(d) for
-    P = exp(-i c1 rho_o d), every row is T(c +- d) = CW -+ i SW. T is
-    built in the buffer of CW and SW, whose 2 ceil(n_s / 2) rows hold its
-    n_s, with temporaries of at most ``n_object`` rows; so a call holds
-    no second full-size array.
-    """
-    n = rho_s.size
-    cs = _half_products(geom, mask, n_object, rho_s, rho_b)[1]
-    h = cs.shape[1]
-    first = 2 * h - n  # 1 when n is odd: the d = 0 row is its own mirror
-    # CW's rows, reversed, become T(c - d) and SW's become T(c + d); for an
-    # odd n, CW's d = 0 row is left out and T(c) = CW(0) fills SW's, SW(0)
-    # being zero
-    cw, sw = cs[0, first:], cs[1, first:]
-    m = cw.shape[0]
-    for lo in range(0, m // 2, n_object):  # reverse CW's rows in place
-        hi = min(lo + n_object, m // 2)
-        swap = cw[lo:hi].copy()
-        cw[lo:hi] = cw[m - hi : m - lo][::-1]
-        cw[m - hi : m - lo] = swap[::-1]
-    cw = cw[::-1]
-    sw *= 1j
-    for lo in range(0, m, n_object):
-        rows = slice(lo, lo + n_object)
-        up = cw[rows] - sw[rows]
-        cw[rows] += sw[rows]
-        sw[rows] = up
-    if first:
-        cs[1, 0] = cs[0, 0]
-    return cs.reshape(2 * h, rho_b.size)[first:]
 
 
 def arm_kernels(
@@ -427,16 +391,26 @@ def arm_kernels(
     axis_b: Axis,
     n_object: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete propagation kernels from source cells to both detectors.
+    """Discrete propagation kernels from mirror pairs of source cells to
+    both detectors.
 
-    Returns (K_a, K_b) with shapes (n_a, n_s) and (n_b, n_s); the source
-    cell width is folded into the kernels, so E = K @ field.
+    The cells must be centred on rho_s = 0 (``_source_half``), so each
+    node d >= 0 of the half stands for the cells +d and -d. Returns
+    (K_a, K_b), shapes (n_a, 2 h) and (n_b, 2 h) for the h = ceil(n_s / 2)
+    nodes d >= 0: the columns [A | B], with the full kernel K(+-d) = A +- B
+    (2 A at the d = 0 cell of an odd n_s, its own mirror). A field phi on
+    the cells propagates as E = K @ [u | v], u = phi(+d) + phi(-d) and
+    v = phi(+d) - phi(-d). The source cell width is folded in.
 
-    Arm a is the free Fresnel kernel h_a exp(i c_a (rho_a - rho_s)^2 / 2), c_a = w / z_a,
-    built as h_a exp(i c_a rho_a^2 / 2) exp(-i c_a rho_a rho_s) exp(i c_a rho_s^2 / 2).
-    Arm b is the prefactor h_b (``arm_b_prefactor``) times the source chirp
-    exp(i w rho_s^2 / (2 z_b)) times the object transfer T[s, b] of
-    ``object_transfer``.
+    Arm a is the free Fresnel kernel h_a exp(i c_a (rho_a - rho_s)^2 / 2),
+    c_a = w / z_a: with g_a = h_a exp(i c_a rho_a^2 / 2) exp(i c_a d^2 / 2),
+    A = g_a cos(c_a rho_a d) and B = -i g_a sin(c_a rho_a d), from the
+    planes of ``phase.phase_planes``. Arm b is the prefactor h_b
+    (``arm_b_prefactor``) times the source chirp exp(i w d^2 / (2 z_b))
+    times the object transfer T(+-d) = CW -+ i SW: with g_b their product,
+    A = g_b CW and B = -i g_b SW, scaled in the buffer of the half products
+    (``_half_products``). Each column of K_b carries the unit phase of its
+    pixel that the half products leave in, which drops out of |E_b|^2.
     """
     w = geom.omega0_over_c
     rho_s = axis_s.coordinates
@@ -449,15 +423,28 @@ def arm_kernels(
     phase.check_step("source cell (unresolved-cell rule)", axis_s.step, r.cell)
     phase.check_step("arm-a kernel source cell", axis_s.step, r.arm_a)
     phase.check_step("arm-b kernel source cell", axis_s.step, r.arm_b)
+    _source_half(rho_s)
 
-    t = object_transfer(geom, mask, n_object, rho_s, rho_b)
-    t *= (arm_b_prefactor(geom) * gaussian_phase(rho_s, w / geom.z_b) * axis_s.step)[:, None]
+    half, k_b = _half_products(geom, mask, n_object, rho_s, rho_b)
+    cells = np.full(half.size, axis_s.step)
+    if rho_s.size % 2:
+        cells[0] *= 0.5  # d = 0 is its own mirror, where u = 2 phi(0)
+    g_b = arm_b_prefactor(geom) * gaussian_phase(half, w / geom.z_b) * cells
+    k_b[0] *= g_b[:, None]
+    k_b[1] *= (-1j * g_b)[:, None]
 
     c_a = w / geom.z_a
-    k_a = phase.phase_matrix(c_a, rho_a, rho_s)
-    k_a *= (fresnel_prefactor(w, geom.z_a) * gaussian_phase(rho_a, c_a))[:, None]
-    k_a *= gaussian_phase(rho_s, c_a) * axis_s.step
-    return k_a, t.T
+    k_a = np.empty((2, half.size, rho_a.size), dtype=complex)
+    g_a = fresnel_prefactor(w, geom.z_a) * gaussian_phase(rho_a, c_a)
+    rows, cols, block, _ = phase.plane_block(half.size, rho_a.size, 0, 0)
+    scale = np.max(np.abs(rho_s))
+    for s_rows, a_cols, (cos, sin) in phase.phase_planes(
+        c_a, rho_a, half, rows, cols, block, scale
+    ):
+        np.multiply(cos, g_a[a_cols], out=k_a[0, s_rows, a_cols])
+        np.multiply(sin, -1j * g_a[a_cols], out=k_a[1, s_rows, a_cols])
+    k_a *= (gaussian_phase(half, c_a) * cells)[:, None]
+    return k_a.reshape(2 * half.size, -1).T, k_b.reshape(2 * half.size, -1).T
 
 
 def intensity_a(geom: SetupGeometry, axis_a: Axis) -> SampledImage:
@@ -468,16 +455,24 @@ def intensity_a(geom: SetupGeometry, axis_a: Axis) -> SampledImage:
     )
 
 
+def _source_half(rho_s: np.ndarray) -> np.ndarray:
+    """The nodes d >= 0 of ``rho_s``, each standing for d and its mirror
+    -d (the d = 0 node of an odd count for itself alone). Every source sum
+    and both arm kernels pair d with -d, which needs nodes centred on
+    rho_s = 0; else ValueError."""
+    if rho_s[0] + rho_s[-1] != 0.0:
+        raise ValueError("the source sum needs source nodes centred on rho_s = 0")
+    return rho_s[rho_s.size // 2 :]
+
+
 def _source_half_weights(source: SourceProfile, rho_s, w_s) -> np.ndarray:
     """Weights 2 F w_s of the source sum on the nodes d >= 0 of ``rho_s``,
     each standing for d and its mirror -d; the d = 0 row of an odd
-    n_source counts once. The pairing needs nodes centred on rho_s = 0 and
-    F w_s mirror-symmetric about it, to _EVEN_ULPS ulps of its peak; else
-    ValueError (every built-in source passes)."""
+    n_source counts once. The pairing needs nodes centred on rho_s = 0
+    (``_source_half``) and F w_s mirror-symmetric about it, to _EVEN_ULPS
+    ulps of its peak; else ValueError (every built-in source passes)."""
     n = rho_s.size
-    if rho_s[0] + rho_s[-1] != 0.0:
-        raise ValueError("the source sum needs source nodes centred on rho_s = 0")
-    d = rho_s[n // 2 :]
+    d = _source_half(rho_s)
     fw = source.intensity(d) * w_s[n // 2 :]
     mirror = source.intensity(-d) * w_s[::-1][n // 2 :]
     if np.any(np.abs(fw - mirror) > phase._EVEN_ULPS * np.spacing(max(fw.max(), mirror.max()))):

@@ -16,9 +16,14 @@ Cells are sampled in position space and propagated with the two arm
 kernels directly; summing position-basis kernels against independent cell
 amplitudes is equivalent to the plane-wave decomposition (the transverse
 momentum integral collapses onto one source point per cell) and avoids a
-redundant Fourier layer. The kernels are ``correlator.arm_kernels``;
-``estimate_gamma`` folds the source amplitude into them once, so a
-realization is a row of unit phasors looked up in the table.
+redundant Fourier layer. The kernels are ``correlator.arm_kernels``, on
+mirror pairs of the centred cells: with phi(+-d) the unit phasors of the
+cells +-d, a realization propagates as the row [u | v], u = phi(+d) +
+phi(-d) and v = phi(+d) - phi(-d). Both take 64 values, so one lookup of
+the pair index (i+ << 3) | i- in a 128-entry table (u, then v) gives
+them from the two cells' phase indices i+ and i-. ``estimate_gamma``
+folds the source amplitude, the same at +d and -d, into the kernels
+once.
 
 Randomness is counter-based: realization r draws its phase indices from a
 Philox stream keyed by (seed, r), one byte per cell, so cell i of
@@ -60,6 +65,9 @@ MIN_REALIZATIONS = 100  # fewer give no meaningful error bars
 _CELL_MARGIN = 0.8
 # the phases exp(2 pi i k / 8); a cell's index is the low 3 bits of one byte
 _PHASES = np.exp(2j * np.pi * np.arange(8) / 8)
+# u = phi(+d) + phi(-d) at the pair index (i+ << 3) | i- of the cells' phase
+# indices, and v = phi(+d) - phi(-d) at that index plus 64
+_PAIRS = np.concatenate([_PHASES.repeat(8) + s * np.tile(_PHASES, 8) for s in (1, -1)])
 
 
 @dataclass(frozen=True)
@@ -94,15 +102,18 @@ class SpeckleRun:
         """Bytes sampling holds beside the kernels: per block in flight
         (``_batch_covariances``; at most ``threads``, and at most one per
         batch plus one per ``_block_rows`` realizations), its rows' uint8
-        indices, padded to whole Philox words, and complex phasors, 17 bytes
-        a cell, both arms' propagated rows, at most 32 bytes a pixel, and
-        the intp copy of one ``_TAKE_ROWS`` slice; and two n_a x n_b float
-        grids per batch, the stacked covariances and the deviations
-        ``estimate_gamma`` reduces them with."""
+        phase indices, padded to whole Philox words, their uint8 pair
+        indices and the complex [u | v] rows, 17 bytes a column of the
+        2 ceil(n_s / 2), both arms' propagated rows, at most 32 bytes a
+        pixel, and the intp copy of one ``_TAKE_ROWS`` slice of pair
+        indices; and two n_a x n_b float grids per batch, the stacked
+        covariances and the deviations ``estimate_gamma`` reduces them
+        with."""
         n, pixels = self.axis_s.n, self.axis_a.n + self.axis_b.n
-        rows = min(_block_rows(n), self.n_realizations)
+        cols = 2 * ((n + 1) // 2)
+        rows = min(_block_rows(cols), self.n_realizations)
         blocks = min(threads, self.n_batches + self.n_realizations // rows)
-        block = rows * (8 * -(-n // 8) + 16 * n + 32 * pixels) + 8 * min(rows, _TAKE_ROWS) * n
+        block = rows * (8 * -(-n // 8) + 17 * cols + 32 * pixels) + 8 * min(rows, _TAKE_ROWS) * cols
         return blocks * block + 2 * 8 * self.axis_a.n * self.axis_b.n * self.n_batches
 
 
@@ -148,8 +159,9 @@ def sample_source_field(
     """One chaotic source realization: f(rho_s_i) * exp(i theta_i).
 
     Deterministic in (seed, realization_index, cell index); phases are
-    i.i.d. uniform over the eight phases 2 pi k / 8. This is the row the
-    batch path propagates, with the amplitude taken out of the kernels.
+    i.i.d. uniform over the eight phases 2 pi k / 8. The batch path
+    propagates these phasors as mirror-pair sums and differences
+    (``_phasors``), with the amplitude in the kernels.
     """
     idx = _phase_indices(seed, realization_index, realization_index + 1, axis_s.n)
     return source.amplitude(axis_s.coordinates) * _PHASES[idx[0]]
@@ -204,25 +216,35 @@ def default_sampling(
     return axis_s, n_object
 
 
-def _block_rows(n_cells: int) -> int:
-    """Realizations one propagation block holds: as many phasor rows of
-    ``n_cells`` complex cells as fit ``_BLOCK_BYTES``, at least one."""
-    return max(1, _BLOCK_BYTES // (16 * n_cells))
+def _block_rows(n_cols: int) -> int:
+    """Realizations one propagation block holds: as many rows of
+    ``n_cols`` complex phasors as fit ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (16 * n_cols))
 
 
 def _phasors(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
-    """Unit phasors of realizations [lo, hi): the table entries of
-    ``_phase_indices``, gathered ``_TAKE_ROWS`` rows at a time so the intp
-    copy of the uint8 indices that ``np.take`` makes stays that small."""
+    """The rows [u | v] of realizations [lo, hi) on ``n`` centred cells,
+    shape (hi - lo, 2 ceil(n / 2)): for the cells +-d of each node d >= 0,
+    u = phi(+d) + phi(-d) and v = phi(+d) - phi(-d) of the unit phasors of
+    ``_phase_indices`` (u = 2 phi(0) and v = 0 at the d = 0 cell of an
+    odd n, its own mirror). They are the ``_PAIRS`` entries of the pair
+    indices (i+ << 3) | i-, gathered ``_TAKE_ROWS`` rows at a time so the
+    intp copy of the uint8 indices that ``np.take`` makes stays that
+    small."""
     idx = _phase_indices(seed, lo, hi, n)
-    fields = np.empty(idx.shape, dtype=complex)
+    h = (n + 1) // 2
+    pairs = np.empty((hi - lo, 2 * h), dtype=np.uint8)
+    np.multiply(idx[:, n // 2 :], 8, out=pairs[:, :h])  # i+ << 3
+    pairs[:, :h] |= idx[:, (n - 1) // 2 :: -1]
+    np.bitwise_or(pairs[:, :h], 64, out=pairs[:, h:])
+    fields = np.empty(pairs.shape, dtype=complex)
     for r in range(0, hi - lo, _TAKE_ROWS):
-        _PHASES.take(idx[r : r + _TAKE_ROWS], out=fields[r : r + _TAKE_ROWS], mode="clip")
+        _PAIRS.take(pairs[r : r + _TAKE_ROWS], out=fields[r : r + _TAKE_ROWS], mode="clip")
     return fields
 
 
 def _block_moments(
-    k_a: np.ndarray, k_b: np.ndarray, seed: int, pieces: list[tuple[int, int, int]]
+    k_a: np.ndarray, k_b: np.ndarray, seed: int, n_cells: int, pieces: list[tuple[int, int, int]]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Mean intensities and centered co-moment of each (batch, lo, hi) piece
     of one block of consecutive realizations.
@@ -233,7 +255,7 @@ def _block_moments(
     cancellation of the <I_a I_b> - <I_a><I_b> form.
     """
     lo, hi = pieces[0][1], pieces[-1][2]
-    fields = _phasors(seed, lo, hi, k_a.shape[1])
+    fields = _phasors(seed, lo, hi, n_cells)
     i_a = np.abs(fields @ k_a.T) ** 2
     i_b = np.abs(fields @ k_b.T) ** 2
     del fields
@@ -248,14 +270,20 @@ def _block_moments(
 
 
 def _batch_covariances(
-    k_a: np.ndarray, k_b: np.ndarray, seed: int, spans: list[tuple[int, int]], threads: int = 1
+    k_a: np.ndarray,
+    k_b: np.ndarray,
+    seed: int,
+    n_cells: int,
+    spans: list[tuple[int, int]],
+    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Single-pass intensity covariance and mean intensities of each batch
     of realizations [lo, hi) in ``spans``, stacked in batch order: shapes
     (batches, n_a, n_b), (batches, n_a) and (batches, n_b).
 
-    ``k_a`` and ``k_b`` carry the source amplitude on their cell columns, so
-    a realization is a row of unit phasors. A batch longer than
+    ``k_a`` and ``k_b`` are the paired kernels of ``n_cells`` cells with the
+    source amplitude on their columns, so a realization is a row [u | v]
+    of unit-phasor sums and differences (``_phasors``). A batch longer than
     ``_block_rows`` is cut into pieces of that many rows; consecutive pieces
     then share a block up to that size, so short batches are propagated
     together (``_block_moments``), and ``threads`` threads map over blocks.
@@ -282,7 +310,7 @@ def _batch_covariances(
     covs = np.zeros((len(spans), k_a.shape[0], k_b.shape[0]))
 
     def job(pieces):
-        return _block_moments(k_a, k_b, seed, pieces)
+        return _block_moments(k_a, k_b, seed, n_cells, pieces)
 
     # one thread runs in the caller's: a worker thread allocates from a
     # malloc arena of its own, which holds its blocks' pages resident beside
@@ -333,13 +361,15 @@ def estimate_gamma(
     k_a, k_b = arm_kernels(
         geom, mask, run.axis_s, run.axis_a, run.axis_b, run.n_object
     )
-    amp = source.amplitude(run.axis_s.coordinates)
+    n = run.axis_s.n
+    amp = source.amplitude(run.axis_s.coordinates[n // 2 :])  # f(d) = f(-d): A and B alike
+    amp = np.concatenate([amp, amp])
     k_a *= amp  # in place: arm_kernels returns fresh arrays
     k_b *= amp
 
     edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
     spans = [(int(edges[k]), int(edges[k + 1])) for k in range(run.n_batches)]
-    covs, means_a, means_b = _batch_covariances(k_a, k_b, run.seed, spans, threads)
+    covs, means_a, means_b = _batch_covariances(k_a, k_b, run.seed, n, spans, threads)
     mean_a = means_a.mean(axis=0)
     mean_b = means_b.mean(axis=0)
     if np.any(mean_a == 0.0) or np.any(mean_b == 0.0):

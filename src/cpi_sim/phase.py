@@ -11,23 +11,23 @@ refuse any step advancing a phase by more than ``MAX_PHASE_STEP``. An
 auto-sized grid therefore passes its own guard, and no declared span that
 places no nodes can loosen one.
 
-The bilinear phase matrices exp(-i c x_j y_k) that every two-arm integral
+The bilinear phases exp(-i c x_j y_k) that every two-arm integral
 factors into are built here too, by block anchoring along the evenly
 spaced coordinate y: node k = qB + p is the anchor y_qB plus the block-0
 offset y_p - y_0, so each entry is the product of two exponentials from
 tables of about sqrt(n_y) columns. Each entry takes one rounded complex
-product and no recurrence, so nothing drifts along y. One anchoring
-(``_anchoring``) has two outputs: the complex matrix (``phase_matrix``)
-and its cosine and sine as two real planes, streamed in small blocks
-(``phase_planes``) for real matmuls; there each entry's complex product
-is split into the two planes. Every cos/sin table of the two-arm sums
-streams from here, in the blocks of ``plane_block``, the one home of their
-layout and budget, and each pairs mirrored nodes about their midpoint: the
-object sum's column tables (y the non-negative half eps of rho_b, x the
-non-negative half e of the object nodes) and its planes over the source
-half (y the half d >= 0 of rho_s, x that e, ceil(n_o / 2) columns, one per
-mirror pair), and Gamma's source side (y that d, x the non-negative half
-of rho_a, ceil(n_a / 2) columns).
+product and no recurrence, so nothing drifts along y. The anchoring
+(``_anchoring``) has one output: the cosine and sine as two real planes,
+streamed in small blocks (``phase_planes``) for real matmuls; each
+entry's complex product is split into the two planes. Every cos/sin table
+of the two-arm sums and kernels streams from here, in the blocks of
+``plane_block``, the one home of their layout and budget, and each pairs
+mirrored nodes about their midpoint: the object sum's column tables (y
+the non-negative half eps of rho_b, x the non-negative half e of the
+object nodes) and its planes over the source half (y the half d >= 0 of
+rho_s, x that e, ceil(n_o / 2) columns, one per mirror pair), Gamma's
+source side (y that d, x the non-negative half of rho_a, ceil(n_a / 2)
+columns) and the arm-a kernel (y that d, x all of rho_a).
 """
 
 from __future__ import annotations
@@ -165,43 +165,6 @@ def _anchoring(y: np.ndarray, block: int, scale: float) -> tuple[np.ndarray, np.
     return anchors, offsets
 
 
-def phase_matrix(c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear phase matrix exp(-i c x_j y_k), shape (x.size, y.size).
-
-    Every coupling phase of the two-arm integrals is bilinear, so each
-    kernel factors into these matrices and dense matmuls.
-
-    ``y`` must be evenly spaced; ``x`` may be any node set (a piecewise
-    uniform two-slit rho_o goes here). With blocks of B = ceil(sqrt(n_y))
-    nodes, y_(qB+p) = y_qB + (y_p - y_0), so
-
-        exp(-i c x y_(qB+p)) = exp(-i c x y_qB) * exp(-i c x (y_p - y_0))
-
-    and the n_x n_y complex exps of the direct build shrink to about
-    2 n_x sqrt(n_y) plus one complex product per entry. Against the direct
-    ``np.exp(-1j * c * np.outer(x, y))`` the largest absolute error is
-    8.8e-14 on the refocus demo's 916 x 4379 object-source matrix (phases
-    up to 151 rad). A ``y`` whose nodes do not match their anchor plus
-    offset to within _EVEN_ULPS ulps of max|y| raises ValueError
-    (``_anchoring``).
-
-    The result is the transpose of a C-ordered (y.size, x.size) buffer,
-    so the products run over contiguous rows of length x.size.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    block = anchor_block(n)
-    anchors, offsets = _anchoring(y, block, np.max(np.abs(y)))
-    a = np.exp((-1j * c) * np.outer(anchors, x))
-    e = np.exp((-1j * c) * np.outer(offsets, x))
-    out = np.empty((n, x.size), dtype=complex)
-    for q, lo in enumerate(range(0, n, block)):
-        hi = min(lo + block, n)
-        np.multiply(a[q], e[: hi - lo], out=out[lo:hi])
-    return out.T
-
-
 def plane_block(
     n_y: int, n_x: int, row_entries: int, col_entries: int
 ) -> tuple[int, int, int, int]:
@@ -235,12 +198,14 @@ def phase_planes(
     exp(-i c x y) = planes[0] - i planes[1]. The planes are one buffer,
     reused: read each block before the next.
 
-    This is ``phase_matrix``'s anchoring with the opposite sign: per chunk
-    of x, the offset table exp(i c x (y_p - y_0)), p < ``block``, is built
-    once, each anchor y_qB adds one row exp(i c x y_qB), and each entry is
-    the angle sum as one complex product, (cos a + i sin a)(cos b + i sin b)
-    = cos(a + b) + i sin(a + b), whose real and imaginary parts are copied
-    into the two planes. ``rows`` must be a multiple of ``block`` unless
+    With blocks of B = ``block`` nodes, y_(qB+p) = y_qB + (y_p - y_0):
+    per chunk of x, the offset table exp(i c x (y_p - y_0)), p < B, is
+    built once, each anchor y_qB adds one row exp(i c x y_qB), and each
+    entry is the angle sum as one complex product, (cos a + i sin a)
+    (cos b + i sin b) = cos(a + b) + i sin(a + b), whose real and
+    imaginary parts are copied into the two planes. ``x`` may be any node
+    set (a piecewise uniform two-slit rho_o goes here); ``y`` must be
+    evenly spaced (``_anchoring``). ``rows`` must be a multiple of ``block`` unless
     it covers y, so every block starts at an anchor. Evenness is checked
     once, on all of y, to _EVEN_ULPS ulps of ``scale``. Besides the planes
     (2 rows cols entries) this holds the complex offset table and product

@@ -138,3 +138,17 @@ def fit_gaussian_width(
 def e2_full_width(width: float) -> float:
     """Full width at 1/e^2 of exp(-(x/w)^2): 2*sqrt(2)*w."""
     return 2.0 * np.sqrt(2.0) * width
+
+
+def full_kernels(k: np.ndarray, n_s: int) -> np.ndarray:
+    """The kernel on all ``n_s`` cells, shape (pixels, n_s), of a paired
+    kernel k = [A | B] of ``correlator.arm_kernels`` on the h =
+    ceil(n_s / 2) nodes d >= 0: K(+d) = A + B, K(-d) = A - B, and 2 A at
+    the d = 0 cell of an odd n_s, its own mirror."""
+    h = (n_s + 1) // 2
+    a, b = k[:, :h], k[:, h:]
+    full = np.concatenate([(a - b)[:, ::-1], a + b], axis=1)
+    if n_s % 2:  # both copies of the d = 0 column sum to 2 A
+        full[:, h] += full[:, h - 1]
+        full = np.delete(full, h - 1, axis=1)
+    return full

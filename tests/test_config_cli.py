@@ -748,9 +748,9 @@ class TestCli:
             config.resolve()
 
     def test_monte_carlo_estimate_is_pinned_at_the_limit(self, monkeypatch):
-        # the arm-a kernel K_a (1352 cells x n_a), the half products CW, SW
-        # (2 x 676 rows of n_b), in whose buffer K_b is assembled, and the
-        # grid twice, 16 bytes each; the column tables of the object sum
+        # the paired arm-a kernel K_a (2 x 676 columns [A | B] of n_a), the
+        # half products CW, SW (2 x 676 rows of n_b), in whose buffer K_b is
+        # scaled, and the grid twice, 16 bytes each; the column tables of the object sum
         # (2 planes x 33 mirror pairs of the 66 object nodes x 4 x 32
         # pixels of the eps_b >= 0 half), 8 bytes each; one object
         # half-products block, 8 bytes an entry: 2**20 entries allow
@@ -760,17 +760,19 @@ class TestCli:
         # pairs), the complex offset table and product buffer (4 x 26
         # rows), the complex anchor row and its angles (3 rows) and the
         # part products (2 x 676 rows of 4 x 32);
+        # the arm-a kernel's plane block (676 rows of 64 pixels) is smaller;
         # then sampling: per thread one propagation block of 4 MiB // (16 x
-        # 1352) = 193 rows, each 8 x 169 bytes of padded indices, 16 x 1352
-        # of phasors and 32 x (64 + 64) of propagated rows, plus a 16-row
-        # intp slice of 8 x 1352 bytes a row; and two 8-byte n_a x n_b
-        # grids per batch
+        # 1352) = 193 rows, each 8 x 169 bytes of padded phase indices,
+        # 1352 of pair indices, 16 x 1352 of [u | v] rows and 32 x
+        # (64 + 64) of propagated rows, plus a 16-row intp slice of 8 x 1352
+        # bytes a row; and two 8-byte n_a x n_b grids per batch
         config = parse_config(DEMOS["montecarlo"])
         block = 33 * (2 * 676 + 4 * 26 + 3) + 2 * 676 * 4 * 32
+        assert cpi_sim.phase.plane_block(676, 64, 0, 0)[3] < block
         kernels = (
-            16 * (1352 * 64 + 2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
+            16 * (2 * 676 * 64 + 2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
         )
-        sampling = 193 * (8 * 169 + 16 * 1352 + 32 * 128) + 16 * 8 * 1352
+        sampling = 193 * (8 * 169 + 17 * 1352 + 32 * 128) + 16 * 8 * 1352
         need = kernels + sampling + 2 * 8 * 64 * 64 * 20
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         speckle = config.resolve().speckle

@@ -247,12 +247,12 @@ class TestGammaQuadrature:
         # with odd and even pixel counts, where the object factor is real
         # and the object sum leaves its zero parity blocks out. The object
         # sum turns its rows by (c1 m - c_a mu_a) d, for the midpoints m of
-        # the object nodes and mu_a of rho_a, and its columns by
-        # c1 m eps / M when m != 0: "moved" runs both turns (an off-centre
-        # mask on moved axes), and "cancelled" the column turn alone
-        # (z_a = z_b and mu_a = m, so the two row rates cancel exactly and
-        # no row turns; the column turn is a phase per rho_b, which drops
-        # out of |G|^2)
+        # the object nodes and mu_a of rho_a, and leaves out the column
+        # phase exp(-i c1 m eps / M), one unit factor per rho_b, which
+        # drops out of |G|^2: "moved" turns its rows with m != 0 (an
+        # off-centre mask on moved axes), and in "cancelled" z_a = z_b and
+        # mu_a = m, so the two row rates cancel exactly and no row turns,
+        # while m != 0 leaves a column phase out)
         g = request.getfixturevalue(geom_name)
         mask = {"slits": slits, "odd": _odd_mask(16), "real": _real_mask(), "complex": _complex_mask()}[
             mask_name
@@ -281,13 +281,12 @@ class TestGammaQuadrature:
         if variant in ("odd", "even"):
             quad = replace(quad, n_source=quad.n_source + (quad.n_source % 2 != (variant == "odd")))
             assert quad.n_source % 2 == (variant == "odd")
-        streams, complex_built, columns = _spy_planes(monkeypatch)
+        streams, columns = _spy_planes(monkeypatch)
         if variant == "chunked":
             monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 40 * 40)
         grid = gamma_quadrature(g, source, mask, axis_a, axis_b, quad)
-        # no complex phase matrix: the column tables, the object sum and
-        # Gamma's source side each stream cos/sin planes
-        assert complex_built == {}
+        # the column tables, the object sum and Gamma's source side each
+        # stream cos/sin planes
         w = g.omega0_over_c
         rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
         rho_o, w_o, _ = object_quadrature(mask, quad.n_object)
@@ -403,8 +402,9 @@ class TestGaussianOracle:
         # real and even (its samples symmetrized to the last bit), so the
         # object sum runs one parity block a plane and no turn; "turned"
         # moves rho_a, rho_b and the object off 0, so the rows of Gamma's
-        # source side turn by c_a d mu_a and the object sum's rows and
-        # columns by c1 m d and c1 m eps / M, over all four blocks.
+        # source side turn by c_a d mu_a and the object sum's rows by
+        # c1 m d, over all four blocks, and the object sum leaves out the
+        # column phase exp(-i c1 m eps / M), which drops out of |G|^2.
         sigma = 0.5e-3
         g = make_geometry(z_a=0.1, z_b=z_b, S_o=0.2, F=0.05, lambda0=500e-9)
         source = SourceProfile.gaussian(sigma)
@@ -421,7 +421,7 @@ class TestGaussianOracle:
             n_object=1126,
         )
         assert np.array_equal(object_quadrature(mask, quad.n_object)[0], c[::32])
-        _, _, columns = _spy_planes(monkeypatch)
+        _, columns = _spy_planes(monkeypatch)
         grid = gamma_quadrature(g, source, mask, axis_a, axis_b, quad)
         assert set(columns[1]) == {(1 if path == "centred" else 4) * ((axis_b.n + 1) // 2)}
         exact = gaussian_gamma(g, sigma, omega, axis_a.coordinates, axis_b.coordinates, center)
@@ -636,10 +636,17 @@ class TestPhasePolicy:
         assert owners == {"phase.py"}
 
     def test_one_arm_b_model(self):
-        # correlator.object_transfer builds every arm-b phase matrix and
-        # correlator.arm_b_prefactor holds the arm-b prefactor formula
+        # correlator._half_products is the one object sum, which Gamma, I_b
+        # and the arm-b kernel share (no full object transfer T is built),
+        # and correlator.arm_b_prefactor holds the arm-b prefactor formula
         package = Path(cpi_sim.__file__).parent
-        assert "phase_matrix" not in (package / "montecarlo.py").read_text(encoding="utf-8")
+        assert not hasattr(correlator, "object_transfer")
+        calls = [
+            path.name
+            for path in package.glob("*.py")
+            for _ in re.finditer(r"\b_half_products\(", path.read_text(encoding="utf-8"))
+        ]
+        assert calls == ["correlator.py"] * 4  # its definition and three callers
         prefactor = re.compile(r"fresnel_prefactor\([^()]*S_i\)")
         hits = [
             path.name
@@ -651,11 +658,13 @@ class TestPhasePolicy:
     def test_one_propagator_module(self):
         # correlator.py builds both arm propagators; the Monte Carlo only
         # samples cells and reduces statistics, and no kernel is a per-entry
-        # exponential of a 2D coordinate difference
+        # exponential of a 2D coordinate difference; one anchoring has one
+        # output, the cos/sin planes, so no complex phase matrix is built
         package = Path(cpi_sim.__file__).parent
+        assert not hasattr(phase, "phase_matrix")
         montecarlo = (package / "montecarlo.py").read_text(encoding="utf-8")
         optics = (
-            "phase_matrix", "fresnel_prefactor", "gaussian_phase", "object_transfer",
+            "phase_planes", "fresnel_prefactor", "gaussian_phase", "_half_products",
             "object_quadrature", "arm_b_prefactor",
         )
         assert [name for name in optics if re.search(rf"\b{name}\b", montecarlo)] == []
@@ -779,24 +788,24 @@ class TestGuardsAtTheirRates:
 
 class TestObjectTransferGuard:
     def test_a_direct_call_is_guarded(self, geom_focused, source, slits, axis_b):
-        # object_transfer builds its own rho_o nodes, so it checks their
+        # the object sum builds its own rho_o nodes, so it checks their
         # step itself: 16 nodes over two 50 um slits step 6.25 um, past the
         # ~3.1 um limit at |rho_s| = 2.5 mm and |rho_b| = 500 um
         rho_s = source_quadrature(source, 64)[0]
         rho_b = axis_b.coordinates
         with pytest.raises(UnderResolved, match=r"^object quadrature \(n_object = 16\) step "):
-            correlator.object_transfer(geom_focused, slits, 16, rho_s, rho_b)
-        t = correlator.object_transfer(geom_focused, slits, 64, rho_s, rho_b)
-        assert t.shape == (rho_s.size, rho_b.size)
+            correlator._half_products(geom_focused, slits, 16, rho_s, rho_b)
+        half, cs = correlator._half_products(geom_focused, slits, 64, rho_s, rho_b)
+        assert cs.shape == (2, half.size, rho_b.size) and half.size == 32
 
     @pytest.mark.parametrize("n_object", [0, -5])
     def test_too_few_object_nodes_are_refused(self, geom_focused, source, slits, axis_b, n_object):
-        # the count used to pass unchecked: 0 crashed the assembly of T and
-        # -5 returned its unassembled half products
+        # the count used to pass unchecked: 0 crashed the assembly of the
+        # full object transfer and -5 returned its unassembled half products
         rho_s = source_quadrature(source, 64)[0]
         message = rf"^n_object: need at least 16 object nodes, got {n_object}$"
         with pytest.raises(ValueError, match=message):
-            correlator.object_transfer(geom_focused, slits, n_object, rho_s, axis_b.coordinates)
+            correlator._half_products(geom_focused, slits, n_object, rho_s, axis_b.coordinates)
         axis_a = Axis.from_half_width(8, 150e-6)
         axis_s, _ = default_sampling(geom_focused, source, slits, axis_a, axis_b)
         with pytest.raises(ValueError, match=message):
@@ -807,17 +816,16 @@ class TestObjectTransferGuard:
         # rho_s - c only on an evenly spaced axis
         rho_s = np.array([0.0, 1.0, 3.0]) * 1e-6
         with pytest.raises(ValueError, match="evenly spaced rho_s"):
-            correlator.object_transfer(geom_focused, slits, 64, rho_s, axis_b.coordinates)
+            correlator._half_products(geom_focused, slits, 64, rho_s, axis_b.coordinates)
 
 
 def _spy_planes(monkeypatch):
     """Record the (rows, columns) of every block ``phase.phase_planes``
-    yields, one list per stream; the float columns of the right-hand
+    yields, one list per stream, and the float columns of the right-hand
     factor of every ``np.matmul``, one list per stream, the one streaming
-    at the time; and the entries of every complex phase matrix, keyed by
-    its coupling constant."""
-    streams, complex_built, columns = [], {}, []
-    planes, matrix, matmul = phase.phase_planes, phase.phase_matrix, np.matmul
+    at the time."""
+    streams, columns = [], []
+    planes, matmul = phase.phase_planes, np.matmul
 
     def planes_spy(c, x, y, *args):
         streams.append([])
@@ -826,23 +834,34 @@ def _spy_planes(monkeypatch):
             streams[-1].append(block.shape[1:])
             yield ys, xs, block
 
-    def matrix_spy(c, x, y):
-        complex_built.setdefault(c, []).append(len(x) * len(y))
-        return matrix(c, x, y)
-
     def matmul_spy(a, b, *args, **kwargs):
         if columns:
             columns[-1].append(b.shape[-1])
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(phase, "phase_planes", planes_spy)
-    monkeypatch.setattr(phase, "phase_matrix", matrix_spy)
     monkeypatch.setattr(np, "matmul", matmul_spy)
-    return streams, complex_built, columns
+    return streams, columns
+
+
+def _transfer(geom, mask, n_object, rho_s, rho_b):
+    """The object transfer T[s, b] on every node of ``rho_s``, assembled
+    here from the half products of ``correlator._half_products`` on the
+    nodes c + d, d >= 0: T(c +- d) = CW -+ i SW, with the column phase
+    exp(-i c1 m eps / M) that they leave out put back for the midpoints m
+    of the object nodes and mu_b of rho_b = mu_b + eps."""
+    _, (cw, sw) = correlator._half_products(geom, mask, n_object, rho_s, rho_b)
+    t = np.concatenate([(cw + 1j * sw)[::-1], cw - 1j * sw])
+    if rho_s.size % 2:  # the d = 0 row is its own mirror
+        t = np.delete(t, cw.shape[0], axis=0)
+    rho_o = object_quadrature(mask, n_object)[0]
+    m, mu_b = 0.5 * (rho_o[0] + rho_o[-1]), 0.5 * (rho_b[0] + rho_b[-1])
+    return t * np.exp((-1j * geom.omega0_over_c / geom.z_b * m / geom.M) * (rho_b - mu_b))
 
 
 class TestObjectTransferDirectSum:
-    """object_transfer equals sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b/M))."""
+    """The half products of ``correlator._half_products``, assembled into
+    T (``_transfer``), equal sum_o A(rho_o) w_o exp(-i c1 rho_o (rho_s + rho_b/M))."""
 
     @staticmethod
     def _direct(geom, mask, n_object, rho_s, rho_b):
@@ -867,17 +886,16 @@ class TestObjectTransferDirectSum:
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
         n_o = object_quadrature(mask, n_object)[0].size
-        streams, complex_built, _ = _spy_planes(monkeypatch)
-        t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
+        streams, _ = _spy_planes(monkeypatch)
+        t = _transfer(geom_focused, mask, n_object, rho_s, rho_b)
         # phase entries for the ceil(n_b/2) pixels eps >= 0 and the
         # ceil(n/2) nodes of the non-negative source half, each by the
         # ceil(n_o/2) mirror pairs of object nodes only, all as cos/sin
-        # planes: no complex matrix
+        # planes
         tables, blocks = streams
         pairs = (n_o + 1) // 2
         assert sum(rows * cols for rows, cols in tables) == pairs * ((rho_b.size + 1) // 2)
         assert sum(rows * cols for rows, cols in blocks) == pairs * ((rho_s.size + 1) // 2)
-        assert complex_built == {}
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         peak = np.abs(direct).max()
@@ -902,8 +920,8 @@ class TestObjectTransferDirectSum:
         # entries a column, for the K = 64 mirror pairs of object nodes
         monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 90 * (6 * pairs + 4 * rho_b.size) + 3 * pairs)
         assert phase.plane_block(2001, pairs, 4 * rho_b.size, 0)[:3] == (90, pairs, 45)
-        streams, _, _ = _spy_planes(monkeypatch)
-        t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
+        streams, _ = _spy_planes(monkeypatch)
+        t = _transfer(geom_focused, mask, n_object, rho_s, rho_b)
         assert streams == [[(6, pairs)], [(90, pairs)] * 22 + [(21, pairs)]]
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
@@ -924,8 +942,8 @@ class TestObjectTransferDirectSum:
         monkeypatch.setattr(phase, "_BLOCK_ENTRIES", 50 * 50)
         rows, cols, block, entries = phase.plane_block(17, 64, 4 * 12, 0)
         assert (rows, cols, block) == (5, 50, 5) and entries <= 50 * 50
-        streams, _, _ = _spy_planes(monkeypatch)
-        t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
+        streams, _ = _spy_planes(monkeypatch)
+        t = _transfer(geom_focused, mask, n_object, rho_s, rho_b)
         assert streams == [[(6, 50), (6, 14)], [(r, k) for k in (50, 14) for r in (5, 5, 5, 2)]]
 
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
@@ -948,7 +966,8 @@ class TestObjectTransferDirectSum:
     ):
         # the object nodes are rho_o = m + e, summed over the 64 mirror
         # pairs (e, -e): the complex and real masks are off-centre (m != 0),
-        # so every row is turned by c1 m d and every column by c1 m eps / M,
+        # so every row is turned by c1 m d and the column phase
+        # exp(-i c1 m eps / M) is left out (``_transfer`` puts it back),
         # and the slits and the odd mask are centred (m = 0); an odd node
         # count has an e = 0 node, its own mirror, counted once. A budget of
         # 50 x 50 entries streams the 64 pairs in chunks of 50 and 14. The
@@ -974,8 +993,8 @@ class TestObjectTransferDirectSum:
             rho_b = Axis.from_half_width(int(axes[-2:]), 200e-6).coordinates
         if budget:
             monkeypatch.setattr(phase, "_BLOCK_ENTRIES", budget)
-        streams, _, columns = _spy_planes(monkeypatch)
-        t = correlator.object_transfer(geom_focused, mask, n_object, rho_s, rho_b)
+        streams, columns = _spy_planes(monkeypatch)
+        t = _transfer(geom_focused, mask, n_object, rho_s, rho_b)
         _, blocks = streams
         assert sorted({cols for _, cols in blocks}) == ([14, 50] if budget else [64])
         k = (rho_b.size + 1) // 2
@@ -1026,49 +1045,50 @@ class TestObjectNodeSymmetry:
         monkeypatch.setattr(
             correlator, "object_quadrature", lambda mask, n: (nodes, weights, 1e-9)
         )
-        streams, complex_built, _ = _spy_planes(monkeypatch)
+        streams, _ = _spy_planes(monkeypatch)
         message = (
             r"^the object sum needs object nodes mirror-symmetric about their midpoint; "
             r"node 7 is 5\.000e-10 m off the mirror image of its partner"
         )
         rho_s = source_quadrature(source, 64)[0]
         with pytest.raises(ValueError, match=message):
-            correlator.object_transfer(geom_focused, slits, 64, rho_s, axis_b.coordinates)
+            correlator._half_products(geom_focused, slits, 64, rho_s, axis_b.coordinates)
         quad = QuadratureSpec.auto(geom_focused, source, slits, axis_a, axis_b)
         with pytest.raises(ValueError, match=message):
             gamma_quadrature(geom_focused, source, slits, axis_a, axis_b, quad)
         with pytest.raises(ValueError, match=message):
             intensity_b(geom_focused, source, slits, axis_b, quad)
-        assert streams == [] and complex_built == {}
+        assert streams == []
 
 
 class TestObjectTransferBlocks:
-    """object_transfer in several blocks of its source half equals its
-    one-block result."""
+    """The object sum, and the streams that read its half products, in
+    several blocks of the source half equal their one-block result."""
 
     @staticmethod
-    def _blocked(monkeypatch, n_o, n_b, n_s, call, n_a=None):
+    def _blocked(monkeypatch, n_o, n_b, n_s, call, third=None, turned=False):
         # the default budget holds the whole half in one block; then at
         # least four full blocks of the non-negative rho_s half, each a
         # multiple of the anchor spacing ceil(sqrt(half)), and a ragged one;
         # the half holds ceil(n_s / 2) nodes. The object sum first streams
         # its column tables (the ceil(n_b / 2) pixels eps_b >= 0 by the
         # ceil(n_o / 2) mirror pairs of object nodes), then the half over
-        # those pairs; gamma_quadrature (n_a given) then streams the half a
-        # second time, its source side over the ceil(n_a / 2) pixels
-        # eps_a >= 0 of detector a, in the blocks phase.plane_block sizes.
-        # Its detector a is off centre (mu_a != 0) and its slits centred
-        # (m = 0), so the object sum turns its rows by -c_a mu_a d, which
-        # the calls without detector a (turn 0) leave out
+        # those pairs; a third stream, ``third`` = (its pixels, its
+        # products a pixel), takes the half once more, in the blocks
+        # phase.plane_block sizes: gamma_quadrature's source side over the
+        # ceil(n_a / 2) pixels eps_a >= 0 of detector a, or the arm-a
+        # kernel of arm_kernels over all n_a. Gamma's detector a is off
+        # centre (mu_a != 0) and its slits centred (m = 0), so the object
+        # sum turns its rows by -c_a mu_a d (``turned``), which the calls
+        # without Gamma's turn (turn 0) leave out
         half, pairs = (n_s + 1) // 2, (n_o + 1) // 2
-        k_a = (n_a + 1) // 2 if n_a else None
         block = phase.anchor_block(half)
         chunk = block * ((half - 1) // (4 * block))
         with monkeypatch.context() as m:
-            streams, _, columns = _spy_planes(m)
+            streams, columns = _spy_planes(m)
             one = call()
             assert streams == [[((n_b + 1) // 2, pairs)], [(half, pairs)]] + (
-                [[(half, k_a)]] if n_a else []
+                [[(half, third[0])]] if third else []
             )
             n_cols = columns[1][0]  # the float columns of the object sum's part products
             streams.clear()
@@ -1077,16 +1097,21 @@ class TestObjectTransferBlocks:
             # part products' n_cols floats, or the turn's 2 n_b if more,
             # and three anchor entries a column, for K = ceil(n_o / 2)
             # columns
-            width = max(n_cols, 2 * n_b) if n_a else n_cols
+            width = max(n_cols, 2 * n_b) if turned else n_cols
             m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * pairs + 2 * width) + 3 * pairs)
             blocked = call()
-            if n_a:
-                rows = phase.plane_block(half, k_a, 0, 4 * n_b)[0]
-                assert streams[2] == [(min(rows, half - lo), k_a) for lo in range(0, half, rows)]
+            if third:
+                n_x, col_entries = third
+                rows, cols = phase.plane_block(half, n_x, 0, col_entries)[:2]
+                assert streams[2] == [
+                    (min(rows, half - lo), min(cols, n_x - j))
+                    for j in range(0, n_x, cols)
+                    for lo in range(0, half, rows)
+                ]
         sizes = [rows for rows, _ in streams[1]]
         assert len(sizes) >= 5 and sum(sizes) == half
         assert sizes[:-1] == [chunk] * (len(sizes) - 1) and 0 < sizes[-1] < chunk
-        assert len(streams) == (3 if n_a else 2)
+        assert len(streams) == (3 if third else 2)
         return one, blocked
 
     @staticmethod
@@ -1103,7 +1128,8 @@ class TestObjectTransferBlocks:
         n_o = object_quadrature(slits, quad.n_object)[0].size
         gamma, blocked = self._blocked(
             monkeypatch, n_o, axis_b.n, quad.n_source,
-            lambda: gamma_quadrature(g, source, slits, axis_a, axis_b, quad), axis_a.n,
+            lambda: gamma_quadrature(g, source, slits, axis_a, axis_b, quad),
+            ((axis_a.n + 1) // 2, 4 * axis_b.n), turned=True,
         )
         self._assert_close(blocked.values, gamma.values)
         i_b, blocked = self._blocked(
@@ -1121,7 +1147,7 @@ class TestObjectTransferBlocks:
         n_o = object_quadrature(slits, n_object)[0].size
         (k_a, k_b), (blocked_a, blocked_b) = self._blocked(
             monkeypatch, n_o, axis_b.n, axis_s.n,
-            lambda: arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object),
+            lambda: arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object), (axis_a.n, 0),
         )
         self._assert_close(blocked_a, k_a)
         self._assert_close(blocked_b, k_b)
@@ -1144,20 +1170,20 @@ class TestObjectTransferMemory:
     def test_arm_kernels_peak_is_within_the_working_set_estimate(
         self, monkeypatch, geom_defocused, source, slits
     ):
-        # check_working_set counts T once, as the buffer of the half
-        # products in which object_transfer builds it, beside the object
-        # sum's column tables, the grid and one block; the Monte Carlo
-        # caller adds K_a (16 n_s n_a bytes).
+        # check_working_set counts K_b once, as the buffer of the half
+        # products in which arm_kernels scales it, beside the object sum's
+        # column tables, the grid and one block; the Monte Carlo caller
+        # adds the paired K_a (16 n_a 2 ceil(n_s / 2) bytes).
         # With n_b = 512 well above n_a = 8 the peak stays below the
-        # estimate, which is less than two arrays of T's size (16 x 1626 x
-        # 512 bytes each)
+        # estimate, which is less than two arrays of the full kernel's
+        # size (16 x 1626 x 512 bytes each)
         axis_a = Axis.from_half_width(8, 200e-6)
         axis_b = Axis.from_half_width(512, 500e-6)
         axis_s, n_object = default_sampling(geom_defocused, source, slits, axis_a, axis_b)
         assert (axis_s.n, n_object) == (1626, 81)
         needs = []
         monkeypatch.setattr(correlator, "check_bytes", lambda what, need, counts: needs.append(need))
-        k_a = 16 * axis_s.n * axis_a.n
+        k_a = 16 * 2 * ((axis_s.n + 1) // 2) * axis_a.n
         correlator.check_working_set("arm kernels", axis_s.n, n_object, axis_a.n, axis_b.n, k_a)
         (need,) = needs
         assert need < 2 * 16 * axis_s.n * axis_b.n

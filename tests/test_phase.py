@@ -1,5 +1,5 @@
-"""The block-anchored phase-matrix builder against the direct exponential,
-and the plan of its cos/sin plane blocks."""
+"""The block-anchored cos/sin plane stream against the direct exponential,
+and the plan of its blocks."""
 
 import itertools
 
@@ -12,6 +12,20 @@ from cpi_sim.optics import object_quadrature, source_quadrature
 
 def _direct(c, x, y):
     return np.exp((-1j * c) * np.outer(x, y))
+
+
+def _streamed(c, x, y, budget=None):
+    """exp(-i c x_j y_k), shape (x.size, y.size), put together from the
+    blocks of ``phase.phase_planes`` as planes[0] - i planes[1], in the
+    plan of ``phase.plane_block`` (for ``budget`` entries, if given)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    out = np.full((y.size, x.size), np.nan, dtype=complex)
+    rows, cols, block, _ = phase.plane_block(y.size, x.size, 0, 0)
+    if budget:
+        rows, cols, block = budget
+    for ys, xs, planes in phase.phase_planes(c, x, y, rows, cols, block, np.max(np.abs(y))):
+        out[ys, xs] = planes[0] - 1j * planes[1]
+    return out.T
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +46,7 @@ def refocus_nodes():
     return nodes, consts
 
 
-class TestPhaseMatrix:
+class TestPhasePlanes:
     @pytest.mark.parametrize(
         "c, x, y",
         [("c1", "o", "s"), ("c_a", "s", "a"), ("c_b", "o", "b"), ("c1", "a", "b")],
@@ -42,7 +56,7 @@ class TestPhaseMatrix:
         nodes, consts = refocus_nodes
         assert {v.size for v in nodes.values()} == {4379, 916, 160, 64}
         c, x, y = consts[c], nodes[x], nodes[y]
-        np.testing.assert_allclose(phase.phase_matrix(c, x, y), _direct(c, x, y), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_streamed(c, x, y), _direct(c, x, y), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("shift", [-3.0, 0.7, 5.0, 40.0])
     def test_matches_direct_exp_off_centre(self, shift):
@@ -50,26 +64,30 @@ class TestPhaseMatrix:
         x = Axis.from_half_width(97, 3e-4, center=-0.4 * 3e-4).coordinates
         y = Axis.from_half_width(1001, 2e-4, center=shift * 2e-4).coordinates
         c = 150.0 / (np.max(np.abs(x)) * np.max(np.abs(y)))
-        np.testing.assert_allclose(phase.phase_matrix(c, x, y), _direct(c, x, y), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_streamed(c, x, y), _direct(c, x, y), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_y", [1, 2, 3, 16, 17])
     def test_matches_direct_exp_small_and_partial_blocks(self, n_y):
-        # 17 nodes in blocks of 5: the last block holds 2
+        # 17 nodes in blocks of 5: the last block holds 2; the same nodes
+        # also in blocks of two anchor spacings of y by 15 nodes of x, so
+        # both axes are cut
         x = np.linspace(-2e-3, 1e-3, 40)
         y = np.linspace(-1e-3, 2.5e-3, n_y)
         c = 2.0e7
-        got = phase.phase_matrix(c, x, y)
-        assert got.shape == (40, n_y)
-        np.testing.assert_allclose(got, _direct(c, x, y), rtol=0, atol=1e-12)
+        block = phase.anchor_block(n_y)
+        for budget in (None, (n_y if n_y < 10 else 2 * block, 15, block)):
+            got = _streamed(c, x, y, budget)
+            assert got.shape == (40, n_y)
+            np.testing.assert_allclose(got, _direct(c, x, y), rtol=0, atol=1e-12)
 
     def test_uneven_y_raises(self, refocus_nodes):
         nodes, consts = refocus_nodes
         with pytest.raises(ValueError, match="evenly spaced"):
-            phase.phase_matrix(consts["c1"], nodes["s"], nodes["o"])  # two-slit rho_o
+            _streamed(consts["c1"], nodes["s"], nodes["o"])  # two-slit rho_o
         y = np.linspace(-1e-3, 1e-3, 50)
         y[31] += 1e-6 * (y[1] - y[0])
         with pytest.raises(ValueError, match="evenly spaced"):
-            phase.phase_matrix(1e7, np.ones(3), y)
+            _streamed(1e7, np.ones(3), y)
 
 
 class TestRates:
