@@ -49,8 +49,8 @@ MAX_PHASE_STEP = np.pi / 2.0
 # planes, their tables and the caller's products (``plane_block``)
 _BLOCK_ENTRIES = 2**20
 
-# evenness tolerance, in ulps of the axis scale (max|y|, or max|rho_s| for
-# the object transfer's source half, max|rho_b| for the object sum's column
+# evenness tolerance, in ulps of the axis scale (max|rho_s| for every
+# stream over the source half, max|rho_b| for the object sum's column
 # tables): on a node's distance from its block anchor plus block-0 offset
 # (_anchoring; linspace and Axis nodes stay within 2.5) and from its mirror
 # image about the midpoint (correlator's sums, for rho_s and the detector

@@ -181,8 +181,14 @@ class TestArmKernels:
         peak = np.abs(direct).max()
         np.testing.assert_allclose(k_a, direct, rtol=1e-12, atol=1e-12 * peak)
 
-    @pytest.mark.parametrize("mask_name", ["slits", "off-centre"])
-    @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
+    @pytest.mark.parametrize(
+        "geom_name, mask_name",
+        [
+            pytest.param(g, m, id=g if m == "slits" else f"{g}-off-centre-mask")
+            for g in ("geom_focused", "geom_defocused")
+            for m in ("slits", "off-centre")
+        ],
+    )
     def test_arm_b_matches_per_pixel_object_integral(
         self, request, geom_name, mask_name, source, slits
     ):

@@ -46,7 +46,10 @@ def refocus_nodes():
     return nodes, consts
 
 
-class TestPhasePlanes:
+class TestPhaseMatrix:
+    """The bilinear phase matrix exp(-i c x_j y_k), streamed as cos/sin
+    planes (``_streamed``), against the direct exponential."""
+
     @pytest.mark.parametrize(
         "c, x, y",
         [("c1", "o", "s"), ("c_a", "s", "a"), ("c_b", "o", "b"), ("c1", "a", "b")],
