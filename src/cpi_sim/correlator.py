@@ -246,14 +246,14 @@ def _fold(out: np.ndarray, a, b, sign: int) -> None:
 
 
 def _half_products(
-    geom: SetupGeometry, mask: ObjectMask, n_object: int, rho_s, rho_b, turn: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """The object sum on the non-negative half of the source axis, over
+    geom: SetupGeometry, mask: ObjectMask, n_object: int, half, rho_b, turn: float = 0.0
+) -> np.ndarray:
+    """The object sum on the source half ``half`` (``_source_half``), over
     mirror pairs of object nodes and of detector-b pixels.
 
-    Each of the three axes splits about its midpoint (``_mirror_split``):
-    rho_s = c + d, rho_o = m + e and rho_b = mu_b + eps. With c1 = w/z_b
-    and kappa = c + mu_b/M, the phase exp(-i c1 rho_o (rho_s + rho_b/M))
+    The object nodes and the pixels split about their midpoints
+    (``_mirror_split``): rho_o = m + e and rho_b = mu_b + eps. With
+    c1 = w/z_b and kappa = mu_b/M, the phase exp(-i c1 rho_o (d + rho_b/M))
     leaves the object factor r(e) = A w_o exp(-i c1 (m + e) kappa), the
     row turn by phi = c1 m d, the column phase exp(-i theta),
     theta = c1 m eps / M, and the cosines and sines of c1 e d and
@@ -281,10 +281,9 @@ def _half_products(
     SW = sin(phi) CW' + cos(phi) SW'. The column phase exp(-+i theta) is
     left out: a unit factor per pixel, it drops out of Gamma's |G|^2, of
     I_b and of the arm-b intensity |E_b|^2 (and is 1 for m = 0, as for
-    every slit). Returns (half, cs): the ceil(n_s / 2) nodes d >= 0 and
-    cs = (CW, SW), shape (2, n_half, n_b), with CW = cos^T W_b and
-    SW = sin^T W_b, each column times exp(i theta), for
-    W_b = A w_o exp(-i c1 rho_o (c + rho_b/M)) and cos(c1 rho_o d),
+    every slit). Returns cs = (CW, SW), shape (2, n_half, n_b), with
+    CW = cos^T W_b and SW = sin^T W_b, each column times exp(i theta), for
+    W_b = A w_o exp(-i c1 rho_o rho_b/M) and cos(c1 rho_o d),
     sin(c1 rho_o d); a nonzero ``turn`` (Gamma passes c_a mu_a) returns
     them turned back by turn d, cos(turn d) CW + sin(turn d) SW and
     cos(turn d) SW - sin(turn d) CW.
@@ -296,16 +295,15 @@ def _half_products(
     (``_fold``), so besides cs and the tables a call holds at most one
     8 MiB block, whatever ``n_object``. Before it builds anything it
     refuses fewer than ``MIN_NODES`` object nodes (ValueError), checks its
-    object step against the rate on its nodes, and checks that rho_s, the
-    object nodes and rho_b are mirror-symmetric about their midpoints
+    object step against the rate on its nodes, and checks that the object
+    nodes and rho_b are mirror-symmetric about their midpoints
     (ValueError), each once, at the scale of its max|x|.
     """
     if n_object < MIN_NODES:
         raise ValueError(f"n_object: need at least {MIN_NODES} object nodes, got {n_object}")
     rho_o, w_o, step_o = object_quadrature(mask, n_object)
-    r = phase.rates(geom, rho_s, rho_o, 0.0, rho_b)  # only r.object is read
+    r = phase.rates(geom, half[-1], rho_o, 0.0, rho_b)  # only r.object is read
     phase.check_step(f"object quadrature (n_object = {n_object})", step_o, r.object)
-    c, d = _mirror_split(rho_s, "the object transfer needs evenly spaced rho_s")
     m, e = _mirror_split(
         rho_o, "the object sum needs object nodes mirror-symmetric about their midpoint"
     )
@@ -314,7 +312,7 @@ def _half_products(
     c1 = geom.omega0_over_c / geom.z_b
     n_o, n_b = rho_o.size, rho_b.size
     h, k = (n_o + 1) // 2, (n_b + 1) // 2
-    amp = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * (c + mu_b / geom.M)) * (m + e))
+    amp = mask.transmission(rho_o) * w_o * np.exp((-1j * c1 * (mu_b / geom.M)) * (m + e))
     if n_o % 2:  # e = 0 is its own mirror: r+ counts its two half-weight terms once
         amp[h - 1] *= 0.5
     upper, lower = amp[n_o // 2 :], amp[(n_o - 1) // 2 :: -1]  # row j pairs e_j with -e_j
@@ -347,7 +345,6 @@ def _half_products(
                         out=columns[p, o_cols, j + b_rows.start : j + b_rows.stop],
                     )
 
-    half = d[rho_s.size // 2 :]
     cs = np.zeros((2, half.size, n_b), dtype=complex)  # a block left out stays zero
     # the float parts of CW and SW at mu_b + eps and at mu_b - eps
     halves = [_mirror_halves(plane, axis=1) for plane in cs.view(float).reshape(2, -1, n_b, 2)]
@@ -359,8 +356,7 @@ def _half_products(
         phi = rate * half
         cos_phi, sin_phi = np.cos(phi)[:, None], np.sin(phi)[:, None]
     odd = n_b % 2
-    scale = np.max(np.abs(rho_s))
-    for s_rows, o_cols, planes in phase.phase_planes(c1, e_half, half, rows, cols, block, scale):
+    for s_rows, o_cols, planes in phase.phase_planes(c1, e_half, half, rows, cols, block, half[-1]):
         n_rows = planes.shape[1]
         prod = np.matmul(planes, columns[:, o_cols], out=products[:, :n_rows, :n_cols])
         for p, (plus, minus) in enumerate(halves):
@@ -380,7 +376,7 @@ def _half_products(
             cw -= sin_sw
             sw *= cos_phi[s_rows]
             sw += sin_cw
-    return half, cs
+    return cs
 
 
 def arm_kernels(
@@ -394,13 +390,14 @@ def arm_kernels(
     """Discrete propagation kernels from mirror pairs of source cells to
     both detectors.
 
-    The cells must be centred on rho_s = 0 (``_source_half``), so each
-    node d >= 0 of the half stands for the cells +d and -d. Returns
-    (K_a, K_b), shapes (n_a, 2 h) and (n_b, 2 h) for the h = ceil(n_s / 2)
-    nodes d >= 0: the columns [A | B], with the full kernel K(+-d) = A +- B
-    (2 A at the d = 0 cell of an odd n_s, its own mirror). A field phi on
-    the cells propagates as E = K @ [u | v], u = phi(+d) + phi(-d) and
-    v = phi(+d) - phi(-d). The source cell width is folded in.
+    The cells must be centred on rho_s = 0 and mirror-symmetric about it:
+    each node d >= 0 of their half (``_source_half``) stands for the cells
+    +d and -d. Returns (K_a, K_b), shapes (n_a, 2 h) and (n_b, 2 h) for
+    the h = ceil(n_s / 2) nodes d >= 0: the columns [A | B], with the full
+    kernel K(+-d) = A +- B (2 A at the d = 0 cell of an odd n_s, its own
+    mirror). A field phi on the cells propagates as E = K @ [u | v],
+    u = phi(+d) + phi(-d) and v = phi(+d) - phi(-d). The source cell width
+    is folded in.
 
     Arm a is the free Fresnel kernel h_a exp(i c_a (rho_a - rho_s)^2 / 2),
     c_a = w / z_a: with g_a = h_a exp(i c_a rho_a^2 / 2) exp(i c_a d^2 / 2),
@@ -423,9 +420,9 @@ def arm_kernels(
     phase.check_step("source cell (unresolved-cell rule)", axis_s.step, r.cell)
     phase.check_step("arm-a kernel source cell", axis_s.step, r.arm_a)
     phase.check_step("arm-b kernel source cell", axis_s.step, r.arm_b)
-    _source_half(rho_s)
+    half = _source_half(rho_s)
 
-    half, k_b = _half_products(geom, mask, n_object, rho_s, rho_b)
+    k_b = _half_products(geom, mask, n_object, half, rho_b)
     cells = np.full(half.size, axis_s.step)
     if rho_s.size % 2:
         cells[0] *= 0.5  # d = 0 is its own mirror, where u = 2 phi(0)
@@ -437,9 +434,8 @@ def arm_kernels(
     k_a = np.empty((2, half.size, rho_a.size), dtype=complex)
     g_a = fresnel_prefactor(w, geom.z_a) * gaussian_phase(rho_a, c_a)
     rows, cols, block, _ = phase.plane_block(half.size, rho_a.size, 0, 0)
-    scale = np.max(np.abs(rho_s))
     for s_rows, a_cols, (cos, sin) in phase.phase_planes(
-        c_a, rho_a, half, rows, cols, block, scale
+        c_a, rho_a, half, rows, cols, block, half[-1]
     ):
         np.multiply(cos, g_a[a_cols], out=k_a[0, s_rows, a_cols])
         np.multiply(sin, -1j * g_a[a_cols], out=k_a[1, s_rows, a_cols])
@@ -457,30 +453,32 @@ def intensity_a(geom: SetupGeometry, axis_a: Axis) -> SampledImage:
 
 def _source_half(rho_s: np.ndarray) -> np.ndarray:
     """The nodes d >= 0 of ``rho_s``, each standing for d and its mirror
-    -d (the d = 0 node of an odd count for itself alone). Every source sum
-    and both arm kernels pair d with -d, which needs nodes centred on
-    rho_s = 0; else ValueError."""
+    -d (the d = 0 node of an odd count for itself alone): the exact odd
+    part of rho_s, rho_s itself on a centred ``Axis``. Every source sum
+    and both arm kernels pair d with -d, which needs rho_s centred on 0
+    and mirror-symmetric about it (``_mirror_split``); else ValueError."""
     if rho_s[0] + rho_s[-1] != 0.0:
         raise ValueError("the source sum needs source nodes centred on rho_s = 0")
-    return rho_s[rho_s.size // 2 :]
+    what = "the source sum needs source nodes mirror-symmetric about rho_s = 0"
+    return _mirror_split(rho_s, what)[1][rho_s.size // 2 :]
 
 
-def _source_half_weights(source: SourceProfile, rho_s, w_s) -> np.ndarray:
-    """Weights 2 F w_s of the source sum on the nodes d >= 0 of ``rho_s``,
-    each standing for d and its mirror -d; the d = 0 row of an odd
-    n_source counts once. The pairing needs nodes centred on rho_s = 0
-    (``_source_half``) and F w_s mirror-symmetric about it, to _EVEN_ULPS
+def _source_half_weights(source: SourceProfile, rho_s, w_s) -> tuple[np.ndarray, np.ndarray]:
+    """The source half d >= 0 of ``rho_s`` (``_source_half``) and the
+    weights 2 F w_s of the source sum on it, each node standing for d and
+    its mirror -d; the d = 0 row of an odd n_source counts once. The
+    pairing needs F w_s mirror-symmetric about rho_s = 0, to _EVEN_ULPS
     ulps of its peak; else ValueError (every built-in source passes)."""
     n = rho_s.size
-    d = _source_half(rho_s)
-    fw = source.intensity(d) * w_s[n // 2 :]
-    mirror = source.intensity(-d) * w_s[::-1][n // 2 :]
+    half = _source_half(rho_s)
+    fw = source.intensity(half) * w_s[n // 2 :]
+    mirror = source.intensity(-half) * w_s[::-1][n // 2 :]
     if np.any(np.abs(fw - mirror) > phase._EVEN_ULPS * np.spacing(max(fw.max(), mirror.max()))):
         raise ValueError("the source sum needs F w_s mirror-symmetric about rho_s = 0")
     weights = 2.0 * fw
     if n % 2:
         weights[0] = fw[0]  # d = 0 is its own mirror
-    return weights
+    return half, weights
 
 
 def intensity_b(
@@ -495,7 +493,7 @@ def intensity_b(
     I_b(rho_b) = K_b * int drho_s F(rho_s) |A~[(w/z_b)(rho_s + rho_b/M)]|^2.
 
     The rho_s sum pairs d with -d (``_source_half_weights``) on the half
-    products of ``_half_products``, |T(c - d)|^2 + |T(c + d)|^2 =
+    products of ``_half_products``, |T(-d)|^2 + |T(d)|^2 =
     2 (|CW|^2 + |SW|^2), so I_b = K_b sum_d 2 F w_s (|CW|^2 + |SW|^2).
     """
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
@@ -504,8 +502,8 @@ def intensity_b(
     r = phase.rates(geom, rho_s, mask.support_half_width, 0.0, rho_b)  # no arm a here
     phase.check_step("source", _max_step(rho_s), r.intensity_b_s)
 
-    weights = _source_half_weights(source, rho_s, w_s)
-    cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b)[1]
+    half, weights = _source_half_weights(source, rho_s, w_s)
+    cs = _half_products(geom, mask, quad.n_object, half, rho_b)
     out = weights @ (np.abs(cs) ** 2).sum(axis=0)
     return SampledImage(
         axis=axis_b, values=intensity_prefactor_b(geom) * out, label="intensity_b"
@@ -558,10 +556,10 @@ def gamma_quadrature(
     r = phase.rates(geom, rho_s, mask.support_half_width, rho_a, rho_b)
     phase.check_step("source", _max_step(rho_s), r.gamma_s)
 
-    weights = _source_half_weights(source, rho_s, w_s)
+    half, weights = _source_half_weights(source, rho_s, w_s)
     mu_a, eps_a = _mirror_split(rho_a, "gamma_quadrature needs evenly spaced rho_a")
     c_a = w / geom.z_a
-    half, cs = _half_products(geom, mask, quad.n_object, rho_s, rho_b, c_a * mu_a)
+    cs = _half_products(geom, mask, quad.n_object, half, rho_b, c_a * mu_a)
     beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
     cs *= (weights * gaussian_phase(half, beta))[:, None]  # f CW and f SW
 
@@ -573,9 +571,8 @@ def gamma_quadrature(
     products = np.empty((2, cols, 2 * n_b))
     plus, minus = _mirror_halves(g.view(float))
     odd = n_a % 2
-    scale = np.max(np.abs(rho_s))
     for s_rows, a_cols, planes in phase.phase_planes(
-        c_a, eps_a[n_a // 2 :], half, rows, cols, block, scale
+        c_a, eps_a[n_a // 2 :], half, rows, cols, block, half[-1]
     ):
         cx, sy = np.matmul(
             planes.transpose(0, 2, 1), cs_f[:, s_rows], out=products[:, : planes.shape[2]]

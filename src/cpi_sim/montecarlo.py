@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phase
-from .correlator import MIN_NODES, arm_kernels
+from .correlator import MIN_NODES, _source_half, arm_kernels
 from .errors import DegenerateStatistics
 from .metrics import normalized_l1, normalized_linf, peak_normalize
 from .optics import Axis, CorrelationGrid, ObjectMask, SetupGeometry, SourceProfile
@@ -362,7 +362,7 @@ def estimate_gamma(
         geom, mask, run.axis_s, run.axis_a, run.axis_b, run.n_object
     )
     n = run.axis_s.n
-    amp = source.amplitude(run.axis_s.coordinates[n // 2 :])  # f(d) = f(-d): A and B alike
+    amp = source.amplitude(_source_half(run.axis_s.coordinates))  # f(d) = f(-d): A and B alike
     amp = np.concatenate([amp, amp])
     k_a *= amp  # in place: arm_kernels returns fresh arrays
     k_b *= amp

@@ -346,6 +346,29 @@ class TestGammaQuadrature:
         with pytest.raises(ValueError, match="centred on rho_s = 0"):
             intensity_b(geom_defocused, uniform, slits, axis_b, quad)
 
+    def test_asymmetric_source_nodes_are_refused_before_any_plane(
+        self, monkeypatch, geom_defocused, source, slits, axis_a, axis_b
+    ):
+        # centred ends, but node 7 moved by 1 nm is no longer the mirror
+        # image of node n - 8 (either may be named, both drift by 0.5 nm
+        # from the odd part): the source half refuses the nodes before the
+        # object sum streams any plane
+        quad = QuadratureSpec.auto(geom_defocused, source, slits, axis_a, axis_b)
+        nodes, weights = source_quadrature(source, quad.n_source, quad.source_span)
+        nodes[7] += 1e-9
+        assert nodes[0] + nodes[-1] == 0.0
+        monkeypatch.setattr(correlator, "source_quadrature", lambda *args: (nodes, weights))
+        streams, _ = _spy_planes(monkeypatch)
+        message = (
+            r"^the source sum needs source nodes mirror-symmetric about rho_s = 0; "
+            rf"node (7|{nodes.size - 8}) is 5\.000e-10 m off the mirror image of its partner"
+        )
+        with pytest.raises(ValueError, match=message):
+            gamma_quadrature(geom_defocused, source, slits, axis_a, axis_b, quad)
+        with pytest.raises(ValueError, match=message):
+            intensity_b(geom_defocused, source, slits, axis_b, quad)
+        assert streams == []
+
     def test_nonnegative_and_finite_for_random_configs(self):
         rng = np.random.default_rng(7)
         for _ in range(3):
@@ -791,32 +814,48 @@ class TestObjectTransferGuard:
         # the object sum builds its own rho_o nodes, so it checks their
         # step itself: 16 nodes over two 50 um slits step 6.25 um, past the
         # ~3.1 um limit at |rho_s| = 2.5 mm and |rho_b| = 500 um
-        rho_s = source_quadrature(source, 64)[0]
+        half = correlator._source_half(source_quadrature(source, 64)[0])
         rho_b = axis_b.coordinates
         with pytest.raises(UnderResolved, match=r"^object quadrature \(n_object = 16\) step "):
-            correlator._half_products(geom_focused, slits, 16, rho_s, rho_b)
-        half, cs = correlator._half_products(geom_focused, slits, 64, rho_s, rho_b)
+            correlator._half_products(geom_focused, slits, 16, half, rho_b)
+        cs = correlator._half_products(geom_focused, slits, 64, half, rho_b)
         assert cs.shape == (2, half.size, rho_b.size) and half.size == 32
 
     @pytest.mark.parametrize("n_object", [0, -5])
     def test_too_few_object_nodes_are_refused(self, geom_focused, source, slits, axis_b, n_object):
         # the count used to pass unchecked: 0 crashed the assembly of the
         # full object transfer and -5 returned its unassembled half products
-        rho_s = source_quadrature(source, 64)[0]
+        half = correlator._source_half(source_quadrature(source, 64)[0])
         message = rf"^n_object: need at least 16 object nodes, got {n_object}$"
         with pytest.raises(ValueError, match=message):
-            correlator._half_products(geom_focused, slits, n_object, rho_s, axis_b.coordinates)
+            correlator._half_products(geom_focused, slits, n_object, half, axis_b.coordinates)
         axis_a = Axis.from_half_width(8, 150e-6)
         axis_s, _ = default_sampling(geom_focused, source, slits, axis_a, axis_b)
         with pytest.raises(ValueError, match=message):
             arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
 
-    def test_uneven_source_nodes_are_refused(self, geom_focused, slits, axis_b):
-        # the mirror rows come from the odd part of rho_s - c, which equals
-        # rho_s - c only on an evenly spaced axis
-        rho_s = np.array([0.0, 1.0, 3.0]) * 1e-6
-        with pytest.raises(ValueError, match="evenly spaced rho_s"):
-            correlator._half_products(geom_focused, slits, 64, rho_s, axis_b.coordinates)
+    def test_uneven_source_nodes_are_refused(self):
+        # the source half is the odd part of rho_s, which equals rho_s only
+        # on nodes mirror-symmetric about 0; these have centred ends, but
+        # 1 um has no mirror at -1 um
+        rho_s = np.array([-3.0, 0.0, 1.0, 3.0]) * 1e-6
+        message = (
+            r"^the source sum needs source nodes mirror-symmetric about rho_s = 0; "
+            r"node 1 is 5\.000e-07 m off the mirror image of its partner"
+        )
+        with pytest.raises(ValueError, match=message):
+            correlator._source_half(rho_s)
+
+    def test_a_centred_axis_is_its_own_source_half(self):
+        # the Monte Carlo pairs the cells of a centred Axis by index, cell
+        # n // 2 + j with n // 2 - j (n - 1 - j from the end), and reads the
+        # amplitude at the source half: both rest on the half being the
+        # upper coordinates bit for bit
+        for step in (1e-6, 13e-6, 17e-6, 2.5e-4 / 63, 0.1):
+            for n in range(2, 66):
+                rho_s = Axis(n, 0.0, step).coordinates
+                half = correlator._source_half(rho_s)
+                assert half.tobytes() == rho_s[n // 2 :].tobytes(), (n, step)
 
 
 def _spy_planes(monkeypatch):
@@ -845,12 +884,14 @@ def _spy_planes(monkeypatch):
 
 
 def _transfer(geom, mask, n_object, rho_s, rho_b):
-    """The object transfer T[s, b] on every node of ``rho_s``, assembled
-    here from the half products of ``correlator._half_products`` on the
-    nodes c + d, d >= 0: T(c +- d) = CW -+ i SW, with the column phase
+    """The object transfer T[s, b] on every node of the centred ``rho_s``,
+    assembled here from the half products of ``correlator._half_products``
+    on its source half d >= 0: T(+-d) = CW -+ i SW, with the column phase
     exp(-i c1 m eps / M) that they leave out put back for the midpoints m
     of the object nodes and mu_b of rho_b = mu_b + eps."""
-    _, (cw, sw) = correlator._half_products(geom, mask, n_object, rho_s, rho_b)
+    cw, sw = correlator._half_products(
+        geom, mask, n_object, correlator._source_half(rho_s), rho_b
+    )
     t = np.concatenate([(cw + 1j * sw)[::-1], cw - 1j * sw])
     if rho_s.size % 2:  # the d = 0 row is its own mirror
         t = np.delete(t, cw.shape[0], axis=0)
@@ -875,12 +916,14 @@ class TestObjectTransferDirectSum:
         [
             Axis(n=33, center=0.0, step=17e-6),
             Axis(n=34, center=0.0, step=17e-6),
-            Axis(n=2, center=0.5e-6, step=1e-6),
-            Axis(n=41, center=0.5e-6, step=13e-6),
+            Axis(n=2, center=0.0, step=1e-6),
+            Axis(n=41, center=0.0, step=13e-6),
         ],
         ids=["odd", "even", "two-cell-off-centre", "odd-off-centre"],
     )
     def test_matches_the_direct_sum(self, monkeypatch, geom_focused, axis_s):
+        # every source axis is centred, as the source half needs; off
+        # centre are the mask (its midpoint m) and rho_b (its centre mu_b)
         mask = _complex_mask()
         rho_s = axis_s.coordinates
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
@@ -935,7 +978,7 @@ class TestObjectTransferDirectSum:
         # sum's; each chunk adds its share to every row, and the d = 0 row
         # of the odd axis, its own mirror, is counted once
         mask = _complex_mask()
-        rho_s = Axis(n=n, center=0.5e-6, step=13e-6).coordinates
+        rho_s = Axis(n=n, center=0.0, step=13e-6).coordinates
         rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         n_object = 128
         assert object_quadrature(mask, n_object)[0].size == 128
@@ -985,11 +1028,10 @@ class TestObjectTransferDirectSum:
         rho_o = object_quadrature(mask, n_object)[0]
         assert rho_o.size == n_object
         assert (rho_o[0] + rho_o[-1] == 0.0) == (mask_name not in ("complex", "real"))
+        rho_s = Axis(n=n, center=0.0, step=13e-6).coordinates
         if axes == "off-centre":
-            rho_s = Axis(n=n, center=0.5e-6, step=13e-6).coordinates
             rho_b = Axis.from_half_width(12, 200e-6, center=-30e-6).coordinates
         else:
-            rho_s = Axis(n=n, center=0.0, step=13e-6).coordinates
             rho_b = Axis.from_half_width(int(axes[-2:]), 200e-6).coordinates
         if budget:
             monkeypatch.setattr(phase, "_BLOCK_ENTRIES", budget)
@@ -1050,9 +1092,9 @@ class TestObjectNodeSymmetry:
             r"^the object sum needs object nodes mirror-symmetric about their midpoint; "
             r"node 7 is 5\.000e-10 m off the mirror image of its partner"
         )
-        rho_s = source_quadrature(source, 64)[0]
+        half = correlator._source_half(source_quadrature(source, 64)[0])
         with pytest.raises(ValueError, match=message):
-            correlator._half_products(geom_focused, slits, 64, rho_s, axis_b.coordinates)
+            correlator._half_products(geom_focused, slits, 64, half, axis_b.coordinates)
         quad = QuadratureSpec.auto(geom_focused, source, slits, axis_a, axis_b)
         with pytest.raises(ValueError, match=message):
             gamma_quadrature(geom_focused, source, slits, axis_a, axis_b, quad)
