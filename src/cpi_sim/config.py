@@ -231,10 +231,9 @@ class ExperimentConfig:
                 )
             except ValueError as exc:
                 raise ValidationError(f"run.{exc}") from None
-            check_working_set(  # the paired K_a beside K_b, and sampling
+            check_working_set(
                 "Monte Carlo run", axis_s.n, n_object, axis_a.n, axis_b.n,
-                16 * axis_a.n * 2 * ((axis_s.n + 1) // 2)
-                + speckle.sampling_bytes(self.get("run.threads")),
+                speckle.sampling_bytes(self.get("run.threads")),
             )
         if self.mode in ("analytic", "refocus", "montecarlo"):  # the modes that integrate Gamma
             check_working_set("quadrature", quad.n_source, quad.n_object, axis_a.n, axis_b.n)

@@ -158,8 +158,8 @@ def check_working_set(
     side's (ceil(n_a / 2) columns) and the arm-a kernel's (n_a columns).
     ``intensity_b`` holds less. With ``n_source = 0`` it bounds the output
     grid alone. ``extra`` adds the bytes the caller holds beside them: a
-    Monte Carlo run's paired arm-a kernel K_a (n_a x 2 ceil(n_source / 2)
-    complex) and its sampling's, from ``SpeckleRun.sampling_bytes``.
+    Monte Carlo run's paired arm-a kernel K_a, its sampling blocks and its
+    fold, from ``SpeckleRun.sampling_bytes``.
     """
     need = 16 * n_a * n_b + extra
     if n_source:
@@ -209,16 +209,17 @@ def _mirror_split(x: np.ndarray, what: str) -> tuple[float, np.ndarray]:
     """Midpoint c of the nodes ``x`` and the exact odd part of x - c.
 
     Each node moves by at most a few ulps. Raises ValueError, ``what`` and
-    the worst node, unless every node matches its mirror image about c to
-    within _EVEN_ULPS ulps of max|x|, the scale at which it was rounded.
+    the worst pair's lower node, unless every node matches its mirror image
+    about c to within _EVEN_ULPS ulps of max|x|, the scale it was rounded at.
     """
     c = 0.5 * (x[0] + x[-1])
     d = x - c
     odd = 0.5 * (d - d[::-1])
     drift = np.abs(odd - d)
     if np.any(drift > phase._EVEN_ULPS * np.spacing(np.max(np.abs(x)))):
+        worst = int(np.argmax(drift))  # a pair's two nodes drift alike: either may be named
         raise ValueError(
-            f"{what}; node {int(np.argmax(drift))} is {float(np.max(drift)):.3e} m "
+            f"{what}; node {min(worst, x.size - 1 - worst)} is {float(np.max(drift)):.3e} m "
             f"off the mirror image of its partner about the midpoint {c:.6e} m"
         )
     return c, odd

@@ -36,16 +36,19 @@ built for that key, without the cost of building one per row.
 Propagation runs in blocks of consecutive realizations, one GEMM per arm
 and block. A block holds whole batches, as many as fit ``_BLOCK_BYTES`` of
 phasors, so short batches share the cost of streaming each kernel through
-the GEMM; a batch longer than that is cut into blocks of its own. Each
-batch is reduced from its own rows only, so its moments do not depend on
-the block it shared.
+the GEMM; a batch longer than that is cut into blocks of its own. One fold
+in the caller's thread reduces each batch from its own rows, in block
+order, and ``estimate_gamma`` folds the batches into running sums: no
+per-batch grid is held, so memory does not grow with the batch count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -99,22 +102,25 @@ class SpeckleRun:
             )
 
     def sampling_bytes(self, threads: int) -> int:
-        """Bytes sampling holds beside the kernels: per block in flight
-        (``_batch_covariances``; at most ``threads``, and at most one per
-        batch plus one per ``_block_rows`` realizations), its rows' uint8
-        phase indices, padded to whole Philox words, their uint8 pair
-        indices and the complex [u | v] rows, 17 bytes a column of the
-        2 ceil(n_s / 2), both arms' propagated rows, at most 32 bytes a
+        """Bytes the run holds beside K_b and the half products, which
+        ``check_working_set`` counts: the paired arm-a kernel K_a (n_a x
+        2 ceil(n_s / 2) complex); per block in flight (at most ``threads``,
+        and at most one per batch plus one per ``_block_rows``
+        realizations), its rows' uint8 phase indices, padded to whole
+        Philox words, their uint8 pair indices and complex [u | v] rows, 17
+        bytes a column, both arms' propagated rows, at most 32 bytes a
         pixel, and the intp copy of one ``_TAKE_ROWS`` slice of pair
-        indices; and two n_a x n_b float grids per batch, the stacked
-        covariances and the deviations ``estimate_gamma`` reduces them
-        with."""
-        n, pixels = self.axis_s.n, self.axis_a.n + self.axis_b.n
+        indices; and the fold's: one piece's centered rows, 8 bytes a pixel
+        a row, and nine n_a x n_b float grids (``estimate_gamma``'s raw,
+        mean, M2, batch covariance and its deviation; the Chan merge's
+        state, co-moment and two temporaries)."""
+        n, n_a, pixels = self.axis_s.n, self.axis_a.n, self.axis_a.n + self.axis_b.n
         cols = 2 * ((n + 1) // 2)
         rows = min(_block_rows(cols), self.n_realizations)
         blocks = min(threads, self.n_batches + self.n_realizations // rows)
         block = rows * (8 * -(-n // 8) + 17 * cols + 32 * pixels) + 8 * min(rows, _TAKE_ROWS) * cols
-        return blocks * block + 2 * 8 * self.axis_a.n * self.axis_b.n * self.n_batches
+        fold = 8 * rows * pixels + 9 * 8 * n_a * self.axis_b.n
+        return 16 * n_a * cols + blocks * block + fold
 
 
 @dataclass(frozen=True)
@@ -243,32 +249,6 @@ def _phasors(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     return fields
 
 
-def _block_moments(
-    k_a: np.ndarray, k_b: np.ndarray, seed: int, n_cells: int, pieces: list[tuple[int, int, int]]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Mean intensities and centered co-moment of each (batch, lo, hi) piece
-    of one block of consecutive realizations.
-
-    The block's rows are generated and propagated together, one GEMM per
-    arm; each piece is then reduced from its own rows alone, to its means
-    and (I_a - mean_a)^T (I_b - mean_b). Centering avoids the catastrophic
-    cancellation of the <I_a I_b> - <I_a><I_b> form.
-    """
-    lo, hi = pieces[0][1], pieces[-1][2]
-    fields = _phasors(seed, lo, hi, n_cells)
-    i_a = np.abs(fields @ k_a.T) ** 2
-    i_b = np.abs(fields @ k_b.T) ** 2
-    del fields
-    moments = []
-    for _, start, stop in pieces:
-        p_a, p_b = i_a[start - lo : stop - lo], i_b[start - lo : stop - lo]
-        k = stop - start
-        blk_a = p_a.sum(axis=0) / k
-        blk_b = p_b.sum(axis=0) / k
-        moments.append((blk_a, blk_b, (p_a - blk_a).T @ (p_b - blk_b)))
-    return moments
-
-
 def _batch_covariances(
     k_a: np.ndarray,
     k_b: np.ndarray,
@@ -276,18 +256,19 @@ def _batch_covariances(
     n_cells: int,
     spans: list[tuple[int, int]],
     threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-pass intensity covariance and mean intensities of each batch
-    of realizations [lo, hi) in ``spans``, stacked in batch order: shapes
-    (batches, n_a, n_b), (batches, n_a) and (batches, n_b).
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (cov, mean_a, mean_b), the single-pass intensity covariance and
+    mean intensities of each batch [lo, hi) in ``spans``, in batch order.
 
     ``k_a`` and ``k_b`` are the paired kernels of ``n_cells`` cells with the
     source amplitude on their columns, so a realization is a row [u | v]
     of unit-phasor sums and differences (``_phasors``). A batch longer than
     ``_block_rows`` is cut into pieces of that many rows; consecutive pieces
     then share a block up to that size, so short batches are propagated
-    together (``_block_moments``), and ``threads`` threads map over blocks.
-    Each batch folds its pieces' moments, in order, into a running state
+    together, one GEMM per arm and block, to |E_a|^2 and |E_b|^2. Each
+    piece is reduced from its own rows to its means and centered co-moment
+    (I_a - mean_a)^T (I_b - mean_b), avoiding the cancellation of the
+    <I_a I_b> - <I_a><I_b> form, and merged into its batch's running state
     with the pairwise update of Chan, Golub & LeVeque (1979). The first
     piece merges into an empty state exactly, so a batch of one piece gets
     the plain two-pass result bitwise, whatever block it shared.
@@ -304,30 +285,41 @@ def _batch_covariances(
             blocks[-1].append((b, lo, hi))
             filled += hi - lo
 
-    counts = [0] * len(spans)
-    means_a = np.zeros((len(spans), k_a.shape[0]))
-    means_b = np.zeros((len(spans), k_b.shape[0]))
-    covs = np.zeros((len(spans), k_a.shape[0], k_b.shape[0]))
-
     def job(pieces):
-        return _block_moments(k_a, k_b, seed, n_cells, pieces)
+        fields = _phasors(seed, pieces[0][1], pieces[-1][2], n_cells)
+        return np.abs(fields @ k_a.T) ** 2, np.abs(fields @ k_b.T) ** 2
 
     # one thread runs in the caller's: a worker thread allocates from a
     # malloc arena of its own, which holds its blocks' pages resident beside
-    # the ones the caller freed
+    # the ones the caller freed. More threads propagate windows of
+    # ``threads`` blocks, each submitted once the fold has read the one before.
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        mapped = map(job, blocks) if pool is None else pool.map(job, blocks)
-        for pieces, moments in zip(blocks, mapped):
-            for (b, lo, hi), (blk_a, blk_b, m) in zip(pieces, moments):
-                n, k = counts[b], hi - lo
-                d_a = blk_a - means_a[b]
-                d_b = blk_b - means_b[b]
-                covs[b] += m + np.outer(d_a, d_b) * (n * k / (n + k))
-                means_a[b] += d_a * (k / (n + k))
-                means_b[b] += d_b * (k / (n + k))
-                counts[b] = n + k
-    covs /= (np.array(counts, dtype=float) - 1.0)[:, None, None]
-    return covs, means_a, means_b
+        propagated = map(job, blocks) if pool is None else chain.from_iterable(
+            pool.map(job, blocks[w : w + threads]) for w in range(0, len(blocks), threads)
+        )
+        for pieces in blocks:
+            i_a, i_b = next(propagated)
+            lo = pieces[0][1]
+            for b, start, stop in pieces:
+                if start == spans[b][0]:
+                    n = 0
+                    cov = np.zeros((k_a.shape[0], k_b.shape[0]))
+                    mean_a, mean_b = np.zeros(k_a.shape[0]), np.zeros(k_b.shape[0])
+                p_a, p_b = i_a[start - lo : stop - lo], i_b[start - lo : stop - lo]
+                k = stop - start
+                blk_a = p_a.sum(axis=0) / k
+                blk_b = p_b.sum(axis=0) / k
+                m = (p_a - blk_a).T @ (p_b - blk_b)
+                d_a = blk_a - mean_a
+                d_b = blk_b - mean_b
+                cov += m + np.outer(d_a, d_b) * (n * k / (n + k))
+                mean_a += d_a * (k / (n + k))
+                mean_b += d_b * (k / (n + k))
+                n += k
+                if stop == spans[b][1]:
+                    cov /= n - 1.0
+                    yield cov, mean_a, mean_b
+            del i_a, i_b, p_a, p_b  # freed before the next block is propagated
 
 
 def estimate_gamma(
@@ -343,11 +335,12 @@ def estimate_gamma(
     Gamma^(rho_a, rho_b) = <I_a(rho_a) I_b(rho_b)> - <I_a(rho_a)><I_b(rho_b)>
     over ``run.n_realizations`` speckle realizations, split into
     ``run.n_batches`` batches whose spread gives the error bars. Consecutive
-    batches are propagated together in blocks (``_batch_covariances``), and
-    ``threads`` workers map over the blocks. Each batch is reduced from its
-    own rows and batches are combined in a fixed order, so the result is
-    bitwise identical for any thread count; tiny negative covariance noise
-    is clipped to keep the grid nonnegative.
+    batches are propagated together in blocks (``_batch_covariances``), by
+    ``threads`` workers. Each batch is reduced from its own rows and folded,
+    in batch order, into the realization-weighted mean and Welford's mean
+    and M2 of the batch covariances, se = sqrt(M2 / ((B - 1) B)), so the
+    result is bitwise identical for any thread count; tiny negative
+    covariance noise is clipped to keep the grid nonnegative.
 
     The report measures the distance to ``reference``, a deterministic
     surface the caller supplies on the run's own detector axes (the runner
@@ -369,17 +362,23 @@ def estimate_gamma(
 
     edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
     spans = [(int(edges[k]), int(edges[k + 1])) for k in range(run.n_batches)]
-    covs, means_a, means_b = _batch_covariances(k_a, k_b, run.seed, n, spans, threads)
-    mean_a = means_a.mean(axis=0)
-    mean_b = means_b.mean(axis=0)
-    if np.any(mean_a == 0.0) or np.any(mean_b == 0.0):
+    batches = _batch_covariances(k_a, k_b, run.seed, n, spans, threads)
+    raw, mean, m2 = (np.zeros((run.axis_a.n, run.axis_b.n)) for _ in range(3))
+    sum_a, sum_b = np.zeros(run.axis_a.n), np.zeros(run.axis_b.n)
+    # batches first: zip then runs the generator to its end, which shuts its pool down
+    for j, ((cov, mean_a, mean_b), (lo, hi)) in enumerate(zip(batches, spans), 1):
+        raw += cov * ((hi - lo) / run.n_realizations)
+        delta = cov - mean  # Welford's update of the batches' mean and M2
+        mean += delta / j
+        m2 += delta * (cov - mean)
+        sum_a += mean_a
+        sum_b += mean_b
+    se = np.sqrt(m2 / ((run.n_batches - 1) * run.n_batches))
+    del cov, delta, mean, m2  # only raw and se outlive the fold
+    if np.any(sum_a == 0.0) or np.any(sum_b == 0.0):
         raise DegenerateStatistics(
             "a mean detected intensity is exactly zero; no speckle statistics"
         )
-
-    weights = np.array([hi - lo for lo, hi in spans], dtype=float)
-    raw = np.tensordot(weights / weights.sum(), covs, axes=1)
-    se = covs.std(axis=0, ddof=1) / np.sqrt(run.n_batches)
 
     peak = float(raw.max())
     if not (peak > 0.0):

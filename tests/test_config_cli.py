@@ -765,15 +765,17 @@ class TestCli:
         # 1352) = 193 rows, each 8 x 169 bytes of padded phase indices,
         # 1352 of pair indices, 16 x 1352 of [u | v] rows and 32 x
         # (64 + 64) of propagated rows, plus a 16-row intp slice of 8 x 1352
-        # bytes a row; and two 8-byte n_a x n_b grids per batch
+        # bytes a row; and the fold: one piece's centered rows, 8 bytes a
+        # pixel of the block's 193 rows, and nine 8-byte n_a x n_b grids,
+        # whatever the batch count
         config = parse_config(DEMOS["montecarlo"])
         block = 33 * (2 * 676 + 4 * 26 + 3) + 2 * 676 * 4 * 32
         assert cpi_sim.phase.plane_block(676, 64, 0, 0)[3] < block
         kernels = (
             16 * (2 * 676 * 64 + 2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
         )
-        sampling = 193 * (8 * 169 + 17 * 1352 + 32 * 128) + 16 * 8 * 1352
-        need = kernels + sampling + 2 * 8 * 64 * 64 * 20
+        propagation = 193 * (8 * 169 + 17 * 1352 + 32 * 128) + 16 * 8 * 1352
+        need = kernels + propagation + 8 * 193 * 128 + 9 * 8 * 64 * 64
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         speckle = config.resolve().speckle
         assert (speckle.axis_s.n, speckle.n_object, speckle.n_batches) == (1352, 65, 20)
@@ -781,9 +783,9 @@ class TestCli:
         with pytest.raises(ResourceLimit, match="Monte Carlo run needs"):
             config.resolve()
         # a second thread holds a second block
-        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + sampling)
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + propagation)
         config.updated({"run.threads": 2}).resolve()
-        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + sampling - 1)
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + propagation - 1)
         with pytest.raises(ResourceLimit, match="Monte Carlo run needs"):
             config.updated({"run.threads": 2}).resolve()
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from cpi_sim import montecarlo
 from cpi_sim import (
+    DEMOS,
     Axis,
     CorrelationGrid,
     DegenerateStatistics,
@@ -259,6 +261,27 @@ class TestArmKernels:
                 arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, 64)
 
 
+def _traced_peak(monkeypatch, exp, run, reference, threads=1):
+    """The tracemalloc peak of ``estimate_gamma`` once its kernels exist,
+    above the memory traced then, and the arm-a kernel it was given."""
+    kernels = arm_kernels(exp.geom, exp.mask, run.axis_s, run.axis_a, run.axis_b, run.n_object)
+    base = []
+
+    def built(*args):
+        k = tuple(x.copy() for x in kernels)
+        tracemalloc.reset_peak()
+        base.append(tracemalloc.get_traced_memory()[0])
+        return k
+
+    monkeypatch.setattr(montecarlo, "arm_kernels", built)
+    tracemalloc.start()
+    try:
+        estimate_gamma(run, exp.geom, exp.source, exp.mask, reference, threads=threads)
+        return tracemalloc.get_traced_memory()[1] - base[0], kernels[0]
+    finally:
+        tracemalloc.stop()
+
+
 def _set_block_rows(monkeypatch, rows, n_cols):
     """Make ``_block_rows(n_cols)`` return ``rows``."""
     monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", rows * 16 * n_cols)
@@ -311,7 +334,7 @@ class TestBatchCovariance:
         # the batch path propagates sums and differences of the unit phasors
         # of mirrored cells through amplitude-scaled paired kernels
         amp = _half_amplitude(source, axis_s)
-        [cov], [mean_a], [mean_b] = _batch_covariances(
+        [(cov, mean_a, mean_b)] = _batch_covariances(
             k_a * amp, k_b * amp, seed=13, n_cells=axis_s.n, spans=[(start, stop)]
         )
 
@@ -343,9 +366,9 @@ class TestBatchCovariance:
         edges = np.linspace(0, 1000, 8).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
         assert {hi - lo for lo, hi in spans} == {142, 143}
-        results = _batch_covariances(k_a, k_b, 21, n, spans)
-        assert [len(r) for r in results] == [len(spans)] * 3
-        for (lo, hi), *got in zip(spans, *results):
+        results = list(_batch_covariances(k_a, k_b, 21, n, spans))
+        assert [len(r) for r in results] == [3] * len(spans)
+        for (lo, hi), got in zip(spans, results):
             for g, r in zip(got, _two_pass(k_a, k_b, 21, n, lo, hi)):
                 np.testing.assert_array_equal(g, r, err_msg=f"batch [{lo}, {hi})")
 
@@ -359,11 +382,12 @@ class TestBatchCovariance:
         _set_block_rows(monkeypatch, 100, k_a.shape[1])
         edges = np.linspace(0, 1000, 8).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-        results = _batch_covariances(k_a, k_b, 21, n, spans, threads)
-        for (lo, hi), *got in zip(spans, *results):
-            alone = _batch_covariances(k_a, k_b, 21, n, [(lo, hi)])
+        results = list(_batch_covariances(k_a, k_b, 21, n, spans, threads))
+        assert len(results) == len(spans)
+        for (lo, hi), got in zip(spans, results):
+            [alone] = _batch_covariances(k_a, k_b, 21, n, [(lo, hi)])
             for g, a in zip(got, alone):
-                np.testing.assert_array_equal(g, a[0])
+                np.testing.assert_array_equal(g, a)
             ref_cov, ref_a, ref_b = _two_pass(k_a, k_b, 21, n, lo, hi)
             np.testing.assert_allclose(got[1], ref_a, rtol=1e-12)
             np.testing.assert_allclose(got[2], ref_b, rtol=1e-12)
@@ -380,30 +404,40 @@ class TestBatchCovariance:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", ["montecarlo-focused", "montecarlo-defocused"])
     def test_sampling_bytes_bound_the_traced_peak(self, monkeypatch, name, threads):
-        # tracemalloc peak of estimate_gamma once its kernels exist
+        # at the config's 20 batches and at 200; K_a, which sampling_bytes
+        # counts, exists before the traced peak's base
         text = (BENCH_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
         exp = parse_config(text).resolve()
-        run = exp.speckle
         reference = gamma_quadrature(
             exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad
         )
-        kernels = arm_kernels(exp.geom, exp.mask, run.axis_s, run.axis_a, run.axis_b, run.n_object)
-        base = []
+        for n_batches in (20, 200):
+            run = replace(exp.speckle, n_batches=n_batches)
+            peak, k_a = _traced_peak(monkeypatch, exp, run, reference, threads)
+            assert 0 < peak <= run.sampling_bytes(threads) - k_a.nbytes, n_batches
 
-        def built(*args):
-            k = tuple(x.copy() for x in kernels)
-            tracemalloc.reset_peak()
-            base.append(tracemalloc.get_traced_memory()[0])
-            return k
-
-        monkeypatch.setattr(montecarlo, "arm_kernels", built)
-        tracemalloc.start()
-        try:
-            estimate_gamma(run, exp.geom, exp.source, exp.mask, reference, threads=threads)
-            peak = tracemalloc.get_traced_memory()[1] - base[0]
-        finally:
-            tracemalloc.stop()
-        assert 0 < peak <= run.sampling_bytes(threads)
+    def test_traced_peak_does_not_grow_with_the_batch_count(self, monkeypatch):
+        # the montecarlo demo on 192 x 192 pixels: every batch grid held to
+        # the end of the run made the peak 9.4x larger at 200 batches than
+        # at 20. 960 realizations: the 48-row batches of 20 and the 4- and
+        # 5-row ones of 200 both fill the 193-row blocks to 192 rows, so the
+        # two runs propagate blocks of one size (at 800 realizations the
+        # 40-row batches fill only 160, and the block sets the peak)
+        text = DEMOS["montecarlo"].replace("grids.n_a = 64", "grids.n_a = 192").replace(
+            "grids.n_b = 64", "grids.n_b = 192"
+        )
+        exp = parse_config(text).resolve()
+        reference = gamma_quadrature(
+            exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad
+        )
+        peaks = [
+            _traced_peak(
+                monkeypatch, exp, replace(exp.speckle, n_realizations=960, n_batches=n_batches),
+                reference,
+            )[0]
+            for n_batches in (20, 200)
+        ]
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestEstimateGamma:
