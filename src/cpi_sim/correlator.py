@@ -148,18 +148,19 @@ def check_working_set(
 
     The estimate counts the arrays of the object sum and of Gamma: the
     half products CW and SW (2 ceil(n_source / 2) x n_b complex, the
-    buffer in which ``arm_kernels`` scales K_b), the column tables of the
-    object sum (2 ceil(n_object / 2) x 4 ceil(n_b / 2) floats, all four
-    parity blocks kept) and the n_a x n_b grid twice, for G and then
-    |G|^2 and Gamma; and the largest ``phase.plane_block`` plan of the
+    buffer that holds K_b's parity blocks in ``arm_kernels``), the column
+    tables of the object sum (2 ceil(n_object / 2) x 4 ceil(n_b / 2)
+    floats, all four parity blocks kept) and the n_a x n_b grid twice,
+    for G and then |G|^2 and Gamma; and the largest ``phase.plane_block`` plan of the
     four streams: the column tables' (ceil(n_b / 2) rows by the
     ceil(n_object / 2) mirror pairs), the object sum's (its part products
     and row turn, 8 ceil(n_b / 2) floats a source row), Gamma's source
-    side's (ceil(n_a / 2) columns) and the arm-a kernel's (n_a columns).
-    ``intensity_b`` holds less. With ``n_source = 0`` it bounds the output
-    grid alone. ``extra`` adds the bytes the caller holds beside them: a
-    Monte Carlo run's paired arm-a kernel K_a, its sampling blocks and its
-    fold, from ``SpeckleRun.sampling_bytes``.
+    side's (ceil(n_a / 2) columns) and the arm-a kernel's (ceil(n_a / 2)
+    columns, no products). ``intensity_b`` holds less. With
+    ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
+    bytes the caller holds beside them: a Monte Carlo run's arm-a parity
+    blocks, its sampling blocks and its fold, from
+    ``SpeckleRun.sampling_bytes``.
     """
     need = 16 * n_a * n_b + extra
     if n_source:
@@ -168,7 +169,7 @@ def check_working_set(
             phase.plane_block(k, pairs, 0, 0)[3],
             phase.plane_block(half, pairs, 8 * k, 0)[3],
             phase.plane_block(half, (n_a + 1) // 2, 0, 4 * n_b)[3],
-            phase.plane_block(half, n_a, 0, 0)[3],
+            phase.plane_block(half, (n_a + 1) // 2, 0, 0)[3],
         )
     check_bytes(
         what, need, f"{n_source} source nodes, {n_object} object nodes, n_a = {n_a}, n_b = {n_b}"
@@ -247,7 +248,13 @@ def _fold(out: np.ndarray, a, b, sign: int) -> None:
 
 
 def _half_products(
-    geom: SetupGeometry, mask: ObjectMask, n_object: int, half, rho_b, turn: float = 0.0
+    geom: SetupGeometry,
+    mask: ObjectMask,
+    n_object: int,
+    half,
+    rho_b,
+    turn: float = 0.0,
+    parity: bool = False,
 ) -> np.ndarray:
     """The object sum on the source half ``half`` (``_source_half``), over
     mirror pairs of object nodes and of detector-b pixels.
@@ -287,7 +294,14 @@ def _half_products(
     W_b = A w_o exp(-i c1 rho_o rho_b/M) and cos(c1 rho_o d),
     sin(c1 rho_o d); a nonzero ``turn`` (Gamma passes c_a mu_a) returns
     them turned back by turn d, cos(turn d) CW + sin(turn d) SW and
-    cos(turn d) SW - sin(turn d) CW.
+    cos(turn d) SW - sin(turn d) CW. With ``parity`` each row holds the
+    parity parts of CW and SW about mu_b in place of their pixel values,
+    in the layout of ``ParityKernel``: the even parts X1 and X3 on the
+    columns of the pixels mu_b + eps, and the odd parts at mu_b + eps,
+    -i X4 and -i X2, on the columns of their mirror pixels mu_b - eps, so
+    CW(mu_b +- eps) = even +- odd (an odd n_b's eps = 0 column holds its
+    even part alone; its odd part is 0). The row turn mixes whole rows, so
+    it turns the parts as it turns the pixel values.
 
     The column tables stream once from ``phase.phase_planes`` at c1 / M
     (rows eps, columns e); the half streams through the planes at c1 in
@@ -363,11 +377,15 @@ def _half_products(
         for p, (plus, minus) in enumerate(halves):
             ur, ui, vr, vi = (None if j is None else prod[p, :, j : j + k] for j in slots[p])
             plus, minus = plus[s_rows], minus[s_rows]
-            _fold(plus[..., 0], ur, vi, 1)  # U - i V at mu_b + eps
-            _fold(plus[..., 1], ui, vr, -1)
+            _fold(plus[..., 0], ur, None if parity else vi, 1)  # U - i V at mu_b + eps, or U
+            _fold(plus[..., 1], ui, None if parity else vr, -1)
             ur, ui, vr, vi = (None if b is None else b[:, odd:] for b in (ur, ui, vr, vi))
-            _fold(minus[..., 0], ur, vi, -1)  # U + i V at mu_b - eps
-            _fold(minus[..., 1], ui, vr, 1)
+            if parity:  # -i V, the odd part at mu_b + eps, in the column of mu_b - eps
+                _fold(minus[..., 0], vi, None, 1)
+                _fold(minus[..., 1], None, vr, -1)
+            else:
+                _fold(minus[..., 0], ur, vi, -1)  # U + i V at mu_b - eps
+                _fold(minus[..., 1], ui, vr, 1)
         if rate and o_cols.stop == h:  # the rows are complete: turn them by phi
             cw, sw = cs.view(float)[:, s_rows]
             sin_cw, sin_sw = products[:, :n_rows, : 2 * n_b]
@@ -380,6 +398,32 @@ def _half_products(
     return cs
 
 
+@dataclass(frozen=True)
+class ParityKernel:
+    """One arm's propagation kernel from mirror pairs of source cells to
+    mirror pairs of detector pixels (``arm_kernels``).
+
+    A realization is the row [u | v] on the h = ceil(n_s / 2) source nodes
+    d >= 0, u = phi(+d) + phi(-d) and v = phi(+d) - phi(-d). The ``n``
+    pixels pair about their midpoint, rho = mu + eps (``_mirror_split``),
+    and ``blocks`` = (E_u, E_v, O_u, O_v) give the field's even and odd
+    parts in eps:
+
+        P = u E_u + v E_v,  Q = u O_u + v O_v,  E(mu +- eps) = P +- Q,
+
+    each pixel up to a unit phase of its own, which drops out of |E|^2.
+    E_u and E_v are h x ceil(n / 2), on the pixels mu + eps, eps >= 0, in
+    pixel order. O_u and O_v are h x floor(n / 2) and hold the odd part
+    at mu + eps on the column of the mirror pixel mu - eps, in pixel order
+    too (eps descending); the eps = 0 pixel of an odd n is its own mirror,
+    where the odd part is 0. A block that is exactly zero on every entry
+    is None.
+    """
+
+    n: int
+    blocks: tuple[np.ndarray | None, ...]  # (E_u, E_v, O_u, O_v)
+
+
 def arm_kernels(
     geom: SetupGeometry,
     mask: ObjectMask,
@@ -387,28 +431,39 @@ def arm_kernels(
     axis_a: Axis,
     axis_b: Axis,
     n_object: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[ParityKernel, ParityKernel]:
     """Discrete propagation kernels from mirror pairs of source cells to
-    both detectors.
+    mirror pairs of pixels on both detectors, (K_a, K_b).
 
     The cells must be centred on rho_s = 0 and mirror-symmetric about it:
     each node d >= 0 of their half (``_source_half``) stands for the cells
-    +d and -d. Returns (K_a, K_b), shapes (n_a, 2 h) and (n_b, 2 h) for
-    the h = ceil(n_s / 2) nodes d >= 0: the columns [A | B], with the full
-    kernel K(+-d) = A +- B (2 A at the d = 0 cell of an odd n_s, its own
-    mirror). A field phi on the cells propagates as E = K @ [u | v],
-    u = phi(+d) + phi(-d) and v = phi(+d) - phi(-d). The source cell width
-    is folded in.
+    +d and -d, and a field phi on the cells propagates as the row [u | v],
+    u = phi(+d) + phi(-d) and v = phi(+d) - phi(-d), through the parity
+    blocks of ``ParityKernel``. So the full kernel on a cell, K(+-d) =
+    A +- B, has A = E_u +- O_u and B = E_v +- O_v at the pixels mu +- eps
+    (2 A at the d = 0 cell of an odd n_s, its own mirror, where u =
+    2 phi(0)). The source cell width is folded in.
 
     Arm a is the free Fresnel kernel h_a exp(i c_a (rho_a - rho_s)^2 / 2),
-    c_a = w / z_a: with g_a = h_a exp(i c_a rho_a^2 / 2) exp(i c_a d^2 / 2),
-    A = g_a cos(c_a rho_a d) and B = -i g_a sin(c_a rho_a d), from the
-    planes of ``phase.phase_planes``. Arm b is the prefactor h_b
-    (``arm_b_prefactor``) times the source chirp exp(i w d^2 / (2 z_b))
-    times the object transfer T(+-d) = CW -+ i SW: with g_b their product,
-    A = g_b CW and B = -i g_b SW, scaled in the buffer of the half products
-    (``_half_products``). Each column of K_b carries the unit phase of its
-    pixel that the half products leave in, which drops out of |E_b|^2.
+    c_a = w / z_a: with g = h_a exp(i c_a d^2 / 2), A = g cos(c_a rho_a d)
+    and B = -i g sin(c_a rho_a d), up to the pixel chirp
+    exp(i c_a rho_a^2 / 2), a unit factor per pixel that is left out. On
+    rho_a = mu_a + eps, with C and S the cosine and sine of c_a eps d on
+    the eps >= 0 half (``phase.phase_planes``) and psi = c_a mu_a d,
+
+        E_u = g cos(psi) C,  E_v = -i g sin(psi) C,
+        O_u = -g sin(psi) S,  O_v = -i g cos(psi) S,
+
+    and at mu_a = 0 (psi = 0) only E_u = g C and O_v = -i g S are built.
+    Arm b is the prefactor h_b (``arm_b_prefactor``) times the source chirp
+    exp(i w d^2 / (2 z_b)) times the object transfer T(+-d) = CW -+ i SW:
+    with g_b their product, A = g_b CW and B = -i g_b SW. Its blocks are
+    the parity parts of CW and SW about mu_b, which ``_half_products``
+    writes in its own buffer (``parity``), scaled there by g_b and
+    -i g_b, so they are views of that one buffer and no K_b of pixel
+    values is built. A slit on centred axes has CW even and SW odd in eps,
+    so O_u and E_v are exactly zero there: each arm keeps two blocks, half
+    the entries of the kernels on all pixels, and four on moved axes.
     """
     w = geom.omega0_over_c
     rho_s = axis_s.coordinates
@@ -422,26 +477,47 @@ def arm_kernels(
     phase.check_step("arm-a kernel source cell", axis_s.step, r.arm_a)
     phase.check_step("arm-b kernel source cell", axis_s.step, r.arm_b)
     half = _source_half(rho_s)
-
-    k_b = _half_products(geom, mask, n_object, half, rho_b)
     cells = np.full(half.size, axis_s.step)
     if rho_s.size % 2:
         cells[0] *= 0.5  # d = 0 is its own mirror, where u = 2 phi(0)
+
+    cs = _half_products(geom, mask, n_object, half, rho_b, parity=True)
     g_b = arm_b_prefactor(geom) * gaussian_phase(half, w / geom.z_b) * cells
-    k_b[0] *= g_b[:, None]
-    k_b[1] *= (-1j * g_b)[:, None]
+    cs[0] *= g_b[:, None]
+    cs[1] *= (-1j * g_b)[:, None]
+    m = rho_b.size // 2
+    k_b = ParityKernel(
+        rho_b.size, tuple(b if np.any(b) else None for b in (*cs[:, :, m:], *cs[:, :, :m]))
+    )
 
     c_a = w / geom.z_a
-    k_a = np.empty((2, half.size, rho_a.size), dtype=complex)
-    g_a = fresnel_prefactor(w, geom.z_a) * gaussian_phase(rho_a, c_a)
-    rows, cols, block, _ = phase.plane_block(half.size, rho_a.size, 0, 0)
+    n_a, odd = rho_a.size, rho_a.size % 2
+    mu_a, eps_a = _mirror_split(rho_a, "the arm-a kernel needs evenly spaced rho_a")
+    g = fresnel_prefactor(w, geom.z_a) * gaussian_phase(half, c_a) * cells
+    if mu_a:
+        psi = c_a * mu_a * half
+        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+        scales = (g * cos_psi, -1j * g * sin_psi, -g * sin_psi, -1j * g * cos_psi)
+    else:
+        scales = (g, None, None, -1j * g)
+    k = (n_a + 1) // 2
+    blocks = tuple(
+        None if f is None else np.empty((half.size, width), dtype=complex)
+        for f, width in zip(scales, (k, k, n_a // 2, n_a // 2))
+    )
+    rows, cols, block, _ = phase.plane_block(half.size, k, 0, 0)
     for s_rows, a_cols, (cos, sin) in phase.phase_planes(
-        c_a, rho_a, half, rows, cols, block, half[-1]
+        c_a, eps_a[n_a // 2 :], half, rows, cols, block, half[-1]
     ):
-        np.multiply(cos, g_a[a_cols], out=k_a[0, s_rows, a_cols])
-        np.multiply(sin, -1j * g_a[a_cols], out=k_a[1, s_rows, a_cols])
-    k_a *= (gaussian_phase(half, c_a) * cells)[:, None]
-    return k_a.reshape(2 * half.size, -1).T, k_b.reshape(2 * half.size, -1).T
+        for f, b in zip(scales[:2], blocks[:2]):
+            if b is not None:
+                np.multiply(cos, f[s_rows, None], out=b[s_rows, a_cols])
+        skip = odd if a_cols.start == 0 else 0  # S is 0 at the eps = 0 pixel of an odd n_a
+        for f, b in zip(scales[2:], blocks[2:]):
+            if b is not None:  # eps descending: the columns of the mirror pixels
+                mirror = b[s_rows, ::-1][:, a_cols.start + skip - odd : a_cols.stop - odd]
+                np.multiply(sin[:, skip:], f[s_rows, None], out=mirror)
+    return ParityKernel(n_a, blocks), k_b
 
 
 def intensity_a(geom: SetupGeometry, axis_a: Axis) -> SampledImage:

@@ -140,13 +140,36 @@ def e2_full_width(width: float) -> float:
     return 2.0 * np.sqrt(2.0) * width
 
 
-def full_kernels(k: np.ndarray, n_s: int) -> np.ndarray:
-    """The kernel on all ``n_s`` cells, shape (pixels, n_s), of a paired
-    kernel k = [A | B] of ``correlator.arm_kernels`` on the h =
-    ceil(n_s / 2) nodes d >= 0: K(+d) = A + B, K(-d) = A - B, and 2 A at
-    the d = 0 cell of an odd n_s, its own mirror."""
+def unpair_pixels(even: np.ndarray, odd: np.ndarray | None, n: int) -> np.ndarray:
+    """Values on all ``n`` pixels, in pixel order along the last axis, of
+    a field's parity parts about the pixels' midpoint mu, in the layout of
+    ``correlator.ParityKernel``: ``even`` on the pixels mu + eps (eps >=
+    0) and ``odd``, the odd part at mu + eps, on the columns of their
+    mirrors mu - eps (None for 0). A pixel mu + eps takes even + odd and
+    its mirror even - odd; the eps = 0 pixel of an odd n takes its even
+    part alone."""
+    m = n // 2
+    full = np.empty(even.shape[:-1] + (n,), dtype=complex)
+    full[..., m:] = even
+    full[..., :m] = even[..., n % 2 :][..., ::-1]
+    if odd is not None:
+        full[..., n - m :] += odd[..., ::-1]
+        full[..., :m] -= odd
+    return full
+
+
+def full_kernels(k, n_s: int) -> np.ndarray:
+    """The kernel on all ``n_s`` cells and all ``k.n`` pixels, shape
+    (pixels, n_s), of a parity kernel ``k`` of ``correlator.arm_kernels``
+    on the h = ceil(n_s / 2) nodes d >= 0. The pixels unpair first
+    (``unpair_pixels``): A = E_u +- O_u and B = E_v +- O_v at mu +- eps.
+    Then the cells: K(+d) = A + B, K(-d) = A - B, and 2 A at the d = 0
+    cell of an odd n_s, its own mirror."""
+    e_u, e_v, o_u, o_v = k.blocks
     h = (n_s + 1) // 2
-    a, b = k[:, :h], k[:, h:]
+    zero = np.zeros((h, (k.n + 1) // 2))
+    a = unpair_pixels(zero if e_u is None else e_u, o_u, k.n).T
+    b = unpair_pixels(zero if e_v is None else e_v, o_v, k.n).T
     full = np.concatenate([(a - b)[:, ::-1], a + b], axis=1)
     if n_s % 2:  # both copies of the d = 0 column sum to 2 A
         full[:, h] += full[:, h - 1]

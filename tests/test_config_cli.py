@@ -615,7 +615,7 @@ class TestCli:
             ("refocus", "quadrature needs 1.48 GiB (1537691 source nodes"),
             # a 600001-cell phasor row is more than the 4 MiB block budget,
             # so sampling counts a block of one row, not one 50-row batch
-            ("montecarlo", "Monte Carlo run needs 2.03 GiB (600001 source nodes, 458 object"),
+            ("montecarlo", "Monte Carlo run needs 1.31 GiB (600001 source nodes, 458 object"),
             ("geometric", None),  # builds no propagator, so any span fits
         ],
         ids=["analytic", "refocus", "montecarlo", "geometric"],
@@ -748,9 +748,11 @@ class TestCli:
             config.resolve()
 
     def test_monte_carlo_estimate_is_pinned_at_the_limit(self, monkeypatch):
-        # the paired arm-a kernel K_a (2 x 676 columns [A | B] of n_a), the
-        # half products CW, SW (2 x 676 rows of n_b), in whose buffer K_b is
-        # scaled, and the grid twice, 16 bytes each; the column tables of the object sum
+        # the arm-a kernel's two parity blocks (676 rows of 32 pixels each:
+        # the even part on the eps_a >= 0 half, the odd one on its mirror),
+        # the half products CW, SW (2 x 676 rows of n_b), in whose buffer
+        # K_b's parity blocks are built, and the grid twice, 16 bytes each;
+        # the column tables of the object sum
         # (2 planes x 33 mirror pairs of the 66 object nodes x 4 x 32
         # pixels of the eps_b >= 0 half), 8 bytes each; one object
         # half-products block, 8 bytes an entry: 2**20 entries allow
@@ -760,21 +762,23 @@ class TestCli:
         # pairs), the complex offset table and product buffer (4 x 26
         # rows), the complex anchor row and its angles (3 rows) and the
         # part products (2 x 676 rows of 4 x 32);
-        # the arm-a kernel's plane block (676 rows of 64 pixels) is smaller;
+        # the arm-a kernel's plane block (676 rows of 32 pixels) is smaller;
         # then sampling: per thread one propagation block of 4 MiB // (16 x
         # 1352) = 193 rows, each 8 x 169 bytes of padded phase indices,
-        # 1352 of pair indices, 16 x 1352 of [u | v] rows and 32 x
-        # (64 + 64) of propagated rows, plus a 16-row intp slice of 8 x 1352
-        # bytes a row; and the fold: one piece's centered rows, 8 bytes a
-        # pixel of the block's 193 rows, and nine 8-byte n_a x n_b grids,
-        # whatever the batch count
+        # 1352 of pair indices, 16 x 1352 of [u | v] rows and, for the
+        # propagation, arm a's 64 intensities (8 bytes each) beside arm b's
+        # P and Q (16 x 64), P + Q buffer (16 x 32) and intensities (8 x
+        # 64), plus a 16-row intp slice of 8 x 1352 bytes a row; and the
+        # fold: one piece's centered rows, 8 bytes a pixel of the block's
+        # 193 rows, and nine 8-byte n_a x n_b grids, whatever the batch count
         config = parse_config(DEMOS["montecarlo"])
         block = 33 * (2 * 676 + 4 * 26 + 3) + 2 * 676 * 4 * 32
-        assert cpi_sim.phase.plane_block(676, 64, 0, 0)[3] < block
+        assert cpi_sim.phase.plane_block(676, 32, 0, 0)[3] < block
         kernels = (
-            16 * (2 * 676 * 64 + 2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
+            16 * (676 * 64 + 2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
         )
-        propagation = 193 * (8 * 169 + 17 * 1352 + 32 * 128) + 16 * 8 * 1352
+        arm_b = 8 * 64 + 16 * 64 + 16 * 32 + 8 * 64
+        propagation = 193 * (8 * 169 + 17 * 1352 + arm_b) + 16 * 8 * 1352
         need = kernels + propagation + 8 * 193 * 128 + 9 * 8 * 64 * 64
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         speckle = config.resolve().speckle

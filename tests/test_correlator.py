@@ -31,6 +31,7 @@ from cpi_sim.optics import object_quadrature, source_quadrature
 from conftest import SEPARATION, SIGMA, smooth_two_lobe_mask
 from oracles import (
     coherent_psf,
+    full_kernels,
     gamma_rounding_bound,
     gaussian_gamma,
     incoherent_psf,
@@ -1117,9 +1118,9 @@ class TestObjectTransferBlocks:
         # ceil(n_o / 2) mirror pairs of object nodes), then the half over
         # those pairs; a third stream, ``third`` = (its pixels, its
         # products a pixel), takes the half once more, in the blocks
-        # phase.plane_block sizes: gamma_quadrature's source side over the
-        # ceil(n_a / 2) pixels eps_a >= 0 of detector a, or the arm-a
-        # kernel of arm_kernels over all n_a. Gamma's detector a is off
+        # phase.plane_block sizes: gamma_quadrature's source side or the
+        # arm-a kernel of arm_kernels, both over the ceil(n_a / 2) pixels
+        # eps_a >= 0 of detector a. Gamma's detector a is off
         # centre (mu_a != 0) and its slits centred (m = 0), so the object
         # sum turns its rows by -c_a mu_a d (``turned``), which the calls
         # without Gamma's turn (turn 0) leave out
@@ -1189,10 +1190,12 @@ class TestObjectTransferBlocks:
         n_o = object_quadrature(slits, n_object)[0].size
         (k_a, k_b), (blocked_a, blocked_b) = self._blocked(
             monkeypatch, n_o, axis_b.n, axis_s.n,
-            lambda: arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object), (axis_a.n, 0),
+            lambda: arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object),
+            ((axis_a.n + 1) // 2, 0),
         )
-        self._assert_close(blocked_a, k_a)
-        self._assert_close(blocked_b, k_b)
+        for blocked, k in ((blocked_a, k_a), (blocked_b, k_b)):
+            assert [b is None for b in blocked.blocks] == [b is None for b in k.blocks]
+            self._assert_close(full_kernels(blocked, axis_s.n), full_kernels(k, axis_s.n))
 
 
 class TestObjectTransferMemory:
@@ -1213,9 +1216,10 @@ class TestObjectTransferMemory:
         self, monkeypatch, geom_defocused, source, slits
     ):
         # check_working_set counts K_b once, as the buffer of the half
-        # products in which arm_kernels scales it, beside the object sum's
+        # products that holds its parity blocks, beside the object sum's
         # column tables, the grid and one block; the Monte Carlo caller
-        # adds the paired K_a (16 n_a 2 ceil(n_s / 2) bytes).
+        # adds K_a's two parity blocks on this centred axis (16 n_a
+        # ceil(n_s / 2) bytes).
         # With n_b = 512 well above n_a = 8 the peak stays below the
         # estimate, which is less than two arrays of the full kernel's
         # size (16 x 1626 x 512 bytes each)
@@ -1225,7 +1229,7 @@ class TestObjectTransferMemory:
         assert (axis_s.n, n_object) == (1626, 81)
         needs = []
         monkeypatch.setattr(correlator, "check_bytes", lambda what, need, counts: needs.append(need))
-        k_a = 16 * 2 * ((axis_s.n + 1) // 2) * axis_a.n
+        k_a = 16 * ((axis_s.n + 1) // 2) * axis_a.n
         correlator.check_working_set("arm kernels", axis_s.n, n_object, axis_a.n, axis_b.n, k_a)
         (need,) = needs
         assert need < 2 * 16 * axis_s.n * axis_b.n

@@ -25,12 +25,13 @@ from cpi_sim import (
 )
 from cpi_sim.metrics import normalized_l1, two_sided_peaks
 from cpi_sim.montecarlo import (
-    _PHASES, _batch_covariances, _block_rows, _phase_indices, _phasors,
+    _PHASES, _batch_covariances, _block_rows, _intensities, _parity_products, _phase_indices,
+    _phasors,
 )
 from cpi_sim.optics import fresnel_prefactor, object_quadrature
 from cpi_sim.refocus import ghost_image
 from conftest import SEPARATION
-from oracles import full_kernels
+from oracles import full_kernels, unpair_pixels
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -44,9 +45,26 @@ def small_setup(geom_focused, source, slits):
 
 
 def _full_arm_kernels(geom, mask, axis_s, axis_a, axis_b, n_object):
-    """``arm_kernels`` on every cell (``oracles.full_kernels``)."""
+    """``arm_kernels`` on every cell and pixel (``oracles.full_kernels``)."""
     k_a, k_b = arm_kernels(geom, mask, axis_s, axis_a, axis_b, n_object)
     return full_kernels(k_a, axis_s.n), full_kernels(k_b, axis_s.n)
+
+
+def _paired_columns(n_cells):
+    """Columns of a row [u | v] on ``n_cells`` centred cells."""
+    return 2 * ((n_cells + 1) // 2)
+
+
+def _scaled(kernel, amp=1.0):
+    """A copy of ``kernel`` with each kept block's rows times ``amp``, one
+    value a source node d >= 0 or one for all."""
+    amp = np.reshape(amp, (-1, 1))
+    return replace(kernel, blocks=tuple(None if b is None else b * amp for b in kernel.blocks))
+
+
+def _nbytes(kernel):
+    """Bytes of ``kernel``'s kept blocks."""
+    return sum(b.nbytes for b in kernel.blocks if b is not None)
 
 
 def _reference(geom, source, mask, axis_a, axis_b):
@@ -175,9 +193,13 @@ class TestArmKernels:
         axis_b = Axis.from_half_width(9, 400e-6, center=-90e-6)
         axis_s, n_object = default_sampling(g, source, slits, axis_a, axis_b)
         k_a, _ = _full_arm_kernels(g, slits, axis_s, axis_a, axis_b, n_object)
+        # the parity blocks leave out the pixel chirp exp(i w rho_a^2 / (2
+        # z_a)), a unit factor per pixel that drops out of |E_a|^2, so it
+        # is put back here before the comparison
+        w = g.omega0_over_c
+        k_a *= np.exp(0.5j * (w / g.z_a) * axis_a.coordinates**2)[:, None]
 
         # direct evaluation: h_a exp(i w (rho_a - rho_s)^2 / (2 z_a)) per entry
-        w = g.omega0_over_c
         d = axis_a.coordinates[:, None] - axis_s.coordinates[None, :]
         direct = fresnel_prefactor(w, g.z_a) * np.exp(0.5j * (w / g.z_a) * d**2) * axis_s.step
         peak = np.abs(direct).max()
@@ -235,9 +257,10 @@ class TestArmKernels:
 
     @pytest.mark.parametrize("n", [33, 34])
     def test_paired_rows_propagate_as_the_cells(self, geom_focused, slits, n):
-        # a realization's row [u | v] through the paired kernels gives the
-        # field its unit phasors give through the full ones, the d = 0
-        # cell of the odd count, its own mirror, included
+        # a realization's row [u | v] through the parity blocks gives the
+        # field its unit phasors give through the full kernels, P + Q and
+        # P - Q on the mirrored pixels, the d = 0 cell of the odd count,
+        # its own mirror, included
         axis_a = Axis.from_half_width(8, 150e-6)
         axis_b = Axis.from_half_width(9, 400e-6)
         axis_s = Axis.from_half_width(n, 1e-4)
@@ -248,7 +271,8 @@ class TestArmKernels:
         phasors = _PHASES[_phase_indices(5, 10, 30, n)]
         for k, f in zip(paired, full):
             e = phasors @ f.T
-            np.testing.assert_allclose(rows @ k.T, e, rtol=0, atol=1e-13 * np.abs(e).max())
+            fields = unpair_pixels(*_parity_products(rows, k), k.n)
+            np.testing.assert_allclose(fields, e, rtol=0, atol=1e-13 * np.abs(e).max())
 
     def test_off_centre_cells_are_refused(self, geom_focused, slits):
         # the kernels pair the cell +d with -d, so the cells must be centred
@@ -261,6 +285,44 @@ class TestArmKernels:
                 arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, 64)
 
 
+class TestParityKernels:
+    # detector axes of each case and the blocks each arm keeps: on centred
+    # axes arm a's rows need no turn (mu_a = 0) and the slits' CW is even
+    # and SW odd about mu_b, so each arm keeps E_u and O_v; on moved axes
+    # all four parity parts are nonzero
+    CASES = {
+        "centred-even": ((16, 150e-6, 0.0), (16, 400e-6, 0.0), 2),
+        "odd-n_a": ((17, 150e-6, 0.0), (16, 400e-6, 0.0), 2),
+        "moved-axes": ((8, 150e-6, 40e-6), (9, 400e-6, -90e-6), 4),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_intensities_match_the_full_kernels(self, geom_focused, source, slits, case):
+        # |P +- Q|^2 on the mirrored pixels equals |K x|^2 of the full
+        # kernels on every cell and pixel, for random complex cell fields
+        spec_a, spec_b, kept = self.CASES[case]
+        axis_a, axis_b = Axis.from_half_width(*spec_a), Axis.from_half_width(*spec_b)
+        axis_s, n_object = default_sampling(geom_focused, source, slits, axis_a, axis_b)
+        kernels = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
+        assert [sum(b is not None for b in k.blocks) for k in kernels] == [kept, kept]
+        n = axis_s.n
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(40, n)) + 1j * rng.normal(size=(40, n))
+        plus, minus = x[:, n // 2 :], x[:, (n - 1) // 2 :: -1]
+        rows = np.concatenate([plus + minus, plus - minus], axis=1)
+        for k in kernels:
+            want = np.abs(x @ full_kernels(k, n).T) ** 2
+            got = _intensities(rows, k)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * want.max())
+
+    @pytest.mark.parametrize("name", ["montecarlo-focused", "montecarlo-defocused"])
+    def test_bench_configs_keep_two_blocks_an_arm(self, name):
+        exp = parse_config((BENCH_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")).resolve()
+        run = exp.speckle
+        for k in arm_kernels(exp.geom, exp.mask, run.axis_s, run.axis_a, run.axis_b, run.n_object):
+            assert [b is not None for b in k.blocks] == [True, False, False, True]
+
+
 def _traced_peak(monkeypatch, exp, run, reference, threads=1):
     """The tracemalloc peak of ``estimate_gamma`` once its kernels exist,
     above the memory traced then, and the arm-a kernel it was given."""
@@ -268,7 +330,7 @@ def _traced_peak(monkeypatch, exp, run, reference, threads=1):
     base = []
 
     def built(*args):
-        k = tuple(x.copy() for x in kernels)
+        k = tuple(_scaled(x) for x in kernels)
         tracemalloc.reset_peak()
         base.append(tracemalloc.get_traced_memory()[0])
         return k
@@ -296,8 +358,8 @@ def _two_pass(k_a, k_b, seed, n, start, stop):
     idx = _phase_indices(seed, start, stop, n)
     plus, minus = _PHASES[idx[:, n // 2 :]], _PHASES[idx[:, (n - 1) // 2 :: -1]]
     fields = np.concatenate([plus + minus, plus - minus], axis=1)
-    i_a = np.abs(fields @ k_a.T) ** 2
-    i_b = np.abs(fields @ k_b.T) ** 2
+    i_a = _intensities(fields, k_a)
+    i_b = _intensities(fields, k_b)
     k = stop - start
     mean_a = i_a.sum(axis=0) / k
     mean_b = i_b.sum(axis=0) / k
@@ -305,20 +367,19 @@ def _two_pass(k_a, k_b, seed, n, start, stop):
 
 
 def _half_amplitude(source, axis_s):
-    """The source amplitude on the paired columns [A | B]: f(d) = f(-d)
-    on the nodes d >= 0 of the centred cells, once for A and once for B."""
-    amp = source.amplitude(axis_s.coordinates[axis_s.n // 2 :])
-    return np.concatenate([amp, amp])
+    """The source amplitude on the rows of the parity blocks: f(d) = f(-d)
+    on the nodes d >= 0 of the centred cells."""
+    return source.amplitude(axis_s.coordinates[axis_s.n // 2 :])
 
 
 @pytest.fixture(scope="module")
 def scaled_kernels(geom_focused, source, slits, small_setup):
-    """The small setup's paired kernels with the source amplitude folded
+    """The small setup's parity kernels with the source amplitude folded
     in, and its cell count."""
     axis_a, axis_b, axis_s, n_object = small_setup
     k_a, k_b = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
     amp = _half_amplitude(source, axis_s)
-    return k_a * amp, k_b * amp, axis_s.n
+    return _scaled(k_a, amp), _scaled(k_b, amp), axis_s.n
 
 
 class TestBatchCovariance:
@@ -330,12 +391,12 @@ class TestBatchCovariance:
         axis_a, axis_b, axis_s, n_object = small_setup
         start, stop = 0, 700
         k_a, k_b = arm_kernels(geom_focused, slits, axis_s, axis_a, axis_b, n_object)
-        _set_block_rows(monkeypatch, 256, k_a.shape[1])
+        _set_block_rows(monkeypatch, 256, _paired_columns(axis_s.n))
         # the batch path propagates sums and differences of the unit phasors
-        # of mirrored cells through amplitude-scaled paired kernels
+        # of mirrored cells through amplitude-scaled parity kernels
         amp = _half_amplitude(source, axis_s)
         [(cov, mean_a, mean_b)] = _batch_covariances(
-            k_a * amp, k_b * amp, seed=13, n_cells=axis_s.n, spans=[(start, stop)]
+            _scaled(k_a, amp), _scaled(k_b, amp), seed=13, n_cells=axis_s.n, spans=[(start, stop)]
         )
 
         # the sampled fields, amplitude included, through the full kernels
@@ -362,7 +423,7 @@ class TestBatchCovariance:
         # two-pass result of that batch propagated alone. This rests on BLAS
         # giving each output row independently of the row count.
         k_a, k_b, n = scaled_kernels
-        _set_block_rows(monkeypatch, rows, k_a.shape[1])
+        _set_block_rows(monkeypatch, rows, _paired_columns(n))
         edges = np.linspace(0, 1000, 8).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
         assert {hi - lo for lo, hi in spans} == {142, 143}
@@ -379,7 +440,7 @@ class TestBatchCovariance:
         # blocks of 100 rows: each 142- or 143-row batch is cut into 100 +
         # 42/43 and the two pieces Chan-merged, the same pieces as alone
         k_a, k_b, n = scaled_kernels
-        _set_block_rows(monkeypatch, 100, k_a.shape[1])
+        _set_block_rows(monkeypatch, 100, _paired_columns(n))
         edges = np.linspace(0, 1000, 8).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
         results = list(_batch_covariances(k_a, k_b, 21, n, spans, threads))
@@ -404,8 +465,8 @@ class TestBatchCovariance:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", ["montecarlo-focused", "montecarlo-defocused"])
     def test_sampling_bytes_bound_the_traced_peak(self, monkeypatch, name, threads):
-        # at the config's 20 batches and at 200; K_a, which sampling_bytes
-        # counts, exists before the traced peak's base
+        # at the config's 20 batches and at 200; K_a's parity blocks, which
+        # sampling_bytes counts, exist before the traced peak's base
         text = (BENCH_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
         exp = parse_config(text).resolve()
         reference = gamma_quadrature(
@@ -414,7 +475,7 @@ class TestBatchCovariance:
         for n_batches in (20, 200):
             run = replace(exp.speckle, n_batches=n_batches)
             peak, k_a = _traced_peak(monkeypatch, exp, run, reference, threads)
-            assert 0 < peak <= run.sampling_bytes(threads) - k_a.nbytes, n_batches
+            assert 0 < peak <= run.sampling_bytes(threads) - _nbytes(k_a), n_batches
 
     def test_traced_peak_does_not_grow_with_the_batch_count(self, monkeypatch):
         # the montecarlo demo on 192 x 192 pixels: every batch grid held to
