@@ -31,13 +31,17 @@ on centred axes leaves two of each arm's four blocks exactly zero, so
 each arm runs two GEMMs of ceil(n_s / 2) by about n / 2: half the flops
 of one GEMM through the kernel on every pixel.
 
-Randomness is counter-based: realization r draws its phase indices from a
-Philox stream keyed by (seed, r), one byte per cell, so cell i of
-realization r is a pure function of (seed, r, i) and parallel scheduling
-cannot perturb the stream. A block of realizations builds one generator
-and re-keys it per realization through its state (key (seed, r), counter
-0, empty buffer), which gives the same (seed, r) stream as a generator
-built for that key, without the cost of building one per row.
+Randomness is counter-based (Salmon, Moraes, Dror & Shaw, SC11): one
+Philox4x64 stream keyed (seed, 0) serves every realization. A row holds
+the h = ceil(n / 2) mirror pairs of the n cells, one byte a pair, and
+takes m = ceil(h / 32) counters of 32 bytes, so realization r reads the
+counters (r m, (r + 1) m]. Byte j, masked to its low 6 bits, is the pair
+index (i+ << 3) | i- of the cells +-d_j: two independent uniform 3-bit
+phase indices; the d = 0 cell of an odd n, its own mirror, takes the low
+3 bits as both. Pair j of realization r is thus a pure function of
+(seed, r, j), and a block of realizations is one generator started at its
+first counter and one draw, so neither blocks, batches nor threads can
+perturb the stream.
 
 Propagation runs in blocks of consecutive realizations, one GEMM per
 kept parity block and block. A block holds whole batches, as many as fit
@@ -72,7 +76,7 @@ MIN_BATCHES = 2  # the spread of batch means is the error bar
 MIN_REALIZATIONS = 100  # fewer give no meaningful error bars
 # default_sampling takes this fraction of the tightest source-cell limit
 _CELL_MARGIN = 0.8
-# the phases exp(2 pi i k / 8); a cell's index is the low 3 bits of one byte
+# the phases exp(2 pi i k / 8); a cell's index is 3 bits of its pair's byte
 _PHASES = np.exp(2j * np.pi * np.arange(8) / 8)
 # u = phi(+d) + phi(-d) at the pair index (i+ << 3) | i- of the cells' phase
 # indices, and v = phi(+d) - phi(-d) at that index plus 64
@@ -113,9 +117,9 @@ class SpeckleRun:
         (``arm_kernels``), ceil(n_s / 2) x n_a complex, twice that off a
         centred axis, where all four are kept; per block in flight (at
         most ``threads``, and at most one per batch plus one per
-        ``_block_rows`` realizations), its rows' uint8 phase indices,
-        padded to whole Philox words, their uint8 pair indices and complex
-        [u | v] rows, 17 bytes a column, the intp copy of one
+        ``_block_rows`` realizations), its rows' Philox bytes, one a mirror
+        pair padded to whole counters of 32, their uint8 pair indices and
+        complex [u | v] rows, 17 bytes a column, the intp copy of one
         ``_TAKE_ROWS`` slice of pair indices, and, a row, the propagation
         of ``_intensities``: arm a's |P +- Q|^2 (8 bytes a pixel) held
         while arm b runs, and the larger arm's P and Q (16 bytes a pixel),
@@ -130,7 +134,7 @@ class SpeckleRun:
         rows = min(_block_rows(cols), self.n_realizations)
         blocks = min(threads, self.n_batches + self.n_realizations // rows)
         arm = max(24 * n_a + 16 * (n_a // 2), 8 * n_a + 24 * n_b + 16 * (n_b // 2))
-        block = rows * (8 * -(-n // 8) + 17 * cols + arm) + 8 * min(rows, _TAKE_ROWS) * cols
+        block = rows * (32 * -(-cols // 64) + 17 * cols + arm) + 8 * min(rows, _TAKE_ROWS) * cols
         fold = 8 * rows * (n_a + n_b) + 9 * 8 * n_a * n_b
         k_a = 16 * (cols // 2) * n_a * (2 if self.axis_a.center else 1)
         return k_a + blocks * block + fold
@@ -178,34 +182,48 @@ def sample_source_field(
     """One chaotic source realization: f(rho_s_i) * exp(i theta_i).
 
     Deterministic in (seed, realization_index, cell index); phases are
-    i.i.d. uniform over the eight phases 2 pi k / 8. The batch path
-    propagates these phasors as mirror-pair sums and differences
-    (``_phasors``), with the amplitude in the kernels.
+    i.i.d. uniform over the eight phases 2 pi k / 8, read from the pair
+    indices of the realization's counters (``_pair_indices``), which pair
+    the cells about the middle of the axis. The batch path propagates
+    these phasors as mirror-pair sums and differences (``_phasors``),
+    with the amplitude in the kernels.
     """
     idx = _phase_indices(seed, realization_index, realization_index + 1, axis_s.n)
     return source.amplitude(axis_s.coordinates) * _PHASES[idx[0]]
 
 
-def _phase_indices(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
-    """Phase-table indices of realizations [lo, hi) as a (hi - lo, n) array.
+def _pair_indices(seed: int, lo: int, hi: int, n: int, out: np.ndarray) -> np.ndarray:
+    """Write the pair indices (i+ << 3) | i- of realizations [lo, hi) on
+    ``n`` centred cells into ``out``, a (hi - lo, ceil(n / 2)) uint8 array,
+    and return it. Column j is the pair of cells +-d_j, d_j >= 0 ascending.
 
-    Row r - lo reads the Philox stream keyed by (seed, r), so a row does not
-    depend on the block it was generated in: cell i takes byte i of the
-    stream's little-endian words, modulo 8. One generator serves the block:
-    setting its state with key (seed, r) restarts it at counter 0 with an
-    empty buffer, the state ``Philox(key=(seed, r))`` starts in.
+    Row r - lo is the low 6 bits of the bytes of counters (r m, (r + 1) m]
+    of the Philox stream keyed (seed, 0), m = ceil(h / 32) for the h pairs:
+    one generator started at counter lo m and one draw serve the block.
+    The d = 0 cell of an odd n is its own mirror: its i+ and i- are both
+    the byte's low 3 bits.
     """
-    words = -(-n // 8)
-    idx = np.empty((hi - lo, 8 * words), dtype=np.uint8)
-    gen = np.random.Philox(key=np.array([seed, lo], dtype=np.uint64))
-    state = gen.state  # counter 0, buffer_pos 4: nothing drawn yet
-    key = state["state"]["key"]
-    for r in range(lo, hi):
-        key[1] = r
-        gen.state = state
-        idx[r - lo] = gen.random_raw(words).astype("<u8", copy=False).view(np.uint8)
-    idx &= 7
-    return idx[:, :n]
+    h = (n + 1) // 2
+    m = -(-h // 32)
+    gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=lo * m)
+    raw = gen.random_raw(4 * m * (hi - lo)).astype("<u8", copy=False).view(np.uint8)
+    raw = raw.reshape(hi - lo, 32 * m)[:, :h]
+    np.bitwise_and(raw, 63, out=out)
+    if n % 2:
+        np.multiply(raw[:, 0] & 7, 9, out=out[:, 0])  # (i << 3) | i
+    return out
+
+
+def _phase_indices(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
+    """Phase-table indices of realizations [lo, hi) on ``n`` centred cells
+    as a (hi - lo, n) array: cell n // 2 + j takes i+ of pair j and cell
+    (n - 1) // 2 - j its i- (``_pair_indices``)."""
+    h = (n + 1) // 2
+    pairs = _pair_indices(seed, lo, hi, n, np.empty((hi - lo, h), dtype=np.uint8))
+    idx = np.empty((hi - lo, n), dtype=np.uint8)
+    np.bitwise_and(pairs[:, ::-1], 7, out=idx[:, :h])
+    np.right_shift(pairs, 3, out=idx[:, n // 2 :])
+    return idx
 
 
 def default_sampling(
@@ -244,17 +262,15 @@ def _block_rows(n_cols: int) -> int:
 def _phasors(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     """The rows [u | v] of realizations [lo, hi) on ``n`` centred cells,
     shape (hi - lo, 2 ceil(n / 2)): for the cells +-d of each node d >= 0,
-    u = phi(+d) + phi(-d) and v = phi(+d) - phi(-d) of the unit phasors of
-    ``_phase_indices`` (u = 2 phi(0) and v = 0 at the d = 0 cell of an
-    odd n, its own mirror). They are the ``_PAIRS`` entries of the pair
-    indices (i+ << 3) | i-, gathered ``_TAKE_ROWS`` rows at a time so the
-    intp copy of the uint8 indices that ``np.take`` makes stays that
-    small."""
-    idx = _phase_indices(seed, lo, hi, n)
+    u = phi(+d) + phi(-d) and v = phi(+d) - phi(-d) of their unit phasors
+    (u = 2 phi(0) and v = 0 at the d = 0 cell of an odd n, its own
+    mirror). They are the ``_PAIRS`` entries at [pairs | pairs | 64] of
+    the block's pair indices (``_pair_indices``), gathered ``_TAKE_ROWS``
+    rows at a time so the intp copy of the uint8 indices that ``np.take``
+    makes stays that small."""
     h = (n + 1) // 2
     pairs = np.empty((hi - lo, 2 * h), dtype=np.uint8)
-    np.multiply(idx[:, n // 2 :], 8, out=pairs[:, :h])  # i+ << 3
-    pairs[:, :h] |= idx[:, (n - 1) // 2 :: -1]
+    _pair_indices(seed, lo, hi, n, pairs[:, :h])
     np.bitwise_or(pairs[:, :h], 64, out=pairs[:, h:])
     fields = np.empty(pairs.shape, dtype=complex)
     for r in range(0, hi - lo, _TAKE_ROWS):
@@ -391,8 +407,8 @@ def estimate_gamma(
 
     The returned grid is that estimate clipped at 0, because a
     ``CorrelationGrid`` holds no negative value. The clip is not small:
-    on the two Monte Carlo bench configs at their own seeds, 32% and 48%
-    of the entries are negative, the most negative at -0.12 and -0.85 of
+    on the two Monte Carlo bench configs at their own seeds, 30% and 49%
+    of the entries are negative, the most negative at -0.10 and -0.88 of
     the peak. The report's ``l1``, ``linf`` and ``se_l1`` are measured on
     the signed estimate before the clip, so they do not describe the
     clipped grid.

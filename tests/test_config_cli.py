@@ -764,11 +764,12 @@ class TestCli:
         # part products (2 x 676 rows of 4 x 32);
         # the arm-a kernel's plane block (676 rows of 32 pixels) is smaller;
         # then sampling: per thread one propagation block of 4 MiB // (16 x
-        # 1352) = 193 rows, each 8 x 169 bytes of padded phase indices,
-        # 1352 of pair indices, 16 x 1352 of [u | v] rows and, for the
-        # propagation, arm a's 64 intensities (8 bytes each) beside arm b's
-        # P and Q (16 x 64), P + Q buffer (16 x 32) and intensities (8 x
-        # 64), plus a 16-row intp slice of 8 x 1352 bytes a row; and the
+        # 1352) = 193 rows, each 32 x 22 Philox bytes (one a mirror pair
+        # of the 676, in whole counters of 32), 1352 of pair indices,
+        # 16 x 1352 of [u | v] rows and, for the propagation, arm a's 64
+        # intensities (8 bytes each) beside arm b's P and Q (16 x 64),
+        # P + Q buffer (16 x 32) and intensities (8 x 64), plus a 16-row
+        # intp slice of 8 x 1352 bytes a row; and the
         # fold: one piece's centered rows, 8 bytes a pixel of the block's
         # 193 rows, and nine 8-byte n_a x n_b grids, whatever the batch count
         config = parse_config(DEMOS["montecarlo"])
@@ -778,7 +779,7 @@ class TestCli:
             16 * (676 * 64 + 2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
         )
         arm_b = 8 * 64 + 16 * 64 + 16 * 32 + 8 * 64
-        propagation = 193 * (8 * 169 + 17 * 1352 + arm_b) + 16 * 8 * 1352
+        propagation = 193 * (32 * 22 + 17 * 1352 + arm_b) + 16 * 8 * 1352
         need = kernels + propagation + 8 * 193 * 128 + 9 * 8 * 64 * 64
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         speckle = config.resolve().speckle

@@ -102,29 +102,72 @@ class TestSourceField:
             assert abs(np.mean(_PHASES**j)) < 1e-15, j
 
     def test_stream_is_pinned(self, source):
-        # byte i of the little-endian Philox words keyed (42, 9), modulo 8;
-        # a change of numpy's Philox or of the byte order fails here
+        # counter 10 of the Philox stream keyed (42, 0), the one counter of
+        # realization 9 on 64 cells (32 pairs): cells 24-31 are i- of pairs
+        # 7 to 0, cells 32-39 i+ of pairs 0 to 7; a change of numpy's
+        # Philox, of the byte order or of the layout fails here
         axis_s = Axis.from_half_width(64, 2.5e-3)
         field = sample_source_field(source, axis_s, seed=42, realization_index=9)
         idx = np.round(np.angle(field) / (np.pi / 4)).astype(int) % 8
-        assert idx[:16].tolist() == [5, 5, 3, 6, 6, 7, 7, 4, 5, 3, 2, 1, 2, 2, 4, 3]
+        assert idx[24:40].tolist() == [0, 1, 1, 2, 0, 4, 7, 1, 2, 1, 2, 7, 6, 2, 0, 7]
         np.testing.assert_array_equal(field, source.amplitude(axis_s.coordinates) * _PHASES[idx])
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     @pytest.mark.parametrize("n", [17, 1352, 1993])
     def test_every_row_is_a_fresh_philox_stream(self, seed, n):
-        # row r is byte i of a generator built for key (seed, r), modulo 8,
-        # whatever the block; the key goes in as a uint64 array because a
-        # list holding 2**64 - 1 is cast through float and loses the key
+        # row r is counters (r m, (r + 1) m] of the one stream keyed
+        # (seed, 0), m = ceil(h / 32) for h pairs, read here from a
+        # generator drawn from counter 0: byte j, low 6 bits, is the pair
+        # (i+ << 3) | i- of cells +-d_j, and the d = 0 cell of an odd n
+        # takes the low 3 bits as both. The key goes in as a uint64 array
+        # because a list holding 2**64 - 1 is cast through float and loses
+        # the key. A block split at an odd offset changes no row.
         lo, mid, hi = 300, 305, 311
+        h = (n + 1) // 2
+        m = -(-h // 32)
+        gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        raw = gen.random_raw(4 * m * hi).astype("<u8").view(np.uint8).reshape(hi, 32 * m)
+        pairs = raw[lo:hi, :h] & 63
+        plus, minus = pairs >> 3, pairs & 7
+        if n % 2:
+            plus[:, 0] = minus[:, 0]
         idx = _phase_indices(seed, lo, hi, n)
         assert idx.shape == (hi - lo, n)
-        for r in range(lo, hi):
-            gen = np.random.Philox(key=np.array([seed, r], dtype=np.uint64))
-            raw = gen.random_raw(-(-n // 8)).astype("<u8").view(np.uint8)
-            np.testing.assert_array_equal(idx[r - lo], raw[:n] & 7, err_msg=f"row {r}")
+        np.testing.assert_array_equal(idx[:, n // 2 :], plus)
+        np.testing.assert_array_equal(idx[:, (n - 1) // 2 :: -1], minus)
         halves = [_phase_indices(seed, lo, mid, n), _phase_indices(seed, mid, hi, n)]
         np.testing.assert_array_equal(np.concatenate(halves), idx)
+        rows = _phasors(seed, lo, hi, n)
+        halves = [_phasors(seed, lo, mid, n), _phasors(seed, mid, hi, n)]
+        np.testing.assert_array_equal(np.concatenate(halves), rows)
+        u, v = _PHASES[plus] + _PHASES[minus], _PHASES[plus] - _PHASES[minus]
+        np.testing.assert_array_equal(rows, np.concatenate([u, v], axis=1))
+
+    @pytest.mark.parametrize("n", [1, 17, 1993])
+    def test_the_centre_cell_of_an_odd_count_is_its_own_mirror(self, n):
+        # the d = 0 row: u = 2 phi(0) and v = 0 exactly
+        h = (n + 1) // 2
+        rows = _phasors(4, 0, 200, n)
+        centre = _PHASES[_phase_indices(4, 0, 200, n)[:, n // 2]]
+        np.testing.assert_array_equal(rows[:, 0], 2 * centre)
+        np.testing.assert_array_equal(rows[:, h], 0)
+
+    @pytest.mark.parametrize("n", [1352, 1993])
+    def test_pair_index_is_uniform_over_64_bins(self, n):
+        # uniform pair indices (i+ << 3) | i- are the two phase indices
+        # independent and uniform. Each bin count of N draws is binomial
+        # (N, 1 / 64); every bin must lie within 5 of its standard
+        # deviations (a chance of about 4e-5 that one of 64 does not).
+        # The d = 0 cell of an odd n is a pair only with itself: left out.
+        idx = _phase_indices(11, 0, 2000, n)
+        h = (n + 1) // 2
+        j = np.arange(n % 2, h)
+        pairs = 8 * idx[:, n // 2 + j].astype(int) + idx[:, (n - 1) // 2 - j]
+        counts = np.bincount(pairs.ravel(), minlength=64)
+        draws = pairs.size
+        sd = np.sqrt(draws * (1 / 64) * (63 / 64))
+        assert counts.size == 64
+        assert np.abs(counts - draws / 64).max() <= 5 * sd, counts
 
     def test_phase_average_vanishes(self, source):
         axis_s = Axis.from_half_width(16, 2.5e-3)
