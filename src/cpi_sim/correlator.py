@@ -22,7 +22,8 @@ included. Gamma contracts the half products against the cos/sin planes
 of its source phase on the non-negative half of the detector-a axis,
 I_b sums their squared moduli, and the arm-b kernel scales them into its
 mirror-pair columns, so no full T is built. Every paired sum adds into a
-zeroed buffer (``_fold``).
+zeroed buffer in the parity layout of ``ParityKernel``, which Gamma and
+I_b turn into pixel values once (``_unpair``).
 Also provided: the detector intensities (flat in arm a, object-Fourier
 modulated in arm b), the geometric-optics limit of Gamma, and the
 closed-form widths of the Gaussian-source point-spread functions.
@@ -156,7 +157,9 @@ def check_working_set(
     ceil(n_object / 2) mirror pairs), the object sum's (its part products
     and row turn, 8 ceil(n_b / 2) floats a source row), Gamma's source
     side's (ceil(n_a / 2) columns) and the arm-a kernel's (ceil(n_a / 2)
-    columns, no products). ``intensity_b`` holds less. With
+    columns, no products). ``_unpair``'s copy of half of G is within the
+    grid's second count; ``intensity_b``'s of half its half products is
+    below the float squares that follow it, which are not counted. With
     ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
     bytes the caller holds beside them: a Monte Carlo run's arm-a parity
     blocks, its sampling blocks and its fold, from
@@ -237,14 +240,15 @@ def _mirror_halves(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray
     return np.moveaxis(x[n // 2 :], 0, axis), np.moveaxis(x[::-1][n - n // 2 :], 0, axis)
 
 
-def _fold(out: np.ndarray, a, b, sign: int) -> None:
-    """out += a + sign b, into a buffer that starts at zero, so each chunk
-    of a paired sum adds its share. A term that is None is a block of
-    products left out as exactly zero."""
-    if a is not None:
-        out += a
-    if b is not None:
-        (np.add if sign > 0 else np.subtract)(out, b, out=out)
+def _unpair(x: np.ndarray, axis: int) -> np.ndarray:
+    """Turn the parity parts of ``x`` along ``axis``, in the layout of
+    ``ParityKernel``, into pixel values in place and return ``x``: E + O at
+    mu + eps and E - O at mu - eps; an odd n's eps = 0 entry keeps E."""
+    plus, minus = _mirror_halves(np.moveaxis(x, axis, 0))
+    even, odd = plus[x.shape[axis] % 2 :], minus.copy()  # an odd n's eps = 0 has no mirror
+    np.subtract(even, odd, out=minus)
+    even += odd
+    return x
 
 
 def _half_products(
@@ -254,7 +258,6 @@ def _half_products(
     half,
     rho_b,
     turn: float = 0.0,
-    parity: bool = False,
 ) -> np.ndarray:
     """The object sum on the source half ``half`` (``_source_half``), over
     mirror pairs of object nodes and of detector-b pixels.
@@ -289,26 +292,23 @@ def _half_products(
     SW = sin(phi) CW' + cos(phi) SW'. The column phase exp(-+i theta) is
     left out: a unit factor per pixel, it drops out of Gamma's |G|^2, of
     I_b and of the arm-b intensity |E_b|^2 (and is 1 for m = 0, as for
-    every slit). Returns cs = (CW, SW), shape (2, n_half, n_b), with
-    CW = cos^T W_b and SW = sin^T W_b, each column times exp(i theta), for
-    W_b = A w_o exp(-i c1 rho_o rho_b/M) and cos(c1 rho_o d),
-    sin(c1 rho_o d); a nonzero ``turn`` (Gamma passes c_a mu_a) returns
-    them turned back by turn d, cos(turn d) CW + sin(turn d) SW and
-    cos(turn d) SW - sin(turn d) CW. With ``parity`` each row holds the
-    parity parts of CW and SW about mu_b in place of their pixel values,
-    in the layout of ``ParityKernel``: the even parts X1 and X3 on the
-    columns of the pixels mu_b + eps, and the odd parts at mu_b + eps,
-    -i X4 and -i X2, on the columns of their mirror pixels mu_b - eps, so
-    CW(mu_b +- eps) = even +- odd (an odd n_b's eps = 0 column holds its
-    even part alone; its odd part is 0). The row turn mixes whole rows, so
-    it turns the parts as it turns the pixel values.
+    every slit). Returns cs, shape (2, n_half, n_b), the parity parts
+    about mu_b of (CW, SW), with CW = cos^T W_b and SW = sin^T W_b, each
+    column times exp(i theta), for W_b = A w_o exp(-i c1 rho_o rho_b/M)
+    and cos(c1 rho_o d), sin(c1 rho_o d); a nonzero ``turn`` (Gamma passes
+    c_a mu_a) turns them back by turn d, to cos(turn d) CW + sin(turn d) SW
+    and cos(turn d) SW - sin(turn d) CW. The parts are in the layout of
+    ``ParityKernel``: the even parts X1 and X3 on the columns of the
+    pixels mu_b + eps, and the odd parts at mu_b + eps, -i X4 and -i X2,
+    on the columns of their mirror pixels mu_b - eps (``_unpair``). The
+    row turn mixes whole rows, so it turns the parts as the pixel values.
 
     The column tables stream once from ``phase.phase_planes`` at c1 / M
     (rows eps, columns e); the half streams through the planes at c1 in
     ``phase.plane_block``'s blocks of source rows by object columns, each
-    chunk of object columns adding its share to every row of the zeroed cs
-    (``_fold``), so besides cs and the tables a call holds at most one
-    8 MiB block, whatever ``n_object``. Before it builds anything it
+    chunk of object columns adding its share of each kept block to every
+    row of the zeroed cs, so besides cs and the tables a call holds at
+    most one 8 MiB block, whatever ``n_object``. Before it builds anything it
     refuses fewer than ``MIN_NODES`` object nodes (ValueError), checks its
     object step against the rate on its nodes, and checks that the object
     nodes and rho_b are mirror-symmetric about their midpoints
@@ -334,10 +334,10 @@ def _half_products(
     r_plus, r_minus = upper + lower, upper - lower
     # the cosine plane multiplies U = r+ c_eps and V = r- s_eps, the sine
     # plane U = r- c_eps and V = r+ s_eps, each as the float blocks Re U,
-    # Im U, Re V, Im V; a block that is exactly zero is left out (None),
-    # and slots holds where each kept block's k columns start
+    # Im U, Im -iV = -Re V, Re -iV = Im V; a block that is exactly zero is
+    # left out (None), and slots holds where each kept block's k columns start
     parts = [
-        [v if np.any(v) else None for v in (x.real, x.imag, y.real, y.imag)]
+        [v if np.any(v) else None for v in (x.real, x.imag, -y.real, y.imag)]
         for x, y in ((r_plus, r_minus), (r_minus, r_plus))
     ]
     n_cols = k * sum(v is not None for v in parts[0])  # each plane holds every nonzero part once
@@ -370,22 +370,16 @@ def _half_products(
     if rate:
         phi = rate * half
         cos_phi, sin_phi = np.cos(phi)[:, None], np.sin(phi)[:, None]
-    odd = n_b % 2
     for s_rows, o_cols, planes in phase.phase_planes(c1, e_half, half, rows, cols, block, half[-1]):
         n_rows = planes.shape[1]
         prod = np.matmul(planes, columns[:, o_cols], out=products[:, :n_rows, :n_cols])
         for p, (plus, minus) in enumerate(halves):
-            ur, ui, vr, vi = (None if j is None else prod[p, :, j : j + k] for j in slots[p])
+            # Re U, Im U at mu_b + eps, and Im, Re of -i V, the odd part there, at
+            # mu_b - eps: a block's last k - n_b % 2 columns (eps = 0 has no mirror)
             plus, minus = plus[s_rows], minus[s_rows]
-            _fold(plus[..., 0], ur, None if parity else vi, 1)  # U - i V at mu_b + eps, or U
-            _fold(plus[..., 1], ui, None if parity else vr, -1)
-            ur, ui, vr, vi = (None if b is None else b[:, odd:] for b in (ur, ui, vr, vi))
-            if parity:  # -i V, the odd part at mu_b + eps, in the column of mu_b - eps
-                _fold(minus[..., 0], vi, None, 1)
-                _fold(minus[..., 1], None, vr, -1)
-            else:
-                _fold(minus[..., 0], ur, vi, -1)  # U + i V at mu_b - eps
-                _fold(minus[..., 1], ui, vr, 1)
+            for out, j in zip((plus[..., 0], plus[..., 1], minus[..., 1], minus[..., 0]), slots[p]):
+                if j is not None:  # a block left out as exactly zero adds nothing
+                    out += prod[p, :, j + k - out.shape[1] : j + k]
         if rate and o_cols.stop == h:  # the rows are complete: turn them by phi
             cw, sw = cs.view(float)[:, s_rows]
             sin_cw, sin_sw = products[:, :n_rows, : 2 * n_b]
@@ -458,8 +452,8 @@ def arm_kernels(
     Arm b is the prefactor h_b (``arm_b_prefactor``) times the source chirp
     exp(i w d^2 / (2 z_b)) times the object transfer T(+-d) = CW -+ i SW:
     with g_b their product, A = g_b CW and B = -i g_b SW. Its blocks are
-    the parity parts of CW and SW about mu_b, which ``_half_products``
-    writes in its own buffer (``parity``), scaled there by g_b and
+    the parity parts of CW and SW about mu_b, the layout
+    ``_half_products`` writes in its own buffer, scaled there by g_b and
     -i g_b, so they are views of that one buffer and no K_b of pixel
     values is built. A slit on centred axes has CW even and SW odd in eps,
     so O_u and E_v are exactly zero there: each arm keeps two blocks, half
@@ -481,7 +475,7 @@ def arm_kernels(
     if rho_s.size % 2:
         cells[0] *= 0.5  # d = 0 is its own mirror, where u = 2 phi(0)
 
-    cs = _half_products(geom, mask, n_object, half, rho_b, parity=True)
+    cs = _half_products(geom, mask, n_object, half, rho_b)
     g_b = arm_b_prefactor(geom) * gaussian_phase(half, w / geom.z_b) * cells
     cs[0] *= g_b[:, None]
     cs[1] *= (-1j * g_b)[:, None]
@@ -571,7 +565,8 @@ def intensity_b(
 
     The rho_s sum pairs d with -d (``_source_half_weights``) on the half
     products of ``_half_products``, |T(-d)|^2 + |T(d)|^2 =
-    2 (|CW|^2 + |SW|^2), so I_b = K_b sum_d 2 F w_s (|CW|^2 + |SW|^2).
+    2 (|CW|^2 + |SW|^2), so I_b = K_b sum_d 2 F w_s (|CW|^2 + |SW|^2),
+    on the half products unpaired into pixel values (``_unpair``).
     """
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
     rho_b = axis_b.coordinates
@@ -580,7 +575,7 @@ def intensity_b(
     phase.check_step("source", _max_step(rho_s), r.intensity_b_s)
 
     half, weights = _source_half_weights(source, rho_s, w_s)
-    cs = _half_products(geom, mask, quad.n_object, half, rho_b)
+    cs = _unpair(_half_products(geom, mask, quad.n_object, half, rho_b), axis=2)
     out = weights @ (np.abs(cs) ** 2).sum(axis=0)
     return SampledImage(
         axis=axis_b, values=intensity_prefactor_b(geom) * out, label="intensity_b"
@@ -622,8 +617,11 @@ def gamma_quadrature(
     ``_half_products`` turns by psi in its own row turn (turn = c_a mu_a),
     so here the rows are only scaled by f. The cos/sin planes stream from
     ``phase.phase_planes`` in ``phase.plane_block``'s blocks of
-    ceil(n_a / 2) columns, each adding two real matmuls on the float view
-    of X, Y to the zeroed G; no complex V and no full T is built.
+    ceil(n_a / 2) columns, each two real matmuls on the float views of X
+    and Y; no complex V and no full T is built. G is linear, so it is
+    summed as parity parts (``ParityKernel``) on both axes, C^T X into
+    the zeroed rows mu_a + eps_a and S^T Y into their mirrors, and
+    unpaired once along each axis before |G|^2 (``_unpair``).
     """
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
@@ -654,10 +652,10 @@ def gamma_quadrature(
         cx, sy = np.matmul(
             planes.transpose(0, 2, 1), cs_f[:, s_rows], out=products[:, : planes.shape[2]]
         )
-        _fold(plus[a_cols], cx, sy, 1)
-        skip = odd if a_cols.start == 0 else 0  # the eps_a = 0 row of an odd n_a is in plus alone
-        rows_minus = slice(a_cols.start + skip - odd, a_cols.stop - odd)
-        _fold(minus[rows_minus], cx[skip:], sy[skip:], -1)
+        plus[a_cols] += cx
+        skip = odd if a_cols.start == 0 else 0  # S is 0 at the eps_a = 0 row of an odd n_a
+        minus[a_cols.start + skip - odd : a_cols.stop - odd] += sy[skip:]
+    _unpair(_unpair(g, axis=0), axis=1)
 
     values = intensity_prefactor_a(geom) * intensity_prefactor_b(geom) * np.abs(g) ** 2
     return CorrelationGrid(

@@ -4,8 +4,8 @@ Every run emits a fixed set of files per mode plus ``manifest.json``
 (written last) listing each emitted file with its SHA-256 digest, the
 resolved config, per-stage wall times and the headline scalar results.
 Each digest and size is taken from the bytes written, in memory. With a
-fixed seed and --threads 1 the emitted data files are bitwise
-reproducible, so the digest list doubles as a regression oracle.
+fixed seed the emitted data files are bitwise reproducible at any
+--threads, so the digest list doubles as a regression oracle.
 
 Every correlation grid and every image is emitted as a pair of files with
 one stem: ``<stem>.csv`` holds the values, ``<stem>.pgm`` a picture.

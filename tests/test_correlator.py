@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 import tracemalloc
@@ -36,6 +37,7 @@ from oracles import (
     gaussian_gamma,
     incoherent_psf,
     normalized_l2,
+    unpair_pixels,
 )
 
 
@@ -679,6 +681,13 @@ class TestPhasePolicy:
         ]
         assert hits == ["correlator.py"]
 
+    def test_one_parity_layout(self):
+        # the object sum writes its half products in the parity layout of
+        # ParityKernel alone, with no flag for pixel values, and every sum
+        # adds one term at a time: the E +- O of pixel values is _unpair's
+        assert "parity" not in inspect.signature(correlator._half_products).parameters
+        assert not hasattr(correlator, "_fold")
+
     def test_one_propagator_module(self):
         # correlator.py builds both arm propagators; the Monte Carlo only
         # samples cells and reduces statistics, and no kernel is a per-entry
@@ -859,6 +868,23 @@ class TestObjectTransferGuard:
                 assert half.tobytes() == rho_s[n // 2 :].tobytes(), (n, step)
 
 
+class TestUnpair:
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    def test_matches_the_oracle_in_place(self, n, axis):
+        # the parity layout along ``axis``: the even parts on the last
+        # ceil(n / 2) entries, the pixels mu + eps, and the odd parts on the
+        # first floor(n / 2), the columns of their mirrors
+        rng = np.random.default_rng(n + 10 * axis)
+        shape = [3, 4, 5]
+        shape[axis] = n
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        last = np.moveaxis(x, axis, -1)
+        expected = np.moveaxis(unpair_pixels(last[..., n // 2 :], last[..., : n // 2], n), -1, axis)
+        assert correlator._unpair(x, axis) is x
+        np.testing.assert_array_equal(x, expected)
+
+
 def _spy_planes(monkeypatch):
     """Record the (rows, columns) of every block ``phase.phase_planes``
     yields, one list per stream, and the float columns of the right-hand
@@ -887,12 +913,12 @@ def _spy_planes(monkeypatch):
 def _transfer(geom, mask, n_object, rho_s, rho_b):
     """The object transfer T[s, b] on every node of the centred ``rho_s``,
     assembled here from the half products of ``correlator._half_products``
-    on its source half d >= 0: T(+-d) = CW -+ i SW, with the column phase
+    on its source half d >= 0, unpaired into pixel values along rho_b
+    (``correlator._unpair``): T(+-d) = CW -+ i SW, with the column phase
     exp(-i c1 m eps / M) that they leave out put back for the midpoints m
     of the object nodes and mu_b of rho_b = mu_b + eps."""
-    cw, sw = correlator._half_products(
-        geom, mask, n_object, correlator._source_half(rho_s), rho_b
-    )
+    cs = correlator._half_products(geom, mask, n_object, correlator._source_half(rho_s), rho_b)
+    cw, sw = correlator._unpair(cs, axis=2)
     t = np.concatenate([(cw + 1j * sw)[::-1], cw - 1j * sw])
     if rho_s.size % 2:  # the d = 0 row is its own mirror
         t = np.delete(t, cw.shape[0], axis=0)
