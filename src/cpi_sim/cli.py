@@ -1,6 +1,6 @@
 """cpi-sim command line interface.
 
-    cpi-sim run <config-file> [--threads N] [--out DIR] [--seed S]
+    cpi-sim run <config-file> [--out DIR] [--seed S]
     cpi-sim validate <config-file>
     cpi-sim demo <name>
 
@@ -37,7 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a configured experiment")
     run.add_argument("config", help="path to a config file")
-    run.add_argument("--threads", type=int, default=None, help="worker threads")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--seed", type=int, default=None, help="override run.seed")
 
@@ -80,9 +79,7 @@ def main(argv: list[str] | None = None) -> int:
 
         config = _load_config(args.config)
         out_dir = args.out or os.environ.get("CPI_SIM_OUT") or None
-        manifest = run_experiment(
-            config, out_dir=out_dir, threads=args.threads, seed=args.seed
-        )
+        manifest = run_experiment(config, out_dir=out_dir, seed=args.seed)
         sys.stdout.write(
             f"wrote {len(manifest.files) + 1} files "
             f"({manifest.stage_seconds['total']:.2f} s)\n"

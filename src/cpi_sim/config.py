@@ -78,7 +78,6 @@ _KEYS: dict[str, tuple[type, Any, tuple | None]] = {
     ),
     "run.n_realizations": (int, 1000, _POSITIVE),
     "run.n_batches": (int, SpeckleRun.n_batches, _POSITIVE),
-    "run.threads": (int, 1, _POSITIVE),
     "run.out_dir": (str, "out", None),
     "budget.n_tot": (int, None, (lambda v: v >= 2, "must be >= 2")),
     "budget.delta": (float, 10e-6, _POSITIVE),
@@ -233,7 +232,7 @@ class ExperimentConfig:
                 raise ValidationError(f"run.{exc}") from None
             check_working_set(
                 "Monte Carlo run", axis_s.n, n_object, axis_a.n, axis_b.n,
-                speckle.sampling_bytes(self.get("run.threads")),
+                speckle.sampling_bytes(),
             )
         if self.mode in ("analytic", "refocus", "montecarlo"):  # the modes that integrate Gamma
             check_working_set("quadrature", quad.n_source, quad.n_object, axis_a.n, axis_b.n)

@@ -162,7 +162,7 @@ def check_working_set(
     below the float squares that follow it, which are not counted. With
     ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
     bytes the caller holds beside them: a Monte Carlo run's arm-a parity
-    blocks, its sampling blocks and its fold, from
+    blocks, its sampling block and its fold, from
     ``SpeckleRun.sampling_bytes``.
     """
     need = 16 * n_a * n_b + extra

@@ -40,25 +40,23 @@ index (i+ << 3) | i- of the cells +-d_j: two independent uniform 3-bit
 phase indices; the d = 0 cell of an odd n, its own mirror, takes the low
 3 bits as both. Pair j of realization r is thus a pure function of
 (seed, r, j), and a block of realizations is one generator started at its
-first counter and one draw, so neither blocks, batches nor threads can
-perturb the stream.
+first counter and one draw, so neither blocks nor batches can perturb
+the stream.
 
 Propagation runs in blocks of consecutive realizations, one GEMM per
 kept parity block and block. A block holds whole batches, as many as fit
 ``_BLOCK_BYTES`` of phasors, so short batches share the cost of streaming
-each kernel through the GEMM; a batch longer than that is cut into blocks of its own. One fold
-in the caller's thread reduces each batch from its own rows, in block
-order, and ``estimate_gamma`` folds the batches into running sums: no
-per-batch grid is held, so memory does not grow with the batch count.
+each kernel through the GEMM; a batch longer than that is cut into
+blocks of its own. The caller's thread propagates each block and folds it
+before the next, each batch reduced from its own rows, in block order,
+and ``estimate_gamma`` folds the batches into running sums: no per-batch
+grid is held, so memory does not grow with the batch count.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -111,33 +109,31 @@ class SpeckleRun:
                 f"n_batches: need {MIN_BATCHES} <= n_batches <= n_realizations / 2, got {n_batches}"
             )
 
-    def sampling_bytes(self, threads: int) -> int:
+    def sampling_bytes(self) -> int:
         """Bytes the run holds beside K_b and the half products, which
         ``check_working_set`` counts: the arm-a kernel's parity blocks
         (``arm_kernels``), ceil(n_s / 2) x n_a complex, twice that off a
-        centred axis, where all four are kept; per block in flight (at
-        most ``threads``, and at most one per batch plus one per
-        ``_block_rows`` realizations), its rows' Philox bytes, one a mirror
-        pair padded to whole counters of 32, their uint8 pair indices and
-        complex [u | v] rows, 17 bytes a column, the intp copy of one
-        ``_TAKE_ROWS`` slice of pair indices, and, a row, the propagation
-        of ``_intensities``: arm a's |P +- Q|^2 (8 bytes a pixel) held
-        while arm b runs, and the larger arm's P and Q (16 bytes a pixel),
-        its P + Q buffer (16 a mirror pair) and its own intensity row (8 a
-        pixel), which also bound a second product of a part with two kept
-        blocks; and the fold's: one piece's centered rows, 8 bytes a pixel
-        a row, and nine n_a x n_b float grids (``estimate_gamma``'s raw,
-        mean, M2, batch covariance and its deviation; the Chan merge's
-        state, co-moment and two temporaries)."""
+        centred axis, where all four are kept; the one block in flight:
+        its rows' Philox bytes, one a mirror pair padded to whole counters
+        of 32, their uint8 pair indices and complex [u | v] rows, 17 bytes
+        a column, the intp copy of one ``_TAKE_ROWS`` slice of pair
+        indices, and, a row, the propagation of ``_intensities``: arm a's
+        |P +- Q|^2 (8 bytes a pixel) held while arm b runs, and the larger
+        arm's P and Q (16 bytes a pixel), its P + Q buffer (16 a mirror
+        pair) and its own intensity row (8 a pixel), which also bound a
+        second product of a part with two kept blocks; and the fold's: one
+        piece's centered rows, 8 bytes a pixel a row, and nine n_a x n_b
+        float grids (``estimate_gamma``'s raw, mean, M2, batch covariance
+        and its deviation; the Chan merge's state, co-moment and two
+        temporaries)."""
         n, n_a, n_b = self.axis_s.n, self.axis_a.n, self.axis_b.n
         cols = 2 * ((n + 1) // 2)
         rows = min(_block_rows(cols), self.n_realizations)
-        blocks = min(threads, self.n_batches + self.n_realizations // rows)
         arm = max(24 * n_a + 16 * (n_a // 2), 8 * n_a + 24 * n_b + 16 * (n_b // 2))
         block = rows * (32 * -(-cols // 64) + 17 * cols + arm) + 8 * min(rows, _TAKE_ROWS) * cols
         fold = 8 * rows * (n_a + n_b) + 9 * 8 * n_a * n_b
         k_a = 16 * (cols // 2) * n_a * (2 if self.axis_a.center else 1)
-        return k_a + blocks * block + fold
+        return k_a + block + fold
 
 
 @dataclass(frozen=True)
@@ -318,7 +314,6 @@ def _batch_covariances(
     seed: int,
     n_cells: int,
     spans: list[tuple[int, int]],
-    threads: int = 1,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield (cov, mean_a, mean_b), the single-pass intensity covariance and
     mean intensities of each batch [lo, hi) in ``spans``, in batch order.
@@ -349,41 +344,31 @@ def _batch_covariances(
             blocks[-1].append((b, lo, hi))
             filled += hi - lo
 
-    def job(pieces):
-        fields = _phasors(seed, pieces[0][1], pieces[-1][2], n_cells)
-        return _intensities(fields, k_a), _intensities(fields, k_b)
-
-    # one thread runs in the caller's: a worker thread allocates from a
-    # malloc arena of its own, which holds its blocks' pages resident beside
-    # the ones the caller freed. More threads propagate windows of
-    # ``threads`` blocks, each submitted once the fold has read the one before.
-    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
-        propagated = map(job, blocks) if pool is None else chain.from_iterable(
-            pool.map(job, blocks[w : w + threads]) for w in range(0, len(blocks), threads)
-        )
-        for pieces in blocks:
-            i_a, i_b = next(propagated)
-            lo = pieces[0][1]
-            for b, start, stop in pieces:
-                if start == spans[b][0]:
-                    n = 0
-                    cov = np.zeros((k_a.n, k_b.n))
-                    mean_a, mean_b = np.zeros(k_a.n), np.zeros(k_b.n)
-                p_a, p_b = i_a[start - lo : stop - lo], i_b[start - lo : stop - lo]
-                k = stop - start
-                blk_a = p_a.sum(axis=0) / k
-                blk_b = p_b.sum(axis=0) / k
-                m = (p_a - blk_a).T @ (p_b - blk_b)
-                d_a = blk_a - mean_a
-                d_b = blk_b - mean_b
-                cov += m + np.outer(d_a, d_b) * (n * k / (n + k))
-                mean_a += d_a * (k / (n + k))
-                mean_b += d_b * (k / (n + k))
-                n += k
-                if stop == spans[b][1]:
-                    cov /= n - 1.0
-                    yield cov, mean_a, mean_b
-            del i_a, i_b, p_a, p_b  # freed before the next block is propagated
+    for pieces in blocks:
+        lo = pieces[0][1]
+        fields = _phasors(seed, lo, pieces[-1][2], n_cells)
+        i_a, i_b = _intensities(fields, k_a), _intensities(fields, k_b)
+        del fields
+        for b, start, stop in pieces:
+            if start == spans[b][0]:
+                n = 0
+                cov = np.zeros((k_a.n, k_b.n))
+                mean_a, mean_b = np.zeros(k_a.n), np.zeros(k_b.n)
+            p_a, p_b = i_a[start - lo : stop - lo], i_b[start - lo : stop - lo]
+            k = stop - start
+            blk_a = p_a.sum(axis=0) / k
+            blk_b = p_b.sum(axis=0) / k
+            m = (p_a - blk_a).T @ (p_b - blk_b)
+            d_a = blk_a - mean_a
+            d_b = blk_b - mean_b
+            cov += m + np.outer(d_a, d_b) * (n * k / (n + k))
+            mean_a += d_a * (k / (n + k))
+            mean_b += d_b * (k / (n + k))
+            n += k
+            if stop == spans[b][1]:
+                cov /= n - 1.0
+                yield cov, mean_a, mean_b
+        del i_a, i_b, p_a, p_b  # freed before the next block is propagated
 
 
 def estimate_gamma(
@@ -392,18 +377,20 @@ def estimate_gamma(
     source: SourceProfile,
     mask: ObjectMask,
     reference: CorrelationGrid,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> tuple[CorrelationGrid, ConvergenceReport]:
     """Estimate the crossed correlation term as an intensity covariance.
 
     Gamma^(rho_a, rho_b) = <I_a(rho_a) I_b(rho_b)> - <I_a(rho_a)><I_b(rho_b)>
     over ``run.n_realizations`` speckle realizations, split into
     ``run.n_batches`` batches whose spread gives the error bars. Consecutive
-    batches are propagated together in blocks (``_batch_covariances``), by
-    ``threads`` workers. Each batch is reduced from its own rows and folded,
+    batches are propagated together in blocks (``_batch_covariances``) in
+    the caller's thread. Each batch is reduced from its own rows and folded,
     in batch order, into the realization-weighted mean and Welford's mean
-    and M2 of the batch covariances, se = sqrt(M2 / ((B - 1) B)), so the
-    result is bitwise identical for any thread count.
+    and M2 of the batch covariances, se = sqrt(M2 / ((B - 1) B)).
+
+    ``threads`` is unused: ``bench/replay.py`` still passes it, and it goes
+    with that replay.
 
     The returned grid is that estimate clipped at 0, because a
     ``CorrelationGrid`` holds no negative value. The clip is not small:
@@ -433,10 +420,10 @@ def estimate_gamma(
 
     edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
     spans = [(int(edges[k]), int(edges[k + 1])) for k in range(run.n_batches)]
-    batches = _batch_covariances(k_a, k_b, run.seed, n, spans, threads)
+    batches = _batch_covariances(k_a, k_b, run.seed, n, spans)
     raw, mean, m2 = (np.zeros((run.axis_a.n, run.axis_b.n)) for _ in range(3))
     sum_a, sum_b = np.zeros(run.axis_a.n), np.zeros(run.axis_b.n)
-    # batches first: zip then runs the generator to its end, which shuts its pool down
+    # batches first: zip then runs the generator to its end, which frees its last block
     for j, ((cov, mean_a, mean_b), (lo, hi)) in enumerate(zip(batches, spans), 1):
         raw += cov * ((hi - lo) / run.n_realizations)
         delta = cov - mean  # Welford's update of the batches' mean and M2

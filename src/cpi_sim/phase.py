@@ -26,8 +26,8 @@ mirrored nodes about their midpoint: the object sum's column tables (y
 the non-negative half eps of rho_b, x the non-negative half e of the
 object nodes) and its planes over the source half (y the half d >= 0 of
 rho_s, x that e, ceil(n_o / 2) columns, one per mirror pair), Gamma's
-source side (y that d, x the non-negative half of rho_a, ceil(n_a / 2)
-columns) and the arm-a kernel (y that d, x all of rho_a).
+source side and the arm-a kernel (each y that d, x the non-negative half
+eps_a of rho_a, ceil(n_a / 2) columns).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Every run emits a fixed set of files per mode plus ``manifest.json``
 (written last) listing each emitted file with its SHA-256 digest, the
 resolved config, per-stage wall times and the headline scalar results.
 Each digest and size is taken from the bytes written, in memory. With a
-fixed seed the emitted data files are bitwise reproducible at any
---threads, so the digest list doubles as a regression oracle.
+fixed seed the emitted data files are bitwise reproducible, so the digest
+list doubles as a regression oracle.
 
 Every correlation grid and every image is emitted as a pair of files with
 one stem: ``<stem>.csv`` holds the values, ``<stem>.pgm`` a picture.
@@ -247,12 +247,11 @@ def _image_metrics(config: ExperimentConfig, image: SampledImage) -> dict:
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int | None = None,
     seed: int | None = None,
 ) -> RunManifest:
     """Execute one configured experiment and emit its files and manifest.
 
-    ``out_dir``, ``threads`` and ``seed`` override the config when given;
+    ``out_dir`` and ``seed`` override the config when given;
     the overridden config is checked with the config file's rules,
     recorded in the manifest and resolved before any file is written. The
     output directory is created with the first file, so a run stopped by a
@@ -260,7 +259,7 @@ def run_experiment(
     """
     if out_dir is not None:
         out_dir = os.fspath(out_dir)
-    config = config.updated({"run.threads": threads, "run.seed": seed, "run.out_dir": out_dir})
+    config = config.updated({"run.seed": seed, "run.out_dir": out_dir})
     manifest = RunManifest(mode=config.mode, config=config.to_dict())
     emit = _Emitter(Path(config.get("run.out_dir")))
     clock = time.perf_counter
@@ -286,9 +285,7 @@ def run_experiment(
             manifest.stage_seconds["reference_quadrature"] = clock() - t
 
             t = clock()
-            grid, report = estimate_gamma(
-                exp.speckle, geom, source, mask, reference, threads=config.get("run.threads")
-            )
+            grid, report = estimate_gamma(exp.speckle, geom, source, mask, reference)
             manifest.stage_seconds["estimate_gamma"] = clock() - t
             emit.pair("gamma_mc", grid)
             emit.write("convergence.json", _json(report.to_dict()))

@@ -73,7 +73,7 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults_and_round_trips(self):
         cfg = parse_config(MINIMAL)
         assert cfg.get("run.seed") == 0
-        assert cfg.get("run.threads") == 1
+        assert cfg.get("run.n_batches") == 20
         assert cfg.get("grids.n_a") == 64
         assert parse_config(cfg.serialize()) == cfg
 
@@ -135,7 +135,6 @@ class TestParseConfig:
             ("run.seed", "-1"),
             ("run.n_realizations", "0"),
             ("run.n_batches", "-2"),
-            ("run.threads", "0"),
             ("budget.n_tot", "1"),  # in the refocus demo's analytic mode
             ("budget.delta", "-1e-6"),
         ],
@@ -167,21 +166,21 @@ class TestRunExperiment:
 
     def test_override_fails_like_the_file_value_and_writes_nothing(self, tmp_path):
         with pytest.raises(ValidationError) as from_file:
-            parse_config(DEMOS["budget"] + "run.threads = 0\n")
+            parse_config(DEMOS["budget"] + "run.seed = -1\n")
         out = tmp_path / "out"
         with pytest.raises(ValidationError) as from_override:
-            run_experiment(parse_config(DEMOS["budget"]), out_dir=out, threads=0)
+            run_experiment(parse_config(DEMOS["budget"]), out_dir=out, seed=-1)
         assert str(from_override.value) == str(from_file.value)
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"threads": 2.5}, "run.threads: expected a int, got 2.5"),
+            ({"seed": 2.5}, "run.seed: expected a int, got 2.5"),
             ({"seed": True}, "run.seed: expected a int, got True"),
             ({"seed": "3"}, "run.seed: expected a int, got '3'"),
         ],
-        ids=["float_threads", "bool_seed", "str_seed"],
+        ids=["float_seed", "bool_seed", "str_seed"],
     )
     def test_mistyped_override_fails_and_writes_nothing(self, tmp_path, override, message):
         out = tmp_path / "out"
@@ -191,9 +190,10 @@ class TestRunExperiment:
         assert not out.exists()
 
     def test_overrides_reach_the_manifest(self, tmp_path):
-        run_experiment(parse_config(DEMOS["budget"]), out_dir=tmp_path, seed=5, threads=2)
+        run_experiment(parse_config(DEMOS["budget"]), out_dir=tmp_path, seed=5)
         config = json.loads((tmp_path / "manifest.json").read_text())["config"]
-        assert (config["run.seed"], config["run.threads"]) == (5, 2)
+        assert config["run.seed"] == 5
+        assert "run.threads" not in config
         assert config["run.out_dir"] == str(tmp_path)  # the directory written
 
     def test_montecarlo_mode_is_seed_deterministic(self, tmp_path):
@@ -763,7 +763,7 @@ class TestCli:
         # rows), the complex anchor row and its angles (3 rows) and the
         # part products (2 x 676 rows of 4 x 32);
         # the arm-a kernel's plane block (676 rows of 32 pixels) is smaller;
-        # then sampling: per thread one propagation block of 4 MiB // (16 x
+        # then sampling: one propagation block of 4 MiB // (16 x
         # 1352) = 193 rows, each 32 x 22 Philox bytes (one a mirror pair
         # of the 676, in whole counters of 32), 1352 of pair indices,
         # 16 x 1352 of [u | v] rows and, for the propagation, arm a's 64
@@ -787,12 +787,6 @@ class TestCli:
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need - 1)
         with pytest.raises(ResourceLimit, match="Monte Carlo run needs"):
             config.resolve()
-        # a second thread holds a second block
-        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + propagation)
-        config.updated({"run.threads": 2}).resolve()
-        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need + propagation - 1)
-        with pytest.raises(ResourceLimit, match="Monte Carlo run needs"):
-            config.updated({"run.threads": 2}).resolve()
 
     def test_limit_is_the_hosts_memory(self):
         # a convergence-study run over 1 GiB that fits the host resolves; one
@@ -892,25 +886,14 @@ class TestCli:
         assert cli_main(["run", str(path), "--out", str(tmp_path / "from_flag")]) == 0
         assert (tmp_path / "from_flag" / "manifest.json").exists()
 
-    def test_threads_flag_reproduces_sequential(self, tmp_path):
-        path = tmp_path / "mc.cfg"
-        path.write_text(
-            DEMOS["montecarlo"].replace("run.n_realizations = 2000", "run.n_realizations = 200")
-        )
-        assert cli_main(["run", str(path), "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
-        assert cli_main(["run", str(path), "--out", str(tmp_path / "t4"), "--threads", "4"]) == 0
-        m1 = json.loads((tmp_path / "t1" / "manifest.json").read_text())
-        m4 = json.loads((tmp_path / "t4" / "manifest.json").read_text())
-        d1 = {f["name"]: f["sha256"] for f in m1["files"]}
-        d4 = {f["name"]: f["sha256"] for f in m4["files"]}
-        assert d1 == d4
-
-    def test_negative_threads_flag_rejected(self, tmp_path, capsys):
+    def test_threads_flag_is_refused_by_the_parser(self, tmp_path, capsys):
         path = tmp_path / "budget.cfg"
         path.write_text(DEMOS["budget"])
         out = tmp_path / "out"
-        assert cli_main(["run", str(path), "--out", str(out), "--threads", "-3"]) == 2
-        assert "run.threads: must be positive, got -3" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", str(path), "--out", str(out), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):

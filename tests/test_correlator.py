@@ -1,3 +1,4 @@
+import ast
 import inspect
 import itertools
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import cpi_sim
-from cpi_sim import correlator
+from cpi_sim import correlator, montecarlo
 from cpi_sim import (
     Axis,
     ObjectMask,
@@ -687,6 +688,27 @@ class TestPhasePolicy:
         # adds one term at a time: the E +- O of pixel values is _unpair's
         assert "parity" not in inspect.signature(correlator._half_products).parameters
         assert not hasattr(correlator, "_fold")
+
+    def test_one_monte_carlo_path(self):
+        # blocks propagate in the caller's thread: no pool, no thread count
+        # in the config, the runner or the working-set estimate, and no
+        # caller in the package passes estimate_gamma's unused keyword
+        with pytest.raises(cpi_sim.ValidationError, match="run.threads: unknown key"):
+            cpi_sim.parse_config(cpi_sim.DEMOS["montecarlo"] + "run.threads = 2\n")
+        assert not hasattr(montecarlo, "ThreadPoolExecutor")
+        assert "ThreadPoolExecutor" not in inspect.getsource(montecarlo)
+        for f in (montecarlo._batch_covariances, montecarlo.SpeckleRun.sampling_bytes):
+            assert "threads" not in inspect.signature(f).parameters, f.__name__
+        assert "threads" not in inspect.signature(cpi_sim.run_experiment).parameters
+        calls = [
+            path.name
+            for path in Path(cpi_sim.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "estimate_gamma"
+            and any(k.arg == "threads" for k in node.keywords)
+        ]
+        assert calls == []
 
     def test_one_propagator_module(self):
         # correlator.py builds both arm propagators; the Monte Carlo only

@@ -33,13 +33,13 @@ def test_montecarlo_demo_scalars(tmp_path, n_batches):
     # 2000 realizations: 20 batches (the default) fit one chunk each, 2
     # batches span four chunks each and so exercise the chunk merge
     text = DEMOS["montecarlo"] + f"run.n_batches = {n_batches}\n"
-    manifest = run_experiment(parse_config(text), out_dir=tmp_path, threads=1, seed=7)
+    manifest = run_experiment(parse_config(text), out_dir=tmp_path, seed=7)
     for key, expected in MONTECARLO["runs"][n_batches].items():
         assert manifest.results[key] == pytest.approx(expected, rel=MONTECARLO["rtol"], abs=0.0), key
 
 
 def test_refocus_demo_scalars(tmp_path):
-    manifest = run_experiment(parse_config(DEMOS["refocus"]), out_dir=tmp_path, threads=1)
+    manifest = run_experiment(parse_config(DEMOS["refocus"]), out_dir=tmp_path)
     assert set(manifest.results) == set(REFOCUS["results"])
     for key, expected in REFOCUS["results"].items():
         assert manifest.results[key] == pytest.approx(expected, rel=REFOCUS["rtol"], abs=0.0), key
@@ -49,7 +49,7 @@ def test_defocused_gaussian_analytic_scalars(tmp_path):
     # the montecarlo demo's Gaussian source at alpha = 0.9: the quadrature
     # carries the defocus chirp, and the closed-form PSF widths are pinned
     text = _with_overrides(DEMOS["montecarlo"], DEFOCUSED["overrides"])
-    manifest = run_experiment(parse_config(text), out_dir=tmp_path, threads=1)
+    manifest = run_experiment(parse_config(text), out_dir=tmp_path)
     assert set(manifest.results) == set(DEFOCUSED["results"])
     for key, expected in DEFOCUSED["results"].items():
         assert manifest.results[key] == pytest.approx(expected, rel=DEFOCUSED["rtol"], abs=0.0), key
@@ -95,7 +95,7 @@ def test_refocus_ci_variant_scalars(tmp_path, name):
     # contrast C = (p - v) / (p + v) then moves by at most
     # 2 delta / (p + v) = delta (1 - C) / v, for its valley v at rho = 0.
     cfg = parse_config(_refocus_variant(name, tmp_path))
-    manifest = run_experiment(cfg, out_dir=tmp_path / "out", threads=1)
+    manifest = run_experiment(cfg, out_dir=tmp_path / "out")
     exp = cfg.resolve()
     expected = dict(VARIANTS["runs"][name])
     peak = next(f["pgm_max"] for f in manifest.files if f["name"] == "gamma.pgm")

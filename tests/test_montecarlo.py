@@ -366,7 +366,7 @@ class TestParityKernels:
             assert [b is not None for b in k.blocks] == [True, False, False, True]
 
 
-def _traced_peak(monkeypatch, exp, run, reference, threads=1):
+def _traced_peak(monkeypatch, exp, run, reference):
     """The tracemalloc peak of ``estimate_gamma`` once its kernels exist,
     above the memory traced then, and the arm-a kernel it was given."""
     kernels = arm_kernels(exp.geom, exp.mask, run.axis_s, run.axis_a, run.axis_b, run.n_object)
@@ -381,7 +381,7 @@ def _traced_peak(monkeypatch, exp, run, reference, threads=1):
     monkeypatch.setattr(montecarlo, "arm_kernels", built)
     tracemalloc.start()
     try:
-        estimate_gamma(run, exp.geom, exp.source, exp.mask, reference, threads=threads)
+        estimate_gamma(run, exp.geom, exp.source, exp.mask, reference)
         return tracemalloc.get_traced_memory()[1] - base[0], kernels[0]
     finally:
         tracemalloc.stop()
@@ -476,17 +476,14 @@ class TestBatchCovariance:
             for g, r in zip(got, _two_pass(k_a, k_b, 21, n, lo, hi)):
                 np.testing.assert_array_equal(g, r, err_msg=f"batch [{lo}, {hi})")
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_a_batch_longer_than_a_block_is_split_and_merged(
-        self, monkeypatch, scaled_kernels, threads
-    ):
+    def test_a_batch_longer_than_a_block_is_split_and_merged(self, monkeypatch, scaled_kernels):
         # blocks of 100 rows: each 142- or 143-row batch is cut into 100 +
         # 42/43 and the two pieces Chan-merged, the same pieces as alone
         k_a, k_b, n = scaled_kernels
         _set_block_rows(monkeypatch, 100, _paired_columns(n))
         edges = np.linspace(0, 1000, 8).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-        results = list(_batch_covariances(k_a, k_b, 21, n, spans, threads))
+        results = list(_batch_covariances(k_a, k_b, 21, n, spans))
         assert len(results) == len(spans)
         for (lo, hi), got in zip(spans, results):
             [alone] = _batch_covariances(k_a, k_b, 21, n, [(lo, hi)])
@@ -505,9 +502,8 @@ class TestBatchCovariance:
         assert _block_rows(1994) == 131
         assert _block_rows(1352) == 193
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", ["montecarlo-focused", "montecarlo-defocused"])
-    def test_sampling_bytes_bound_the_traced_peak(self, monkeypatch, name, threads):
+    def test_sampling_bytes_bound_the_traced_peak(self, monkeypatch, name):
         # at the config's 20 batches and at 200; K_a's parity blocks, which
         # sampling_bytes counts, exist before the traced peak's base
         text = (BENCH_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
@@ -517,8 +513,8 @@ class TestBatchCovariance:
         )
         for n_batches in (20, 200):
             run = replace(exp.speckle, n_batches=n_batches)
-            peak, k_a = _traced_peak(monkeypatch, exp, run, reference, threads)
-            assert 0 < peak <= run.sampling_bytes(threads) - _nbytes(k_a), n_batches
+            peak, k_a = _traced_peak(monkeypatch, exp, run, reference)
+            assert 0 < peak <= run.sampling_bytes() - _nbytes(k_a), n_batches
 
     def test_traced_peak_does_not_grow_with_the_batch_count(self, monkeypatch):
         # the montecarlo demo on 192 x 192 pixels: every batch grid held to
@@ -581,18 +577,6 @@ class TestEstimateGamma:
         g1, _ = estimate_gamma(run, geom_focused, source, slits, small_reference)
         g2, _ = estimate_gamma(run, geom_focused, source, slits, small_reference)
         np.testing.assert_array_equal(g1.values, g2.values)
-
-    def test_threaded_equals_sequential(
-        self, geom_focused, source, slits, small_setup, small_reference
-    ):
-        axis_a, axis_b, axis_s, n_object = small_setup
-        run = SpeckleRun(
-            seed=7, n_realizations=400, axis_s=axis_s,
-            axis_a=axis_a, axis_b=axis_b, n_object=n_object,
-        )
-        g1, _ = estimate_gamma(run, geom_focused, source, slits, small_reference, threads=1)
-        g4, _ = estimate_gamma(run, geom_focused, source, slits, small_reference, threads=4)
-        np.testing.assert_array_equal(g1.values, g4.values)
 
     def test_error_bars_shrink_like_sqrt_n(
         self, geom_focused, source, slits, small_setup, small_reference

@@ -298,7 +298,7 @@ def test_image_csv_of_special_values_and_demo_images(tmp_path, refocus_demo_grid
 
 
 def test_geometric_wide_files_are_pinned(tmp_path):
-    manifest = run_experiment(parse_config(GEOMETRIC_WIDE), out_dir=tmp_path, threads=1)
+    manifest = run_experiment(parse_config(GEOMETRIC_WIDE), out_dir=tmp_path)
     expected = {
         "geometric.csv": (
             6558534,
