@@ -135,6 +135,7 @@ class TestParseConfig:
             ("run.seed", "-1"),
             ("run.n_realizations", "0"),
             ("run.n_batches", "-2"),
+            ("run.seed", str(2**64)),
             ("budget.n_tot", "1"),  # in the refocus demo's analytic mode
             ("budget.delta", "-1e-6"),
         ],
@@ -885,6 +886,21 @@ class TestCli:
         assert (tmp_path / "from_env" / "manifest.json").exists()
         assert cli_main(["run", str(path), "--out", str(tmp_path / "from_flag")]) == 0
         assert (tmp_path / "from_flag" / "manifest.json").exists()
+
+    def test_cli_run_reproduces_run_experiment(self, tmp_path):
+        # the CLI adds nothing to a Monte Carlo run: its files are, bit for
+        # bit, those run_experiment writes from the same config and seed
+        path = tmp_path / "mc.cfg"
+        path.write_text(
+            DEMOS["montecarlo"].replace("run.n_realizations = 2000", "run.n_realizations = 200")
+        )
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "cli"), "--seed", "3"]) == 0
+        m_cli = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+        m_api = run_experiment(parse_config(path.read_text()), out_dir=tmp_path / "api", seed=3)
+        d_cli = {f["name"]: f["sha256"] for f in m_cli["files"]}
+        d_api = {f["name"]: f["sha256"] for f in m_api.files}
+        assert d_cli == d_api
+        assert "gamma_mc.csv" in d_cli
 
     def test_threads_flag_is_refused_by_the_parser(self, tmp_path, capsys):
         path = tmp_path / "budget.cfg"

@@ -476,11 +476,15 @@ class TestBatchCovariance:
             for g, r in zip(got, _two_pass(k_a, k_b, 21, n, lo, hi)):
                 np.testing.assert_array_equal(g, r, err_msg=f"batch [{lo}, {hi})")
 
-    def test_a_batch_longer_than_a_block_is_split_and_merged(self, monkeypatch, scaled_kernels):
+    @pytest.mark.parametrize("rows", [100, 50])
+    def test_a_batch_longer_than_a_block_is_split_and_merged(
+        self, monkeypatch, scaled_kernels, rows
+    ):
         # blocks of 100 rows: each 142- or 143-row batch is cut into 100 +
-        # 42/43 and the two pieces Chan-merged, the same pieces as alone
+        # 42/43 and the two pieces Chan-merged, the same pieces as alone;
+        # blocks of 50 rows cut it into three pieces, 50 + 50 + 42/43
         k_a, k_b, n = scaled_kernels
-        _set_block_rows(monkeypatch, 100, _paired_columns(n))
+        _set_block_rows(monkeypatch, rows, _paired_columns(n))
         edges = np.linspace(0, 1000, 8).astype(int)
         spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
         results = list(_batch_covariances(k_a, k_b, 21, n, spans))
@@ -502,8 +506,9 @@ class TestBatchCovariance:
         assert _block_rows(1994) == 131
         assert _block_rows(1352) == 193
 
+    @pytest.mark.parametrize("n_batches", [20, 200])
     @pytest.mark.parametrize("name", ["montecarlo-focused", "montecarlo-defocused"])
-    def test_sampling_bytes_bound_the_traced_peak(self, monkeypatch, name):
+    def test_sampling_bytes_bound_the_traced_peak(self, monkeypatch, name, n_batches):
         # at the config's 20 batches and at 200; K_a's parity blocks, which
         # sampling_bytes counts, exist before the traced peak's base
         text = (BENCH_CONFIGS / f"{name}.cfg").read_text(encoding="utf-8")
@@ -511,10 +516,9 @@ class TestBatchCovariance:
         reference = gamma_quadrature(
             exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad
         )
-        for n_batches in (20, 200):
-            run = replace(exp.speckle, n_batches=n_batches)
-            peak, k_a = _traced_peak(monkeypatch, exp, run, reference)
-            assert 0 < peak <= run.sampling_bytes() - _nbytes(k_a), n_batches
+        run = replace(exp.speckle, n_batches=n_batches)
+        peak, k_a = _traced_peak(monkeypatch, exp, run, reference)
+        assert 0 < peak <= run.sampling_bytes() - _nbytes(k_a)
 
     def test_traced_peak_does_not_grow_with_the_batch_count(self, monkeypatch):
         # the montecarlo demo on 192 x 192 pixels: every batch grid held to
