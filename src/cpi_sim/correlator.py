@@ -158,8 +158,10 @@ def check_working_set(
     and row turn, 8 ceil(n_b / 2) floats a source row), Gamma's source
     side's (ceil(n_a / 2) columns) and the arm-a kernel's (ceil(n_a / 2)
     columns, no products). ``_unpair``'s copy of half of G is within the
-    grid's second count; ``intensity_b``'s of half its half products is
-    below the float squares that follow it, which are not counted. With
+    grid's second count; ``intensity_b`` unpairs CW and SW one at a time
+    and squares them in place, so it adds a copy of a quarter of the half
+    products, made after the object sum's block and column tables are
+    freed. With
     ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
     bytes the caller holds beside them: a Monte Carlo run's arm-a parity
     blocks, its sampling block and its fold, from
@@ -566,7 +568,8 @@ def intensity_b(
     The rho_s sum pairs d with -d (``_source_half_weights``) on the half
     products of ``_half_products``, |T(-d)|^2 + |T(d)|^2 =
     2 (|CW|^2 + |SW|^2), so I_b = K_b sum_d 2 F w_s (|CW|^2 + |SW|^2),
-    on the half products unpaired into pixel values (``_unpair``).
+    on the half products unpaired into pixel values (``_unpair``) and
+    squared in place, part by part.
     """
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
     rho_b = axis_b.coordinates
@@ -575,8 +578,11 @@ def intensity_b(
     phase.check_step("source", _max_step(rho_s), r.intensity_b_s)
 
     half, weights = _source_half_weights(source, rho_s, w_s)
-    cs = _unpair(_half_products(geom, mask, quad.n_object, half, rho_b), axis=2)
-    out = weights @ (np.abs(cs) ** 2).sum(axis=0)
+    cs = _half_products(geom, mask, quad.n_object, half, rho_b)
+    for plane in cs:  # CW, then SW: _unpair copies a quarter of cs at a time
+        _unpair(plane, axis=1)
+    sq = np.square(cs.view(float), out=cs.view(float))  # in place: (Re, Im)^2 of CW and SW
+    out = (weights @ sq[0] + weights @ sq[1]).reshape(-1, 2).sum(axis=1)
     return SampledImage(
         axis=axis_b, values=intensity_prefactor_b(geom) * out, label="intensity_b"
     )

@@ -31,6 +31,21 @@ on centred axes leaves two of each arm's four blocks exactly zero, so
 each arm runs two GEMMs of ceil(n_s / 2) by about n / 2: half the flops
 of one GEMM through the kernel on every pixel.
 
+Precision: the rows [u | v] and the kept kernel blocks are complex64, so
+each GEMM runs in single precision, at half the bytes and about half the
+time of complex128. ``_PAIRS`` holds float64 sums rounded once, and the
+kernels are built and take the amplitude in float64 before one rounding.
+Everything after the GEMMs is float64: |P +- Q| is taken in float32 and
+squared into float64 rows, and the covariance fold, the batch means, se
+and every output are float64 sums. A pixel's field is a sum of n = 2h
+complex terms on a centred slit (h a kept block's rows); in any summation
+order it is off by at most (2 sqrt(2) n + 2) u sum_j |x_j| |k_j|, u =
+2^-24, to first order, and the intensities and the covariance inherit
+that bound (``tests/oracles.py``, ``propagation_rounding_bound``). On the
+two Monte Carlo bench configs the estimate lies within 1.5e-7 and 5.3e-7
+of its peak of a float64 propagation of the same realizations, where the
+bound, rigorous and loose, allows 4% and 38%.
+
 Randomness is counter-based (Salmon, Moraes, Dror & Shaw, SC11): one
 Philox4x64 stream keyed (seed, 0) serves every realization. A row holds
 the h = ceil(n / 2) mirror pairs of the n cells, one byte a pair, and
@@ -66,9 +81,9 @@ from .errors import DegenerateStatistics
 from .metrics import normalized_l1, normalized_linf, peak_normalize
 from .optics import Axis, CorrelationGrid, ObjectMask, SetupGeometry, SourceProfile
 
-# phasor bytes one propagation block holds (16 a cell and realization):
+# phasor bytes one propagation block holds (8 a cell and realization):
 # consecutive batches share a block up to it (``_block_rows``)
-_BLOCK_BYTES = 4 * 2**20
+_BLOCK_BYTES = 2 * 2**20
 _TAKE_ROWS = 16  # phasor rows gathered from the table per np.take
 MIN_BATCHES = 2  # the spread of batch means is the error bar
 MIN_REALIZATIONS = 100  # fewer give no meaningful error bars
@@ -77,8 +92,11 @@ _CELL_MARGIN = 0.8
 # the phases exp(2 pi i k / 8); a cell's index is 3 bits of its pair's byte
 _PHASES = np.exp(2j * np.pi * np.arange(8) / 8)
 # u = phi(+d) + phi(-d) at the pair index (i+ << 3) | i- of the cells' phase
-# indices, and v = phi(+d) - phi(-d) at that index plus 64
-_PAIRS = np.concatenate([_PHASES.repeat(8) + s * np.tile(_PHASES, 8) for s in (1, -1)])
+# indices, and v = phi(+d) - phi(-d) at that index plus 64: float64 sums,
+# rounded once to complex64
+_PAIRS = np.concatenate(
+    [_PHASES.repeat(8) + s * np.tile(_PHASES, 8) for s in (1, -1)]
+).astype(np.complex64)
 
 
 @dataclass(frozen=True)
@@ -112,14 +130,14 @@ class SpeckleRun:
     def sampling_bytes(self) -> int:
         """Bytes the run holds beside K_b and the half products, which
         ``check_working_set`` counts: the arm-a kernel's parity blocks
-        (``arm_kernels``), ceil(n_s / 2) x n_a complex, twice that off a
+        (``arm_kernels``), ceil(n_s / 2) x n_a complex64, twice that off a
         centred axis, where all four are kept; the one block in flight:
         its rows' Philox bytes, one a mirror pair padded to whole counters
-        of 32, their uint8 pair indices and complex [u | v] rows, 17 bytes
-        a column, the intp copy of one ``_TAKE_ROWS`` slice of pair
+        of 32, their uint8 pair indices and complex64 [u | v] rows, 9
+        bytes a column, the intp copy of one ``_TAKE_ROWS`` slice of pair
         indices, and, a row, the propagation of ``_intensities``: arm a's
         |P +- Q|^2 (8 bytes a pixel) held while arm b runs, and the larger
-        arm's P and Q (16 bytes a pixel), its P + Q buffer (16 a mirror
+        arm's P and Q (8 bytes a pixel), its P + Q buffer (8 a mirror
         pair) and its own intensity row (8 a pixel), which also bound a
         second product of a part with two kept blocks; and the fold's: one
         piece's centered rows, 8 bytes a pixel a row, and nine n_a x n_b
@@ -129,10 +147,10 @@ class SpeckleRun:
         n, n_a, n_b = self.axis_s.n, self.axis_a.n, self.axis_b.n
         cols = 2 * ((n + 1) // 2)
         rows = min(_block_rows(cols), self.n_realizations)
-        arm = max(24 * n_a + 16 * (n_a // 2), 8 * n_a + 24 * n_b + 16 * (n_b // 2))
-        block = rows * (32 * -(-cols // 64) + 17 * cols + arm) + 8 * min(rows, _TAKE_ROWS) * cols
+        arm = max(16 * n_a + 8 * (n_a // 2), 8 * n_a + 16 * n_b + 8 * (n_b // 2))
+        block = rows * (32 * -(-cols // 64) + 9 * cols + arm) + 8 * min(rows, _TAKE_ROWS) * cols
         fold = 8 * rows * (n_a + n_b) + 9 * 8 * n_a * n_b
-        k_a = 16 * (cols // 2) * n_a * (2 if self.axis_a.center else 1)
+        k_a = 8 * (cols // 2) * n_a * (2 if self.axis_a.center else 1)
         return k_a + block + fold
 
 
@@ -251,8 +269,8 @@ def default_sampling(
 
 def _block_rows(n_cols: int) -> int:
     """Realizations one propagation block holds: as many rows of
-    ``n_cols`` complex phasors as fit ``_BLOCK_BYTES``, at least one."""
-    return max(1, _BLOCK_BYTES // (16 * n_cols))
+    ``n_cols`` complex64 phasors as fit ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n_cols))
 
 
 def _phasors(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
@@ -268,7 +286,7 @@ def _phasors(seed: int, lo: int, hi: int, n: int) -> np.ndarray:
     pairs = np.empty((hi - lo, 2 * h), dtype=np.uint8)
     _pair_indices(seed, lo, hi, n, pairs[:, :h])
     np.bitwise_or(pairs[:, :h], 64, out=pairs[:, h:])
-    fields = np.empty(pairs.shape, dtype=complex)
+    fields = np.empty(pairs.shape, dtype=np.complex64)
     for r in range(0, hi - lo, _TAKE_ROWS):
         _PAIRS.take(pairs[r : r + _TAKE_ROWS], out=fields[r : r + _TAKE_ROWS], mode="clip")
     return fields
@@ -287,7 +305,7 @@ def _parity_products(fields: np.ndarray, kernel: ParityKernel) -> list[np.ndarra
         for x, b in zip(halves, blocks):
             if b is not None:
                 part = x @ b if part is None else np.add(part, x @ b, out=part)
-        parts.append(np.zeros((len(fields), cols), dtype=complex) if part is None else part)
+        parts.append(np.zeros((len(fields), cols), dtype=np.complex64) if part is None else part)
     return parts
 
 
@@ -392,6 +410,17 @@ def estimate_gamma(
     ``threads`` is unused: ``bench/replay.py`` still passes it, and it goes
     with that replay.
 
+    Propagation runs in complex64 (module docstring), so a cell adds to a
+    pixel's field only what float32 holds beside the other cells' terms,
+    about 2^-24 of them, and each intensity is |E| rounded to float32,
+    squared. A source whose light comes from one cell to within that
+    precision (a narrow source whose neighbour cells sit decades below its
+    centre) has intensities that are constant up to rounding: its estimate
+    is rounding residue, within the propagation rounding bound of 0, and
+    when that residue has no positive entry (every realization's
+    intensities rounding alike) this raises DegenerateStatistics, "no
+    positive peak".
+
     The returned grid is that estimate clipped at 0, because a
     ``CorrelationGrid`` holds no negative value. The clip is not small:
     on the two Monte Carlo bench configs at their own seeds, 30% and 49%
@@ -409,14 +438,17 @@ def estimate_gamma(
             f"reference axes ({reference.axis_a}, {reference.axis_b}) differ "
             f"from the run's ({run.axis_a}, {run.axis_b})"
         )
-    k_a, k_b = arm_kernels(
-        geom, mask, run.axis_s, run.axis_a, run.axis_b, run.n_object
+    amp = source.amplitude(_source_half(run.axis_s.coordinates))[:, None]  # f(d) = f(-d)
+    # f is folded into the fresh float64 blocks in place, and each kept
+    # block is then rounded to complex64 once: no float64 block, nor K_b's
+    # half-products buffer, outlives this statement
+    k_a, k_b = (
+        ParityKernel(k.n, tuple(
+            None if b is None else np.multiply(b, amp, out=b).astype(np.complex64) for b in k.blocks
+        ))
+        for k in arm_kernels(geom, mask, run.axis_s, run.axis_a, run.axis_b, run.n_object)
     )
     n = run.axis_s.n
-    amp = source.amplitude(_source_half(run.axis_s.coordinates))  # f(d) = f(-d): u and v alike
-    for b in k_a.blocks + k_b.blocks:
-        if b is not None:
-            b *= amp[:, None]  # in place: arm_kernels returns fresh arrays
 
     edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
     spans = [(int(edges[k]), int(edges[k + 1])) for k in range(run.n_batches)]

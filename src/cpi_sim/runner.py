@@ -4,8 +4,10 @@ Every run emits a fixed set of files per mode plus ``manifest.json``
 (written last) listing each emitted file with its SHA-256 digest, the
 resolved config, per-stage wall times and the headline scalar results.
 Each digest and size is taken from the bytes written, in memory. With a
-fixed seed the emitted data files are bitwise reproducible, so the digest
-list doubles as a regression oracle.
+fixed seed the emitted data files are bitwise reproducible at a fixed
+numpy, BLAS and BLAS thread count, so the digest list doubles as a
+regression oracle there; across thread counts they agree within rounding
+(the README's *Command line* section).
 
 Every correlation grid and every image is emitted as a pair of files with
 one stem: ``<stem>.csv`` holds the values, ``<stem>.pgm`` a picture.

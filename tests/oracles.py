@@ -2,16 +2,22 @@
 
 None of these is used by a run: the Gaussian-source point-spread
 functions, the closed-form crossed correlation of a Gaussian source and a
-Gaussian object, a rounding bound of the quadrature of Gamma, and the
+Gaussian object, rounding bounds of the quadrature of Gamma and of the
+complex64 Monte Carlo propagation, a float64 Monte Carlo oracle, and the
 width fits and distances of the acceptance criteria.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from cpi_sim.correlator import intensity_prefactor_a, intensity_prefactor_b
+from cpi_sim.correlator import (
+    _source_half, arm_kernels, intensity_prefactor_a, intensity_prefactor_b,
+)
 from cpi_sim.metrics import peak_normalize
+from cpi_sim.montecarlo import _PHASES, _phase_indices
 from cpi_sim.optics import SetupGeometry, object_quadrature, source_quadrature
 
 
@@ -96,6 +102,129 @@ def gamma_rounding_bound(geom, source, mask, axis_a, axis_b, quad, gamma_peak: f
     g_max = np.sqrt(gamma_peak / (intensity_prefactor_a(geom) * intensity_prefactor_b(geom)))
     dg = np.finfo(float).eps / 2 * moduli * (4 * phi + rho_s.size + rho_o.size) / g_max
     return float(2 * dg + dg**2)
+
+
+U32 = 2.0**-24  # unit roundoff of float32, and of each part of a complex64
+U64 = 2.0**-53
+
+
+def field_rounding_bound(kernel) -> np.ndarray:
+    """First-order bound, per pixel in pixel order, of the rounding error
+    of a field that ``montecarlo._intensities`` propagates in complex64:
+    a row [u | v] of unit-phasor sums and differences (|u|, |v| <= 2)
+    through the parity blocks of ``kernel`` (``correlator.ParityKernel``),
+    P and Q, then P +- Q on the mirrored pixels.
+
+    A pixel's field is a sum of n complex terms x_j k_j, n = h times the
+    kept blocks (2h on a centred slit) for the h rows of a block; each of
+    its real and imaginary parts is a real sum of 2n products. Summed in
+    any order and grouping (P's and Q's GEMMs, the add of a part's second
+    block, P +- Q), with or without fused multiply-adds, each part is off
+    by at most 2n u sum_j |x_j| |k_j|, so the modulus by 2 sqrt(2) n u of
+    it. The rows and the kernel were each rounded once to complex64, u of
+    every term. So, with u = 2^-24 (a float64 reference's own rounding,
+    2^-29 of each term below, is left out),
+
+        |dE| <= (2 sqrt(2) n + 2) u S,  S = sum_j |x_j| |k_j| <= 2 sum_j |k_j|,
+
+    where a pixel mu +- eps sums |k_j| over the E blocks at eps and the O
+    blocks at its mirror column alike."""
+    kept = [b for b in kernel.blocks if b is not None]
+    h = kept[0].shape[0]
+    sums = [
+        np.zeros(w) if b is None else 2.0 * np.abs(b).sum(axis=0)
+        for b, w in zip(kernel.blocks, 2 * [(kernel.n + 1) // 2] + 2 * [kernel.n // 2])
+    ]
+    even, odd = sums[0] + sums[1], sums[2] + sums[3]
+    # even + odd on both pixels of a mirror pair
+    s = unpair_pixels(even, None, kernel.n).real + np.abs(unpair_pixels(0 * even, odd, kernel.n))
+    return (2.0 * np.sqrt(2.0) * h * len(kept) + 2.0) * U32 * s
+
+
+def propagation_rounding_bound(d_a, d_b, e_a, e_b):
+    """First-order bounds (di_a, di_b, dcov) of the complex64 propagation
+    for k realizations whose float64 fields on the two arms are ``e_a``
+    and ``e_b`` (k x pixels), given each arm's field bound ``d_a``, ``d_b``
+    (``field_rounding_bound``).
+
+    An intensity row is |E|^2, with |E| taken in float32 (within 1 ulp,
+    2u) and squared exactly in float64, so |dI| <= 2 |E| |dE| + 4 u |E|^2.
+    The covariance (I_a - m_a)^T (I_b - m_b) / (k - 1) is linear in each
+    arm's centred rows, and a shift of a mean drops out to first order
+    because the centred rows sum to 0, so
+
+        |dcov| <= (dI_a^T |I_b - m_b| + |I_a - m_a|^T dI_b) / (k - 1),
+
+    plus the float64 fold's own rounding, two-pass or Chan-merged: at most
+    (k + 3) u64 of |I_a - m_a|^T |I_b - m_b| / (k - 1) each, counted twice
+    for the comparison of two such folds. The means are off by the mean
+    of dI."""
+    a, b = np.abs(e_a), np.abs(e_b)
+    di_a = 2.0 * a * d_a + 4.0 * U32 * a**2
+    di_b = 2.0 * b * d_b + 4.0 * U32 * b**2
+    k = len(e_a)
+    c_a, c_b = np.abs(a**2 - np.mean(a**2, axis=0)), np.abs(b**2 - np.mean(b**2, axis=0))
+    dcov = (di_a.T @ c_b + c_a.T @ di_b + 2.0 * (k + 3) * U64 * (c_a.T @ c_b)) / (k - 1)
+    return di_a, di_b, dcov
+
+
+def float64_estimate(run, geom, source, mask):
+    """``montecarlo.estimate_gamma``'s signed estimate and se of ``run``,
+    propagated in float64 from the same phase indices through the full
+    kernels on every cell and pixel (``full_kernels``), one batch at a
+    time in the two-pass form, with their first-order distance bounds to
+    the complex64 path: (raw, se, d_raw, d_se).
+
+    raw = sum_b (k_b / N) cov_b is off by sum_b (k_b / N) dcov_b
+    (``propagation_rounding_bound``). se^2 = sum_b (cov_b - c)^2 / ((B -
+    1) B) for the batch mean c, whose shift drops out to first order, so
+    |dse| <= sum_b |cov_b - c| dcov_b / ((B - 1) B se)."""
+    kernels = arm_kernels(geom, mask, run.axis_s, run.axis_a, run.axis_b, run.n_object)
+    full_a, full_b = (full_kernels(k, run.axis_s.n) for k in kernels)
+    amp = source.amplitude(_source_half(run.axis_s.coordinates))[:, None]
+    d_a, d_b = (
+        field_rounding_bound(replace(k, blocks=tuple(None if b is None else b * amp for b in k.blocks)))
+        for k in kernels
+    )
+    cell_amp = source.amplitude(run.axis_s.coordinates)
+    edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
+    covs, dcovs, weights = [], [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        fields = cell_amp * _PHASES[_phase_indices(run.seed, lo, hi, run.axis_s.n)]
+        e_a, e_b = fields @ full_a.T, fields @ full_b.T
+        i_a, i_b = np.abs(e_a) ** 2, np.abs(e_b) ** 2
+        i_a -= i_a.mean(axis=0)
+        i_b -= i_b.mean(axis=0)
+        covs.append(i_a.T @ i_b / (hi - lo - 1))
+        dcovs.append(propagation_rounding_bound(d_a, d_b, e_a, e_b)[2])
+        weights.append((hi - lo) / run.n_realizations)
+    covs, dcovs, weights = np.array(covs), np.array(dcovs), np.array(weights)
+    raw = np.tensordot(weights, covs, axes=1)
+    d_raw = np.tensordot(weights, dcovs, axes=1)
+    n_b = run.n_batches
+    dev = covs - covs.mean(axis=0)
+    se = np.sqrt(np.sum(dev**2, axis=0) / ((n_b - 1) * n_b))
+    d_se = np.sum(np.abs(dev) * dcovs, axis=0) / ((n_b - 1) * n_b * se)
+    return raw, se, d_raw, d_se
+
+
+def scalar_rounding_bounds(raw, se, d_raw, d_se, reference) -> dict:
+    """First-order bounds of ``ConvergenceReport``'s l1, linf and se_l1 (against
+    ``reference``) when each entry of the signed estimate ``raw`` may be
+    off by ``d_raw`` and of ``se`` by ``d_se``: the peak P moves by at most
+    D = max d_raw, so raw / P by d_raw / P + |raw| D / P^2 and se / P by
+    d_se / P + se D / P^2; l1 and se_l1 sum those over sum b^ of the
+    peak-normalized reference b^, and linf takes the largest; "normalized"
+    holds the bound of each entry of raw / P."""
+    peak, shift = raw.max(), d_raw.max()
+    b_sum = np.sum(peak_normalize(reference))
+    d_norm = d_raw / peak + np.abs(raw) * shift / peak**2
+    return {
+        "l1": float(np.sum(d_norm) / b_sum),
+        "linf": float(np.max(d_norm)),
+        "se_l1": float(np.sum(d_se / peak + se * shift / peak**2) / b_sum),
+        "normalized": d_norm,
+    }
 
 
 def normalized_l2(a: np.ndarray, b: np.ndarray) -> float:

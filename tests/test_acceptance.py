@@ -8,6 +8,10 @@ sqrt(lambda0 z_b |1 - alpha|), as the depth-of-field validity condition
 requires.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -47,12 +51,34 @@ from oracles import (
     coherent_psf,
     e2_full_width,
     fit_gaussian_width,
+    float64_estimate,
     incoherent_psf,
     normalized_l2,
+    scalar_rounding_bounds,
 )
 
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _read_run(out: Path, shape: tuple[int, int]) -> dict:
+    """A montecarlo run's data files in ``out``: the gamma_mc.csv values
+    as a grid of ``shape``, the gamma_mc.pgm levels, the minimum it was
+    scaled from (read back from the manifest), and convergence.json."""
+    lines = (out / "gamma_mc.csv").read_text(encoding="utf-8").splitlines()
+    rows = [l.split(",") for l in lines if not l.startswith("#")][1:]  # after the header
+    pgm = (out / "gamma_mc.pgm").read_bytes()
+    levels = np.frombuffer(pgm[-2 * shape[0] * shape[1] :], dtype=">u2")
+    files = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["files"]
+    report = json.loads((out / "convergence.json").read_text(encoding="utf-8"))
+    return {
+        "grid": np.array(rows, dtype=float)[:, 2].reshape(shape),
+        "pgm": levels.astype(float).reshape(shape),
+        "pgm_min": next(f["pgm_min"] for f in files if f["name"] == "gamma_mc.pgm"),
+        "report": report,
+        "se": np.array(report["se_per_point"]),
+    }
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -236,6 +262,50 @@ class TestAcceptance:
         assert d1 == d2  # bitwise, so Linf = 0 <= 1e-12
         _report(
             "criterion 7 (determinism)", f"{len(d1)} file digests identical across reruns"
+        )
+
+    def test_7_reproduces_across_blas_thread_counts(self, tmp_path):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so
+        # the montecarlo demo runs here and in two subprocesses: one with
+        # this process's environment, one with OPENBLAS_NUM_THREADS=1. At
+        # the same thread count every data file is byte-identical. Across
+        # counts the GEMMs may sum in another order, so each value lies
+        # within twice its first-order rounding bound (each run lies within
+        # it of the float64 propagation of the same realizations)
+        cfg = parse_config(DEMOS["montecarlo"])
+        here = run_experiment(cfg, out_dir=tmp_path / "here")
+        code = (
+            "import sys; from cpi_sim import DEMOS, parse_config, run_experiment; "
+            "run_experiment(parse_config(DEMOS['montecarlo']), out_dir=sys.argv[1])"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        for name, extra in (("same", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            env = {**os.environ, **extra, "PYTHONPATH": path}
+            subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path / name)], env=env, check=True, timeout=600
+            )
+        names = [f["name"] for f in here.files]
+        assert names == ["gamma_mc.csv", "gamma_mc.pgm", "convergence.json"]
+        for name in names:
+            assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+
+        exp = cfg.resolve()
+        reference = gamma_quadrature(exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad)
+        raw, se, d_raw, d_se = float64_estimate(exp.speckle, exp.geom, exp.source, exp.mask)
+        bounds = scalar_rounding_bounds(raw, se, d_raw, d_se, reference.values)
+        one, mine = (_read_run(tmp_path / d, raw.shape) for d in ("one", "here"))
+        assert np.all(np.abs(one["grid"] - mine["grid"]) <= 2 * d_raw)
+        # both images span [0, peak]: a level moves by 65535 times the
+        # normalized bound, and by one more where it rounds the other way
+        assert one["pgm_min"] == mine["pgm_min"] == 0.0
+        assert np.all(np.abs(one["pgm"] - mine["pgm"]) <= 2 * 65535 * bounds["normalized"] + 1)
+        for key in ("l1", "linf", "se_l1"):
+            assert abs(one["report"][key] - mine["report"][key]) <= 2 * bounds[key], key
+        assert np.all(np.abs(one["se"] - mine["se"]) <= 2 * d_se)
+        _report(
+            "criterion 7 (determinism)",
+            f"byte-identical at one BLAS thread count; l1 {mine['report']['l1']:.10g} here, "
+            f"{one['report']['l1']:.10g} on one thread (bound {2 * bounds['l1']:.2g})",
         )
 
     def test_8_quadrature_convergence(self, geom_focused, source, slits, axis_a, axis_b, grid_focused):

@@ -610,24 +610,26 @@ class TestCli:
         assert "numerical error: Unable to allocate" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "mode, message",
+        "mode, limit, message",
         [
-            ("analytic", "quadrature needs 1.48 GiB (1537691 source nodes, 916 object nodes"),
-            ("refocus", "quadrature needs 1.48 GiB (1537691 source nodes"),
-            # a 600001-cell phasor row is more than the 4 MiB block budget,
-            # so sampling counts a block of one row, not one 50-row batch
-            ("montecarlo", "Monte Carlo run needs 1.31 GiB (600001 source nodes, 458 object"),
-            ("geometric", None),  # builds no propagator, so any span fits
+            ("analytic", 2**30, "quadrature needs 1.48 GiB (1537691 source nodes, 916 object nodes"),
+            ("refocus", 2**30, "quadrature needs 1.48 GiB (1537691 source nodes"),
+            # a 600001-cell phasor row is more than the 2 MiB block budget,
+            # so sampling counts a block of one row, not one 50-row batch;
+            # its complex64 kernel and rows fit 1 GiB, so the Monte Carlo
+            # run's own check is held to half of that
+            ("montecarlo", 2**29, "Monte Carlo run needs 0.948 GiB (600001 source nodes, 458 object"),
+            ("geometric", 2**30, None),  # builds no propagator, so any span fits
         ],
         ids=["analytic", "refocus", "montecarlo", "geometric"],
     )
     def test_oversized_run_fails_before_allocating(
-        self, tmp_path, capsys, monkeypatch, mode, message
+        self, tmp_path, capsys, monkeypatch, mode, limit, message
     ):
         # grids.span_a = 1 on the refocus demo resolves to 1537691 source
         # nodes: T alone would be 1.6 GB, and validate used to print OK; a
-        # fixed 1 GiB limit keeps the case independent of the host's memory
-        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", 2**30)
+        # fixed limit keeps the case independent of the host's memory
+        monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", limit)
         path = tmp_path / "run.cfg"
         path.write_text(
             DEMOS["refocus"]
@@ -641,7 +643,7 @@ class TestCli:
         assert cli_main(["validate", str(path)]) == 3
         assert f"numerical error: {message}" in capsys.readouterr().err
         assert cli_main(["run", str(path), "--out", str(out)]) == 3
-        assert "above the 1 GiB working-set limit" in capsys.readouterr().err
+        assert f"above the {limit / 2**30:.3g} GiB working-set limit" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["analytic", "refocus", "montecarlo", "geometric"])
@@ -751,8 +753,9 @@ class TestCli:
     def test_monte_carlo_estimate_is_pinned_at_the_limit(self, monkeypatch):
         # the arm-a kernel's two parity blocks (676 rows of 32 pixels each:
         # the even part on the eps_a >= 0 half, the odd one on its mirror),
-        # the half products CW, SW (2 x 676 rows of n_b), in whose buffer
-        # K_b's parity blocks are built, and the grid twice, 16 bytes each;
+        # complex64 for sampling, 8 bytes each; the half products CW, SW
+        # (2 x 676 rows of n_b), in whose buffer K_b's parity blocks are
+        # built, and the grid twice, 16 bytes each;
         # the column tables of the object sum
         # (2 planes x 33 mirror pairs of the 66 object nodes x 4 x 32
         # pixels of the eps_b >= 0 half), 8 bytes each; one object
@@ -764,12 +767,12 @@ class TestCli:
         # rows), the complex anchor row and its angles (3 rows) and the
         # part products (2 x 676 rows of 4 x 32);
         # the arm-a kernel's plane block (676 rows of 32 pixels) is smaller;
-        # then sampling: one propagation block of 4 MiB // (16 x
+        # then sampling: one propagation block of 2 MiB // (8 x
         # 1352) = 193 rows, each 32 x 22 Philox bytes (one a mirror pair
         # of the 676, in whole counters of 32), 1352 of pair indices,
-        # 16 x 1352 of [u | v] rows and, for the propagation, arm a's 64
-        # intensities (8 bytes each) beside arm b's P and Q (16 x 64),
-        # P + Q buffer (16 x 32) and intensities (8 x 64), plus a 16-row
+        # 8 x 1352 of complex64 [u | v] rows and, for the propagation, arm
+        # a's 64 intensities (8 bytes each) beside arm b's complex64 P and
+        # Q (8 x 64), P + Q buffer (8 x 32) and intensities (8 x 64), plus a 16-row
         # intp slice of 8 x 1352 bytes a row; and the
         # fold: one piece's centered rows, 8 bytes a pixel of the block's
         # 193 rows, and nine 8-byte n_a x n_b grids, whatever the batch count
@@ -777,10 +780,10 @@ class TestCli:
         block = 33 * (2 * 676 + 4 * 26 + 3) + 2 * 676 * 4 * 32
         assert cpi_sim.phase.plane_block(676, 32, 0, 0)[3] < block
         kernels = (
-            16 * (676 * 64 + 2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
+            8 * 676 * 64 + 16 * (2 * 676 * 64 + 2 * 64 * 64) + 8 * 2 * 33 * 4 * 32 + 8 * block
         )
-        arm_b = 8 * 64 + 16 * 64 + 16 * 32 + 8 * 64
-        propagation = 193 * (32 * 22 + 17 * 1352 + arm_b) + 16 * 8 * 1352
+        arm_b = 8 * 64 + 8 * 64 + 8 * 32 + 8 * 64
+        propagation = 193 * (32 * 22 + 9 * 1352 + arm_b) + 16 * 8 * 1352
         need = kernels + propagation + 8 * 193 * 128 + 9 * 8 * 64 * 64
         monkeypatch.setattr(cpi_sim.correlator, "MAX_WORKING_SET", need)
         speckle = config.resolve().speckle
