@@ -163,9 +163,10 @@ def check_working_set(
     products, made after the object sum's block and column tables are
     freed. With
     ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
-    bytes the caller holds beside them: a Monte Carlo run's arm-a parity
-    blocks, its sampling block and its fold, from
-    ``SpeckleRun.sampling_bytes``.
+    most bytes the caller holds beside them at one time: a Monte Carlo
+    run's complex64 arm-a parity blocks, beside its float64 K_a and
+    complex64 K_b while the kernels are rounded, or beside its sampling
+    block and fold (``SpeckleRun.sampling_bytes``).
     """
     need = 16 * n_a * n_b + extra
     if n_source:

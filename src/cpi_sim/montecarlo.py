@@ -128,22 +128,28 @@ class SpeckleRun:
             )
 
     def sampling_bytes(self) -> int:
-        """Bytes the run holds beside K_b and the half products, which
-        ``check_working_set`` counts: the arm-a kernel's parity blocks
-        (``arm_kernels``), ceil(n_s / 2) x n_a complex64, twice that off a
-        centred axis, where all four are kept; the one block in flight:
-        its rows' Philox bytes, one a mirror pair padded to whole counters
-        of 32, their uint8 pair indices and complex64 [u | v] rows, 9
-        bytes a column, the intp copy of one ``_TAKE_ROWS`` slice of pair
-        indices, and, a row, the propagation of ``_intensities``: arm a's
+        """The most bytes the run holds at one time beside K_b's float64
+        blocks and the half products, which ``check_working_set`` counts
+        (and which bound K_b's complex64 blocks once they are freed).
+
+        The complex64 arm-a kernel's parity blocks, ceil(n_s / 2) x n_a, twice
+        that off a centred axis, where all four are kept, are held from their
+        rounding to the end, beside the larger of two stages. (1) The kernels'
+        rounding: both arms' float64 blocks (``arm_kernels``) live until both
+        are rounded (``estimate_gamma``), so K_a's, twice the complex64 bytes,
+        are held beside K_b's complex64 blocks, at most 2 ceil(n_s / 2) x n_b
+        (all four: this count does not know the mask). (2) Sampling: the one
+        block in flight, its rows' Philox bytes, one a mirror pair padded to
+        whole counters of 32, their uint8 pair indices and complex64 [u | v]
+        rows, 9 bytes a column, the intp copy of one ``_TAKE_ROWS`` slice of
+        pair indices, and, a row, the propagation of ``_intensities``: arm a's
         |P +- Q|^2 (8 bytes a pixel) held while arm b runs, and the larger
-        arm's P and Q (8 bytes a pixel), its P + Q buffer (8 a mirror
-        pair) and its own intensity row (8 a pixel), which also bound a
-        second product of a part with two kept blocks; and the fold's: one
-        piece's centered rows, 8 bytes a pixel a row, and nine n_a x n_b
-        float grids (``estimate_gamma``'s raw, mean, M2, batch covariance
-        and its deviation; the Chan merge's state, co-moment and two
-        temporaries)."""
+        arm's P and Q (8 bytes a pixel), its P + Q buffer (8 a mirror pair)
+        and its own intensity row (8 a pixel), which also bound a second
+        product of a part with two kept blocks; and the fold's: one piece's
+        centered rows, 8 bytes a pixel a row, and nine n_a x n_b float grids
+        (``estimate_gamma``'s raw, mean, M2, batch covariance and its
+        deviation; the Chan merge's state, co-moment and two temporaries)."""
         n, n_a, n_b = self.axis_s.n, self.axis_a.n, self.axis_b.n
         cols = 2 * ((n + 1) // 2)
         rows = min(_block_rows(cols), self.n_realizations)
@@ -151,7 +157,7 @@ class SpeckleRun:
         block = rows * (32 * -(-cols // 64) + 9 * cols + arm) + 8 * min(rows, _TAKE_ROWS) * cols
         fold = 8 * rows * (n_a + n_b) + 9 * 8 * n_a * n_b
         k_a = 8 * (cols // 2) * n_a * (2 if self.axis_a.center else 1)
-        return k_a + block + fold
+        return k_a + max(2 * k_a + 8 * cols * n_b, block + fold)
 
 
 @dataclass(frozen=True)
@@ -441,7 +447,8 @@ def estimate_gamma(
     amp = source.amplitude(_source_half(run.axis_s.coordinates))[:, None]  # f(d) = f(-d)
     # f is folded into the fresh float64 blocks in place, and each kept
     # block is then rounded to complex64 once: no float64 block, nor K_b's
-    # half-products buffer, outlives this statement
+    # half-products buffer, outlives this statement, and both arms' live
+    # to its end (the rounding stage of ``sampling_bytes``)
     k_a, k_b = (
         ParityKernel(k.n, tuple(
             None if b is None else np.multiply(b, amp, out=b).astype(np.complex64) for b in k.blocks

@@ -187,25 +187,51 @@ def float64_estimate(run, geom, source, mask):
         for k in kernels
     )
     cell_amp = source.amplitude(run.axis_s.coordinates)
-    edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
-    covs, dcovs, weights = [], [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    covs, dcovs = [], []
+    for lo, hi in batch_spans(run):
         fields = cell_amp * _PHASES[_phase_indices(run.seed, lo, hi, run.axis_s.n)]
         e_a, e_b = fields @ full_a.T, fields @ full_b.T
-        i_a, i_b = np.abs(e_a) ** 2, np.abs(e_b) ** 2
-        i_a -= i_a.mean(axis=0)
-        i_b -= i_b.mean(axis=0)
-        covs.append(i_a.T @ i_b / (hi - lo - 1))
+        covs.append(two_pass_covariance(np.abs(e_a) ** 2, np.abs(e_b) ** 2))
         dcovs.append(propagation_rounding_bound(d_a, d_b, e_a, e_b)[2])
-        weights.append((hi - lo) / run.n_realizations)
-    covs, dcovs, weights = np.array(covs), np.array(dcovs), np.array(weights)
-    raw = np.tensordot(weights, covs, axes=1)
+    raw, se = batch_estimate(run, covs)
+    covs, dcovs, weights = np.array(covs), np.array(dcovs), batch_weights(run)
     d_raw = np.tensordot(weights, dcovs, axes=1)
     n_b = run.n_batches
     dev = covs - covs.mean(axis=0)
-    se = np.sqrt(np.sum(dev**2, axis=0) / ((n_b - 1) * n_b))
     d_se = np.sum(np.abs(dev) * dcovs, axis=0) / ((n_b - 1) * n_b * se)
     return raw, se, d_raw, d_se
+
+
+def batch_spans(run) -> list[tuple[int, int]]:
+    """The realizations [lo, hi) of each of ``run``'s batches."""
+    edges = np.linspace(0, run.n_realizations, run.n_batches + 1).astype(int)
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def batch_weights(run) -> np.ndarray:
+    """Each batch's share k_b / N of ``run``'s realizations."""
+    return np.array([(hi - lo) / run.n_realizations for lo, hi in batch_spans(run)])
+
+
+def two_pass_covariance(i_a, i_b) -> np.ndarray:
+    """The covariance of one batch's intensity rows ``i_a`` and ``i_b``
+    (realizations x pixels, float64) in the two-pass form; it centres
+    them in place."""
+    i_a -= i_a.mean(axis=0)
+    i_b -= i_b.mean(axis=0)
+    return i_a.T @ i_b / (len(i_a) - 1)
+
+
+def batch_estimate(run, covs):
+    """``estimate_gamma``'s signed estimate and se from the batch
+    covariances ``covs`` of ``run``: raw = sum_b (k_b / N) cov_b and the
+    standard error of their mean, sqrt(sum_b (cov_b - c)^2 / ((B - 1) B))
+    for the batch mean c."""
+    covs = np.array(covs)
+    raw = np.tensordot(batch_weights(run), covs, axes=1)
+    n_b = run.n_batches
+    se = np.sqrt(np.sum((covs - covs.mean(axis=0)) ** 2, axis=0) / ((n_b - 1) * n_b))
+    return raw, se
 
 
 def scalar_rounding_bounds(raw, se, d_raw, d_se, reference) -> dict:

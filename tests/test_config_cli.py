@@ -616,9 +616,9 @@ class TestCli:
             ("refocus", 2**30, "quadrature needs 1.48 GiB (1537691 source nodes"),
             # a 600001-cell phasor row is more than the 2 MiB block budget,
             # so sampling counts a block of one row, not one 50-row batch;
-            # its complex64 kernel and rows fit 1 GiB, so the Monte Carlo
-            # run's own check is held to half of that
-            ("montecarlo", 2**29, "Monte Carlo run needs 0.948 GiB (600001 source nodes, 458 object"),
+            # the kernels' rounding, K_a in float64 and complex64 beside
+            # the complex64 K_b, sets the count
+            ("montecarlo", 2**30, "Monte Carlo run needs 1.94 GiB (600001 source nodes, 458 object"),
             ("geometric", 2**30, None),  # builds no propagator, so any span fits
         ],
         ids=["analytic", "refocus", "montecarlo", "geometric"],

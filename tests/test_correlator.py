@@ -1266,21 +1266,26 @@ class TestObjectTransferMemory:
         # check_working_set counts K_b once, as the buffer of the half
         # products that holds its parity blocks, beside the object sum's
         # column tables, the grid and one block; the Monte Carlo caller
-        # adds K_a's two parity blocks on this centred axis (16 n_a
-        # ceil(n_s / 2) bytes).
+        # adds what its run holds beside them (SpeckleRun.sampling_bytes),
+        # which counts K_a's float64 blocks while they are built.
         # With n_b = 512 well above n_a = 8 the peak stays below the
-        # estimate, which is less than two arrays of the full kernel's
-        # size (16 x 1626 x 512 bytes each)
+        # estimate, whose count beside the run's is less than two arrays
+        # of the full kernel's size (16 x 1626 x 512 bytes each)
         axis_a = Axis.from_half_width(8, 200e-6)
         axis_b = Axis.from_half_width(512, 500e-6)
         axis_s, n_object = default_sampling(geom_defocused, source, slits, axis_a, axis_b)
         assert (axis_s.n, n_object) == (1626, 81)
+        run = montecarlo.SpeckleRun(
+            seed=0, n_realizations=100, axis_s=axis_s, axis_a=axis_a, axis_b=axis_b,
+            n_object=n_object,
+        )
         needs = []
         monkeypatch.setattr(correlator, "check_bytes", lambda what, need, counts: needs.append(need))
-        k_a = 16 * ((axis_s.n + 1) // 2) * axis_a.n
-        correlator.check_working_set("arm kernels", axis_s.n, n_object, axis_a.n, axis_b.n, k_a)
+        correlator.check_working_set(
+            "arm kernels", axis_s.n, n_object, axis_a.n, axis_b.n, run.sampling_bytes()
+        )
         (need,) = needs
-        assert need < 2 * 16 * axis_s.n * axis_b.n
+        assert need - run.sampling_bytes() < 2 * 16 * axis_s.n * axis_b.n
         tracemalloc.start()
         try:
             arm_kernels(geom_defocused, slits, axis_s, axis_a, axis_b, n_object)

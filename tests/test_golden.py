@@ -13,9 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpi_sim import DEMOS, gamma_quadrature, parse_config, run_experiment
+from cpi_sim import DEMOS, gamma_quadrature, montecarlo, parse_config, run_experiment
 from cpi_sim.metrics import normalized_l1, normalized_linf, peak_normalize
-from oracles import float64_estimate, gamma_rounding_bound, scalar_rounding_bounds
+from oracles import (
+    batch_estimate, batch_spans, float64_estimate, gamma_rounding_bound, scalar_rounding_bounds,
+    two_pass_covariance,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 MONTECARLO = json.loads((GOLDEN / "montecarlo.json").read_text(encoding="utf-8"))
@@ -30,30 +33,55 @@ def _with_overrides(text: str, overrides: dict) -> str:
     return "\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n"
 
 
+def _scalars(raw, se, reference) -> dict:
+    """``ConvergenceReport``'s l1, linf and se_l1 of a signed estimate
+    ``raw`` and its ``se`` against the ``reference`` surface."""
+    peak = raw.max()
+    return {
+        "l1": normalized_l1(raw, reference),
+        "linf": normalized_linf(raw, reference),
+        "se_l1": float(np.sum(se / peak) / np.sum(peak_normalize(reference))),
+    }
+
+
 @pytest.mark.parametrize("n_batches", sorted(MONTECARLO["runs"], key=int))
-def test_montecarlo_demo_scalars(tmp_path, n_batches):
+def test_montecarlo_demo_scalars(tmp_path, monkeypatch, n_batches):
     # 2000 realizations: 20 batches (the default) fit one chunk each, 2
     # batches span four chunks each and so exercise the chunk merge. The
     # float64 propagation of the run's realizations holds the recorded
-    # float64 values at rtol 1e-12; the run, which propagates in complex64,
-    # lies within the derived rounding bound of it (the golden's rtol_note)
+    # float64 values; the run's own values equal the two-pass fold of its
+    # own complex64 intensities, both at rtol 1e-12, and lie within the
+    # derived rounding bound of the float64 ones (the golden's rtol_note)
+    rows, propagate = [], montecarlo._intensities
+
+    def intensities(fields, kernel):  # records the rows the run folds
+        rows.append(propagate(fields, kernel))
+        return rows[-1]
+
+    monkeypatch.setattr(montecarlo, "_intensities", intensities)
     text = DEMOS["montecarlo"] + f"run.n_batches = {n_batches}\n"
     manifest = run_experiment(parse_config(text), out_dir=tmp_path, seed=7)
     exp = parse_config(text).resolve()
+    run = replace(exp.speckle, seed=7)
     reference = gamma_quadrature(exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad)
-    raw, se, d_raw, d_se = float64_estimate(replace(exp.speckle, seed=7), exp.geom, exp.source, exp.mask)
-    peak = raw.max()
-    oracle = {
-        "l1": normalized_l1(raw, reference.values),
-        "linf": normalized_linf(raw, reference.values),
-        "se_l1": float(np.sum(se / peak) / np.sum(peak_normalize(reference.values))),
-    }
+    raw, se, d_raw, d_se = float64_estimate(run, exp.geom, exp.source, exp.mask)
+    oracle = _scalars(raw, se, reference.values)
+    i_a, i_b = np.concatenate(rows[0::2]), np.concatenate(rows[1::2])  # arm a, then b, a block
+    assert len(i_a) == len(i_b) == run.n_realizations
+    covs = [two_pass_covariance(i_a[lo:hi], i_b[lo:hi]) for lo, hi in batch_spans(run)]
+    raw_run, se_run = batch_estimate(run, covs)
+    folded = _scalars(raw_run, se_run, reference.values)
     bounds = scalar_rounding_bounds(raw, se, d_raw, d_se, reference.values)
+    rtol = MONTECARLO["rtol"]
+    # the scalars are peak-normalized: the written grid's peak pins the scale
+    peak = next(f["pgm_max"] for f in manifest.files if f["name"] == "gamma_mc.pgm")
+    assert peak == pytest.approx(raw_run.max(), rel=rtol, abs=0.0)
+    assert abs(peak - raw.max()) <= d_raw.max()
     for key, expected in MONTECARLO["runs"][n_batches].items():
-        assert oracle[key] == pytest.approx(expected, rel=MONTECARLO["rtol"], abs=0.0), key
+        assert oracle[key] == pytest.approx(expected, rel=rtol, abs=0.0), key
         got = manifest.results[key]
+        assert got == pytest.approx(folded[key], rel=rtol, abs=0.0), key
         assert abs(got - oracle[key]) <= bounds[key], key
-        assert abs(got - MONTECARLO["complex64"][n_batches][key]) <= 2 * bounds[key], key
 
 
 def test_refocus_demo_scalars(tmp_path):

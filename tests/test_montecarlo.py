@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpi_sim import montecarlo
+from cpi_sim import correlator, montecarlo
 from cpi_sim import (
     DEMOS,
     Axis,
@@ -533,6 +533,40 @@ class TestBatchCovariance:
         run = replace(exp.speckle, n_batches=n_batches)
         peak, k_a = _traced_peak(monkeypatch, exp, run, reference)
         assert 0 < peak <= run.sampling_bytes() - _nbytes(k_a)
+
+    def test_working_set_estimate_bounds_the_whole_run_at_one_row_blocks(
+        self, monkeypatch, geom_defocused, source, slits
+    ):
+        # traced from before arm_kernels to the end of estimate_gamma. A row
+        # [u | v] on 131073 cells is more than _BLOCK_BYTES of phasors, so
+        # every block is one row and the block and fold leave no slack:
+        # K_a on 16 pixels outweighs them, and the estimate holds only if it
+        # counts the float64 K_a and the complex64 K_b beside the complex64
+        # K_a while the kernels are rounded: 41.1 MB against a peak of
+        # 36.2 MB (22.4 MB when it counted the complex64 K_a alone)
+        axis_a = Axis.from_half_width(16, 200e-6)
+        axis_b = Axis.from_half_width(4, 500e-6)
+        axis_s, n_object = default_sampling(geom_defocused, source, slits, axis_a, axis_b)
+        axis_s = Axis.from_half_width(131073, axis_s.half_width)
+        assert _block_rows(_paired_columns(axis_s.n)) == 1
+        run = SpeckleRun(
+            seed=3, n_realizations=100, axis_s=axis_s, axis_a=axis_a, axis_b=axis_b,
+            n_object=n_object, n_batches=2,
+        )
+        reference = _reference(geom_defocused, source, slits, axis_a, axis_b)
+        needs = []
+        monkeypatch.setattr(correlator, "check_bytes", lambda what, need, counts: needs.append(need))
+        correlator.check_working_set(
+            "Monte Carlo run", axis_s.n, n_object, axis_a.n, axis_b.n, run.sampling_bytes()
+        )
+        (need,) = needs
+        tracemalloc.start()
+        try:
+            estimate_gamma(run, geom_defocused, source, slits, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (peak, need)
 
     def test_traced_peak_does_not_grow_with_the_batch_count(self, monkeypatch):
         # the montecarlo demo on 192 x 192 pixels: every batch grid held to
