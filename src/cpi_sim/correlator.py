@@ -237,18 +237,19 @@ def _mirror_halves(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray
     about their midpoint mu: the entries at mu + eps_j and at mu - eps_j,
     for the nodes eps_j >= 0 in ascending order. The second view starts at
     j = n % 2, so the eps = 0 entry of an odd n, its own mirror, is in the
-    first alone."""
-    x = np.moveaxis(x, axis, 0)
-    n = x.shape[0]
-    return np.moveaxis(x[n // 2 :], 0, axis), np.moveaxis(x[::-1][n - n // 2 :], 0, axis)
+    first alone. Both are basic slices; the second is empty when n < 2."""
+    n, head = x.shape[axis], (slice(None),) * (axis % x.ndim)
+    minus = slice(n // 2 - 1, None, -1) if n > 1 else slice(0)
+    return x[(*head, slice(n // 2, None))], x[(*head, minus)]
 
 
 def _unpair(x: np.ndarray, axis: int) -> np.ndarray:
     """Turn the parity parts of ``x`` along ``axis``, in the layout of
     ``ParityKernel``, into pixel values in place and return ``x``: E + O at
     mu + eps and E - O at mu - eps; an odd n's eps = 0 entry keeps E."""
-    plus, minus = _mirror_halves(np.moveaxis(x, axis, 0))
-    even, odd = plus[x.shape[axis] % 2 :], minus.copy()  # an odd n's eps = 0 has no mirror
+    plus, minus = _mirror_halves(x, axis)
+    head = (slice(None),) * (axis % x.ndim)  # an odd n's eps = 0, first in plus, has no mirror
+    even, odd = plus[(*head, slice(x.shape[axis] % 2, None))], minus.copy()
     np.subtract(even, odd, out=minus)
     even += odd
     return x

@@ -353,8 +353,8 @@ def _batch_covariances(
     avoiding the cancellation of the <I_a I_b> - <I_a><I_b> form, and
     merged into its batch's running state
     with the pairwise update of Chan, Golub & LeVeque (1979). The first
-    piece merges into an empty state exactly, so a batch of one piece gets
-    the plain two-pass result bitwise, whatever block it shared.
+    piece is its batch's state, so a batch of one piece gets the plain
+    two-pass result bitwise, whatever block it shared.
     """
     rows = _block_rows(2 * ((n_cells + 1) // 2))
     blocks: list[list[tuple[int, int, int]]] = []
@@ -374,21 +374,20 @@ def _batch_covariances(
         i_a, i_b = _intensities(fields, k_a), _intensities(fields, k_b)
         del fields
         for b, start, stop in pieces:
-            if start == spans[b][0]:
-                n = 0
-                cov = np.zeros((k_a.n, k_b.n))
-                mean_a, mean_b = np.zeros(k_a.n), np.zeros(k_b.n)
             p_a, p_b = i_a[start - lo : stop - lo], i_b[start - lo : stop - lo]
             k = stop - start
             blk_a = p_a.sum(axis=0) / k
             blk_b = p_b.sum(axis=0) / k
             m = (p_a - blk_a).T @ (p_b - blk_b)
-            d_a = blk_a - mean_a
-            d_b = blk_b - mean_b
-            cov += m + np.outer(d_a, d_b) * (n * k / (n + k))
-            mean_a += d_a * (k / (n + k))
-            mean_b += d_b * (k / (n + k))
-            n += k
+            if start == spans[b][0]:
+                n, cov, mean_a, mean_b = k, m, blk_a, blk_b
+            else:
+                d_a = blk_a - mean_a
+                d_b = blk_b - mean_b
+                cov += m + np.outer(d_a, d_b) * (n * k / (n + k))
+                mean_a += d_a * (k / (n + k))
+                mean_b += d_b * (k / (n + k))
+                n += k
             if stop == spans[b][1]:
                 cov /= n - 1.0
                 yield cov, mean_a, mean_b

@@ -21,7 +21,11 @@ File formats, and nothing else:
          the bytes are those of one ``repr`` per sample
   *.pgm  binary P5, 16-bit big-endian, min-max scaled per image
          (the scale is recorded in the manifest so values are recoverable)
-  *.json UTF-8, keys sorted
+  *.json UTF-8, the bytes of ``json.dumps(payload, sort_keys=True,
+         indent=2)`` and a final LF. ``indent`` keeps json off its C
+         encoder, so the layout is built here (``_json_layout``) and each
+         list of plain numbers, such as a row of ``se_per_point``, goes
+         through that encoder in one call
 """
 
 from __future__ import annotations
@@ -174,7 +178,26 @@ def _pgm(values: np.ndarray) -> tuple[bytes, float, float]:
 
 
 def _json(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    return (_json_layout(payload, "\n") + "\n").encode("utf-8")
+
+
+def _json_layout(value, pad: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at the indent ``pad``
+    (a newline and its spaces). A list of plain ints and floats is one call
+    of json's C encoder (``indent`` turns it off), its ", " separators made
+    line breaks; other lists and dicts are laid out here, each leaf and key
+    (as in ``{key: 0}``, so a non-string key is named as json names it)
+    encoded by ``json.dumps``."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = (f"{json.dumps({k: 0})[1:-4]}: {_json_layout(v, inner)}"
+                 for k, v in sorted(value.items()))
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if set(map(type, value)) <= {float, int}:
+        return f"[{inner}{json.dumps(value)[1:-1].replace(', ', ',' + inner)}{pad}]"
+    return f"[{inner}{(',' + inner).join(_json_layout(v, inner) for v in value)}{pad}]"
 
 
 def write_image_csv(path: Path, image: SampledImage) -> None:

@@ -890,14 +890,69 @@ class TestObjectTransferGuard:
                 assert half.tobytes() == rho_s[n // 2 :].tobytes(), (n, step)
 
 
+def _moveaxis_mirror_halves(x, axis):
+    """``correlator._mirror_halves`` through ``np.moveaxis``: the views of
+    ``x`` with ``axis`` moved to the front, sliced there, and moved back."""
+    x = np.moveaxis(x, axis, 0)
+    n = x.shape[0]
+    return np.moveaxis(x[n // 2 :], 0, axis), np.moveaxis(x[::-1][n - n // 2 :], 0, axis)
+
+
+def _moveaxis_unpair(x, axis):
+    """``correlator._unpair`` on the ``np.moveaxis`` views."""
+    plus, minus = _moveaxis_mirror_halves(np.moveaxis(x, axis, 0), 0)
+    even, odd = plus[x.shape[axis] % 2 :], minus.copy()
+    np.subtract(even, odd, out=minus)
+    even += odd
+    return x
+
+
+class TestMirrorViews:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_mirror_halves_are_the_moveaxis_views(self, ndim, n):
+        # basic slices of x on every axis, negative ones included: the
+        # shapes and values of the moveaxis form, and writable views of x
+        # (the mirror half of n = 1 is empty)
+        rng = np.random.default_rng(10 * ndim + n)
+        for axis in range(-ndim, ndim):
+            shape = [3, 4, 5][:ndim]
+            shape[axis] = n
+            x = rng.standard_normal(shape)
+            for got, want in zip(correlator._mirror_halves(x, axis), _moveaxis_mirror_halves(x, axis)):
+                assert got.shape == want.shape, (axis, n)
+                np.testing.assert_array_equal(got, want)
+                assert got.base is x and got.flags.writeable
+                assert np.shares_memory(got, x) == (got.size > 0)
+            y = x.copy()
+            for view, twin, value in zip(
+                correlator._mirror_halves(x, axis), _moveaxis_mirror_halves(y, axis), (7.0, -3.0)
+            ):
+                view[...] = value
+                twin[...] = value
+                np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_unpair_is_the_moveaxis_form_in_place(self, ndim, n):
+        rng = np.random.default_rng(100 + 10 * ndim + n)
+        for axis in range(-ndim, ndim):
+            shape = [3, 4, 5][:ndim]
+            shape[axis] = n
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            want = _moveaxis_unpair(x.copy(), axis)
+            assert correlator._unpair(x, axis) is x
+            assert x.tobytes() == want.tobytes(), (axis, n)
+
+
 class TestUnpair:
-    @pytest.mark.parametrize("axis", [0, 1, 2])
-    @pytest.mark.parametrize("n", [1, 2, 7, 8])
+    @pytest.mark.parametrize("axis", [-3, -1, 0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
     def test_matches_the_oracle_in_place(self, n, axis):
         # the parity layout along ``axis``: the even parts on the last
         # ceil(n / 2) entries, the pixels mu + eps, and the odd parts on the
         # first floor(n / 2), the columns of their mirrors
-        rng = np.random.default_rng(n + 10 * axis)
+        rng = np.random.default_rng(n + 10 * (axis % 3))
         shape = [3, 4, 5]
         shape[axis] = n
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpi_sim import correlator, montecarlo
+from cpi_sim import correlator, montecarlo, runner
 from cpi_sim import (
     DEMOS,
     Axis,
@@ -513,6 +513,35 @@ class TestBatchCovariance:
             peak = np.abs(ref_cov).max()
             np.testing.assert_allclose(got[0], ref_cov, rtol=1e-12, atol=1e-12 * peak)
 
+    @pytest.mark.parametrize("rows", [300, 100])
+    def test_a_pixel_pair_of_zero_covariance(self, monkeypatch, scaled_kernels, rows):
+        # arm b's parity columns of one eps zeroed: its pixels mu_b + eps and
+        # mu_b - eps see no light, so their covariance columns are exactly
+        # zero. The first piece is its batch's state: a batch of one piece
+        # (blocks of 300 rows) is the two-pass result byte for byte, the
+        # signs of its zeros included; split into 100 + 42/43 rows, it is
+        # Chan-merged and its dark columns stay zero
+        k_a, k_b, n = scaled_kernels
+        j, h, odd = 3, k_b.n // 2, k_b.n % 2
+        cols = (odd + j, odd + j, h - 1 - j, h - 1 - j)  # E_u, E_v, O_u, O_v
+        blocks = [None if b is None else b.copy() for b in k_b.blocks]
+        for b, c in zip(blocks, cols):
+            if b is not None:
+                b[:, c] = 0
+        k_b = replace(k_b, blocks=tuple(blocks))
+        dark = [h + odd + j, h - 1 - j]
+        _set_block_rows(monkeypatch, rows, _paired_columns(n))
+        edges = np.linspace(0, 1000, 8).astype(int)
+        spans = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        results = list(_batch_covariances(k_a, k_b, 21, n, spans))
+        assert len(results) == len(spans)
+        for (lo, hi), (cov, mean_a, mean_b) in zip(spans, results):
+            assert np.all(mean_b[dark] == 0.0) and np.all(cov[:, dark] == 0.0)
+            assert np.all(np.delete(mean_b, dark) > 0.0)
+            if rows == 300:
+                for g, r in zip((cov, mean_a, mean_b), _two_pass(k_a, k_b, 21, n, lo, hi)):
+                    assert g.tobytes() == r.tobytes(), f"batch [{lo}, {hi})"
+
     def test_bench_configs_block_rows(self):
         # a 2 MiB budget of complex64 phasors: two 50-row batches a block on the 2 x 997
         # paired columns of the 1993 cells of montecarlo-defocused, one
@@ -641,6 +670,33 @@ class TestEstimateGamma:
         g1, _ = estimate_gamma(run, geom_focused, source, slits, small_reference)
         g2, _ = estimate_gamma(run, geom_focused, source, slits, small_reference)
         np.testing.assert_array_equal(g1.values, g2.values)
+
+    def test_the_sign_of_a_zero_covariance_reaches_no_output(
+        self, monkeypatch, geom_focused, source, slits, small_setup, small_reference
+    ):
+        # a batch covariance entry that is exactly zero carries the sign its
+        # first piece's GEMM gave it. The fold starts raw, the mean and M2
+        # at +0.0, so neither sign reaches the bytes of gamma_mc.csv or
+        # convergence.json: here two columns are set to each zero in every
+        # batch
+        axis_a, axis_b, axis_s, n_object = small_setup
+        run = SpeckleRun(
+            seed=7, n_realizations=400, axis_s=axis_s,
+            axis_a=axis_a, axis_b=axis_b, n_object=n_object,
+        )
+        batches, files = montecarlo._batch_covariances, []
+        for zero in (0.0, -0.0):
+
+            def signed(*args, zero=zero):
+                for cov, mean_a, mean_b in batches(*args):
+                    cov[:, 5:7] = zero
+                    yield cov, mean_a, mean_b
+
+            monkeypatch.setattr(montecarlo, "_batch_covariances", signed)
+            grid, report = estimate_gamma(run, geom_focused, source, slits, small_reference)
+            assert np.all(grid.values[:, 5:7] == 0.0) and np.all(report.se_per_point[:, 5:7] == 0.0)
+            files.append((runner._grid_csv(grid), runner._json(report.to_dict())))
+        assert files[0] == files[1]
 
     def test_error_bars_shrink_like_sqrt_n(
         self, geom_focused, source, slits, small_setup, small_reference

@@ -2,11 +2,13 @@
 
 The manifest digests depend on every byte, so a refactor of the writers
 must reproduce these files exactly. The CSV renderers are checked against
-a naive per-cell reference, written out below, on random and real grids.
+a naive per-cell reference, written out below, on random and real grids;
+the JSON writer against ``json.dumps(payload, sort_keys=True, indent=2)``.
 """
 
 import builtins
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -330,3 +332,80 @@ def test_geometric_wide_grid_formats_each_distinct_value_once(tmp_path, monkeypa
     write_grid_csv(tmp_path / "grid.csv", grid)
     header_numbers = 7  # center and step of both axes, then z_a, z_b, M
     assert len(calls) == grid.axis_a.n + grid.axis_b.n + distinct + header_numbers
+
+
+# Leaves whose JSON text is easy to get wrong: json's names for nan and the
+# infinities, signed zero, the smallest subnormal, the floats where repr
+# turns to exponent form, a float64 subclass, and strings json escapes.
+JSON_LEAVES = [
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16, 1e-05, 1 / 3,
+    True, False, None, 0, -7, 2**70, np.float64(0.1), np.float64(-0.0),
+    "", "ρ_a µm", 'quote " backslash \\ tab \t newline \n nul \x00', "/", "\u2028",
+]
+
+
+def _reference_json(payload) -> bytes:
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def _random_json(rng, depth: int):
+    """A nested payload: dicts, lists and tuples of every kind, numeric
+    lists (the C-encoder path) among them, down to ``depth`` levels."""
+    kind = rng.integers(8) if depth else 0
+    if kind == 0:  # a leaf
+        return JSON_LEAVES[rng.integers(len(JSON_LEAVES))]
+    if kind == 1:  # floats over many decades, with the special ones mixed in
+        values = (rng.standard_normal(rng.integers(1, 6)) * 10.0 ** rng.integers(-20, 20)).tolist()
+        return values + [float(v) for v in rng.choice(JSON_LEAVES[:9], 2)]
+    if kind == 2:  # ints and floats mixed
+        return [int(v) if v % 2 else float(v) for v in rng.integers(-99, 99, rng.integers(1, 6))]
+    if kind == 3:  # a row of numbers broken by one bool, None or float64
+        row = rng.random(4).tolist()
+        row[rng.integers(4)] = [True, None, np.float64(2.5)][rng.integers(3)]
+        return row
+    if kind == 4:  # an se_per_point-like list of lists
+        return rng.random((rng.integers(1, 4), rng.integers(0, 4))).tolist()
+    if kind == 5:
+        return {}
+    items = [_random_json(rng, depth - 1) for _ in range(rng.integers(0, 5))]
+    if kind == 6:
+        return {f"k{rng.integers(1000)}-{i}": v for i, v in enumerate(items)} | {"é": items}
+    return tuple(items) if rng.integers(2) else items
+
+
+def test_json_has_the_layout_of_json_dumps():
+    for payload in [
+        {},
+        {"leaves": JSON_LEAVES, "one each": {str(i): v for i, v in enumerate(JSON_LEAVES)}},
+        {"empty": [[], {}, ()], "tuple": (1, 2.5), "grid": [[0.5, -0.0], [1e16, 5e-324]]},
+        {"mixed": [1, 2.5, "x", None, [3, 4.0], {"b": [], "a": (True,)}], "z": [{}]},
+        {3: "int key", 1.5: "float key"},
+    ]:
+        assert runner._json(payload) == _reference_json(payload), payload
+    rng = np.random.default_rng(37)
+    for _ in range(300):
+        payload = {"root": _random_json(rng, 4), "n": rng.integers(10).item()}
+        assert runner._json(payload) == _reference_json(payload), payload
+
+
+def test_json_runs_no_pure_python_encoder(monkeypatch):
+    # indent turns json's C encoder off for the whole payload; the writer
+    # lays out the indent itself, so json's Python encoder never runs
+    def refused(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+    payload = {"se_per_point": [[0.25, 1e-05]] * 3, "n": 2, "label": "x", "ok": [True, None]}
+    assert runner._json(payload).startswith(b'{\n  "label": "x",\n  "n": 2,\n  "ok": [\n    true,')
+
+
+@pytest.mark.parametrize(
+    "demo, names",
+    [("montecarlo", ["convergence.json", "manifest.json"]), ("refocus", ["manifest.json"])],
+)
+def test_demo_json_files_have_the_json_layout(tmp_path, demo, names):
+    run_experiment(parse_config(DEMOS[demo]), out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == names
+    for name in names:
+        raw = (tmp_path / name).read_bytes()
+        assert raw == _reference_json(json.loads(raw)), name
