@@ -21,9 +21,13 @@ turns once there, by (c1 m - c_a mu_a) d, Gamma's source-side turn
 included. Gamma contracts the half products against the cos/sin planes
 of its source phase on the non-negative half of the detector-a axis,
 I_b sums their squared moduli, and the arm-b kernel scales them into its
-mirror-pair columns, so no full T is built. Every paired sum adds into a
-zeroed buffer in the parity layout of ``ParityKernel``, which Gamma and
-I_b turn into pixel values once (``_unpair``).
+mirror-pair columns, so no full T is built. The half products are the
+parity blocks of a ``ParityKernel``, each allocated only if the object
+sum writes to it: a slit on centred axes keeps CW's even block and SW's
+odd one, and the other two, exactly zero, are never built. Gamma
+contracts each kept block into its own quadrant of the zeroed G, which
+it turns into pixel values once (``_unpair``); I_b squares E +- O one
+plane at a time.
 Also provided: the detector intensities (flat in arm a, object-Fourier
 modulated in arm b), the geometric-optics limit of Gamma, and the
 closed-form widths of the Gaussian-source point-spread functions.
@@ -148,20 +152,22 @@ def check_working_set(
     hold more than ``MAX_WORKING_SET`` bytes.
 
     The estimate counts the arrays of the object sum and of Gamma: the
-    half products CW and SW (2 ceil(n_source / 2) x n_b complex, the
-    buffer that holds K_b's parity blocks in ``arm_kernels``), the column
-    tables of the object sum (2 ceil(n_object / 2) x 4 ceil(n_b / 2)
-    floats, all four parity blocks kept) and the n_a x n_b grid twice,
-    for G and then |G|^2 and Gamma; and the largest ``phase.plane_block`` plan of the
+    parity blocks of the half products CW and SW, all four of them
+    (ceil(n_source / 2) x n_b complex each for CW and SW; this count does
+    not know the mask, and a slit on centred axes keeps two), which
+    ``arm_kernels`` scales into K_b's blocks; the column tables of the
+    object sum (2 ceil(n_object / 2) x 4 ceil(n_b / 2) floats, all four
+    parity blocks kept) and the n_a x n_b grid twice, for G and then
+    |G|^2 and Gamma; and the largest ``phase.plane_block`` plan of the
     four streams: the column tables' (ceil(n_b / 2) rows by the
     ceil(n_object / 2) mirror pairs), the object sum's (its part products
     and row turn, 8 ceil(n_b / 2) floats a source row), Gamma's source
     side's (ceil(n_a / 2) columns) and the arm-a kernel's (ceil(n_a / 2)
     columns, no products). ``_unpair``'s copy of half of G is within the
-    grid's second count; ``intensity_b`` unpairs CW and SW one at a time
-    and squares them in place, so it adds a copy of a quarter of the half
-    products, made after the object sum's block and column tables are
-    freed. With
+    grid's second count; ``intensity_b`` forms E +- O of CW and then of SW,
+    in place but for a copy of an odd block where both of a plane's
+    blocks are kept, a quarter of the four-block count, made after the
+    object sum's block and column tables are freed. With
     ``n_source = 0`` it bounds the output grid alone. ``extra`` adds the
     most bytes the caller holds beside them at one time: a Monte Carlo
     run's complex64 arm-a parity blocks, beside its float64 K_a and
@@ -262,7 +268,7 @@ def _half_products(
     half,
     rho_b,
     turn: float = 0.0,
-) -> np.ndarray:
+) -> ParityKernel:
     """The object sum on the source half ``half`` (``_source_half``), over
     mirror pairs of object nodes and of detector-b pixels.
 
@@ -296,22 +302,29 @@ def _half_products(
     SW = sin(phi) CW' + cos(phi) SW'. The column phase exp(-+i theta) is
     left out: a unit factor per pixel, it drops out of Gamma's |G|^2, of
     I_b and of the arm-b intensity |E_b|^2 (and is 1 for m = 0, as for
-    every slit). Returns cs, shape (2, n_half, n_b), the parity parts
-    about mu_b of (CW, SW), with CW = cos^T W_b and SW = sin^T W_b, each
-    column times exp(i theta), for W_b = A w_o exp(-i c1 rho_o rho_b/M)
-    and cos(c1 rho_o d), sin(c1 rho_o d); a nonzero ``turn`` (Gamma passes
-    c_a mu_a) turns them back by turn d, to cos(turn d) CW + sin(turn d) SW
-    and cos(turn d) SW - sin(turn d) CW. The parts are in the layout of
-    ``ParityKernel``: the even parts X1 and X3 on the columns of the
-    pixels mu_b + eps, and the odd parts at mu_b + eps, -i X4 and -i X2,
-    on the columns of their mirror pixels mu_b - eps (``_unpair``). The
-    row turn mixes whole rows, so it turns the parts as the pixel values.
+    every slit). Returns ParityKernel(n_b, (CW_even, SW_even, CW_odd,
+    SW_odd)), the parity parts about mu_b of CW = cos^T W_b and SW =
+    sin^T W_b, each column times exp(i theta), for W_b = A w_o
+    exp(-i c1 rho_o rho_b/M) and cos(c1 rho_o d), sin(c1 rho_o d), on the
+    n_half rows of ``half``; a nonzero ``turn`` (Gamma passes c_a mu_a)
+    turns them back by turn d, to cos(turn d) CW + sin(turn d) SW and
+    cos(turn d) SW - sin(turn d) CW. The blocks are in the layout of
+    ``ParityKernel``, CW in place of u and SW of v: the even parts X1 and
+    X3 on the pixels mu_b + eps, and the odd parts at mu_b + eps, -i X4
+    and -i X2, on the columns of their mirror pixels mu_b - eps. The row
+    turn mixes whole rows, so it turns the parts as the pixel values.
+
+    A block is allocated, zeroed, only if something writes to it: when
+    one of its float parts is kept, and, when the row turn mixes CW and
+    SW (phi != 0), when the block of the other plane at its parity is.
+    Every other block is None, and is exactly zero: a slit on centred
+    axes keeps CW_even and SW_odd alone.
 
     The column tables stream once from ``phase.phase_planes`` at c1 / M
     (rows eps, columns e); the half streams through the planes at c1 in
     ``phase.plane_block``'s blocks of source rows by object columns, each
-    chunk of object columns adding its share of each kept block to every
-    row of the zeroed cs, so besides cs and the tables a call holds at
+    chunk of object columns adding its share of each kept part to every
+    row of its block, so besides the blocks and the tables a call holds at
     most one 8 MiB block, whatever ``n_object``. Before it builds anything it
     refuses fewer than ``MIN_NODES`` object nodes (ValueError), checks its
     object step against the rate on its nodes, and checks that the object
@@ -363,12 +376,31 @@ def _half_products(
                         v[o_cols, None], trig[t].T,
                         out=columns[p, o_cols, j + b_rows.start : j + b_rows.stop],
                     )
+    del trig  # a view of the stream's planes, which would outlive it
 
-    cs = np.zeros((2, half.size, n_b), dtype=complex)  # a block left out stays zero
-    # the float parts of CW and SW at mu_b + eps and at mu_b - eps
-    halves = [_mirror_halves(plane, axis=1) for plane in cs.view(float).reshape(2, -1, n_b, 2)]
+    # a parity block of CW (p = 0) or SW (p = 1) is kept when one of its
+    # float parts is: Re U and Im U are its even part, Im and Re of -i V
+    # its odd part; the row turn mixes CW and SW, so then a parity is kept
+    # in both or in neither
+    kept = [[any(j is not None for j in s[:2]), any(j is not None for j in s[2:])] for s in slots]
     rate = c1 * m - turn
-    width = max(n_cols, 2 * n_b) if rate else n_cols  # the part products, or the turn's
+    if rate:
+        kept[0] = kept[1] = [a or b for a, b in zip(*kept)]
+    blocks = tuple(
+        np.zeros((half.size, size), dtype=complex) if kept[p][q] else None
+        for q, size in ((0, k), (1, n_b // 2))
+        for p in (0, 1)
+    )
+    # the float parts of each plane's even block at mu_b + eps, and of its
+    # odd block on the columns of the mirror pixels, eps ascending (the
+    # last n_b // 2 pixels eps, as the eps = 0 pixel of an odd n_b has no
+    # mirror); None for a block left out
+    floats = [
+        [None if b is None else b.view(float).reshape(*b.shape, 2)[:, ::step] for b, step in
+         ((blocks[p], 1), (blocks[2 + p], -1))]
+        for p in (0, 1)
+    ]
+    width = max(n_cols, 2 * k) if rate else n_cols  # the part products, or the turn's
     rows, cols, block, _ = phase.plane_block(half.size, h, 2 * width, 0)
     products = np.empty((2, rows, width))
     if rate:
@@ -377,29 +409,35 @@ def _half_products(
     for s_rows, o_cols, planes in phase.phase_planes(c1, e_half, half, rows, cols, block, half[-1]):
         n_rows = planes.shape[1]
         prod = np.matmul(planes, columns[:, o_cols], out=products[:, :n_rows, :n_cols])
-        for p, (plus, minus) in enumerate(halves):
-            # Re U, Im U at mu_b + eps, and Im, Re of -i V, the odd part there, at
-            # mu_b - eps: a block's last k - n_b % 2 columns (eps = 0 has no mirror)
-            plus, minus = plus[s_rows], minus[s_rows]
-            for out, j in zip((plus[..., 0], plus[..., 1], minus[..., 1], minus[..., 0]), slots[p]):
-                if j is not None:  # a block left out as exactly zero adds nothing
+        for p, (even, odd) in enumerate(floats):
+            # Re U, Im U into the even block, and Im, Re of -i V into the odd
+            # one: a table block's last n_b // 2 columns (eps = 0 has no mirror)
+            outs = (None,) * 2 if even is None else (even[s_rows, :, 0], even[s_rows, :, 1])
+            outs += (None,) * 2 if odd is None else (odd[s_rows, :, 1], odd[s_rows, :, 0])
+            for out, j in zip(outs, slots[p]):
+                if j is not None:  # a part left out as exactly zero adds nothing
                     out += prod[p, :, j + k - out.shape[1] : j + k]
         if rate and o_cols.stop == h:  # the rows are complete: turn them by phi
-            cw, sw = cs.view(float)[:, s_rows]
-            sin_cw, sin_sw = products[:, :n_rows, : 2 * n_b]
-            np.multiply(cw, sin_phi[s_rows], out=sin_cw)
-            np.multiply(sw, sin_phi[s_rows], out=sin_sw)
-            cw *= cos_phi[s_rows]
-            cw -= sin_sw
-            sw *= cos_phi[s_rows]
-            sw += sin_cw
-    return cs
+            for cw, sw in (blocks[:2], blocks[2:]):
+                if cw is None:  # kept with sw
+                    continue
+                cw, sw = cw.view(float)[s_rows], sw.view(float)[s_rows]
+                sin_cw, sin_sw = products[:, :n_rows, : cw.shape[1]]
+                np.multiply(cw, sin_phi[s_rows], out=sin_cw)
+                np.multiply(sw, sin_phi[s_rows], out=sin_sw)
+                cw *= cos_phi[s_rows]
+                cw -= sin_sw
+                sw *= cos_phi[s_rows]
+                sw += sin_cw
+    return ParityKernel(n_b, blocks)
 
 
 @dataclass(frozen=True)
 class ParityKernel:
     """One arm's propagation kernel from mirror pairs of source cells to
-    mirror pairs of detector pixels (``arm_kernels``).
+    mirror pairs of detector pixels (``arm_kernels``); ``_half_products``
+    returns the half products CW and SW in the same layout, CW in place
+    of u and SW of v.
 
     A realization is the row [u | v] on the h = ceil(n_s / 2) source nodes
     d >= 0, u = phi(+d) + phi(-d) and v = phi(+d) - phi(-d). The ``n``
@@ -414,8 +452,8 @@ class ParityKernel:
     pixel order. O_u and O_v are h x floor(n / 2) and hold the odd part
     at mu + eps on the column of the mirror pixel mu - eps, in pixel order
     too (eps descending); the eps = 0 pixel of an odd n is its own mirror,
-    where the odd part is 0. A block that is exactly zero on every entry
-    is None.
+    where the odd part is 0. A block that is None is exactly zero on every
+    entry and was never built.
     """
 
     n: int
@@ -452,16 +490,17 @@ def arm_kernels(
         E_u = g cos(psi) C,  E_v = -i g sin(psi) C,
         O_u = -g sin(psi) S,  O_v = -i g cos(psi) S,
 
-    and at mu_a = 0 (psi = 0) only E_u = g C and O_v = -i g S are built.
+    where a block whose factor is exactly zero is left out: at mu_a = 0
+    (psi = 0) only E_u = g C and O_v = -i g S are built.
     Arm b is the prefactor h_b (``arm_b_prefactor``) times the source chirp
     exp(i w d^2 / (2 z_b)) times the object transfer T(+-d) = CW -+ i SW:
     with g_b their product, A = g_b CW and B = -i g_b SW. Its blocks are
-    the parity parts of CW and SW about mu_b, the layout
-    ``_half_products`` writes in its own buffer, scaled there by g_b and
-    -i g_b, so they are views of that one buffer and no K_b of pixel
-    values is built. A slit on centred axes has CW even and SW odd in eps,
-    so O_u and E_v are exactly zero there: each arm keeps two blocks, half
-    the entries of the kernels on all pixels, and four on moved axes.
+    the parity blocks of CW and SW about mu_b that ``_half_products``
+    returns, each scaled in place by g_b or -i g_b, so no K_b of pixel
+    values is built and no block known to be zero is allocated. A slit on
+    centred axes has CW even and SW odd in eps, so O_u and E_v are exactly
+    zero there: each arm keeps two blocks, half the entries of the kernels
+    on all pixels, and four on moved axes.
     """
     w = geom.omega0_over_c
     rho_s = axis_s.coordinates
@@ -479,25 +518,22 @@ def arm_kernels(
     if rho_s.size % 2:
         cells[0] *= 0.5  # d = 0 is its own mirror, where u = 2 phi(0)
 
-    cs = _half_products(geom, mask, n_object, half, rho_b)
+    k_b = _half_products(geom, mask, n_object, half, rho_b)
     g_b = arm_b_prefactor(geom) * gaussian_phase(half, w / geom.z_b) * cells
-    cs[0] *= g_b[:, None]
-    cs[1] *= (-1j * g_b)[:, None]
-    m = rho_b.size // 2
-    k_b = ParityKernel(
-        rho_b.size, tuple(b if np.any(b) else None for b in (*cs[:, :, m:], *cs[:, :, :m]))
-    )
+    for b, f in zip(k_b.blocks, (g_b, -1j * g_b) * 2):  # CW by g_b, SW by -i g_b
+        if b is not None:
+            b *= f[:, None]
 
     c_a = w / geom.z_a
     n_a, odd = rho_a.size, rho_a.size % 2
     mu_a, eps_a = _mirror_split(rho_a, "the arm-a kernel needs evenly spaced rho_a")
     g = fresnel_prefactor(w, geom.z_a) * gaussian_phase(half, c_a) * cells
-    if mu_a:
-        psi = c_a * mu_a * half
-        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
-        scales = (g * cos_psi, -1j * g * sin_psi, -g * sin_psi, -1j * g * cos_psi)
-    else:
-        scales = (g, None, None, -1j * g)
+    psi = c_a * mu_a * half
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    scales = tuple(
+        f if np.any(f) else None  # a block of an exactly-zero factor is left out
+        for f in (g * cos_psi, -1j * g * sin_psi, -g * sin_psi, -1j * g * cos_psi)
+    )
     k = (n_a + 1) // 2
     blocks = tuple(
         None if f is None else np.empty((half.size, width), dtype=complex)
@@ -569,9 +605,12 @@ def intensity_b(
 
     The rho_s sum pairs d with -d (``_source_half_weights``) on the half
     products of ``_half_products``, |T(-d)|^2 + |T(d)|^2 =
-    2 (|CW|^2 + |SW|^2), so I_b = K_b sum_d 2 F w_s (|CW|^2 + |SW|^2),
-    on the half products unpaired into pixel values (``_unpair``) and
-    squared in place, part by part.
+    2 (|CW|^2 + |SW|^2), so I_b = K_b sum_d 2 F w_s (|CW|^2 + |SW|^2).
+    Each plane, CW and then SW, is read from its parity blocks E and O
+    (``ParityKernel``) as |E + O|^2 on the pixels mu_b + eps and
+    |E - O|^2 on their mirrors: E + O in place, E - O in a copy of O
+    where both blocks are kept, then squared in place; a plane with one
+    kept block is squared in place alone.
     """
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
     rho_b = axis_b.coordinates
@@ -580,11 +619,35 @@ def intensity_b(
     phase.check_step("source", _max_step(rho_s), r.intensity_b_s)
 
     half, weights = _source_half_weights(source, rho_s, w_s)
-    cs = _half_products(geom, mask, quad.n_object, half, rho_b)
-    for plane in cs:  # CW, then SW: _unpair copies a quarter of cs at a time
-        _unpair(plane, axis=1)
-    sq = np.square(cs.view(float), out=cs.view(float))  # in place: (Re, Im)^2 of CW and SW
-    out = (weights @ sq[0] + weights @ sq[1]).reshape(-1, 2).sum(axis=1)
+    blocks = list(_half_products(geom, mask, quad.n_object, half, rho_b).blocks)
+    n_b, odd = rho_b.size, rho_b.size % 2
+    m = n_b // 2
+    # the F w_s sums of (Re, Im)^2 of CW and SW on each pixel, in pixel order
+    sums = np.zeros((n_b, 2))
+
+    def squares(x):  # (Re, Im)^2 of x summed over the source half, x squared in place
+        return (weights @ np.square(x.view(float), out=x.view(float))).reshape(-1, 2)
+
+    for p in (0, 1):  # CW, then SW: each block is held here alone, and freed once summed
+        e, o = blocks[p], blocks[2 + p]
+        blocks[p] = blocks[2 + p] = None
+        if e is not None and o is not None:
+            # E - O on the mirror pixels mu_b - eps (pixel order), then E + O
+            # on the pixels mu_b + eps in place: a copy of one odd block
+            mirror = np.subtract(e[:, ::-1][:, :m], o)
+            e[:, odd:] += o[:, ::-1]
+            o = None
+            sums[m:] += squares(e)
+            sums[:m] += squares(mirror)
+        elif e is not None:  # E on both pixels of a pair
+            sq = squares(e)
+            sums[m:] += sq
+            sums[:m] += sq[::-1][:m]
+        elif o is not None:  # O and -O: 0 at the eps = 0 pixel of an odd n_b
+            sq = squares(o)
+            sums[:m] += sq
+            sums[m + odd :] += sq[::-1]
+    out = sums.sum(axis=1)
     return SampledImage(
         axis=axis_b, values=intensity_prefactor_b(geom) * out, label="intensity_b"
     )
@@ -623,13 +686,17 @@ def gamma_quadrature(
         G(mu_a +- eps_a) = C^T X +- S^T Y.
 
     ``_half_products`` turns by psi in its own row turn (turn = c_a mu_a),
-    so here the rows are only scaled by f. The cos/sin planes stream from
-    ``phase.phase_planes`` in ``phase.plane_block``'s blocks of
-    ceil(n_a / 2) columns, each two real matmuls on the float views of X
-    and Y; no complex V and no full T is built. G is linear, so it is
-    summed as parity parts (``ParityKernel``) on both axes, C^T X into
-    the zeroed rows mu_a + eps_a and S^T Y into their mirrors, and
-    unpaired once along each axis before |G|^2 (``_unpair``).
+    so here the rows are only scaled by f, block by block in place. G is
+    linear, so it is summed as parity parts (``ParityKernel``) on both
+    axes: each kept block of X (CW's) or Y (SW's), even or odd about
+    mu_b, adds C^T or S^T of itself into its own quadrant of the zeroed
+    G, the rows mu_a + eps_a for C and their mirrors for S, and its
+    parity's columns; G is unpaired once along each axis before |G|^2
+    (``_unpair``). The cos/sin planes stream from ``phase.phase_planes``
+    in ``phase.plane_block``'s blocks of ceil(n_a / 2) columns, one real
+    matmul a kept block on its float view; no complex V and no full T is
+    built. A slit on centred axes keeps two of the four blocks, so the
+    source side runs half the flops of all four.
     """
     w = geom.omega0_over_c
     rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
@@ -644,25 +711,44 @@ def gamma_quadrature(
     c_a = w / geom.z_a
     cs = _half_products(geom, mask, quad.n_object, half, rho_b, c_a * mu_a)
     beta = w * (1.0 / geom.z_b - 1.0 / geom.z_a)
-    cs *= (weights * gaussian_phase(half, beta))[:, None]  # f CW and f SW
+    f = (weights * gaussian_phase(half, beta))[:, None]
+    for b in cs.blocks:
+        if b is not None:
+            b *= f  # f CW and f SW
 
     n_a, n_b = rho_a.size, rho_b.size
-    k = (n_a + 1) // 2
+    k, m, odd = (n_a + 1) // 2, n_b // 2, n_a % 2
     g = np.zeros((n_a, n_b), dtype=complex)
-    cs_f = cs.view(float)
-    rows, cols, block, _ = phase.plane_block(half.size, k, 0, 4 * n_b)
-    products = np.empty((2, cols, 2 * n_b))
+    # the quadrant of G's float view each block adds to: C^T of CW's blocks
+    # on the rows mu_a + eps_a, S^T of SW's on their mirrors, and the even
+    # blocks on the columns mu_b + eps, the odd ones on their mirrors'
     plus, minus = _mirror_halves(g.view(float))
-    odd = n_a % 2
+    quadrants = [
+        (b.view(float), t, rows_of[:, cols_of])
+        for b, t, rows_of, cols_of in zip(
+            cs.blocks, (0, 1) * 2, (plus, minus) * 2,
+            (slice(2 * m, None),) * 2 + (slice(2 * m),) * 2,
+        )
+        if b is not None
+    ]
+    # the plan counts the products of all four blocks, 4 n_b floats a
+    # column, so its blocks, and the order G adds them in, do not depend on
+    # which blocks the mask keeps; one kept block's products take at most
+    # half of that
+    rows, cols, block, _ = phase.plane_block(half.size, k, 0, 4 * n_b)
+    products = np.empty((cols, 2 * ((n_b + 1) // 2)))
     for s_rows, a_cols, planes in phase.phase_planes(
         c_a, eps_a[n_a // 2 :], half, rows, cols, block, half[-1]
     ):
-        cx, sy = np.matmul(
-            planes.transpose(0, 2, 1), cs_f[:, s_rows], out=products[:, : planes.shape[2]]
-        )
-        plus[a_cols] += cx
         skip = odd if a_cols.start == 0 else 0  # S is 0 at the eps_a = 0 row of an odd n_a
-        minus[a_cols.start + skip - odd : a_cols.stop - odd] += sy[skip:]
+        for b, t, out in quadrants:
+            prod = np.matmul(
+                planes[t].T, b[s_rows], out=products[: planes.shape[2], : b.shape[1]]
+            )
+            if t:
+                out[a_cols.start + skip - odd : a_cols.stop - odd] += prod[skip:]
+            else:
+                out[a_cols] += prod
     _unpair(_unpair(g, axis=0), axis=1)
 
     values = intensity_prefactor_a(geom) * intensity_prefactor_b(geom) * np.abs(g) ** 2

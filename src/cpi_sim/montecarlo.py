@@ -129,8 +129,9 @@ class SpeckleRun:
 
     def sampling_bytes(self) -> int:
         """The most bytes the run holds at one time beside K_b's float64
-        blocks and the half products, which ``check_working_set`` counts
-        (and which bound K_b's complex64 blocks once they are freed).
+        parity blocks, which ``check_working_set`` counts as all four blocks
+        of the half products (and which bound K_b's complex64 blocks once
+        they are freed).
 
         The complex64 arm-a kernel's parity blocks, ceil(n_s / 2) x n_a, twice
         that off a centred axis, where all four are kept, are held from their
@@ -445,9 +446,9 @@ def estimate_gamma(
         )
     amp = source.amplitude(_source_half(run.axis_s.coordinates))[:, None]  # f(d) = f(-d)
     # f is folded into the fresh float64 blocks in place, and each kept
-    # block is then rounded to complex64 once: no float64 block, nor K_b's
-    # half-products buffer, outlives this statement, and both arms' live
-    # to its end (the rounding stage of ``sampling_bytes``)
+    # block is then rounded to complex64 once: no float64 block outlives
+    # this statement, and both arms' live to its end (the rounding stage of
+    # ``sampling_bytes``)
     k_a, k_b = (
         ParityKernel(k.n, tuple(
             None if b is None else np.multiply(b, amp, out=b).astype(np.complex64) for b in k.blocks

@@ -141,6 +141,59 @@ def field_rounding_bound(kernel) -> np.ndarray:
     return (2.0 * np.sqrt(2.0) * h * len(kept) + 2.0) * U32 * s
 
 
+def probabilistic_gamma(m: int, u: float, count: int, fail: float) -> float:
+    """gamma~_m(lam) = exp(lam sqrt(m) u + m u^2 / (1 - u)) - 1 of Higham &
+    Mary (2019, SIAM J. Sci. Comput. 41(5), Theorem 3.1): with rounding
+    errors independent, of mean zero and at most u, a sum of m products
+    computed in any order is off by at most gamma~_m(lam) times the sum of
+    their moduli, with probability at least 1 - 2 m exp(-lam^2 (1 - u)^2 / 2).
+    lam is the least for which ``count`` such sums all hold but with
+    probability at most ``fail`` (a union bound)."""
+    lam = np.sqrt(2.0 * np.log(2.0 * m * count / fail)) / (1.0 - u)
+    return float(np.expm1(lam * np.sqrt(m) * u + m * u * u / (1.0 - u)))
+
+
+def float64_intensities(fields: np.ndarray, kernel, fail: float = 2.0**-20):
+    """The float64 propagation of the complex64 rows ``fields`` = [u | v]
+    through the complex64 blocks of ``kernel`` (``correlator.ParityKernel``),
+    |E|^2 with E = u A + v B for A = E_u +- O_u and B = E_v +- O_v
+    (``parity_pixels``), and a probabilistic bound of its distance to the
+    intensities ``montecarlo._intensities`` propagates in complex64 from
+    the same rows and blocks, each per row and pixel in pixel order.
+
+    A pixel's field sums n complex terms x_j k_j, n = h times the kept
+    blocks, so each of its real and imaginary parts is a real sum of 2n
+    products, computed in some order (the GEMMs, the add of a part's
+    second block, P +- Q). Under the model of ``probabilistic_gamma``,
+    with u = 2^-24 and every such sum of the block holding but with
+    probability ``fail``, each part is off by at most gamma~_2n S, S =
+    sum_j |x_j| |k_j| (the E and O blocks at their pixels alike), so the
+    modulus by D = sqrt(2) (gamma~_2n + gamma_(2n+1)) S, the second term
+    the float64 reference's own worst case (its 2n products and the
+    unpairing add, u = 2^-53). |E| is rounded to float32 (2u) and squared
+    exactly in float64, so |I - |E64|^2| <= (|E64| + D)^2 (1 + 2u)^2 -
+    |E64|^2, plus 3 u64 |E64|^2 for the reference's own square. No inputs
+    are rounded between the two: both read the same complex64 values."""
+    h = fields.shape[1] // 2
+    kept = [b for b in kernel.blocks if b is not None]
+    n = h * len(kept)
+    count = 2 * fields.shape[0] * kernel.n  # a real and an imaginary sum a pixel a row
+    g32 = probabilistic_gamma(2 * n, U32, count, fail)
+    g64 = (2 * n + 1) * U64 / (1 - (2 * n + 1) * U64)
+    zero = np.zeros((h, (kernel.n + 1) // 2))
+    # |E| + |O| on both pixels of a mirror pair, for the u and the v blocks
+    moduli = [
+        unpair_pixels(zero if e is None else np.abs(e), None, kernel.n).real
+        + (0 if o is None else np.abs(unpair_pixels(zero, np.abs(o), kernel.n)))
+        for e, o in zip(kernel.blocks[:2], kernel.blocks[2:])
+    ]
+    x = np.abs(fields.astype(complex))
+    s = x[:, :h] @ moduli[0] + x[:, h:] @ moduli[1]
+    e64 = np.abs(fields.astype(complex) @ np.concatenate(list(parity_pixels(kernel, h))))
+    d = np.sqrt(2.0) * (g32 + g64) * s
+    return e64**2, (e64 + d) ** 2 * (1 + 2 * U32) ** 2 - e64**2 + 3 * U64 * e64**2
+
+
 def propagation_rounding_bound(d_a, d_b, e_a, e_b):
     """First-order bounds (di_a, di_b, dcov) of the complex64 propagation
     for k realizations whose float64 fields on the two arms are ``e_a``
@@ -313,18 +366,29 @@ def unpair_pixels(even: np.ndarray, odd: np.ndarray | None, n: int) -> np.ndarra
     return full
 
 
+def parity_pixels(k, h: int) -> np.ndarray:
+    """The u and v parts of the parity blocks ``k.blocks`` = (E_u, E_v,
+    O_u, O_v) of a ``correlator.ParityKernel`` on ``h`` rows, on all
+    ``k.n`` pixels in pixel order, shape (2, h, k.n): E_u +- O_u and
+    E_v +- O_v at mu +- eps (``unpair_pixels``); a block left out (None)
+    is 0. For the half products of ``correlator._half_products`` these
+    are CW and SW."""
+    zero = np.zeros((h, (k.n + 1) // 2))
+    e_u, e_v, o_u, o_v = k.blocks
+    return np.stack(
+        [unpair_pixels(zero if e is None else e, o, k.n) for e, o in ((e_u, o_u), (e_v, o_v))]
+    )
+
+
 def full_kernels(k, n_s: int) -> np.ndarray:
     """The kernel on all ``n_s`` cells and all ``k.n`` pixels, shape
     (pixels, n_s), of a parity kernel ``k`` of ``correlator.arm_kernels``
     on the h = ceil(n_s / 2) nodes d >= 0. The pixels unpair first
-    (``unpair_pixels``): A = E_u +- O_u and B = E_v +- O_v at mu +- eps.
+    (``parity_pixels``): A = E_u +- O_u and B = E_v +- O_v at mu +- eps.
     Then the cells: K(+d) = A + B, K(-d) = A - B, and 2 A at the d = 0
     cell of an odd n_s, its own mirror."""
-    e_u, e_v, o_u, o_v = k.blocks
     h = (n_s + 1) // 2
-    zero = np.zeros((h, (k.n + 1) // 2))
-    a = unpair_pixels(zero if e_u is None else e_u, o_u, k.n).T
-    b = unpair_pixels(zero if e_v is None else e_v, o_v, k.n).T
+    a, b = parity_pixels(k, h).transpose(0, 2, 1)
     full = np.concatenate([(a - b)[:, ::-1], a + b], axis=1)
     if n_s % 2:  # both copies of the d = 0 column sum to 2 A
         full[:, h] += full[:, h - 1]

@@ -46,12 +46,15 @@ from cpi_sim.metrics import (
     slit_contrast,
     two_sided_peaks,
 )
+from cpi_sim.optics import trapezoid_weights
+from cpi_sim.runner import _pgm
 from conftest import SEPARATION, SIGMA, smooth_two_lobe_mask
 from oracles import (
     coherent_psf,
     e2_full_width,
     fit_gaussian_width,
     float64_estimate,
+    gamma_rounding_bound,
     incoherent_psf,
     normalized_l2,
     scalar_rounding_bounds,
@@ -79,6 +82,36 @@ def _read_run(out: Path, shape: tuple[int, int]) -> dict:
         "report": report,
         "se": np.array(report["se_per_point"]),
     }
+
+
+def _csv_values(path: Path) -> np.ndarray:
+    """The last column of a data file's rows, after its comment lines and
+    header, in file order."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return np.array([l.rsplit(",", 1)[1] for l in lines if not l.startswith("#")][1:], dtype=float)
+
+
+def _runs_across_thread_counts(demo: str, tmp_path: Path) -> list[str]:
+    """Run the bundled ``demo`` here into ``tmp_path / "here"``, and in two
+    subprocesses: "same", with this process's environment, and "one",
+    with OPENBLAS_NUM_THREADS=1 (OpenBLAS reads it once, when numpy loads
+    it). At the same thread count every data file is byte-identical;
+    returns their names."""
+    here = run_experiment(parse_config(DEMOS[demo]), out_dir=tmp_path / "here")
+    code = (
+        "import sys; from cpi_sim import DEMOS, parse_config, run_experiment; "
+        "run_experiment(parse_config(DEMOS[sys.argv[1]]), out_dir=sys.argv[2])"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for name, extra in (("same", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        env = {**os.environ, **extra, "PYTHONPATH": path}
+        subprocess.run(
+            [sys.executable, "-c", code, demo, str(tmp_path / name)], env=env, check=True, timeout=600
+        )
+    names = [f["name"] for f in here.files]
+    for name in names:
+        assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    return names
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -265,29 +298,13 @@ class TestAcceptance:
         )
 
     def test_7_reproduces_across_blas_thread_counts(self, tmp_path):
-        # OpenBLAS reads OPENBLAS_NUM_THREADS once, when numpy loads it, so
-        # the montecarlo demo runs here and in two subprocesses: one with
-        # this process's environment, one with OPENBLAS_NUM_THREADS=1. At
-        # the same thread count every data file is byte-identical. Across
-        # counts the GEMMs may sum in another order, so each value lies
-        # within twice its first-order rounding bound (each run lies within
-        # it of the float64 propagation of the same realizations)
+        # the montecarlo demo (_runs_across_thread_counts). Across counts
+        # the GEMMs may sum in another order, so each value lies within
+        # twice its first-order rounding bound (each run lies within it of
+        # the float64 propagation of the same realizations)
         cfg = parse_config(DEMOS["montecarlo"])
-        here = run_experiment(cfg, out_dir=tmp_path / "here")
-        code = (
-            "import sys; from cpi_sim import DEMOS, parse_config, run_experiment; "
-            "run_experiment(parse_config(DEMOS['montecarlo']), out_dir=sys.argv[1])"
-        )
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        for name, extra in (("same", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
-            env = {**os.environ, **extra, "PYTHONPATH": path}
-            subprocess.run(
-                [sys.executable, "-c", code, str(tmp_path / name)], env=env, check=True, timeout=600
-            )
-        names = [f["name"] for f in here.files]
+        names = _runs_across_thread_counts("montecarlo", tmp_path)
         assert names == ["gamma_mc.csv", "gamma_mc.pgm", "convergence.json"]
-        for name in names:
-            assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
         exp = cfg.resolve()
         reference = gamma_quadrature(exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad)
@@ -306,6 +323,48 @@ class TestAcceptance:
             "criterion 7 (determinism)",
             f"byte-identical at one BLAS thread count; l1 {mine['report']['l1']:.10g} here, "
             f"{one['report']['l1']:.10g} on one thread (bound {2 * bounds['l1']:.2g})",
+        )
+
+    def test_7_refocus_demo_reproduces_across_blas_thread_counts(self, tmp_path):
+        # the refocus demo (_runs_across_thread_counts). Across counts
+        # Gamma's GEMMs may sum in another order, so each Gamma lies within
+        # twice gamma_rounding_bound of the other run's (each lies within it
+        # of the exact sum). The images are sums of n_b non-negative
+        # samples w_b Gamma_b (a refocused sample a linear blend of two,
+        # v0 + f (v1 - v0), off by 3 u peak in each run) over the valid
+        # weight fraction, so they move by sum(w) times a sample's bound
+        # plus each run's own rounding, (3 n_b + 3) u of the image: n_b + 1
+        # for the sum and (2 n_b + 1) + 1 for the fraction and the divide.
+        # Each PGM is the runner's scaling of its own CSV values
+        names = _runs_across_thread_counts("refocus", tmp_path)
+        assert names == [
+            f"{stem}.{ext}" for stem in ("gamma", "ghost", "refocused") for ext in ("csv", "pgm")
+        ]
+        exp = parse_config(DEMOS["refocus"]).resolve()
+        shape = (exp.axis_a.n, exp.axis_b.n)
+        one, mine = ({n: _csv_values(tmp_path / d / n) for n in names[::2]} for d in ("one", "here"))
+        for run, d in ((one, "one"), (mine, "here")):
+            for csv in names[::2]:
+                values = run[csv].reshape(shape) if csv == "gamma.csv" else run[csv]
+                pgm = (tmp_path / d / csv.replace(".csv", ".pgm")).read_bytes()
+                assert pgm == _pgm(values)[0], (d, csv)
+
+        u = np.finfo(float).eps / 2
+        peak = mine["gamma.csv"].max()
+        bound = gamma_rounding_bound(
+            exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad, peak
+        )
+        delta = 2 * bound * peak
+        assert np.all(np.abs(one["gamma.csv"] - mine["gamma.csv"]) <= delta)
+        w_sum = trapezoid_weights(exp.axis_b.n, exp.axis_b.step).sum()
+        for csv, sample in (("ghost.csv", delta), ("refocused.csv", delta + 6 * u * peak)):
+            own = (3 * exp.axis_b.n + 3) * u * (one[csv] + mine[csv])
+            assert np.all(np.abs(one[csv] - mine[csv]) <= w_sum * sample + own), csv
+        moved = np.abs(one["gamma.csv"] - mine["gamma.csv"]).max() / peak
+        _report(
+            "criterion 7 (determinism, refocus demo)",
+            f"byte-identical at one BLAS thread count; Gamma moves by {moved:.2g} of its peak "
+            f"on one thread (bound {2 * bound:.2g})",
         )
 
     def test_8_quadrature_convergence(self, geom_focused, source, slits, axis_a, axis_b, grid_focused):

@@ -38,6 +38,7 @@ from oracles import (
     gaussian_gamma,
     incoherent_psf,
     normalized_l2,
+    parity_pixels,
     unpair_pixels,
 )
 
@@ -96,26 +97,33 @@ class TestIntensityB:
 
     @pytest.mark.parametrize("geom_name", ["geom_focused", "geom_defocused"])
     def test_matches_per_pixel_quadrature(self, request, geom_name, source, slits):
+        # centred slits keep one parity block a plane (CW even, SW odd); on
+        # a moved axis, and for a complex mask, each plane keeps both, whose
+        # E + O and E - O fall on mirrored pixels
         g = request.getfixturevalue(geom_name)
-        axis_b = Axis.from_half_width(9, 500e-6)
-        auto = QuadratureSpec.auto(g, source, slits, Axis.from_half_width(8, 200e-6), axis_b)
-        # both parities: the half sum pairs d with -d, and an odd n_source
-        # has a d = 0 row, its own mirror, that must count once
-        for quad in (auto, replace(auto, n_source=auto.n_source + 1)):
-            img = intensity_b(g, source, slits, axis_b, quad)
+        for mask, axis_b in (
+            (slits, Axis.from_half_width(9, 500e-6)),
+            (slits, Axis.from_half_width(10, 500e-6, center=-60e-6)),
+            (_complex_mask(), Axis.from_half_width(9, 500e-6, center=-60e-6)),
+        ):
+            auto = QuadratureSpec.auto(g, source, mask, Axis.from_half_width(8, 200e-6), axis_b)
+            # both parities: the half sum pairs d with -d, and an odd n_source
+            # has a d = 0 row, its own mirror, that must count once
+            for quad in (auto, replace(auto, n_source=auto.n_source + 1)):
+                img = intensity_b(g, source, mask, axis_b, quad)
 
-            # direct evaluation: one source-averaged object transform per pixel
-            rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
-            rho_o, w_o, _ = object_quadrature(slits, quad.n_object)
-            amp = slits.transmission(rho_o) * w_o
-            f_s = source.intensity(rho_s) * w_s
-            direct = []
-            for rb in axis_b.coordinates:
-                kappa = (g.omega0_over_c / g.z_b) * (rho_s + rb / g.M)
-                ft = np.exp(-1j * np.outer(kappa, rho_o)) @ amp
-                direct.append(f_s @ np.abs(ft) ** 2)
-            expected = intensity_prefactor_b(g) * np.array(direct)
-            np.testing.assert_allclose(img.values, expected, rtol=1e-12)
+                # direct evaluation: one source-averaged object transform per pixel
+                rho_s, w_s = source_quadrature(source, quad.n_source, quad.source_span)
+                rho_o, w_o, _ = object_quadrature(mask, quad.n_object)
+                amp = mask.transmission(rho_o) * w_o
+                f_s = source.intensity(rho_s) * w_s
+                direct = []
+                for rb in axis_b.coordinates:
+                    kappa = (g.omega0_over_c / g.z_b) * (rho_s + rb / g.M)
+                    ft = np.exp(-1j * np.outer(kappa, rho_o)) @ amp
+                    direct.append(f_s @ np.abs(ft) ** 2)
+                expected = intensity_prefactor_b(g) * np.array(direct)
+                np.testing.assert_allclose(img.values, expected, rtol=1e-12)
 
     def test_underresolved_guard(self, geom_focused, source, slits, axis_b):
         quad = QuadratureSpec(n_source=16, n_object=16, source_span=2.5e-3)
@@ -417,7 +425,7 @@ class TestGaussianOracle:
     Gaussian object (``oracles.gaussian_gamma``), which pins the absolute
     scale of Gamma: its prefactors, weights, chirp and coupling constants."""
 
-    @pytest.mark.parametrize("path", ["centred", "turned"])
+    @pytest.mark.parametrize("path", ["centred", "turned-a", "turned"])
     @pytest.mark.parametrize("omega", [30e-6, 60e-6])
     @pytest.mark.parametrize("z_b", [0.1, 0.08])
     def test_matches_the_closed_form(self, monkeypatch, z_b, omega, path):
@@ -427,18 +435,23 @@ class TestGaussianOracle:
         # the 10 sigma source span weigh below 1e-17). "centred" puts both
         # detector axes and the object about 0, where the object factor is
         # real and even (its samples symmetrized to the last bit), so the
-        # object sum runs one parity block a plane and no turn; "turned"
-        # moves rho_a, rho_b and the object off 0, so the rows of Gamma's
+        # object sum runs one parity block a plane and no turn; "turned-a"
+        # moves rho_a alone, so the object sum still runs one block a plane
+        # but its row turn, Gamma's by c_a d mu_a, mixes CW's even block
+        # with SW's and CW's odd one with SW's, and all four are kept;
+        # "turned" moves rho_a, rho_b and the object off 0, so the rows of Gamma's
         # source side turn by c_a d mu_a and the object sum's rows by
         # c1 m d, over all four blocks, and the object sum leaves out the
         # column phase exp(-i c1 m eps / M), which drops out of |G|^2.
         sigma = 0.5e-3
         g = make_geometry(z_a=0.1, z_b=z_b, S_o=0.2, F=0.05, lambda0=500e-9)
         source = SourceProfile.gaussian(sigma)
-        mu_a, mu_b, center = (0.0, 0.0, 0.0) if path == "centred" else (30e-6, -60e-6, 20e-6)
+        mu_a, mu_b, center = {
+            "centred": (0.0, 0.0, 0.0), "turned-a": (30e-6, 0.0, 0.0), "turned": (30e-6, -60e-6, 20e-6)
+        }[path]
         c = np.linspace(center - 9 * omega, center + 9 * omega, 36001)
         values = np.exp(-((c - center) ** 2) / (2 * omega**2))
-        if path == "centred":
+        if path != "turned":
             values = 0.5 * (values + values[::-1])
         mask = ObjectMask.from_samples(c, values)
         axis_a = Axis.from_half_width(64, 200e-6, center=mu_a)
@@ -450,7 +463,7 @@ class TestGaussianOracle:
         assert np.array_equal(object_quadrature(mask, quad.n_object)[0], c[::32])
         _, columns = _spy_planes(monkeypatch)
         grid = gamma_quadrature(g, source, mask, axis_a, axis_b, quad)
-        assert set(columns[1]) == {(1 if path == "centred" else 4) * ((axis_b.n + 1) // 2)}
+        assert set(columns[1]) == {(4 if path == "turned" else 1) * ((axis_b.n + 1) // 2)}
         exact = gaussian_gamma(g, sigma, omega, axis_a.coordinates, axis_b.coordinates, center)
         bound = gamma_rounding_bound(g, source, mask, axis_a, axis_b, quad, exact.max())
         error = np.abs(grid.values - exact).max() / exact.max()
@@ -851,7 +864,7 @@ class TestObjectTransferGuard:
         with pytest.raises(UnderResolved, match=r"^object quadrature \(n_object = 16\) step "):
             correlator._half_products(geom_focused, slits, 16, half, rho_b)
         cs = correlator._half_products(geom_focused, slits, 64, half, rho_b)
-        assert cs.shape == (2, half.size, rho_b.size) and half.size == 32
+        assert parity_pixels(cs, half.size).shape == (2, half.size, rho_b.size) and half.size == 32
 
     @pytest.mark.parametrize("n_object", [0, -5])
     def test_too_few_object_nodes_are_refused(self, geom_focused, source, slits, axis_b, n_object):
@@ -990,12 +1003,13 @@ def _spy_planes(monkeypatch):
 def _transfer(geom, mask, n_object, rho_s, rho_b):
     """The object transfer T[s, b] on every node of the centred ``rho_s``,
     assembled here from the half products of ``correlator._half_products``
-    on its source half d >= 0, unpaired into pixel values along rho_b
-    (``correlator._unpair``): T(+-d) = CW -+ i SW, with the column phase
-    exp(-i c1 m eps / M) that they leave out put back for the midpoints m
-    of the object nodes and mu_b of rho_b = mu_b + eps."""
-    cs = correlator._half_products(geom, mask, n_object, correlator._source_half(rho_s), rho_b)
-    cw, sw = correlator._unpair(cs, axis=2)
+    on its source half d >= 0, its parity blocks unpaired into pixel
+    values along rho_b (``oracles.parity_pixels``): T(+-d) = CW -+ i SW,
+    with the column phase exp(-i c1 m eps / M) that they leave out put
+    back for the midpoints m of the object nodes and mu_b of rho_b =
+    mu_b + eps."""
+    half = correlator._source_half(rho_s)
+    cw, sw = parity_pixels(correlator._half_products(geom, mask, n_object, half, rho_b), half.size)
     t = np.concatenate([(cw + 1j * sw)[::-1], cw - 1j * sw])
     if rho_s.size % 2:  # the d = 0 row is its own mirror
         t = np.delete(t, cw.shape[0], axis=0)
@@ -1151,6 +1165,35 @@ class TestObjectTransferDirectSum:
         direct = self._direct(geom_focused, mask, n_object, rho_s, rho_b)
         assert np.abs(t - direct).max() <= 1e-12 * np.abs(direct).max()
 
+    @pytest.mark.parametrize(
+        "mask_name, centred, kept",
+        [
+            ("slits", True, (True, False, False, True)),
+            ("odd", True, (False, True, True, False)),
+            ("slits", False, (True,) * 4),
+            ("odd", False, (True,) * 4),
+            ("real", True, (True,) * 4),
+        ],
+        ids=["centred-slits", "centred-odd", "moved-slits", "moved-odd", "off-centre-real"],
+    )
+    def test_only_the_blocks_it_writes_are_allocated(self, geom_focused, mask_name, centred, kept):
+        # blocks (CW_even, SW_even, CW_odd, SW_odd): on centred axes a
+        # mirror-symmetric mask makes CW even and SW odd, an odd mask the
+        # reverse, and the other two blocks are never built; a moved rho_b
+        # gives both planes both parities, and an off-centre mask (m != 0)
+        # turns its rows, which mixes CW and SW at each parity. Every block
+        # built is written
+        mask = {
+            "slits": ObjectMask.double_slit(separation=150e-6, slit_width=50e-6),
+            "odd": _odd_mask(128),
+            "real": _real_mask(),
+        }[mask_name]
+        half = correlator._source_half(Axis(n=33, center=0.0, step=13e-6).coordinates)
+        rho_b = Axis.from_half_width(12, 200e-6, center=0.0 if centred else -30e-6).coordinates
+        cs = correlator._half_products(geom_focused, mask, 128, half, rho_b)
+        assert tuple(b is not None for b in cs.blocks) == kept
+        assert all(np.any(b) for b in cs.blocks if b is not None)
+
 
 class TestObjectNodeSymmetry:
     """The object sum pairs each node m + e with m - e, so every built-in
@@ -1240,10 +1283,10 @@ class TestObjectTransferBlocks:
             streams.clear()
             columns.clear()
             # the budget of chunk rows: 6 K + 2 width entries a row, for the
-            # part products' n_cols floats, or the turn's 2 n_b if more,
-            # and three anchor entries a column, for K = ceil(n_o / 2)
-            # columns
-            width = max(n_cols, 2 * n_b) if turned else n_cols
+            # part products' n_cols floats, or the turn's if more, the 2
+            # ceil(n_b / 2) floats of one parity block, and three anchor
+            # entries a column, for K = ceil(n_o / 2) columns
+            width = max(n_cols, 2 * ((n_b + 1) // 2)) if turned else n_cols
             m.setattr(phase, "_BLOCK_ENTRIES", chunk * (6 * pairs + 2 * width) + 3 * pairs)
             blocked = call()
             if third:
@@ -1381,19 +1424,29 @@ class TestObjectTransferMemory:
             assert peak < need
 
     def test_gamma_quadrature_peak_on_the_refocus_demo(self):
-        # gamma_quadrature holds the half products CW and SW (2 x 2190 x 64
-        # complex, 4.3 MiB), one phase_planes block of at most _BLOCK_ENTRIES
-        # float64 entries (8 MiB), the object sum's column tables (2 planes
-        # x 458 mirror pairs x at most 4 x 32 floats), the grid (complex G,
-        # then |G| and Gamma) and a few vectors over the source nodes
+        # gamma_quadrature holds the kept half-width blocks of the half
+        # products: the slits on centred axes keep CW's even block and SW's
+        # odd one, 2190 x 32 complex each (2.1 MiB). Beside them it holds the
+        # larger of the phase_planes blocks that its two streams plan: the
+        # object sum's, whose products are the one kept float block a plane
+        # (n_b / 2 floats a row), and Gamma's source side's; and the object
+        # sum's column tables (2 planes x 458 mirror pairs x that one block
+        # of 32 floats), the grid (complex G, then |G| and Gamma) and a few
+        # vectors over the source nodes: 6.07 MiB, below the 8.15 MiB that
+        # all four blocks (4.3 MiB) would trace here
         exp = cpi_sim.parse_config(cpi_sim.DEMOS["refocus"]).resolve()
         assert (exp.quad.n_source, exp.quad.n_object) == (4379, 916)
         n_half, n_o, n_a, n_b = 2190, 916, exp.axis_a.n, exp.axis_b.n
         assert (n_a, n_b) == (160, 64)
+        pairs, k = n_o // 2, n_b // 2
+        block = max(
+            phase.plane_block(n_half, pairs, 2 * k, 0)[3],
+            phase.plane_block(n_half, (n_a + 1) // 2, 0, 4 * n_b)[3],
+        )
         bound = (
-            16 * 2 * n_half * n_b
-            + 8 * phase._BLOCK_ENTRIES
-            + 8 * 2 * (n_o // 2) * 4 * (n_b // 2)
+            16 * n_half * n_b
+            + 8 * block
+            + 8 * 2 * pairs * k
             + (16 + 2 * 8) * n_a * n_b
             + 8 * 8 * exp.quad.n_source
         )
@@ -1403,7 +1456,4 @@ class TestObjectTransferMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound < 15 * 2**20
-        # 8.78 MiB before the object sum paired mirrored nodes, 8.43 MiB
-        # before it paired detector pixels (8.15 MiB since)
-        assert peak <= 8.8 * 2**20
+        assert peak < bound

@@ -32,7 +32,8 @@ from cpi_sim.optics import fresnel_prefactor, object_quadrature
 from cpi_sim.refocus import ghost_image
 from conftest import SEPARATION
 from oracles import (
-    field_rounding_bound, float64_estimate, full_kernels, propagation_rounding_bound, unpair_pixels,
+    field_rounding_bound, float64_estimate, float64_intensities, full_kernels,
+    propagation_rounding_bound, unpair_pixels,
 )
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -645,6 +646,34 @@ class TestEstimateGamma:
         raw, se, d_raw, d_se = float64_estimate(exp.speckle, exp.geom, exp.source, exp.mask)
         assert np.all(np.abs(grid.values - np.maximum(raw, 0.0)) <= d_raw)
         assert np.all(np.abs(report.se_per_point - se) <= d_se)
+
+    def test_one_block_lies_within_the_probabilistic_rounding_bound(self, monkeypatch):
+        # the first block the montecarlo demo propagates, on both arms,
+        # against the float64 propagation of the same complex64 rows and of
+        # the complex64 kernels built here from arm_kernels, within the
+        # bound of Higham & Mary (oracles.float64_intensities). A kernel
+        # scaled by 1.01 after the cast moves an intensity by 2%, where
+        # the first-order bound of field_rounding_bound allows about 4%
+        exp = parse_config(DEMOS["montecarlo"]).resolve()
+        run = exp.speckle
+        calls = []
+
+        def first_block(fields, kernel):
+            calls.append((fields.copy(), _intensities(fields, kernel)))
+            if len(calls) == 2:
+                raise _Captured
+            return calls[-1][1]
+
+        monkeypatch.setattr(montecarlo, "_intensities", first_block)
+        reference = gamma_quadrature(exp.geom, exp.source, exp.mask, exp.axis_a, exp.axis_b, exp.quad)
+        with pytest.raises(_Captured):
+            estimate_gamma(run, exp.geom, exp.source, exp.mask, reference)
+        amp = _half_amplitude(exp.source, run.axis_s)
+        kernels = arm_kernels(exp.geom, exp.mask, run.axis_s, run.axis_a, run.axis_b, run.n_object)
+        for (fields, got), k in zip(calls, kernels):
+            want, bound = float64_intensities(fields, _scaled(k, amp, np.complex64))
+            assert fields.dtype == np.complex64 and got.shape == want.shape == (100, k.n)
+            assert np.all(np.abs(got - want) <= bound)
 
     def test_ghost_image_shows_both_slits(
         self, geom_focused, source, slits, small_setup, small_reference
